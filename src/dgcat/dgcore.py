@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import ChainComplex, Matrix, check_same_field
+from .exactlin import ChainComplex, Matrix, basis_extension, check_same_field
 
 
 @dataclass(frozen=True, order=True)
@@ -152,9 +152,6 @@ class DGCategory:
         m = self.hom(f.src, f.dst).complex.d(f.degree)
         return Morphism(f.src, f.dst, f.degree + 1, m.apply(f.coords))
 
-    def morphism_equal(self, f, g):
-        return f == g
-
     # -- validation -------------------------------------------------------
 
     def validate(self):
@@ -257,6 +254,13 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
     of one relation must be parallel paths of equal length and equal degree.
     The differential is zero.  Raises InfiniteDimensionalHom when path spaces
     fail to die out within the configured bounds.
+
+    Basis rule: for each source u, target v and length L, list the paths in
+    sorted order and let `ideal` hold the relation consequences as columns
+    over them.  The basis paths are those whose unit vectors are pivot
+    columns of [ideal | I_n], and every path is reduced to them by the same
+    elimination (`exactlin.basis_extension`).  The bytes of every document
+    built from a quiver, the shipped fixtures included, depend on this rule.
     """
     arrows = [a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]
     arrow_by_name = {a.name: a for a in arrows}
@@ -297,7 +301,7 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
 
     # chosen[(u,v)] = list of (L, path); per-component ideal data kept per length
     chosen = {}
-    reducers = {}  # (u, v, L) -> (ordered paths, basis paths, solver Matrix)
+    components = {}  # (u, v, L) -> (ordered paths, picked indices, normal forms)
     total_paths = len(vertices)
 
     def component_paths(L):
@@ -336,24 +340,11 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
             vecs = ideal_vectors(u, v, L, paths)
             n = len(paths)
             ideal = Matrix(field, n, len(vecs), {(i, j): c for j, vec in enumerate(vecs) for i, c in vec.items()})
-            base = ideal
-            rank = base.rank()
-            picked = []
-            for t, p in enumerate(paths):
-                cand = Matrix.hstack(field, n, [base, Matrix(field, n, 1, {(t, 0): field.one()})])
-                r = cand.rank()
-                if r > rank:
-                    picked.append(p)
-                    base, rank = cand, r
+            picked, normal = basis_extension(ideal, Matrix.identity(field, n))
             quotient_total += len(picked)
             if picked or L == 0:
-                chosen.setdefault((u, v), []).extend((L, p) for p in picked)
-            basis_mat = Matrix(
-                field, n, len(picked) + ideal.cols,
-                {(paths.index(p), j): field.one() for j, p in enumerate(picked)}
-                | {(i, len(picked) + j): c for (i, j), c in ideal.entries.items()},
-            )
-            reducers[(u, v, L)] = (paths, picked, basis_mat)
+                chosen.setdefault((u, v), []).extend((L, paths[t]) for t in picked)
+            components[(u, v, L)] = (paths, picked, normal)
         if L > 0 and quotient_total == 0:
             break
         nxt = {}
@@ -392,26 +383,16 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
         homs[(by_label[u], by_label[v])] = Hom(ChainComplex(field, dims), names)
         basis_index[(u, v)] = {p: (n, i) for n, ps in by_deg.items() for i, p in enumerate(ps)}
 
-    def reduce_path(u, v, p):
-        """Coordinates of a path's class in the chosen basis (sparse)."""
-        L = len(p)
-        if (u, v, L) not in reducers:
-            return {}
-        paths, picked, solver = reducers[(u, v, L)]
-        if not picked:
-            return {}
-        if p in picked:
-            n_i = basis_index[(u, v)][p]
-            return {n_i: field.one()}
-        t = paths.index(p)
-        x = solver.solve(Matrix(field, len(paths), 1, {(t, 0): field.one()}))
-        if x is None:
-            raise RuntimeError("path reduction failed")
-        out = {}
-        for (j, _), c in x.entries.items():
-            if j < len(picked):
-                out[basis_index[(u, v)][picked[j]]] = c
-        return out
+    # reduced[(u, v)][path] = coordinates of the path's class in the chosen basis
+    reduced = {}
+    for (u, v, _), (paths, picked, normal) in components.items():
+        index = basis_index.get((u, v), {})
+        basis = [index[paths[t]] for t in picked]
+        red = reduced.setdefault((u, v), {})
+        for t, n_i in zip(picked, basis):
+            red[paths[t]] = {n_i: field.one()}
+        for k, coords in normal.items():
+            red[paths[k]] = {basis[t]: c for t, c in coords.items()}
 
     comp = {}
     for (u, v), idx_uv in basis_index.items():
@@ -423,7 +404,9 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
                 for q, (nq, iq) in idx_vw.items():
                     if len(p) + len(q) > max_len:
                         continue
-                    red = reduce_path(u, w, p + q)
+                    red = reduced.get((u, w), {}).get(p + q)
+                    if red is None:
+                        raise RuntimeError("path reduction failed")
                     entry = {}
                     for (nr, ir), c in red.items():
                         if nr != np_ + nq:
@@ -439,10 +422,6 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
         n_i = basis_index[(o.label, o.label)][()]
         ids[o] = Morphism(o, o, n_i[0], {n_i[1]: field.one()})
     return DGCategory(field, objs, homs, comp, ids, name="quiver")
-
-
-def build_category(field, objects, homs, comp, ids, name=""):
-    return DGCategory(field, objects, homs, comp, ids, name)
 
 
 def full_subcategory(cat, objs):

@@ -9,6 +9,7 @@ reduced fraction-free (one-step Bareiss) to control coefficient growth.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -400,7 +401,11 @@ class Matrix:
         return Matrix(f, self.cols, 1, {(j, 0): v for j, v in x.items() if not f.is_zero(v)})
 
     def nullspace(self):
-        """Deterministic basis of ker(self) as a list of column Matrix."""
+        """Deterministic basis of ker(self) as a list of column Matrix.
+
+        One vector per non-pivot column j, in increasing j: it has a 1 at j
+        and is otherwise supported on pivot columns before j.
+        """
         f = self.field
         pivots, rows = self._echelon()
         pivot_cols = [c for _, c in pivots]
@@ -410,7 +415,8 @@ class Matrix:
             if free in pivot_set:
                 continue
             vec = {free: f.one()}
-            for r, c in reversed(pivots):
+            # rows pivoting right of `free` hold no column of vec: skip them
+            for r, c in reversed(pivots[: bisect_left(pivot_cols, free)]):
                 row = rows[r]
                 s = f.zero()
                 for j, v in row.items():
@@ -434,6 +440,33 @@ class Matrix:
                 ent[(i, j + off)] = v
             off += b.cols
         return cls(field, rows, off, ent)
+
+
+def basis_extension(base, candidates):
+    """Extend span(base) by candidate columns, with normal forms of the rest.
+
+    One elimination of [base | candidates].  `picked` lists the candidate
+    columns that are pivot columns, in increasing order: exactly the ones a
+    greedy pass "append the candidate when the rank grows" would take.  For
+    every other candidate k, `normal[k]` is a sparse dict {t: c} with
+    candidates[k] - sum_t c * candidates[picked[t]] in the column span of
+    base; it is read off the kernel vector with a 1 at column k.
+    """
+    check_same_field(base.field, candidates.field)
+    f = base.field
+    off = base.cols
+    kernel = Matrix.hstack(f, base.rows, [base, candidates]).nullspace()
+    free = {}
+    for vec in kernel:
+        coords = {j: v for (j, _), v in vec.entries.items()}
+        free[max(coords)] = coords
+    picked = [k for k in range(candidates.cols) if off + k not in free]
+    position = {k: t for t, k in enumerate(picked)}
+    normal = {}
+    for j, coords in free.items():
+        if j >= off:
+            normal[j - off] = {position[i - off]: f.neg(v) for i, v in coords.items() if off <= i < j}
+    return picked, normal
 
 
 def _echelon_int(rows, ncols):
@@ -576,31 +609,23 @@ class ChainComplex:
 class Cohomology:
     """Basis of H^n with lift/project between classes and cycles.
 
-    Representatives are cycles chosen greedily from the deterministic
-    nullspace basis, independent modulo the image of d(n-1).
+    Representatives are the cycles of the deterministic nullspace basis of
+    d(n) that are pivot columns of [image of d(n-1) | cycles], i.e. each
+    cycle independent modulo the image and the cycles before it
+    (`basis_extension`).  Class coordinates, and every report that prints
+    them, depend on this rule.
     """
 
     def __init__(self, complex_, n):
         self.complex = complex_
         self.n = n
         f = complex_.field
-        dn = complex_.d(n)
-        dprev = complex_.d(n - 1)
-        cycles = dn.nullspace()
-        img_cols = [dprev.column_vector(j) for j in range(dprev.cols)]
-        img = Matrix(f, complex_.dim(n), len(img_cols), {(i, j): v for j, col in enumerate(img_cols) for i, v in col.items()})
-        reps = []
-        base = img
-        rank = base.rank()
-        for z in cycles:
-            cand = Matrix.hstack(f, complex_.dim(n), [base, z])
-            r = cand.rank()
-            if r > rank:
-                reps.append(z)
-                base = cand
-                rank = r
-        self.reps = reps
-        self._solver = Matrix.hstack(f, complex_.dim(n), reps + [img]) if reps or img.cols else img
+        dim = complex_.dim(n)
+        img = complex_.d(n - 1)
+        cycles = complex_.d(n).nullspace()
+        picked, _ = basis_extension(img, Matrix.hstack(f, dim, cycles))
+        self.reps = [cycles[k] for k in picked]
+        self._solver = Matrix.hstack(f, dim, self.reps + [img])
 
     @property
     def dim(self):

@@ -42,16 +42,6 @@ def beilinson3_category(field=QQ):
     return from_quiver(field, ["v1", "v2", "v3"], arrows, relations)
 
 
-def ladder_category(field=QQ):
-    """x -> y -> z with the composite equal to zero (the A_2 module model)."""
-    return from_quiver(
-        field,
-        ["x", "y", "z"],
-        [Arrow("a", "x", "y"), Arrow("b", "y", "z")],
-        [[(1, ["a", "b"])]],
-    )
-
-
 def kronecker_ev_morphism(cat):
     """The evaluation map e1 + e1 -> e2 built from the two arrows."""
     e1, e2 = cat.obj("e1"), cat.obj("e2")

@@ -191,11 +191,6 @@ def shift(x, n):
     return TwistedComplex(cat, [Term(t.obj, t.shift + n) for t in x.terms], q, check=False)
 
 
-def shift_morphism(f, n):
-    """f[n]: same entries viewed between shifted complexes (same degree)."""
-    return TwistedMorphism(shift(f.src, n), shift(f.dst, n), f.degree, f.entries)
-
-
 def direct_sum(x, y):
     if x.cat is not y.cat:
         raise ValueError("direct_sum: different base categories")

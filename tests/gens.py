@@ -7,6 +7,9 @@ shift atoms under a random change of basis), plus tensor products and
 opposites of those.
 """
 
+import random
+from fractions import Fraction
+
 from dgcat.dgcore import Arrow, DGCategory, Hom, Morphism, ObjId, from_quiver, opposite
 from dgcat.exactlin import QQ, GF, ChainComplex, Matrix
 from dgcat import pretr
@@ -106,6 +109,27 @@ def random_quiver_category(field, rng):
                 arrows.append(Arrow(f"a{k}", vertices[i], vertices[j], rng.randrange(-1, 2)))
                 k += 1
     return from_quiver(field, vertices, arrows)
+
+
+SKEW_SCALARS = (2, -2, 3, Fraction(1, 2), Fraction(-1, 3))
+
+
+def skew_beilinson_quiver(field, m, k, seed):
+    """Full subcategory O, ..., O(k) of P^{m-1}: k+1 vertices v0..vk, m
+    arrows per step, and skew commutativity y_i x_j = q_ij y_j x_i for i < j
+    with each q_ij drawn by the seed from SKEW_SCALARS (none is +-1).
+    dim Hom(v_a, v_{a+d}) = C(m-1+d, d), all in degree 0."""
+    rng = random.Random(seed)
+    verts = [f"v{a}" for a in range(k + 1)]
+    arrows = [Arrow(f"x{s}_{i}", verts[s], verts[s + 1]) for s in range(k) for i in range(m)]
+    rels = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            q = Fraction(rng.choice(SKEW_SCALARS))
+            c = field.div(field.from_int(q.numerator), field.from_int(q.denominator))
+            for s in range(k - 1):
+                rels.append([(field.one(), [f"x{s}_{j}", f"x{s + 1}_{i}"]), (field.neg(c), [f"x{s}_{i}", f"x{s + 1}_{j}"])])
+    return from_quiver(field, verts, arrows, rels)
 
 
 def random_category(rng, field=None):

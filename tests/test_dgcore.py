@@ -1,9 +1,10 @@
 import random
+from math import comb
 
 import pytest
 
 from dgcat.dgcore import Arrow, InfiniteDimensionalHom, from_quiver, opposite, tensor, swap_iso
-from dgcat.exactlin import QQ, Matrix
+from dgcat.exactlin import GF, QQ, Matrix
 from dgcat.fixtures import (
     a2_category,
     beilinson3_category,
@@ -13,7 +14,7 @@ from dgcat.fixtures import (
 )
 from dgcat.functors import validate_functor
 
-from gens import random_category
+from gens import random_category, skew_beilinson_quiver
 
 
 def brute_path_count(vertices, arrows, src, dst, length):
@@ -91,6 +92,17 @@ def test_beilinson_b3():
     v1, v3 = cat.obj("v1"), cat.obj("v3")
     assert cat.hom(v1, v3).dim(0) == sym_square_dim(3) == 6
     assert cat.hom(cat.obj("v1"), cat.obj("v2")).dim(0) == 3
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "Fp"])
+def test_beilinson_p4(field):
+    """O..O(4) on P^4: dim Hom(v_a, v_{a+d}) = C(4+d, d), all in degree 0."""
+    cat = skew_beilinson_quiver(field, 5, 4, seed=5)
+    for a in range(5):
+        for b in range(5):
+            expected = {0: comb(4 + b - a, b - a)} if b >= a else {}
+            assert cat.hom(cat.obj(f"v{a}"), cat.obj(f"v{b}")).complex.dims == expected
+    assert cat.validate() == []
 
 
 def test_loop_quiver_without_relations_fails():

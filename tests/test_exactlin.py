@@ -9,6 +9,7 @@ from dgcat.exactlin import (
     ChainComplex,
     FieldMismatch,
     Matrix,
+    basis_extension,
     field_from_spec,
     in_rowspan,
     int_det,
@@ -98,6 +99,88 @@ def test_nullspace_exact():
         assert len(basis) == a.nullity()
         for v in basis:
             assert a.matmul(v).is_zero()
+
+
+def greedy_picked(base, cands):
+    """Reference: the greedy "append the candidate when the rank grows" loop
+    that basis_extension replaced in from_quiver and Cohomology."""
+    f = base.field
+    picked = []
+    cur, rank = base, base.rank()
+    for k in range(cands.cols):
+        col = Matrix(f, cands.rows, 1, {(i, 0): v for i, v in cands.column_vector(k).items()})
+        nxt = Matrix.hstack(f, base.rows, [cur, col])
+        r = nxt.rank()
+        if r > rank:
+            picked.append(k)
+            cur, rank = nxt, r
+    return picked
+
+
+def check_basis_extension(base, cands):
+    f = base.field
+    picked, normal = basis_extension(base, cands)
+    assert picked == greedy_picked(base, cands)
+    assert sorted(normal) == [k for k in range(cands.cols) if k not in picked]
+    base_rank = base.rank()
+    for k, coords in normal.items():
+        residual = cands.column_vector(k)
+        for t, c in coords.items():
+            assert not f.is_zero(c)
+            for i, v in cands.column_vector(picked[t]).items():
+                residual[i] = f.sub(residual.get(i, f.zero()), f.mul(c, v))
+        res = Matrix(f, base.rows, 1, {(i, 0): v for i, v in residual.items()})
+        assert Matrix.hstack(f, base.rows, [base, res]).rank() == base_rank
+
+
+def random_sparse(field, rng, rows, cols, density):
+    vals = (1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3))
+    ent = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                v = Fraction(rng.choice(vals))
+                ent[(i, j)] = field.div(field.from_int(v.numerator), field.from_int(v.denominator))
+    return Matrix(field, rows, cols, ent)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "Fp"])
+def test_basis_extension_matches_greedy_loop(field):
+    rng = random.Random(2026)
+    for _ in range(80):
+        n = rng.randrange(0, 7)
+        base = random_sparse(field, rng, n, rng.randrange(0, 6), rng.choice((0.15, 0.3, 0.6)))
+        cands = random_sparse(field, rng, n, rng.randrange(0, 8), rng.choice((0.15, 0.3, 0.6)))
+        if n and base.cols and rng.random() < 0.5:
+            # mix in candidates that already lie in span(base)
+            combo = random_sparse(field, rng, base.cols, 2, 0.5)
+            cands = Matrix.hstack(field, n, [cands, base.matmul(combo)])
+        check_basis_extension(base, cands)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "Fp"])
+def test_basis_extension_edge_cases(field):
+    one, two = field.one(), field.from_int(2)
+
+    def e(n, *idx):  # unit columns e_i of length n
+        return Matrix(field, n, len(idx), {(i, j): one for j, i in enumerate(idx)})
+
+    empty = Matrix.zero(field, 3, 0)
+    # empty base: the candidates' own pivot columns
+    assert basis_extension(empty, Matrix.identity(field, 3)) == ([0, 1, 2], {})
+    # zero candidates
+    assert basis_extension(e(3, 0, 1), empty) == ([], {})
+    # a zero column is never picked and reduces to nothing
+    assert basis_extension(empty, Matrix.hstack(field, 3, [e(3, 0), Matrix.zero(field, 3, 1), e(3, 1)])) == ([0, 2], {1: {}})
+    # a duplicate candidate reduces to its first copy; twice a column to 2x it
+    dup = Matrix(field, 3, 3, {(0, 0): one, (1, 0): one, (0, 1): one, (1, 1): one, (0, 2): two, (1, 2): two})
+    assert basis_extension(empty, dup) == ([0], {1: {0: one}, 2: {0: two}})
+    # candidates already in span(base) are not picked and reduce to zero
+    assert basis_extension(e(3, 0, 1), Matrix.hstack(field, 3, [e(3, 1), e(3, 2), e(3, 0)])) == ([1], {0: {}, 2: {}})
+    # no rows at all
+    assert basis_extension(Matrix.zero(field, 0, 2), Matrix.zero(field, 0, 2)) == ([], {0: {}, 1: {}})
+    for base, cands in ((empty, dup), (e(3, 0), dup), (e(3, 0, 1, 2), dup)):
+        check_basis_extension(base, cands)
 
 
 def two_step_complex():
