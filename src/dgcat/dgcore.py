@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import ChainComplex, Matrix, basis_extension, check_same_field
+from .exactlin import ChainComplex, Matrix, axpy, basis_extension, check_same_field
 
 
 @dataclass(frozen=True, order=True)
@@ -93,9 +93,6 @@ class DGCategory:
             return Hom(ChainComplex(self.field, {}), {})
         return h
 
-    def hom_dim(self, a, b, n):
-        return self.hom(a, b).dim(n)
-
     def zero_morphism(self, a, b, degree=0):
         return Morphism(a, b, degree, {})
 
@@ -107,15 +104,7 @@ class DGCategory:
 
     def add(self, f, g):
         assert (f.src, f.dst, f.degree) == (g.src, g.dst, g.degree)
-        fl = self.field
-        coords = dict(f.coords)
-        for k, v in g.coords.items():
-            s = fl.add(coords.get(k, fl.zero()), v)
-            if fl.is_zero(s):
-                coords.pop(k, None)
-            else:
-                coords[k] = s
-        return Morphism(f.src, f.dst, f.degree, coords)
+        return Morphism(f.src, f.dst, f.degree, axpy(self.field, dict(f.coords), g.coords))
 
     def scale(self, c, f):
         fl = self.field
@@ -130,22 +119,8 @@ class DGCategory:
         """Composite of f: A->B then g: B->C."""
         if f.dst != g.src:
             raise ValueError(f"mul: {f.dst} != {g.src}")
-        fl = self.field
         table = self.comp.get((f.src, f.dst, g.dst), {})
-        out = {}
-        for i, a in f.coords.items():
-            for j, b in g.coords.items():
-                cons = table.get((f.degree, i, g.degree, j))
-                if not cons:
-                    continue
-                ab = fl.mul(a, b)
-                for k, c in cons.items():
-                    s = fl.add(out.get(k, fl.zero()), fl.mul(ab, c))
-                    if fl.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return Morphism(f.src, g.dst, f.degree + g.degree, out)
+        return Morphism(f.src, g.dst, f.degree + g.degree, contract(self.field, table, f.degree, f.coords, g.degree, g.coords))
 
     def d(self, f):
         """Hom-complex differential applied to a morphism."""
@@ -235,6 +210,18 @@ def validate(cat):
     return cat.validate()
 
 
+def contract(fl, table, p, x, q, y):
+    """Product of coordinate vectors x (degree p) and y (degree q) under a
+    structure-constant table {(p, i, q, j): {k: scalar}}, as a sparse dict."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            cons = table.get((p, i, q, j))
+            if cons:
+                axpy(fl, out, cons, fl.mul(a, b))
+    return out
+
+
 # -- quiver presentations -----------------------------------------------------
 
 
@@ -322,12 +309,7 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
                     for pp in paths_by_len[lp].get((rd, v), ()):
                         vec = {}
                         for c, mid in terms:
-                            t = index[q + mid + pp]
-                            s = field.add(vec.get(t, field.zero()), c)
-                            if field.is_zero(s):
-                                vec.pop(t, None)
-                            else:
-                                vec[t] = s
+                            axpy(field, vec, {index[q + mid + pp]: c})
                         if vec:
                             vecs.append(vec)
         return vecs
@@ -512,23 +494,14 @@ def tensor(c, d):
             for n, lst in idx.by_degree.items():
                 ent = {}
                 for col, (p, q, i, j) in enumerate(lst):
-                    dc = hc.complex.d(p)
-                    for (i2, ii), v in dc.entries.items():
-                        if ii == i and (p + 1, q, i2, j) in idx.pos:
-                            _, row = idx.pos[(p + 1, q, i2, j)]
-                            ent[(row, col)] = fl.add(ent.get((row, col), fl.zero()), v)
-                    dd = hd.complex.d(q)
+                    # d(x (x) y) = dx (x) y + (-1)^p x (x) dy
+                    dx = {idx.pos[(p + 1, q, i2, j)][1]: v for (i2, ii), v in hc.complex.d(p).entries.items() if ii == i}
+                    dy = {idx.pos[(p, q + 1, i, j2)][1]: v for (j2, jj), v in hd.complex.d(q).entries.items() if jj == j}
                     sgn = fl.one() if p % 2 == 0 else fl.neg(fl.one())
-                    for (j2, jj), v in dd.entries.items():
-                        if jj == j and (p, q + 1, i, j2) in idx.pos:
-                            _, row = idx.pos[(p, q + 1, i, j2)]
-                            s = fl.add(ent.get((row, col), fl.zero()), fl.mul(sgn, v))
-                            if fl.is_zero(s):
-                                ent.pop((row, col), None)
-                            else:
-                                ent[(row, col)] = s
+                    for row, v in axpy(fl, dx, dy, sgn).items():
+                        ent[(row, col)] = v
                 mdims = len(idx.by_degree.get(n + 1, []))
-                m = Matrix(fl, mdims, len(lst), {k2: v for k2, v in ent.items() if not fl.is_zero(v)})
+                m = Matrix(fl, mdims, len(lst), ent)
                 if not m.is_zero():
                     diff[n] = m
             names = {}
@@ -564,18 +537,10 @@ def tensor(c, d):
                         for ic, vc in cons_c.items():
                             for jd, vd in cons_d.items():
                                 tgt = idx13.pos.get((p1 + p2, q1 + q2, ic, jd))
-                                if tgt is None:
-                                    continue
-                                entry[tgt[1]] = fl.mul(sgn, fl.mul(vc, vd))
+                                if tgt is not None:
+                                    entry[tgt[1]] = fl.mul(vc, vd)
                         if entry:
-                            key = (key1[0], key1[1], key2[0], key2[1])
-                            tbl = table.setdefault(key, {})
-                            for t, v in entry.items():
-                                s = fl.add(tbl.get(t, fl.zero()), v)
-                                if fl.is_zero(s):
-                                    tbl.pop(t, None)
-                                else:
-                                    tbl[t] = s
+                            axpy(fl, table.setdefault((key1[0], key1[1], key2[0], key2[1]), {}), entry, sgn)
                 if table:
                     comp[(o1, o2, o3)] = table
 

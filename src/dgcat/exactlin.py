@@ -53,7 +53,8 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a):
-        return a == self.zero()
+        # elements are Python numbers (Fraction, or int mod p): only zero is falsy
+        return not a
 
     def parse(self, s):
         raise NotImplementedError
@@ -194,6 +195,25 @@ def check_same_field(a, b):
         raise FieldMismatch(f"field mismatch: {a!r} vs {b!r}")
 
 
+def axpy(f, acc, vec, c=None):
+    """acc += c * vec on sparse dicts {key: scalar} over the field f, in place.
+
+    c = None means 1.  A key whose sum cancels is deleted, so acc keeps
+    holding nonzero scalars only.  Returns acc.
+    """
+    add, mul, is_zero = f.add, f.mul, f.is_zero
+    for k, v in vec.items():
+        if c is not None:
+            v = mul(c, v)
+        if k in acc:
+            v = add(acc[k], v)
+        if is_zero(v):
+            acc.pop(k, None)
+        else:
+            acc[k] = v
+    return acc
+
+
 class Matrix:
     """Sparse exact matrix: entries is a dict (row, col) -> nonzero scalar."""
 
@@ -259,15 +279,7 @@ class Matrix:
 
     def add(self, other):
         self._check_binop(other, same_shape=True)
-        f = self.field
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            s = f.add(ent.get(k, f.zero()), v)
-            if f.is_zero(s):
-                ent.pop(k, None)
-            else:
-                ent[k] = s
-        return Matrix(f, self.rows, self.cols, ent)
+        return Matrix(self.field, self.rows, self.cols, axpy(self.field, dict(self.entries), other.entries))
 
     def sub(self, other):
         return self.add(other.neg())
@@ -288,40 +300,29 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
-        by_row = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(k, []).append((i, v))
-        acc = {}
+        cols = self._columns()
+        out = {}
         for (k, j), w in other.entries.items():
-            for i, v in by_row.get(k, ()):
-                key = (i, j)
-                s = f.add(acc.get(key, f.zero()), f.mul(v, w))
-                if f.is_zero(s):
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return Matrix(f, self.rows, other.cols, acc)
-
-    def transpose(self):
-        return Matrix(self.field, self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+            if k in cols:
+                axpy(f, out.setdefault(j, {}), cols[k], w)
+        return Matrix(f, self.rows, other.cols, {(i, j): v for j, col in out.items() for i, v in col.items()})
 
     def apply(self, vec):
         """Apply to a coordinate vector given as a sparse dict idx -> scalar."""
         f = self.field
+        cols = self._columns()
         out = {}
-        by_col = {}
-        for (i, j), v in self.entries.items():
-            by_col.setdefault(j, []).append((i, v))
         for j, c in vec.items():
-            if f.is_zero(c):
-                continue
-            for i, v in by_col.get(j, ()):
-                s = f.add(out.get(i, f.zero()), f.mul(v, c))
-                if f.is_zero(s):
-                    out.pop(i, None)
-                else:
-                    out[i] = s
+            if j in cols:
+                axpy(f, out, cols[j], c)
         return out
+
+    def _columns(self):
+        """Sparse columns: {col: {row: scalar}}, empty columns left out."""
+        cols = {}
+        for (i, j), v in self.entries.items():
+            cols.setdefault(j, {})[i] = v
+        return cols
 
     def column_vector(self, j):
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
@@ -530,16 +531,7 @@ def _echelon_mod(rows, ncols, f):
             a = rows[i].get(c)
             if not a:
                 continue
-            factor = f.div(a, piv)
-            new = dict(rows[i])
-            for j, v in rows[r].items():
-                s = f.sub(new.get(j, 0), f.mul(factor, v))
-                if f.is_zero(s):
-                    new.pop(j, None)
-                else:
-                    new[j] = s
-            new.pop(c, None)
-            rows[i] = new
+            axpy(f, rows[i], rows[r], f.neg(f.div(a, piv)))
         pivots.append((r, c))
         r += 1
         if r == nrows:
@@ -594,9 +586,6 @@ class ChainComplex:
     def cohomology(self, n):
         return Cohomology(self, n)
 
-    def total_dim(self):
-        return sum(self.dims.values())
-
     def __eq__(self, other):
         return (
             isinstance(other, ChainComplex)
@@ -636,12 +625,7 @@ class Cohomology:
         f = self.complex.field
         out = {}
         for t, c in coords.items():
-            for (i, _), v in self.reps[t].entries.items():
-                s = f.add(out.get(i, f.zero()), f.mul(c, v))
-                if f.is_zero(s):
-                    out.pop(i, None)
-                else:
-                    out[i] = s
+            axpy(f, out, {i: v for (i, _), v in self.reps[t].entries.items()}, c)
         return out
 
     def project(self, cycle):

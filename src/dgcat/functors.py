@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dgcore import DGCategory, Hom, Morphism, ObjId, Violation, opposite
-from .exactlin import ChainComplex, Matrix
+from .dgcore import DGCategory, Hom, Morphism, ObjId, Violation, contract, opposite
+from .exactlin import ChainComplex, Matrix, axpy
 from .pretr import (
     HomSpace,
     Term,
@@ -35,9 +35,6 @@ class DGFunctor:
     obj_map: dict
     mor_maps: dict
     name: str = ""
-
-    def apply_obj(self, a):
-        return self.obj_map[a]
 
     def apply(self, f):
         m = self.mor_maps.get((f.src, f.dst), {}).get(f.degree)
@@ -120,24 +117,6 @@ def extend_to_morphism(fun, f):
     )
 
 
-class HullFunctor:
-    """A DG functor's extension to twisted complexes: applies the functor
-    entrywise to terms, twists, and matrix entries."""
-
-    def __init__(self, fun):
-        self.fun = fun
-
-    def __call__(self, x):
-        return extend_to_complex(self.fun, x)
-
-    def morphism(self, f):
-        return extend_to_morphism(self.fun, f)
-
-
-def pretr_extend(fun):
-    return HullFunctor(fun)
-
-
 def base_to_tm(cat, f):
     """A base morphism as a twisted morphism embed(src) -> embed(dst)."""
     return TwistedMorphism(embed(cat, f.src), embed(cat, f.dst), f.degree, {(0, 0): f} if not f.is_zero() else {})
@@ -162,22 +141,8 @@ class DGModule:
 
     def act(self, f, deg_v, vec):
         """Coordinates of f . v for v in values(f.dst)^deg_v (sparse dict)."""
-        fl = self.base.field
         table = self.action.get((f.src, f.dst), {})
-        out = {}
-        for i, a in f.coords.items():
-            for j, b in vec.items():
-                cons = table.get((f.degree, i, deg_v, j))
-                if not cons:
-                    continue
-                ab = fl.mul(a, b)
-                for k, c in cons.items():
-                    s = fl.add(out.get(k, fl.zero()), fl.mul(ab, c))
-                    if fl.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return out
+        return contract(self.base.field, table, f.degree, f.coords, deg_v, vec)
 
 
 def yoneda(cat, a):
@@ -212,12 +177,7 @@ def validate_module(mod):
                         dv = vb.d(p).apply(v)
                         term = mod.act(f, p + 1, dv)
                         sgn = fl.one() if s % 2 == 0 else fl.neg(fl.one())
-                        for k, c in term.items():
-                            s2 = fl.add(rhs.get(k, fl.zero()), fl.mul(sgn, c))
-                            if fl.is_zero(s2):
-                                rhs.pop(k, None)
-                            else:
-                                rhs[k] = s2
+                        axpy(fl, rhs, term, sgn)
                         if lhs != rhs:
                             report.append(Violation("module_leibniz", (a.label, b.label, s, i, p, j), ""))
     for a in cat.objects:
@@ -350,14 +310,7 @@ class ModuleHomSpace:
                                         for r2 in range(rdim):
                                             col = base + r2 * cdim + j
                                             img = n.act(f, p + k, {r2: fl.one()})
-                                            for r, cv in img.items():
-                                                v = fl.neg(fl.mul(sgn, cv))
-                                                key = (r, col)
-                                                s2 = fl.add(row.get(key, fl.zero()), v)
-                                                if fl.is_zero(s2):
-                                                    row.pop(key, None)
-                                                else:
-                                                    row[key] = s2
+                                            axpy(fl, row, {(r, col): cv for r, cv in img.items()}, fl.neg(sgn))
                                     for r in range(out_dim):
                                         rows.append({c: v for (rr, c), v in row.items() if rr == r})
             cons = Matrix(fl, len(rows), nvars, {(i, c): v for i, row in enumerate(rows) for c, v in row.items() if not fl.is_zero(v)})

@@ -273,14 +273,8 @@ class HomSpace:
             for col, (i, j, u, t) in enumerate(lst):
                 m = Morphism(x.terms[j].obj, y.terms[i].obj, u, {t: fl.one()})
                 df = differential(TwistedMorphism(x, y, n, {(i, j): m}))
-                for (i2, j2), mor in df.entries.items():
-                    for t2, v in mor.coords.items():
-                        row = self.pos[(i2, j2, mor.degree, t2)][1]
-                        s = fl.add(ent.get((row, col), fl.zero()), v)
-                        if fl.is_zero(s):
-                            ent.pop((row, col), None)
-                        else:
-                            ent[(row, col)] = s
+                for row, v in self.to_vector(df).items():
+                    ent[(row, col)] = v
             m2 = Matrix(fl, rows, len(lst), ent)
             if not m2.is_zero():
                 diff[n] = m2
@@ -301,13 +295,11 @@ class HomSpace:
             if fl.is_zero(v):
                 continue
             i, j, u, t = self.basis[degree][col]
-            key = (i, j)
-            m = ent.get(key)
+            m = ent.get((i, j))
             if m is None:
-                ent[key] = Morphism(self.x.terms[j].obj, self.y.terms[i].obj, u, {t: v})
-            else:
-                m.coords[t] = fl.add(m.coords.get(t, fl.zero()), v)
-        return TwistedMorphism(self.x, self.y, degree, {k: m for k, m in ent.items() if not m.is_zero()})
+                m = ent[(i, j)] = Morphism(self.x.terms[j].obj, self.y.terms[i].obj, u, {})
+            m.coords[t] = v
+        return TwistedMorphism(self.x, self.y, degree, ent)
 
     def cohomology(self, n):
         if n not in self._cohomology:

@@ -218,6 +218,7 @@ class Ledger:
         self.relations = []
         self.facts = {}
         self.version = 0
+        self._sat_cache = {}  # degree_bound -> (coords, rows)
 
     def _copy(self):
         l = Ledger(self.degree_bound, self.flavor)
@@ -448,8 +449,8 @@ class Ledger:
     def saturated_rows(self):
         """Lattice rows: every relation times every completely-rewritable
         monomial of total degree <= degree bound."""
-        if getattr(self, "_sat_cache", None) is not None:
-            return self._sat_cache
+        if self.degree_bound in self._sat_cache:
+            return self._sat_cache[self.degree_bound]
         coords = self._coordinates()
         gens = [m[0] for m in coords[1:]]
         monomials = [UNIT]
@@ -475,8 +476,8 @@ class Ledger:
                 vec = self._vector(nf, coords)
                 if any(vec):
                     rows.append(vec)
-        self._sat_cache = (coords, rows)
-        return self._sat_cache
+        self._sat_cache[self.degree_bound] = (coords, rows)
+        return coords, rows
 
     def eq(self, lhs, rhs):
         """equal | unequal_within_bound | unknown, with exact semantics in

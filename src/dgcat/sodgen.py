@@ -309,28 +309,14 @@ def _check_cut_witness(cat, claim, c, gen, early, late):
     return audit
 
 
-def check_sod(cat, claim, jobs=1):
-    """Verify an SOD claim cut by cut; the audit trail lists every obligation.
-
-    Obligations within a claim are independent; jobs > 1 checks them in a
-    thread pool with order-deterministic audit assembly.
-    """
+def check_sod(cat, claim):
+    """Verify an SOD claim cut by cut; the audit trail lists every obligation."""
     audit = [AuditEntry("semiorthogonality", (), check_semiorthogonality(cat, claim.blocks))]
-    tasks = []
     for c in range(1, len(claim.blocks)):
         early = [g for b in claim.blocks[:c] for g in b]
         late = [g for b in claim.blocks[c:] for g in b]
         for gen in claim.ambient_generators:
-            tasks.append((c, gen, early, late))
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: _check_cut_witness(cat, claim, t[0], t[1], t[2], t[3]), tasks))
-    else:
-        results = [_check_cut_witness(cat, claim, c, gen, early, late) for c, gen, early, late in tasks]
-    for entries in results:
-        audit.extend(entries)
+            audit.extend(_check_cut_witness(cat, claim, c, gen, early, late))
     audit.append(
         AuditEntry(
             "orthogonal_envelope_completeness",

@@ -127,6 +127,20 @@ def test_ring_eq_and_measure(fixture_dir, capsys):
     assert code == 0
 
 
+def test_ring_degree_bound_flag(fixture_dir, capsys):
+    from dgcat.fixtures import motivic_ledger
+
+    ledger = str(fixture_dir / "motivic.ledger.json")
+    code, out, _ = run_cli(capsys, "ring", ledger, "invariants", "--degree-bound", "2")
+    assert code == 0
+    rank, torsion = motivic_ledger(degree_bound=2).group_invariants()
+    assert strip_timing(out)["verdicts"][0]["detail"] == f"free rank {rank}, torsion {torsion}"
+    # [P1]*[P1] has degree 2: under bound 1 it cannot be rewritten
+    code, out, _ = run_cli(capsys, "ring", ledger, "eq", "[P1]*[P1]", "4*[pt]", "--degree-bound", "1")
+    assert code == 1
+    assert strip_timing(out)["verdicts"][0]["detail"] == "unknown"
+
+
 def test_ring_relate_writes_new_version(fixture_dir, tmp_path, capsys):
     ledger = str(fixture_dir / "motivic.ledger.json")
     out_path = str(tmp_path / "new.ledger.json")

@@ -9,6 +9,7 @@ from dgcat.exactlin import (
     ChainComplex,
     FieldMismatch,
     Matrix,
+    axpy,
     basis_extension,
     field_from_spec,
     in_rowspan,
@@ -181,6 +182,36 @@ def test_basis_extension_edge_cases(field):
     assert basis_extension(Matrix.zero(field, 0, 2), Matrix.zero(field, 0, 2)) == ([], {0: {}, 1: {}})
     for base, cands in ((empty, dup), (e(3, 0), dup), (e(3, 0, 1, 2), dup)):
         check_basis_extension(base, cands)
+
+
+def random_scalar(field, rng):
+    v = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 5)))
+    return field.div(field.from_int(v.numerator), field.from_int(v.denominator))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "Fp"])
+def test_axpy_matches_dense_reference(field):
+    rng = random.Random(3003)
+    n = 8
+    for _ in range(200):
+        acc = {k: random_scalar(field, rng) for k in range(n) if rng.random() < 0.5}
+        vec = {k: random_scalar(field, rng) for k in range(n) if rng.random() < 0.5}
+        c = rng.choice((None, field.zero(), random_scalar(field, rng)))
+        scale = field.one() if c is None else c
+        if not field.is_zero(scale):
+            for k in sorted(set(acc) & set(vec)):
+                if rng.random() < 0.5:  # make acc[k] + c * vec[k] cancel
+                    vec[k] = field.neg(field.div(acc[k], scale))
+        dense = [acc.get(k, field.zero()) for k in range(n)]
+        for k, v in vec.items():
+            dense[k] = field.add(dense[k], field.mul(scale, v))
+        expected = {k: v for k, v in enumerate(dense) if not field.is_zero(v)}
+        before = dict(acc)
+        out = axpy(field, acc, vec, c)
+        assert out is acc
+        assert acc == expected
+        if c is not None and field.is_zero(c):
+            assert acc == before
 
 
 def two_step_complex():

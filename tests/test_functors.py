@@ -372,17 +372,6 @@ def test_quasi_equiv_extension_induces_h_isos():
             assert ho_hom(a, b, n) == ho_hom(fa, fb, n)
 
 
-def test_pretr_extend_wrapper():
-    from dgcat.functors import pretr_extend
-
-    k2 = kronecker_category()
-    ext = pretr_extend(identity_functor(k2))
-    f = kronecker_ev_morphism(k2)
-    c = cone(f)
-    assert ext(c) == c
-    assert ext.morphism(f) == f
-
-
 def test_hull_subcategory_valid_over_categories_with_differentials():
     rng = random.Random(2718)
     for _ in range(6):

@@ -135,10 +135,20 @@ def test_motivic_ledger_measure():
     # dataset missing a product fact -> unknown, reported
     led2 = motivic_ledger()
     led2.facts = {k: v for k, v in led2.facts.items() if k != ("BlP2pt", "P1")}
-    led2._sat_cache = None
+    led2._sat_cache.clear()
     rep2 = led2.derive_measure_check()
     assert not rep2["pass"]
     assert rep2["checks"]["BlP2pt"] == "unknown"
+
+
+def test_saturated_rows_follow_the_degree_bound():
+    led = motivic_ledger()
+    _, rows4 = led.saturated_rows()
+    led.degree_bound = 1
+    _, rows1 = led.saturated_rows()
+    assert rows1 == motivic_ledger(degree_bound=1).saturated_rows()[1]
+    led.degree_bound = 4
+    assert led.saturated_rows()[1] == rows4
 
 
 def test_eq_congruence_on_motivic_ledger():

@@ -240,14 +240,3 @@ def _two_block_witnesses(cat, early, late):
             early_cert = leaf_certificate(cat, early, gen)
         adm[(gen.label, 1)] = CutWitness(u, late_cert, early_cert)
     return adm
-
-
-def test_check_sod_parallel_jobs_deterministic():
-    cat = kronecker_category()
-    claim = kronecker_sod_claim(cat)
-    v1 = check_sod(cat, claim, jobs=1)
-    v4 = check_sod(cat, claim, jobs=4)
-    assert v1.ok == v4.ok
-    assert [(a.obligation, a.where, a.ok) for a in v1.audit] == [
-        (a.obligation, a.where, a.ok) for a in v4.audit
-    ]
