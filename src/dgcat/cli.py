@@ -171,6 +171,7 @@ def _provenance_from_args(args):
 def cmd_ring(args, started):
     kind, field, ledger = _read_document(args.path)
     _expect("ledger", kind, args.path)
+    stored_bound = ledger.degree_bound
     if args.degree_bound is not None:
         ledger.degree_bound = args.degree_bound
     sub = args.subcommand
@@ -244,6 +245,8 @@ def cmd_ring(args, started):
     else:
         raise CliError(f"unknown ring subcommand {sub!r}")
     if mutated is not None:
+        # --degree-bound bounds this run's queries; the new version keeps the stored bound
+        mutated.degree_bound = stored_bound
         out_path = args.out or args.path
         doc = schema.document("ledger", field, schema.ledger_to_json(mutated, field))
         _write_atomic(out_path, schema.dumps(doc))
@@ -478,7 +481,7 @@ def build_parser():
     s.add_argument("path")
     s.add_argument("subcommand", choices=("relate", "fact", "eq", "measure", "invariants"))
     s.add_argument("args", nargs="*")
-    s.add_argument("--degree-bound", type=int, default=None)
+    s.add_argument("--degree-bound", type=int, default=None, help="degree bound for this run's queries; a written ledger keeps its stored bound")
     s.add_argument("--line", default="P1")
     s.add_argument("--expr", default="")
     s.add_argument("--a", default="")

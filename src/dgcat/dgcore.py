@@ -124,8 +124,8 @@ class DGCategory:
 
     def d(self, f):
         """Hom-complex differential applied to a morphism."""
-        m = self.hom(f.src, f.dst).complex.d(f.degree)
-        return Morphism(f.src, f.dst, f.degree + 1, m.apply(f.coords))
+        m = self.hom(f.src, f.dst).complex.diff.get(f.degree)
+        return Morphism(f.src, f.dst, f.degree + 1, m.apply(f.coords) if m is not None else {})
 
     # -- validation -------------------------------------------------------
 

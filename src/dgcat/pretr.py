@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dgcore import Morphism, ObjId
+from .dgcore import Morphism, ObjId, contract
 from .exactlin import ChainComplex, Matrix
 
 
@@ -245,17 +245,38 @@ def compose(f, g):
 
 class HomSpace:
     """The Hom chain complex between two twisted complexes, with the
-    entry-indexed basis and conversions morphism <-> coordinate vector."""
+    entry-indexed basis and conversions morphism <-> coordinate vector.
+
+    Block layout: the basis of degree n lists, for each target term i, each
+    source term j and each degree u of Hom(x_j, y_i) with
+    n = u - r_i + s_j (r, s the shifts of y and x), the basis vectors t of
+    Hom^u(x_j, y_i) in order; pos[(i, j, u, t)] = (n, column).
+
+    The differential is assembled block by block from
+    df = (-1)^{r_i} d f_ij + q_Y f - (-1)^n f q_X.  For basis vector t of
+    block (i, j) in degree u:
+
+    * internal part, into block (i, j): column t of the base differential
+      of Hom(x_j, y_i) in degree u, negated when r_i is odd;
+    * left part, for each q_Y[(i2, i)], into block (i2, j): (-1)^{u|q|}
+      times the product t·q under cat.comp[(x_j, y_i, y_i2)];
+    * right part, for each q_X[(j, j2)], into block (i, j2):
+      (-1)^{|q| u} (-1)^{n+1} times the product q·t under
+      cat.comp[(x_j2, x_j, y_i)].
+
+    q is strictly upper triangular, so the three parts land in pairwise
+    different blocks and every matrix entry is written once.
+    """
 
     def __init__(self, x, y):
         self.x = x
         self.y = y
-        self.cat = x.cat
+        self.cat = cat = x.cat
         basis = {}
         pos = {}
         for i, ty in enumerate(y.terms):
             for j, tx in enumerate(x.terms):
-                h = self.cat.hom(tx.obj, ty.obj)
+                h = cat.hom(tx.obj, ty.obj)
                 for u in h.complex.degrees():
                     n = u - ty.shift + tx.shift
                     lst = basis.setdefault(n, [])
@@ -264,20 +285,41 @@ class HomSpace:
                         lst.append((i, j, u, t))
         self.basis = basis
         self.pos = pos
+        fl = cat.field
+        one = fl.one()
+        q_into = {}  # i -> [(i2, q_Y[(i2, i)])]
+        for (i2, i), m in y.q.items():
+            q_into.setdefault(i, []).append((i2, m))
+        q_from = {}  # j -> [(j2, q_X[(j, j2)])]
+        for (j, j2), m in x.q.items():
+            q_from.setdefault(j, []).append((j2, m))
+        ent = {n: {} for n in basis}
+        for i, ty in enumerate(y.terms):
+            for j, tx in enumerate(x.terms):
+                h = cat.hom(tx.obj, ty.obj)
+                for u in h.complex.degrees():
+                    n = u - ty.shift + tx.shift
+                    out = ent[n]
+                    base = h.complex.diff.get(u)
+                    if base is not None:
+                        for (r, t), v in base.entries.items():
+                            out[(pos[(i, j, u + 1, r)][1], pos[(i, j, u, t)][1])] = fl.neg(v) if ty.shift % 2 else v
+                    for i2, q in q_into.get(i, ()):
+                        table = cat.comp.get((tx.obj, ty.obj, y.terms[i2].obj), {})
+                        odd = u * q.degree % 2
+                        for t in range(h.dim(u)):
+                            col = pos[(i, j, u, t)][1]
+                            for k, v in contract(fl, table, u, {t: one}, q.degree, q.coords).items():
+                                out[(pos[(i2, j, u + q.degree, k)][1], col)] = fl.neg(v) if odd else v
+                    for j2, q in q_from.get(j, ()):
+                        table = cat.comp.get((x.terms[j2].obj, tx.obj, ty.obj), {})
+                        odd = (q.degree * u + n + 1) % 2
+                        for t in range(h.dim(u)):
+                            col = pos[(i, j, u, t)][1]
+                            for k, v in contract(fl, table, q.degree, q.coords, u, {t: one}).items():
+                                out[(pos[(i, j2, u + q.degree, k)][1], col)] = fl.neg(v) if odd else v
         dims = {n: len(lst) for n, lst in basis.items()}
-        diff = {}
-        fl = self.cat.field
-        for n, lst in basis.items():
-            rows = len(basis.get(n + 1, []))
-            ent = {}
-            for col, (i, j, u, t) in enumerate(lst):
-                m = Morphism(x.terms[j].obj, y.terms[i].obj, u, {t: fl.one()})
-                df = differential(TwistedMorphism(x, y, n, {(i, j): m}))
-                for row, v in self.to_vector(df).items():
-                    ent[(row, col)] = v
-            m2 = Matrix(fl, rows, len(lst), ent)
-            if not m2.is_zero():
-                diff[n] = m2
+        diff = {n: Matrix(fl, dims.get(n + 1, 0), dims[n], e) for n, e in ent.items() if e}
         self.complex = ChainComplex(fl, dims, diff)
         self._cohomology = {}
 

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from dgcat.dgcore import Arrow, DGCategory, Hom, Morphism, ObjId, from_quiver, opposite
-from dgcat.exactlin import QQ, GF, ChainComplex, Matrix
+from dgcat.exactlin import QQ, GF, ChainComplex, Matrix, axpy
 from dgcat import pretr
 
 
@@ -158,15 +158,7 @@ def random_closed_degree0(hs, rng, max_tries=8):
         return pretr.zero_morphism(hs.x, hs.y)
     vec = {}
     for c in cycles:
-        coeff = fl.from_int(rng.randrange(-2, 3))
-        if fl.is_zero(coeff):
-            continue
-        for (i, _), v in c.entries.items():
-            s = fl.add(vec.get(i, fl.zero()), fl.mul(coeff, v))
-            if fl.is_zero(s):
-                vec.pop(i, None)
-            else:
-                vec[i] = s
+        axpy(fl, vec, {i: v for (i, _), v in c.entries.items()}, fl.from_int(rng.randrange(-2, 3)))
     return hs.from_vector(0, vec)
 
 

@@ -159,6 +159,23 @@ def test_ring_relate_writes_new_version(fixture_dir, tmp_path, capsys):
     assert led2.eq(ClassExpr.gen("BlP2pt"), ClassExpr.unit(4)) == "equal"
 
 
+def test_ring_degree_bound_is_not_written(fixture_dir, tmp_path, capsys):
+    ledger = str(fixture_dir / "motivic.ledger.json")
+    stored = json.load(open(ledger))["body"]["degree_bound"]
+    assert stored != 2
+    out_path = str(tmp_path / "new.ledger.json")
+    code, _, _ = run_cli(
+        capsys,
+        "ring", ledger, "relate",
+        "--expr", "[BlP2pt] - 4*[pt]",
+        "--citation", "derived blowup class",
+        "--degree-bound", "2",
+        "--out", out_path,
+    )
+    assert code == 0
+    assert json.load(open(out_path))["body"]["degree_bound"] == stored
+
+
 def test_cone_golden_and_reduce(fixture_dir, tmp_path, capsys):
     bundle = str(fixture_dir / "kronecker_ev.twisted-complex.json")
     code, out, _ = run_cli(capsys, "cone", bundle, "--morphism", "ev")

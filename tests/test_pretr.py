@@ -1,6 +1,7 @@
 import random
 
-from dgcat.exactlin import QQ, GF
+from dgcat.dgcore import Arrow, Morphism, from_quiver
+from dgcat.exactlin import QQ, GF, Matrix
 from dgcat.fixtures import kronecker_category, kronecker_ev_morphism
 from dgcat import pretr
 from dgcat.pretr import (
@@ -216,6 +217,66 @@ def _random_tm(hs, rng, degree):
         if c:
             vec[i] = fl.from_int(c)
     return hs.from_vector(degree, vec)
+
+
+def _per_vector_differential(hs):
+    """Reference for the Hom differential: differentiate each basis vector
+    as a one-entry TwistedMorphism and read the column off to_vector."""
+    fl = hs.cat.field
+    diff = {}
+    for n, lst in hs.basis.items():
+        ent = {}
+        for col, (i, j, u, t) in enumerate(lst):
+            m = Morphism(hs.x.terms[j].obj, hs.y.terms[i].obj, u, {t: fl.one()})
+            df = differential(TwistedMorphism(hs.x, hs.y, n, {(i, j): m}))
+            for row, v in hs.to_vector(df).items():
+                ent[(row, col)] = v
+        mat = Matrix(fl, len(hs.basis.get(n + 1, [])), len(lst), ent)
+        if not mat.is_zero():
+            diff[n] = mat
+    return diff
+
+
+def _odd_twist_pairs(field):
+    """Quiver w0 -a-> w1 -b-> w2 with both arrows of degree 1, and pairs of
+    twisted complexes in which a twist of odd degree meets an odd Hom vector
+    with a nonzero product: w0 -> Cone(b) on the q_Y side, Cone(a) -> w2 on
+    the q_X side."""
+    cat = from_quiver(field, ["w0", "w1", "w2"], [Arrow("a", "w0", "w1", 1), Arrow("b", "w1", "w2", 1)])
+    w = [embed(cat, o) for o in cat.objects]
+
+    def arrow_cone(k):
+        arrow = cat.basis_morphism(cat.objects[k], cat.objects[k + 1], 1, 0)
+        return cone(TwistedMorphism(w[k], shift(w[k + 1], 1), 0, {(0, 0): arrow}))
+
+    ca, cb = arrow_cone(0), arrow_cone(1)
+    return [(w[0], cb), (ca, w[2]), (ca, cb), (shift(cb, 1), ca)]
+
+
+def _check_block_assembly(hs, rng):
+    assert hs.complex.diff == _per_vector_differential(hs)
+    assert hs.complex.validate() == []
+    for n in hs.complex.degrees():
+        f = _random_tm(hs, rng, n)
+        assert differential(f) == hs.from_vector(n + 1, hs.complex.d(n).apply(hs.to_vector(f)))
+
+
+def test_blockwise_hom_differential_matches_per_vector_reference():
+    rng = random.Random(4242)
+    seen = {"base differential": 0, "odd target shift": 0, "twist of nonzero degree": 0}
+    for trial in range(60):
+        cat = random_category(rng, field=(QQ, GF(32003))[trial % 2])
+        x = random_twisted_complex(cat, rng, max_terms=6)
+        y = shift(random_twisted_complex(cat, rng, max_terms=6), rng.randrange(-1, 2))
+        for a, b in ((x, y), (y, x), (y, y)):
+            seen["base differential"] += any(cat.hom(s.obj, t.obj).complex.diff for s in a.terms for t in b.terms)
+            seen["odd target shift"] += any(t.shift % 2 for t in b.terms)
+            seen["twist of nonzero degree"] += any(m.degree for m in list(a.q.values()) + list(b.q.values()))
+            _check_block_assembly(HomSpace(a, b), rng)
+    assert all(seen.values()), seen
+    for field in (QQ, GF(32003)):
+        for a, b in _odd_twist_pairs(field):
+            _check_block_assembly(HomSpace(a, b), rng)
 
 
 def test_randomized_twisted_suite():
