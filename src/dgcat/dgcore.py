@@ -13,12 +13,15 @@ stored sparsely and every operation is deterministic in the basis order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactlin import ChainComplex, Matrix, axpy, basis_extension, check_same_field
 
 
-@dataclass(frozen=True, order=True)
-class ObjId:
+class ObjId(NamedTuple):
+    """An object of a category; a tuple, so hashing, equality and ordering
+    by (label, index) run in C on every Hom and composition lookup."""
+
     label: str
     index: int
 

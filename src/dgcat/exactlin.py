@@ -543,7 +543,8 @@ class ChainComplex:
     """Finite-support graded vector space with a degree +1 differential.
 
     dims maps degree -> dimension; diff[n] is the matrix of d: V^n -> V^{n+1}
-    with shape dims(n+1) x dims(n).
+    with shape dims(n+1) x dims(n).  A complex is not mutated after
+    construction, so the rank of each d(n) is computed once and kept.
     """
 
     def __init__(self, field, dims, diff=None):
@@ -557,6 +558,7 @@ class ChainComplex:
             if m.rows != self.dim(n + 1) or m.cols != self.dim(n):
                 raise ShapeMismatch(f"diff({n}) has shape {m.rows}x{m.cols}, expected {self.dim(n + 1)}x{self.dim(n)}")
             self.diff[n] = m
+        self._ranks = {}
 
     def dim(self, n):
         return self.dims.get(n, 0)
@@ -578,10 +580,16 @@ class ChainComplex:
     def euler_characteristic(self):
         return sum((-1) ** n * d for n, d in self.dims.items())
 
+    def rank(self, n):
+        """Rank of d(n); 0 without elimination where there is no differential."""
+        r = self._ranks.get(n)
+        if r is None:
+            m = self.diff.get(n)
+            r = self._ranks[n] = m.rank() if m is not None else 0
+        return r
+
     def cohomology_dim(self, n):
-        dn = self.d(n)
-        kernel = dn.cols - dn.rank()
-        return kernel - self.d(n - 1).rank()
+        return self.dim(n) - self.rank(n) - self.rank(n - 1)
 
     def cohomology(self, n):
         return Cohomology(self, n)

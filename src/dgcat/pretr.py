@@ -25,6 +25,7 @@ the nose.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .dgcore import Morphism, ObjId, contract
@@ -243,9 +244,46 @@ def compose(f, g):
     return result
 
 
+_shared = None  # canonical key -> HomSpace, only inside shared_homspaces()
+
+
+@contextmanager
+def shared_homspaces():
+    """Share Hom complexes, and the results derived from them, for the
+    duration of the block.
+
+    Inside the block, HomSpace(x, y) reuses the basis, the complex and the
+    cached cohomology and contracting-homotopy solve of an earlier HomSpace
+    over the same category whose ends have the same terms and twists.  A
+    nested block uses the outer one's entries; everything is dropped when
+    the outermost block exits, so memory is bounded by one block's work.
+    """
+    global _shared
+    if _shared is not None:
+        yield
+        return
+    _shared = {}
+    try:
+        yield
+    finally:
+        _shared = None
+
+
+def _canon(x):
+    """Content key of a twisted complex: terms and twist with sorted coords,
+    as plain tuples so that hashing and comparing them runs in C."""
+    return tuple([(t.obj, t.shift) for t in x.terms]), tuple(
+        sorted((i, j, m.degree, tuple(sorted(m.coords.items()))) for (i, j), m in x.q.items())
+    )
+
+
 class HomSpace:
     """The Hom chain complex between two twisted complexes, with the
     entry-indexed basis and conversions morphism <-> coordinate vector.
+
+    Inside shared_homspaces() a HomSpace whose ends equal an earlier one's
+    in content (same category, terms and twists) takes that one's basis,
+    complex and derived-result cache; x and y are always the caller's own.
 
     Block layout: the basis of degree n lists, for each target term i, each
     source term j and each degree u of Hom(x_j, y_i) with
@@ -271,7 +309,21 @@ class HomSpace:
     def __init__(self, x, y):
         self.x = x
         self.y = y
-        self.cat = cat = x.cat
+        self.cat = x.cat
+        key = None
+        if _shared is not None:
+            cx = _canon(x)
+            key = (x.cat, cx, cx if y is x else _canon(y))
+            hit = _shared.get(key)
+            if hit is not None:
+                self.basis, self.pos, self.complex, self._derived = hit.basis, hit.pos, hit.complex, hit._derived
+                return
+        self._build()
+        if key is not None:
+            _shared[key] = self
+
+    def _build(self):
+        x, y, cat = self.x, self.y, self.cat
         basis = {}
         pos = {}
         for i, ty in enumerate(y.terms):
@@ -321,7 +373,7 @@ class HomSpace:
         dims = {n: len(lst) for n, lst in basis.items()}
         diff = {n: Matrix(fl, dims.get(n + 1, 0), dims[n], e) for n, e in ent.items() if e}
         self.complex = ChainComplex(fl, dims, diff)
-        self._cohomology = {}
+        self._derived = {}  # ("cohomology", n) or "null_homotopy" -> result
 
     def to_vector(self, f):
         vec = {}
@@ -344,9 +396,10 @@ class HomSpace:
         return TwistedMorphism(self.x, self.y, degree, ent)
 
     def cohomology(self, n):
-        if n not in self._cohomology:
-            self._cohomology[n] = self.complex.cohomology(n)
-        return self._cohomology[n]
+        key = ("cohomology", n)
+        if key not in self._derived:
+            self._derived[key] = self.complex.cohomology(n)
+        return self._derived[key]
 
     def cohomology_classes(self, n):
         """Representative cycles of a basis of H^n as TwistedMorphisms."""
@@ -427,12 +480,11 @@ def verify_cone_axioms(c, f, maps=None):
 def is_contractible(x, with_witness=False):
     """True iff d(h) = 1_x is solvable in End^{-1}(x); the witness re-verifies."""
     hs = HomSpace(x, x)
-    idv = hs.to_vector(identity_morphism(x))
-    fl = x.cat.field
-    n = hs.complex.dim(0)
-    d = hs.complex.d(-1)
-    b = Matrix(fl, n, 1, {(i, 0): v for i, v in idv.items()})
-    sol = d.solve(b)
+    if "null_homotopy" not in hs._derived:
+        idv = hs.to_vector(identity_morphism(x))
+        b = Matrix(x.cat.field, hs.complex.dim(0), 1, {(i, 0): v for i, v in idv.items()})
+        hs._derived["null_homotopy"] = hs.complex.d(-1).solve(b)
+    sol = hs._derived["null_homotopy"]
     if sol is None:
         return (False, None) if with_witness else False
     h = hs.from_vector(-1, {i: v for (i, _), v in sol.entries.items()})

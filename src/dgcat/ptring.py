@@ -350,8 +350,8 @@ class Ledger:
             if info.payload is None:
                 raise ProvenanceError(f"generator {lbl!r} has no registered category")
             cats.append(info.payload)
-        t = tensor(cats[0], cats[1])
         if p.mode == "generator":
+            t = tensor(cats[0], cats[1])
             if len(value.terms) != 1 or set(value.terms.values()) != {1}:
                 raise ProvenanceError("generator-mode facts need a single unit-coefficient generator value")
             (mono,) = value.terms
@@ -365,9 +365,16 @@ class Ledger:
         elif p.mode == "point-sod":
             if p.claim is None:
                 raise ProvenanceError("point-sod mode requires a claim on the tensor category")
-            ccat = claim_category(p.claim, t)
-            if ccat is not t and not categories_structurally_equal(ccat, t):
-                raise ProvenanceError("claim category does not match the tensor category")
+            ccat = claim_category(p.claim)
+            factors = getattr(ccat, "factors", ())
+            if len(factors) != 2 or factors[0] is not cats[0] or factors[1] is not cats[1]:
+                # Not built by tensor() from the registered payloads: build
+                # the tensor category and compare.
+                t = tensor(cats[0], cats[1])
+                if ccat is None:
+                    ccat = t
+                elif not categories_structurally_equal(ccat, t):
+                    raise ProvenanceError("claim category does not match the tensor category")
             order = [ccat.obj(o.label) for o in p.claim.ambient_generators]
             if not check_exceptional_collection(ccat, order):
                 raise ProvenanceError("tensor category is not exceptional in the claimed order")
@@ -390,13 +397,19 @@ class Ledger:
         f = self.facts.get(tuple(sorted((a, b))))
         return f.value if f else None
 
-    def normalize(self, expr):
+    def normalize(self, expr, memo=None):
         """(normal form, complete): rewrite every monomial through the
         product table; complete=False when a monomial of degree >= 2
-        survives or the degree bound is exceeded."""
+        survives or the degree bound is exceeded.
+
+        memo (monomial -> result) may be shared by calls on one ledger
+        version.  That is sound because product-fact values have degree
+        <= 1: each rewrite strictly lowers the degree, so the cycle guard
+        below never fires and no memoized result depends on the call."""
         self._check_registered(expr)
         expr = self._resolve_aliases(expr)
-        memo = {}
+        if memo is None:
+            memo = {}
 
         def norm_mono(m):
             if m in memo:
@@ -465,12 +478,13 @@ class Ledger:
             monomials.extend(nxt)
             frontier = nxt
         rows = []
+        memo = {}
         for rel in self.relations:
             for m in monomials:
                 prod = rel.expr.mul(ClassExpr({m: 1}))
                 if prod.degree() > self.degree_bound:
                     continue
-                nf, complete = self.normalize(prod)
+                nf, complete = self.normalize(prod, memo)
                 if not complete:
                     continue
                 vec = self._vector(nf, coords)

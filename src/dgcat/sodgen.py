@@ -30,6 +30,7 @@ from .pretr import (
     identity_morphism,
     is_closed,
     is_ho_iso,
+    shared_homspaces,
     shift,
     zero_morphism,
     HomSpace,
@@ -310,13 +311,19 @@ def _check_cut_witness(cat, claim, c, gen, early, late):
 
 
 def check_sod(cat, claim):
-    """Verify an SOD claim cut by cut; the audit trail lists every obligation."""
+    """Verify an SOD claim cut by cut; the audit trail lists every obligation.
+
+    The cuts replay many identical obligations (the same cone(id_g), the
+    same Hom complexes); one shared_homspaces() scope builds each distinct
+    Hom complex once for the whole check.
+    """
     audit = [AuditEntry("semiorthogonality", (), check_semiorthogonality(cat, claim.blocks))]
-    for c in range(1, len(claim.blocks)):
-        early = [g for b in claim.blocks[:c] for g in b]
-        late = [g for b in claim.blocks[c:] for g in b]
-        for gen in claim.ambient_generators:
-            audit.extend(_check_cut_witness(cat, claim, c, gen, early, late))
+    with shared_homspaces():
+        for c in range(1, len(claim.blocks)):
+            early = [g for b in claim.blocks[:c] for g in b]
+            late = [g for b in claim.blocks[c:] for g in b]
+            for gen in claim.ambient_generators:
+                audit.extend(_check_cut_witness(cat, claim, c, gen, early, late))
     audit.append(
         AuditEntry(
             "orthogonal_envelope_completeness",
@@ -335,7 +342,7 @@ def ext_table(cat, objs):
         row = []
         for b in objs:
             h = cat.hom(a, b).complex
-            row.append({n: h.cohomology_dim(n) for n in h.degrees() if h.cohomology_dim(n)})
+            row.append({n: k for n in h.degrees() if (k := h.cohomology_dim(n))})
         table.append(row)
     return table
 

@@ -17,6 +17,8 @@ from dgcat.exactlin import (
     smith_normal_form,
 )
 
+from gens import random_complex
+
 
 def dense_rank_oracle(rows):
     """Independent dense Gaussian elimination over Fraction."""
@@ -339,3 +341,16 @@ def test_spec_named_conveniences():
     c = two_step_complex()
     assert cohomology_dim(c, 0) == 1
     assert cohomology_basis(c, 0).dim == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "Fp"])
+def test_chain_complex_rank_cache_matches_elimination(field):
+    rng = random.Random(77)
+    for _ in range(40):
+        c = random_complex(field, rng, max_atoms=5)
+        degs = c.degrees()
+        for n in range(degs[0] - 1, degs[-1] + 2):
+            dn, dprev = c.d(n), c.d(n - 1)
+            assert c.rank(n) == dn.rank()
+            assert c.cohomology_dim(n) == dn.cols - dn.rank() - dprev.rank()
+            assert c.cohomology_dim(n) == c.cohomology(n).dim

@@ -444,3 +444,65 @@ def test_homotopy_idempotent_with_nontrivial_witness():
     for n in (-1, 0, 1):
         total = sum(karoubi_hom(a, b, n) for a in (kob, comp) for b in (kob, comp))
         assert total == ho_hom(x, x, n)
+
+
+def _content_copy(x):
+    """A distinct twisted complex equal to x in content, with its twist and
+    every coordinate dict inserted in reverse order."""
+    q = {k: Morphism(m.src, m.dst, m.degree, dict(reversed(m.coords.items()))) for k, m in reversed(x.q.items())}
+    return TwistedComplex(x.cat, list(x.terms), q, check=False)
+
+
+def test_shared_homspace_equals_fresh_build():
+    rng = random.Random(515)
+    reordered = 0
+    for trial in range(30):
+        cat = random_category(rng, field=(QQ, GF(32003))[trial % 2])
+        x = random_twisted_complex(cat, rng, max_terms=5)
+        y = shift(random_twisted_complex(cat, rng, max_terms=5), rng.randrange(-1, 2))
+        for a, b in ((x, y), (y, x), (x, x)):
+            reordered += any(len(m.coords) > 1 for m in list(a.q.values()) + list(b.q.values()))
+            fresh = HomSpace(a, b)
+            with pretr.shared_homspaces():
+                first = HomSpace(_content_copy(a), _content_copy(b))
+                hs = HomSpace(a, b)
+                assert hs.complex is first.complex
+                assert hs.x is a and hs.y is b
+                assert (hs.basis, hs.pos, hs.complex.diff) == (fresh.basis, fresh.pos, fresh.complex.diff)
+                for n in fresh.complex.degrees():
+                    assert [f.entries for f in hs.cohomology_classes(n)] == [f.entries for f in fresh.cohomology_classes(n)]
+                    assert all(f.src is a and f.dst is b for f in hs.cohomology_classes(n))
+    assert reordered
+    assert pretr._shared is None
+
+
+def test_shared_homspace_is_keyed_by_category_and_witnesses_are_rebound():
+    k1, k2 = kronecker_category(), kronecker_category()
+    c1 = cone(identity_morphism(embed(k1, k1.obj("e1"))))
+    c2 = cone(identity_morphism(embed(k2, k2.obj("e1"))))
+    with pretr.shared_homspaces():
+        assert HomSpace(c1, c1).complex is not HomSpace(c2, c2).complex
+        copy = _content_copy(c1)
+        assert HomSpace(copy, copy).complex is HomSpace(c1, c1).complex
+        ok1, h1 = is_contractible(c1, with_witness=True)
+        ok2, h2 = is_contractible(copy, with_witness=True)
+    assert ok1 and ok2
+    assert h1.src is c1 and h2.src is copy and h2.entries == h1.entries
+    assert differential(h2) == identity_morphism(copy)
+
+
+def test_shared_scope_nests_and_is_dropped_on_error():
+    assert pretr._shared is None
+    with pretr.shared_homspaces():
+        outer = pretr._shared
+        with pretr.shared_homspaces():
+            assert pretr._shared is outer
+        assert pretr._shared is outer
+    assert pretr._shared is None
+    try:
+        with pretr.shared_homspaces():
+            with pretr.shared_homspaces():
+                raise RuntimeError("inside")
+    except RuntimeError:
+        pass
+    assert pretr._shared is None

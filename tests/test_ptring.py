@@ -1,7 +1,9 @@
 import pytest
 
 from dgcat.dgcore import tensor
+from dgcat import ptring
 from dgcat.fixtures import (
+    a2_category,
     broken_kronecker_sod_claim,
     kronecker_category,
     kronecker_sod_claim,
@@ -227,3 +229,26 @@ def test_motivic_pipeline_over_fp():
     led = ml(f)
     rep = led.derive_measure_check()
     assert rep["pass"]
+
+
+def test_point_sod_fact_reuses_or_compares_the_tensor_category(monkeypatch):
+    k2, pt = kronecker_category(), point_category()
+    led = Ledger().register_generator("A", k2).register_generator("B", pt)
+    built = []
+    real = ptring.tensor
+    monkeypatch.setattr(ptring, "tensor", lambda c, d: built.append((c, d)) or real(c, d))
+
+    def fact(t):
+        claim = exceptional_sod_claim(t, tensor_object_order(t))
+        prov = Provenance("verified-tensor", payload=TensorProvenance("point-sod", claim=claim))
+        return led.add_product_fact("A", "B", ClassExpr.unit(len(t.objects)), prov)
+
+    # built by tensor() from the registered payloads: used as it is
+    assert fact(tensor(k2, pt)).eq(ClassExpr.parse("[A]*[B]"), ClassExpr.unit(2)) == "equal"
+    assert built == []
+    # equal in content but over other instances: built again and compared
+    assert fact(tensor(kronecker_category(), point_category())).eq(ClassExpr.parse("[A]*[B]"), ClassExpr.unit(2)) == "equal"
+    assert built == [(k2, pt)]
+    # over another category: the comparison rejects it
+    with pytest.raises(ProvenanceError, match="claim category does not match the tensor category"):
+        fact(tensor(k2, a2_category()))

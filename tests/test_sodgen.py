@@ -1,3 +1,8 @@
+import contextlib
+import random
+
+import pytest
+
 from dgcat.dgcore import tensor
 from dgcat.exactlin import QQ
 from dgcat.fixtures import (
@@ -12,7 +17,7 @@ from dgcat.fixtures import (
     point_category,
     tensor_object_order,
 )
-from dgcat import pretr
+from dgcat import pretr, sodgen
 from dgcat.pretr import TwistedComplex, cone, direct_sum, embed, hom_complex, identity_morphism, shift, zero_morphism
 from dgcat.sodgen import (
     ConeStep,
@@ -32,6 +37,8 @@ from dgcat.sodgen import (
     verify_generation,
     zero_certificate,
 )
+
+from gens import random_category
 
 
 def test_single_leaf_certificate():
@@ -240,3 +247,48 @@ def _two_block_witnesses(cat, early, late):
             early_cert = leaf_certificate(cat, early, gen)
         adm[(gen.label, 1)] = CutWitness(u, late_cert, early_cert)
     return adm
+
+
+def test_check_sod_audit_identical_without_shared_scope(monkeypatch):
+    rng = random.Random(2718)
+    k2, b3 = kronecker_category(), beilinson3_category()
+    cases = [(k2, kronecker_sod_claim(k2)), (k2, broken_kronecker_sod_claim(k2)), (b3, beilinson_sod_claim(b3))]
+    for cat in [k2, b3, tensor(k2, a2_category()), epsilon_category()] + [random_category(rng) for _ in range(4)]:
+        order = list(cat.objects)
+        rng.shuffle(order)
+        cases.append((cat, exceptional_sod_claim(cat, order)))
+    builds = []
+    real_build = pretr.HomSpace._build
+    monkeypatch.setattr(pretr.HomSpace, "_build", lambda self: builds.append(1) or real_build(self))
+    shared = [check_sod(cat, claim) for cat, claim in cases]
+    shared_builds = len(builds)
+    assert {v.ok for v in shared} == {True, False}
+    builds.clear()
+    monkeypatch.setattr(sodgen, "shared_homspaces", contextlib.nullcontext)
+    for (cat, claim), verdict in zip(cases, shared):
+        assert check_sod(cat, claim) == verdict
+    assert shared_builds < len(builds)
+
+
+def test_check_sod_drops_the_shared_scope(monkeypatch):
+    cat = kronecker_category()
+    claim = kronecker_sod_claim(cat)
+    inside = []
+    real = sodgen._check_cut_witness
+
+    def spy(*args):
+        inside.append(pretr._shared is not None)
+        return real(*args)
+
+    monkeypatch.setattr(sodgen, "_check_cut_witness", spy)
+    assert check_sod(cat, claim).ok
+    assert inside and all(inside)
+    assert pretr._shared is None
+
+    def boom(*args):
+        raise RuntimeError("obligation raised")
+
+    monkeypatch.setattr(sodgen, "_check_cut_witness", boom)
+    with pytest.raises(RuntimeError):
+        check_sod(cat, claim)
+    assert pretr._shared is None
