@@ -63,14 +63,19 @@ class Field:
         raise NotImplementedError
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class RationalField(Field):
+    """Q; zero() and one() return shared instances, as Fractions are immutable."""
+
     name = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def from_int(self, n):
         return Fraction(n)

@@ -350,8 +350,14 @@ class Ledger:
             if info.payload is None:
                 raise ProvenanceError(f"generator {lbl!r} has no registered category")
             cats.append(info.payload)
+
+        def built_from_payloads(cat):
+            """True when tensor() built cat from the registered payloads
+            themselves; any other category is compared with a fresh tensor."""
+            factors = getattr(cat, "factors", ())
+            return len(factors) == 2 and factors[0] is cats[0] and factors[1] is cats[1]
+
         if p.mode == "generator":
-            t = tensor(cats[0], cats[1])
             if len(value.terms) != 1 or set(value.terms.values()) != {1}:
                 raise ProvenanceError("generator-mode facts need a single unit-coefficient generator value")
             (mono,) = value.terms
@@ -360,16 +366,13 @@ class Ledger:
             target = self.generators.get(mono[0])
             if target is None or target.payload is None:
                 raise ProvenanceError(f"value generator {mono[0]!r} has no registered category")
-            if not categories_structurally_equal(t, target.payload):
+            if not built_from_payloads(target.payload) and not categories_structurally_equal(tensor(cats[0], cats[1]), target.payload):
                 raise ProvenanceError("tensor category does not match the value generator's category")
         elif p.mode == "point-sod":
             if p.claim is None:
                 raise ProvenanceError("point-sod mode requires a claim on the tensor category")
             ccat = claim_category(p.claim)
-            factors = getattr(ccat, "factors", ())
-            if len(factors) != 2 or factors[0] is not cats[0] or factors[1] is not cats[1]:
-                # Not built by tensor() from the registered payloads: build
-                # the tensor category and compare.
+            if not built_from_payloads(ccat):
                 t = tensor(cats[0], cats[1])
                 if ccat is None:
                     ccat = t

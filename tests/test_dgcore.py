@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
-from dgcat.dgcore import Arrow, InfiniteDimensionalHom, from_quiver, opposite, tensor, swap_iso
-from dgcat.exactlin import GF, QQ, Matrix
+from dgcat.dgcore import Arrow, DGCategory, Hom, InfiniteDimensionalHom, Morphism, Violation, from_quiver, opposite, tensor, swap_iso
+from dgcat.exactlin import GF, QQ, ChainComplex, Matrix
 from dgcat.fixtures import (
     a2_category,
     beilinson3_category,
@@ -252,3 +252,138 @@ def test_randomized_axiom_suite_small():
                 h2 = op.hom(b, a).complex
                 for n in set(h1.degrees()) | set(h2.degrees()):
                     assert h1.cohomology_dim(n) == h2.cohomology_dim(n)
+
+
+def _reference_validate(cat):
+    """Test-only copy of the axiom check as a walk over every object tuple
+    and basis element with `Morphism` arithmetic (`mul`, `d`, `scale`,
+    `add`); `DGCategory.validate` must give the same report, in order."""
+    fl = cat.field
+    report = []
+    for (a, b), h in sorted(cat.homs.items()):
+        for n in h.complex.validate():
+            report.append(Violation("d_squared", (a.label, b.label, n), "d(n+1)·d(n) != 0"))
+    for a in cat.objects:
+        ida = cat.ids.get(a)
+        if ida is None or ida.degree != 0:
+            report.append(Violation("unit", (a.label,), "missing or wrong-degree identity"))
+            continue
+        if not cat.d(ida).is_zero():
+            report.append(Violation("unit_cycle", (a.label,), "d(id) != 0"))
+    for (a, b), h in sorted(cat.homs.items()):
+        for n in h.complex.degrees():
+            for i in range(h.dim(n)):
+                f = cat.basis_morphism(a, b, n, i)
+                if a in cat.ids and cat.mul(cat.ids[a], f) != f:
+                    report.append(Violation("left_unit", (a.label, b.label, n, i), "id·f != f"))
+                if b in cat.ids and cat.mul(f, cat.ids[b]) != f:
+                    report.append(Violation("right_unit", (a.label, b.label, n, i), "f·id != f"))
+    sign = fl.neg(fl.one())
+    for a in cat.objects:
+        for b in cat.objects:
+            hab = cat.hom(a, b)
+            if not hab.complex.dims:
+                continue
+            for c in cat.objects:
+                hbc = cat.hom(b, c)
+                if not hbc.complex.dims:
+                    continue
+                for p in hab.complex.degrees():
+                    for q in hbc.complex.degrees():
+                        for i in range(hab.dim(p)):
+                            f = cat.basis_morphism(a, b, p, i)
+                            df = cat.d(f)
+                            for j in range(hbc.dim(q)):
+                                g = cat.basis_morphism(b, c, q, j)
+                                lhs = cat.d(cat.mul(f, g))
+                                term = cat.mul(f, cat.d(g))
+                                if p % 2:
+                                    term = cat.scale(sign, term)
+                                if lhs != cat.add(cat.mul(df, g), term):
+                                    report.append(Violation("leibniz", (a.label, b.label, c.label, p, i, q, j), "d(fg) != (df)g ± f(dg)"))
+    for a in cat.objects:
+        for b in cat.objects:
+            hab = cat.hom(a, b)
+            for c in cat.objects:
+                hbc = cat.hom(b, c)
+                for e in cat.objects:
+                    hce = cat.hom(c, e)
+                    for p in hab.complex.degrees():
+                        for q in hbc.complex.degrees():
+                            for r in hce.complex.degrees():
+                                for i in range(hab.dim(p)):
+                                    f = cat.basis_morphism(a, b, p, i)
+                                    for j in range(hbc.dim(q)):
+                                        g = cat.basis_morphism(b, c, q, j)
+                                        fg = cat.mul(f, g)
+                                        for k in range(hce.dim(r)):
+                                            h = cat.basis_morphism(c, e, r, k)
+                                            if cat.mul(fg, h) != cat.mul(f, cat.mul(g, h)):
+                                                where = (a.label, b.label, c.label, e.label, (p, i), (q, j), (r, k))
+                                                report.append(Violation("associativity", where, "(fg)h != f(gh)"))
+    return report
+
+
+FAULTS = ("scaled_id", "structure_constant", "differential", "wrong_degree_id", "dropped_table")
+
+
+def plant_fault(cat, kind, rng):
+    """A copy of cat with one planted fault, or None where the kind does not
+    apply (no structure constants; no Hom with two adjacent degrees)."""
+    fl = cat.field
+    homs, comp, ids = dict(cat.homs), {key: dict(t) for key, t in cat.comp.items()}, dict(cat.ids)
+    a = rng.choice(cat.objects)
+    if kind == "scaled_id":
+        ids[a] = Morphism(a, a, 0, {k: fl.mul(fl.from_int(2), v) for k, v in ids[a].coords.items()})
+    elif kind == "wrong_degree_id":
+        ids[a] = Morphism(a, a, rng.choice([-1, 1]), dict(ids[a].coords))
+    elif kind == "dropped_table":
+        if not comp:
+            return None
+        del comp[rng.choice(sorted(comp))]
+    elif kind == "structure_constant":
+        if not comp:
+            return None
+        table = comp[rng.choice(sorted(comp))]
+        entry = rng.choice(sorted(table))
+        cons = dict(table[entry])
+        k = rng.choice(sorted(cons) + [max(cons) + 1])
+        cons[k] = fl.add(cons.get(k, fl.zero()), fl.one())
+        table[entry] = cons
+    else:
+        spots = [(key, n) for key, h in sorted(homs.items()) for n in h.complex.degrees() if h.dim(n + 1)]
+        if not spots:
+            return None
+        key, n = rng.choice(spots)
+        cx = homs[key].complex
+        m = cx.d(n)
+        entries = dict(m.entries)
+        spot = (rng.randrange(m.rows), rng.randrange(m.cols))
+        entries[spot] = fl.add(entries.get(spot, fl.zero()), fl.one())
+        diff = dict(cx.diff)
+        diff[n] = Matrix(fl, m.rows, m.cols, entries)
+        homs[key] = Hom(ChainComplex(fl, cx.dims, diff), homs[key].names)
+    return DGCategory(fl, cat.objects, homs, comp, ids, name=f"{cat.name}|{kind}")
+
+
+def test_validate_matches_reference():
+    """validate on structure-constant tables gives the reference report,
+    (axiom, where, detail) in order, on valid categories and on copies with
+    each kind of planted fault."""
+    rng = random.Random(2026)
+    cats = [random_category(rng, field=QQ if s % 2 else GF(101)) for s in range(84)]
+    cats += [tensor(kronecker_category(), kronecker_category()), tensor(beilinson3_category(), kronecker_category())]
+    planted, axioms = set(), set()
+    for cat in cats:
+        for kind in (None,) + FAULTS:
+            bad = cat if kind is None else plant_fault(cat, kind, rng)
+            if bad is None:
+                continue
+            report = [(v.axiom, v.where, v.detail) for v in bad.validate()]
+            assert report == [(v.axiom, v.where, v.detail) for v in _reference_validate(bad)], (bad.name, kind)
+            if kind is None:
+                assert report == []
+            planted.add(kind)
+            axioms.update(v[0] for v in report)
+    assert planted == {None, *FAULTS}
+    assert axioms == {"d_squared", "unit", "unit_cycle", "left_unit", "right_unit", "leibniz", "associativity"}

@@ -252,3 +252,25 @@ def test_point_sod_fact_reuses_or_compares_the_tensor_category(monkeypatch):
     # over another category: the comparison rejects it
     with pytest.raises(ProvenanceError, match="claim category does not match the tensor category"):
         fact(tensor(k2, a2_category()))
+
+
+def test_generator_fact_reuses_or_compares_the_tensor_category(monkeypatch):
+    k2, pt = kronecker_category(), point_category()
+    built = []
+    real = ptring.tensor
+    monkeypatch.setattr(ptring, "tensor", lambda c, d: built.append((c, d)) or real(c, d))
+
+    def fact(t):
+        led = Ledger().register_generator("A", k2).register_generator("B", pt).register_generator("AB", t)
+        prov = Provenance("verified-tensor", payload=TensorProvenance("generator"))
+        return led.add_product_fact("A", "B", ClassExpr.gen("AB"), prov)
+
+    # built by tensor() from the registered payloads: used as it is
+    assert fact(real(k2, pt)).eq(ClassExpr.parse("[A]*[B]"), ClassExpr.gen("AB")) == "equal"
+    assert built == []
+    # equal in content but over other instances: built again and compared
+    assert fact(real(kronecker_category(), point_category())).eq(ClassExpr.parse("[A]*[B]"), ClassExpr.gen("AB")) == "equal"
+    assert built == [(k2, pt)]
+    # over another category: the comparison rejects it
+    with pytest.raises(ProvenanceError, match="tensor category does not match the value generator's category"):
+        fact(real(k2, a2_category()))
