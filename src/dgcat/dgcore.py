@@ -214,13 +214,19 @@ class DGCategory:
 
 def contract(fl, table, p, x, q, y):
     """Product of coordinate vectors x (degree p) and y (degree q) under a
-    structure-constant table {(p, i, q, j): {k: scalar}}, as a sparse dict."""
+    structure-constant table {(p, i, q, j): {k: scalar}}, as a sparse dict.
+
+    A basis vector's coordinate is the field's shared one(): a product with
+    it is taken without a multiplication, and a product equal to it scales
+    nothing."""
+    one, mul = fl.one(), fl.mul
     out = {}
     for i, a in x.items():
         for j, b in y.items():
             cons = table.get((p, i, q, j))
             if cons:
-                axpy(fl, out, cons, fl.mul(a, b))
+                ab = b if a is one else a if b is one else mul(a, b)
+                axpy(fl, out, cons, None if ab is one else ab)
     return out
 
 

@@ -253,7 +253,7 @@ def shared_homspaces():
     duration of the block.
 
     Inside the block, HomSpace(x, y) reuses the basis, the complex and the
-    cached cohomology and contracting-homotopy solve of an earlier HomSpace
+    cached cohomology and verified contracting homotopy of an earlier HomSpace
     over the same category whose ends have the same terms and twists.  A
     nested block uses the outer one's entries; everything is dropped when
     the outermost block exits, so memory is bounded by one block's work.
@@ -373,7 +373,7 @@ class HomSpace:
         dims = {n: len(lst) for n, lst in basis.items()}
         diff = {n: Matrix(fl, dims.get(n + 1, 0), dims[n], e) for n, e in ent.items() if e}
         self.complex = ChainComplex(fl, dims, diff)
-        self._derived = {}  # ("cohomology", n) or "null_homotopy" -> result
+        self._derived = {}  # ("cohomology", n) or "null_homotopy" (verified) -> result
 
     def to_vector(self, f):
         vec = {}
@@ -426,6 +426,11 @@ def cone(f):
         raise ValueError("cone: morphism must have degree 0")
     if not is_closed(f):
         raise ValueError("cone: morphism must be closed")
+    return _cone(f)
+
+
+def _cone(f):
+    """cone(f) for a caller that has just checked f closed of degree 0."""
     x, y = f.src, f.dst
     cat = x.cat
     m = len(y.terms)
@@ -478,18 +483,36 @@ def verify_cone_axioms(c, f, maps=None):
 
 
 def is_contractible(x, with_witness=False):
-    """True iff d(h) = 1_x is solvable in End^{-1}(x); the witness re-verifies."""
+    """True iff d(h) = 1_x is solvable in End^{-1}(x); the witness re-verifies.
+
+    Such an h also makes x right-orthogonal to every object: each cycle
+    f: E -> x of degree n satisfies d(f·h) = (-1)^n f, so H^n Hom(E, x) = 0.
+
+    A solution h is stored in the HomSpace's derived results only after
+    differential(h) == 1_x has been checked, and a failed check raises.
+    differential depends only on the category, terms and twist that the
+    shared_homspaces() key holds, so inside a scope a later content-equal
+    call reads the verified result; outside a scope every call builds its
+    own HomSpace and verifies.  with_witness=True always builds h on the
+    caller's own x and verifies it there.
+    """
     hs = HomSpace(x, x)
-    if "null_homotopy" not in hs._derived:
+    verified = "null_homotopy" in hs._derived
+    if verified:
+        sol = hs._derived["null_homotopy"]
+    else:
         idv = hs.to_vector(identity_morphism(x))
         b = Matrix(x.cat.field, hs.complex.dim(0), 1, {(i, 0): v for i, v in idv.items()})
-        hs._derived["null_homotopy"] = hs.complex.d(-1).solve(b)
-    sol = hs._derived["null_homotopy"]
-    if sol is None:
-        return (False, None) if with_witness else False
-    h = hs.from_vector(-1, {i: v for (i, _), v in sol.entries.items()})
-    assert differential(h) == identity_morphism(x), "contractibility witness failed re-verification"
-    return (True, h) if with_witness else True
+        sol = hs.complex.d(-1).solve(b)
+    h = None
+    if sol is not None and (with_witness or not verified):
+        h = hs.from_vector(-1, {i: v for (i, _), v in sol.entries.items()})
+        if differential(h) != identity_morphism(x):
+            raise AssertionError("contractibility witness failed re-verification")
+    hs._derived["null_homotopy"] = sol
+    if with_witness:
+        return sol is not None, h
+    return sol is not None
 
 
 def is_ho_iso(f):

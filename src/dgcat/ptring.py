@@ -254,6 +254,11 @@ class Ledger:
                     raise KeyError(f"unregistered generator {lbl!r}")
 
     def _resolve_aliases(self, expr):
+        """expr with every unit-alias generator replaced by the unit; expr
+        itself when no label in it is an alias.  Unregistered labels raise."""
+        gens = self.generators
+        if all(lbl in gens and not gens[lbl].unit_alias for m in expr.terms for lbl in m):
+            return expr
         out = ClassExpr()
         for m, c in expr.terms.items():
             e = ClassExpr.unit(c)

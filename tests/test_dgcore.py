@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from dgcat.dgcore import Arrow, DGCategory, Hom, InfiniteDimensionalHom, Morphism, Violation, from_quiver, opposite, tensor, swap_iso
-from dgcat.exactlin import GF, QQ, ChainComplex, Matrix
+from dgcat.dgcore import Arrow, DGCategory, Hom, InfiniteDimensionalHom, Morphism, Violation, contract, from_quiver, opposite, tensor, swap_iso
+from dgcat.exactlin import GF, QQ, ChainComplex, Matrix, axpy
 from dgcat.fixtures import (
     a2_category,
     beilinson3_category,
@@ -387,3 +388,35 @@ def test_validate_matches_reference():
             axioms.update(v[0] for v in report)
     assert planted == {None, *FAULTS}
     assert axioms == {"d_squared", "unit", "unit_cycle", "left_unit", "right_unit", "leibniz", "associativity"}
+
+
+def _reference_contract(fl, table, p, x, q, y):
+    """contract as one multiplication per coordinate pair."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            cons = table.get((p, i, q, j))
+            if cons:
+                axpy(fl, out, cons, fl.mul(a, b))
+    return out
+
+
+def test_contract_matches_the_multiplying_reference():
+    rng = random.Random(3141)
+    for fl in (QQ, GF(32003)):
+        one = fl.one()
+        scalars = [one, one, fl.neg(one), fl.from_int(1), fl.from_int(2), fl.from_int(-3)]
+        if fl is QQ:
+            scalars += [Fraction(1), Fraction(2, 2), Fraction(1, 2), Fraction(-2, 3)]
+            assert Fraction(1) is not one
+        for _ in range(300):
+            table = {}
+            for i in range(3):
+                for j in range(3):
+                    if rng.random() < 0.6:
+                        table[(0, i, 1, j)] = {k: rng.choice(scalars) for k in rng.sample(range(4), rng.randrange(1, 4))}
+            x = {i: rng.choice(scalars) for i in rng.sample(range(3), rng.randrange(0, 4))}
+            y = {j: rng.choice(scalars) for j in rng.sample(range(3), rng.randrange(0, 4))}
+            got = contract(fl, table, 0, x, 1, y)
+            assert got == _reference_contract(fl, table, 0, x, 1, y)
+            assert not any(fl.is_zero(v) for v in got.values())

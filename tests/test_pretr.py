@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from dgcat.dgcore import Arrow, Morphism, from_quiver
 from dgcat.exactlin import QQ, GF, Matrix
 from dgcat.fixtures import kronecker_category, kronecker_ev_morphism
@@ -30,6 +32,7 @@ from dgcat.pretr import (
     shift,
     tm_add,
     tm_neg,
+    tm_scale,
     zero_morphism,
 )
 
@@ -506,3 +509,80 @@ def test_shared_scope_nests_and_is_dropped_on_error():
     except RuntimeError:
         pass
     assert pretr._shared is None
+
+
+def test_contracting_homotopy_bounds_every_cycle_into_the_cone():
+    """With d(h) = 1_C, every cycle f: E -> C of degree n has
+    d(f·h) = (-1)^n f, so C is right-orthogonal to every object."""
+    rng = random.Random(6061)
+    checked = 0
+    for trial in range(10):
+        cat = random_category(rng, field=(QQ, GF(32003))[trial % 2])
+        x = random_twisted_complex(cat, rng, max_terms=3)
+        scale = cat.field.from_int(rng.choice([1, 2, -3]))
+        c = cone(tm_scale(scale, identity_morphism(x)))
+        ok, h = is_contractible(c, with_witness=True)
+        assert ok
+        for e in cat.objects:
+            src = shift(embed(cat, e), rng.randrange(-1, 2))
+            hs = HomSpace(src, c)
+            for n in hs.complex.degrees():
+                if not hs.complex.dim(n):
+                    continue
+                for z in hs.complex.d(n).nullspace():
+                    f = hs.from_vector(n, {i: v for (i, _), v in z.entries.items()})
+                    f = tm_scale(cat.field.from_int(rng.choice([1, 2, -1])), f)
+                    assert differential(compose(f, h)) == (tm_neg(f) if n % 2 else f)
+                    checked += 1
+    assert checked
+
+
+def _doubled_solve(real_solve):
+    """Matrix.solve returning twice the true solution: d(2h) = 2 ≠ 1."""
+
+    def solve(self, b):
+        sol = real_solve(self, b)
+        if sol is None:
+            return None
+        fl = sol.field
+        return Matrix(fl, sol.rows, sol.cols, {k: fl.add(v, v) for k, v in sol.entries.items()})
+
+    return solve
+
+
+def test_a_wrong_null_homotopy_raises_and_is_not_stored(monkeypatch):
+    cat = kronecker_category()
+    c = cone(identity_morphism(embed(cat, cat.obj("e1"))))
+    monkeypatch.setattr(Matrix, "solve", _doubled_solve(Matrix.solve))
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            is_contractible(c)
+    with pretr.shared_homspaces():
+        for _ in range(2):
+            with pytest.raises(AssertionError):
+                is_contractible(c)
+        monkeypatch.undo()
+        assert is_contractible(c)
+    assert pretr._shared is None
+
+
+def test_is_contractible_verifies_once_per_complex_inside_a_scope(monkeypatch):
+    cat = kronecker_category()
+    c = cone(identity_morphism(embed(cat, cat.obj("e1"))))
+    copy = _content_copy(c)
+    verified = []
+    real = pretr.differential
+    monkeypatch.setattr(pretr, "differential", lambda f: verified.append(f.src) or real(f))
+    assert is_contractible(c) and is_contractible(c)
+    assert verified == [c, c]  # outside a scope every call verifies
+    verified.clear()
+    with pretr.shared_homspaces():
+        assert is_contractible(c) and is_contractible(copy) and is_contractible(c)
+        assert len(verified) == 1 and verified[0] is c
+        ok, h = is_contractible(copy, with_witness=True)
+        assert len(verified) == 2 and verified[1] is copy
+        x = embed(cat, cat.obj("e2"))
+        assert is_contractible(x, with_witness=True) == (False, None)
+        assert not is_contractible(x)
+    assert ok and h.src is copy and h.dst is copy
+    assert real(h) == identity_morphism(copy)

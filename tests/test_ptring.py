@@ -274,3 +274,15 @@ def test_generator_fact_reuses_or_compares_the_tensor_category(monkeypatch):
     # over another category: the comparison rejects it
     with pytest.raises(ProvenanceError, match="tensor category does not match the value generator's category"):
         fact(real(k2, a2_category()))
+
+
+def test_resolve_aliases_returns_alias_free_input_unchanged():
+    led = small_ledger()
+    plain = ClassExpr.parse("2*[P1]*[P1] - [P1]")
+    assert led._resolve_aliases(plain) is plain
+    pt = ClassExpr.gen("pt")
+    aliased = pt.mul(ClassExpr.gen("P1")).scale(3).add(pt)
+    assert led._resolve_aliases(aliased) == ClassExpr.gen("P1").scale(3).add(ClassExpr.unit())
+    for expr in (ClassExpr.parse("[P1]*[Q]"), pt.mul(ClassExpr.gen("Q"))):
+        with pytest.raises(KeyError, match="unregistered generator 'Q'"):
+            led._resolve_aliases(expr)

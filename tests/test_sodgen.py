@@ -1,10 +1,11 @@
 import contextlib
 import random
+from collections import Counter
 
 import pytest
 
 from dgcat.dgcore import tensor
-from dgcat.exactlin import QQ
+from dgcat.exactlin import GF, QQ
 from dgcat.fixtures import (
     a2_category,
     beilinson3_category,
@@ -18,7 +19,19 @@ from dgcat.fixtures import (
     tensor_object_order,
 )
 from dgcat import pretr, sodgen
-from dgcat.pretr import TwistedComplex, cone, direct_sum, embed, hom_complex, identity_morphism, shift, zero_morphism
+from dgcat.pretr import (
+    HomSpace,
+    TwistedComplex,
+    cone,
+    direct_sum,
+    embed,
+    hom_complex,
+    identity_morphism,
+    is_contractible,
+    shift,
+    tm_scale,
+    zero_morphism,
+)
 from dgcat.sodgen import (
     ConeStep,
     CutWitness,
@@ -38,7 +51,7 @@ from dgcat.sodgen import (
     zero_certificate,
 )
 
-from gens import random_category
+from gens import random_category, random_closed_degree0, random_twisted_complex
 
 
 def test_single_leaf_certificate():
@@ -292,3 +305,118 @@ def test_check_sod_drops_the_shared_scope(monkeypatch):
     with pytest.raises(RuntimeError):
         check_sod(cat, claim)
     assert pretr._shared is None
+
+
+def exhaustive_right_orthogonal_check(cat, gens, x):
+    """right_orthogonal_check without the contraction argument: one Hom
+    complex per generator, decided degree by degree."""
+    for e in gens:
+        h = hom_complex(embed(cat, e), x)
+        for n in h.degrees():
+            if h.cohomology_dim(n):
+                return False
+    return True
+
+
+def _scaled_claim(cat, order, c):
+    """exceptional_sod_claim with u = c·id for every late generator: its
+    cone is contractible without being cone(id)."""
+    claim = exceptional_sod_claim(cat, order)
+    for key, w in claim.admissibility.items():
+        if w.u.src == w.u.dst:
+            u = tm_scale(c, w.u)
+            early = zero_certificate(cat, w.early_cert.generators, cone(u))
+            claim.admissibility[key] = CutWitness(u, w.late_cert, early)
+    return claim
+
+
+def test_check_sod_audit_equals_the_exhaustive_orthogonality_reference(monkeypatch):
+    rng = random.Random(4242)
+    k2, b3 = kronecker_category(), beilinson3_category()
+    k2k2, k2a2 = tensor(k2, k2), tensor(k2, a2_category())
+    b1 = (k2a2.obj("(e1,u)"), k2a2.obj("(e1,v)"))
+    b2 = (k2a2.obj("(e2,u)"), k2a2.obj("(e2,v)"))
+    cases = [
+        (k2, kronecker_sod_claim(k2)),
+        (k2, broken_kronecker_sod_claim(k2)),
+        (b3, beilinson_sod_claim(b3)),
+        (k2k2, exceptional_sod_claim(k2k2, tensor_object_order(k2k2))),
+        (k2a2, SODClaim(tuple(k2a2.objects), (b1, b2), _two_block_witnesses(k2a2, b1, b2))),
+        (k2, _scaled_claim(k2, list(k2.objects), QQ.from_int(3))),
+        (b3, _scaled_claim(b3, list(b3.objects), QQ.from_int(-2))),
+    ]
+    models = [k2k2, k2a2, tensor(k2, b3), epsilon_category()]
+    models += [random_category(rng, field=(QQ, GF(32003))[t % 2]) for t in range(6)]
+    for cat in models:
+        order = list(cat.objects)
+        cases.append((cat, exceptional_sod_claim(cat, order)))
+        rng.shuffle(order)
+        cases.append((cat, exceptional_sod_claim(cat, order)))
+    fast = [check_sod(cat, claim) for cat, claim in cases]
+    monkeypatch.setattr(sodgen, "right_orthogonal_check", exhaustive_right_orthogonal_check)
+    for (cat, claim), verdict in zip(cases, fast):
+        assert check_sod(cat, claim) == verdict
+    assert {v.ok for v in fast} == {True, False}
+    ortho = Counter(a.ok for v in fast for a in v.audit if a.obligation == "cone_right_orthogonal_to_late")
+    assert ortho[True] and ortho[False]
+
+
+def test_right_orthogonal_check_equals_the_exhaustive_loop():
+    rng = random.Random(9090)
+    seen = Counter()
+    k2 = kronecker_category()
+    samples = [(k2, cone(kronecker_ev_morphism(k2)))]
+    for trial in range(14):
+        cat = random_category(rng, field=(QQ, GF(32003))[trial % 2])
+        x = random_twisted_complex(cat, rng, max_terms=3)
+        c = cat.field.from_int(rng.choice([2, 3, -1, 5]))
+        y = shift(embed(cat, rng.choice(cat.objects)), rng.randrange(-1, 2))
+        samples += [
+            (cat, cone(identity_morphism(x))),
+            (cat, cone(tm_scale(c, identity_morphism(x)))),
+            (cat, cone(zero_morphism(y, x))),
+            (cat, cone(random_closed_degree0(HomSpace(y, x), rng))),
+        ]
+    for cat, x in samples:
+        contractible = is_contractible(x)
+        for gens in [[], list(cat.objects)] + [[o] for o in cat.objects]:
+            got = right_orthogonal_check(cat, gens, x)
+            assert got == exhaustive_right_orthogonal_check(cat, gens, x)
+            if gens:
+                seen[(contractible, got)] += 1
+    assert seen[(True, True)] and seen[(False, True)] and seen[(False, False)]
+
+
+def test_check_sod_counts_on_a_twelve_object_claim(monkeypatch):
+    """Timing-free guard on tensor(Kronecker, tensor(Kronecker, Beilinson)):
+    each witness checks at most three morphisms closed (u and the two final
+    isos), a contracting homotopy is verified at most once per distinct
+    complex, and the contraction argument builds fewer Hom complexes than
+    the exhaustive orthogonality loop."""
+    k2 = kronecker_category()
+    t = tensor(k2, tensor(k2, beilinson3_category()))
+    claim = exceptional_sod_claim(t, tensor_object_order(t))
+    assert len(t.objects) == 12 and len(claim.admissibility) == 132
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(pretr.HomSpace, "_build", counted("build", pretr.HomSpace._build))
+    is_closed = counted("is_closed", pretr.is_closed)
+    monkeypatch.setattr(pretr, "is_closed", is_closed)
+    monkeypatch.setattr(sodgen, "is_closed", is_closed)
+    monkeypatch.setattr(pretr, "differential", counted("differential", pretr.differential))
+    verdict = check_sod(t, claim)
+    assert verdict.ok
+    fast = dict(counts)
+    counts.clear()
+    monkeypatch.setattr(sodgen, "right_orthogonal_check", exhaustive_right_orthogonal_check)
+    assert check_sod(t, claim) == verdict
+    assert fast["build"] < counts["build"]
+    assert fast["is_closed"] <= 3 * len(claim.admissibility)
+    assert fast["differential"] <= fast["is_closed"] + fast["build"]
