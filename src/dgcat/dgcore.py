@@ -103,7 +103,8 @@ class DGCategory:
         return self.ids[a]
 
     def add(self, f, g):
-        assert (f.src, f.dst, f.degree) == (g.src, g.dst, g.degree)
+        if (f.src, f.dst, f.degree) != (g.src, g.dst, g.degree):
+            raise ValueError("add: morphisms differ in source, target or degree")
         return Morphism(f.src, f.dst, f.degree, axpy(self.field, dict(f.coords), g.coords))
 
     def scale(self, c, f):

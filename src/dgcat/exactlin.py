@@ -2,15 +2,19 @@
 
 All arithmetic is exact: rationals are `fractions.Fraction`, prime-field
 elements are ints in [0, p).  A field object is fixed per session and mixing
-fields raises `FieldMismatch`.  Elimination uses the deterministic pivot rule
-"lowest column, then lowest row"; over Q rows are scaled to integers and
-reduced fraction-free (one-step Bareiss) to control coefficient growth.
+fields raises `FieldMismatch`.  Elimination has one code path per field and
+always takes the lowest remaining column as the next pivot column.  Over Q
+rows are scaled to integers and reduced fraction-free (one-step Bareiss) to
+control coefficient growth; over F_p rows stay ints mod p, with one inverse
+per pivot.  `solve` and `nullspace` read their answers off the reduced
+row-echelon form, which depends only on the row space, so no answer depends
+on which row the elimination takes as pivot.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -339,43 +343,44 @@ class Matrix:
 
     # -- elimination ------------------------------------------------------
 
-    def _row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
     def _echelon(self, extra=None):
-        """Row-echelon form of [self | extra].
+        """Row-echelon form of [self | extra] as a list of (col, row) pivots.
 
-        Returns (pivots, rows) where pivots is a list of (row_index, col)
-        in elimination order and rows the reduced row dicts.  Deterministic:
-        pivot is the lowest remaining column, then the lowest row.
+        Pivot columns increase, and each row dict holds its pivot and
+        columns to the right of it only.  Over Q the rows hold integers
+        (Bareiss on the rows scaled to integers); over F_p they hold ints
+        mod p, scaled so the pivot is 1.
         """
         f = self.field
         ncols = self.cols + (extra.cols if extra is not None else 0)
-        rows = self._row_dicts()
+        rows = [{} for _ in range(self.rows)]
+        for (i, j), v in self.entries.items():
+            rows[i][j] = v
         if extra is not None:
             for (i, j), v in extra.entries.items():
                 rows[i][self.cols + j] = v
         if isinstance(f, RationalField):
-            int_rows = []
-            for r in rows:
+            for i, r in enumerate(rows):
                 if r:
                     denom_lcm = 1
                     for v in r.values():
                         denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-                    int_rows.append({j: int(v * denom_lcm) for j, v in r.items()})
-                else:
-                    int_rows.append({})
-            pivots = _echelon_int(int_rows, ncols)
-            return pivots, [{j: Fraction(v) for j, v in r.items()} for r in int_rows]
-        pivots = _echelon_mod(rows, ncols, f)
-        return pivots, rows
+                    rows[i] = {j: v.numerator * (denom_lcm // v.denominator) for j, v in r.items()}
+            return _echelon_int(rows, ncols)
+        return _echelon_mod(rows, f.p)
+
+    def _reduced(self, extra=None):
+        """Reduced row-echelon form of [self | extra]: (col, row) pivots whose
+        rows hold field elements, 1 at their pivot and 0 at every other pivot
+        column.  It depends only on the row space, not on the pivot rows the
+        elimination happened to choose."""
+        pivots = self._echelon(extra)
+        if isinstance(self.field, RationalField):
+            return _reduce_int(pivots)
+        return _reduce_mod(pivots, self.field.p)
 
     def rank(self):
-        pivots, _ = self._echelon()
-        return len(pivots)
+        return len(self._echelon())
 
     def nullity(self):
         return self.cols - self.rank()
@@ -385,53 +390,43 @@ class Matrix:
 
         b is a column Matrix.  When solutions exist, free variables are set
         to zero, giving the unique solution supported on pivot columns of the
-        fixed column order.
+        fixed column order: x[c] is the entry of the reduced [self | b] in
+        column b of the row pivoting at c.  The reduced form, and so x, does
+        not depend on which rows the elimination picks as pivots.
         """
         self._check_binop(b)
         if b.rows != self.rows or b.cols != 1:
             raise ShapeMismatch("solve: b must be a column of matching height")
-        f = self.field
-        pivots, rows = self._echelon(extra=b)
-        for r, c in pivots:
-            if c >= self.cols:
-                return None
+        n = self.cols
+        pivots = self._reduced(extra=b)
+        if pivots and pivots[-1][0] == n:
+            return None
         x = {}
-        for r, c in reversed(pivots):
-            row = rows[r]
-            rhs = row.get(self.cols, f.zero())
-            s = rhs
-            for j, v in row.items():
-                if c < j < self.cols and j in x:
-                    s = f.sub(s, f.mul(v, x[j]))
-            x[c] = f.div(s, row[c])
-        return Matrix(f, self.cols, 1, {(j, 0): v for j, v in x.items() if not f.is_zero(v)})
+        for c, row in reversed(pivots):
+            v = row.get(n)
+            if v:
+                x[(c, 0)] = v
+        return Matrix(self.field, n, 1, x)
 
     def nullspace(self):
         """Deterministic basis of ker(self) as a list of column Matrix.
 
-        One vector per non-pivot column j, in increasing j: it has a 1 at j
-        and is otherwise supported on pivot columns before j.
+        One vector per non-pivot column j, in increasing j: it has a 1 at j,
+        0 at every other non-pivot column, and -R[i][j] at the pivot column
+        of reduced row i.  Kernel vectors with that support are unique, so
+        the basis does not depend on which rows the elimination picks as
+        pivots.
         """
         f = self.field
-        pivots, rows = self._echelon()
-        pivot_cols = [c for _, c in pivots]
-        pivot_set = set(pivot_cols)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            vec = {free: f.one()}
-            # rows pivoting right of `free` hold no column of vec: skip them
-            for r, c in reversed(pivots[: bisect_left(pivot_cols, free)]):
-                row = rows[r]
-                s = f.zero()
-                for j, v in row.items():
-                    if j > c and j in vec:
-                        s = f.add(s, f.mul(v, vec[j]))
-                if not f.is_zero(s):
-                    vec[c] = f.neg(f.div(s, row[c]))
-            basis.append(Matrix(f, self.cols, 1, {(j, 0): v for j, v in vec.items() if not f.is_zero(v)}))
-        return basis
+        one, neg = f.one(), f.neg
+        pivots = self._reduced()
+        pivot_set = {c for c, _ in pivots}
+        vecs = {j: {(j, 0): one} for j in range(self.cols) if j not in pivot_set}
+        for c, row in reversed(pivots):
+            for j, v in row.items():
+                if j != c:
+                    vecs[j][(c, 0)] = neg(v)
+        return [Matrix(f, self.cols, 1, vec) for vec in vecs.values()]
 
     @classmethod
     def hstack(cls, field, rows, blocks):
@@ -480,7 +475,7 @@ def _echelon_int(rows, ncols):
 
     Every remaining row is updated at every step (required for the exact
     division by the previous pivot), including rows with a zero in the
-    pivot column.
+    pivot column.  Returns the (col, row) pivots.
     """
     pivots = []
     r = 0
@@ -509,7 +504,7 @@ def _echelon_int(rows, ncols):
                 for j, v in rows[i].items():
                     new[j] = v * piv // prev
             rows[i] = new
-        pivots.append((r, c))
+        pivots.append((c, rows[r]))
         prev = piv
         r += 1
         if r == nrows:
@@ -517,30 +512,112 @@ def _echelon_int(rows, ncols):
     return pivots
 
 
-def _echelon_mod(rows, ncols, f):
-    """In-place echelon over a prime field."""
+def _above(pivots):
+    """For each pivot k, the earlier pivot rows with an entry in its column.
+
+    Clearing a column, last pivot first, adds a row whose other entries sit
+    in non-pivot columns, so these lists stay exact through the reduction.
+    """
+    where = {c: k for k, (c, _) in enumerate(pivots)}
+    above = [[] for _ in pivots]
+    for i, (c, row) in enumerate(pivots):
+        for j in row:
+            k = where.get(j)
+            if k is not None and k != i:
+                above[k].append(i)
+    return above
+
+
+def _reduce_int(pivots):
+    """Reduced form of integer echelon pivots, as rows of Fractions.
+
+    Clears each pivot column above its pivot, last pivot first, by integer
+    row combinations that keep every cleared row primitive; then divides
+    each row by its pivot.
+    """
+    for k, rows in reversed(list(enumerate(_above(pivots)))):
+        ck, rk = pivots[k]
+        pk = rk[ck]
+        for i in rows:
+            ci, ri = pivots[i]
+            a = ri[ck]
+            g = gcd(a, pk)
+            s, t = pk // g, a // g
+            new = {j: v * s for j, v in ri.items()} if s != 1 else ri
+            for j, v in rk.items():
+                w = new.get(j, 0) - t * v
+                if w:
+                    new[j] = w
+                else:
+                    del new[j]
+            g = gcd(*new.values())
+            pivots[i] = (ci, {j: v // g for j, v in new.items()} if g != 1 else new)
+    return [(c, {j: Fraction(v, row[c]) for j, v in row.items()}) for c, row in pivots]
+
+
+def _addmul_mod(row, items, m, p):
+    """row += m * items over F_p, in place; items are (col, value) pairs."""
+    for j, v in items:
+        x = row.get(j)
+        if x is None:
+            row[j] = m * v % p
+        else:
+            x = (x + m * v) % p
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+
+def _echelon_mod(rows, p):
+    """Echelon of F_p row dicts (ints mod p), consuming the rows.
+
+    Rows wait in buckets by their leading column; the lowest bucket gives
+    the next pivot column, its shortest row the pivot row.  That row is
+    scaled by the pivot's one inverse, and every other row of the bucket
+    loses its leading entry and moves to the bucket of its new lead.
+    Returns the (col, row) pivots, each row with 1 at its pivot.
+    """
+    lead = {}
+    for row in rows:
+        if row:
+            lead.setdefault(min(row), []).append(row)
+    heap = list(lead)
+    heapify(heap)
     pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i].get(c):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            a = rows[i].get(c)
-            if not a:
+    while heap:
+        c = heappop(heap)
+        group = lead.pop(c)
+        prow = min(group, key=len)
+        inv = pow(prow.pop(c), p - 2, p)
+        items = [(j, v * inv % p) for j, v in prow.items()]
+        for row in group:
+            if row is prow:
                 continue
-            axpy(f, rows[i], rows[r], f.neg(f.div(a, piv)))
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
+            _addmul_mod(row, items, p - row.pop(c), p)
+            if row:
+                j = min(row)
+                if j in lead:
+                    lead[j].append(row)
+                else:
+                    lead[j] = [row]
+                    heappush(heap, j)
+        prow.clear()
+        prow[c] = 1
+        prow.update(items)
+        pivots.append((c, prow))
+    return pivots
+
+
+def _reduce_mod(pivots, p):
+    """Reduced form of F_p echelon pivots, in place: clears each pivot
+    column above its pivot, last pivot first."""
+    for k, rows in reversed(list(enumerate(_above(pivots)))):
+        ck, rk = pivots[k]
+        items = [(j, v) for j, v in rk.items() if j != ck]
+        for i in rows:
+            ri = pivots[i][1]
+            _addmul_mod(ri, items, p - ri.pop(ck), p)
     return pivots
 
 

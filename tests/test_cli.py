@@ -374,3 +374,34 @@ def test_ring_relate_verified_sod_from_documents(fixture_dir, tmp_path, capsys):
         "--out", str(tmp_path / "never.json"),
     )
     assert code == 1
+
+
+def _qe_certificate_variants(fixture_dir, tmp_path):
+    """The fixture certificate plus copies whose witness for e1 is not closed
+    (the cone of id_e1 projected onto e1) or closed but not invertible (zero)."""
+    from dgcat import pretr
+    from dgcat.functors import EquivCertificate
+
+    path = fixture_dir / "kronecker_block_e1_point.equiv-certificate.json"
+    kind, field, cert = schema.parse_document(path.read_text())
+    ((obj, (tc, _)),) = cert.witnesses.items()
+    not_closed = pretr.cone_maps(pretr.identity_morphism(tc))[3]
+    zero = pretr.zero_morphism(tc, tc)
+    out = {"fixture": path}
+    for name, witness in (("not_closed", (not_closed.src, not_closed)), ("not_invertible", (tc, zero))):
+        copy = EquivCertificate(cert.functor, {obj: witness})
+        out[name] = tmp_path / f"{name}.equiv-certificate.json"
+        out[name].write_text(schema.dumps(schema.document(kind, field, schema.equiv_cert_to_json(copy))))
+    return out
+
+
+def test_check_qe_verdicts_on_bad_witnesses(fixture_dir, tmp_path, capsys):
+    expected = {
+        "fixture": (0, True, ""),
+        "not_closed": (1, False, "[('essential_surjectivity', ('e1', 'witness morphism not closed degree 0'))]"),
+        "not_invertible": (1, False, "[('essential_surjectivity', ('e1', 'witness is not a homotopy isomorphism'))]"),
+    }
+    for name, path in _qe_certificate_variants(fixture_dir, tmp_path).items():
+        code, out, _ = run_cli(capsys, "check-qe", str(path))
+        (verdict,) = strip_timing(out)["verdicts"]
+        assert (code, verdict["ok"], verdict["detail"]) == expected[name], name

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -354,3 +355,185 @@ def test_chain_complex_rank_cache_matches_elimination(field):
             assert c.rank(n) == dn.rank()
             assert c.cohomology_dim(n) == dn.cols - dn.rank() - dprev.rank()
             assert c.cohomology_dim(n) == c.cohomology(n).dim
+
+
+# -- reference kernels: the elimination before reduced row-echelon read-off ------
+#
+# Test-only copies of the earlier `_echelon` (Bareiss over Q, field-method
+# `axpy` updates over F_p, pivot "lowest column, then lowest row"), with
+# per-free-column back-substitution in `nullspace` and `solve`.  The
+# reduced-form kernel must return the same entries, in the same order.
+
+
+def ref_echelon(m, extra=None):
+    f = m.field
+    ncols = m.cols + (extra.cols if extra is not None else 0)
+    rows = [{} for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+    if extra is not None:
+        for (i, j), v in extra.entries.items():
+            rows[i][m.cols + j] = v
+    if f == QQ:
+        int_rows = []
+        for r in rows:
+            lcm = 1
+            for v in r.values():
+                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+            int_rows.append({j: int(v * lcm) for j, v in r.items()})
+        pivots = ref_echelon_int(int_rows, ncols)
+        return pivots, [{j: Fraction(v) for j, v in r.items()} for r in int_rows]
+    return ref_echelon_mod(rows, ncols, f), rows
+
+
+def ref_echelon_int(rows, ncols):
+    pivots, r, prev, nrows = [], 0, 1, len(rows)
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if rows[i].get(c)), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, nrows):
+            a = rows[i].get(c, 0)
+            new = {}
+            if a:
+                for j in set(rows[i]) | set(rows[r]):
+                    v = rows[i].get(j, 0) * piv - rows[r].get(j, 0) * a
+                    if v:
+                        new[j] = v // prev
+                new.pop(c, None)
+            else:
+                for j, v in rows[i].items():
+                    new[j] = v * piv // prev
+            rows[i] = new
+        pivots.append((r, c))
+        prev = piv
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def ref_echelon_mod(rows, ncols, f):
+    pivots, r, nrows = [], 0, len(rows)
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if rows[i].get(c)), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, nrows):
+            a = rows[i].get(c)
+            if a:
+                axpy(f, rows[i], rows[r], f.neg(f.div(a, piv)))
+        pivots.append((r, c))
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def ref_solve(m, b):
+    f = m.field
+    pivots, rows = ref_echelon(m, extra=b)
+    if any(c >= m.cols for _, c in pivots):
+        return None
+    x = {}
+    for r, c in reversed(pivots):
+        row = rows[r]
+        s = row.get(m.cols, f.zero())
+        for j, v in row.items():
+            if c < j < m.cols and j in x:
+                s = f.sub(s, f.mul(v, x[j]))
+        x[c] = f.div(s, row[c])
+    return Matrix(f, m.cols, 1, {(j, 0): v for j, v in x.items() if not f.is_zero(v)})
+
+
+def ref_nullspace(m):
+    f = m.field
+    pivots, rows = ref_echelon(m)
+    pivot_cols = [c for _, c in pivots]
+    basis = []
+    for free in range(m.cols):
+        if free in pivot_cols:
+            continue
+        vec = {free: f.one()}
+        for r, c in reversed([p for p in pivots if p[1] < free]):
+            s = f.zero()
+            for j, v in rows[r].items():
+                if j > c and j in vec:
+                    s = f.add(s, f.mul(v, vec[j]))
+            if not f.is_zero(s):
+                vec[c] = f.neg(f.div(s, rows[r][c]))
+        basis.append(Matrix(f, m.cols, 1, {(j, 0): v for j, v in vec.items() if not f.is_zero(v)}))
+    return basis
+
+
+def ref_basis_extension(base, cands):
+    f, off = base.field, base.cols
+    free = {}
+    for vec in ref_nullspace(Matrix.hstack(f, base.rows, [base, cands])):
+        coords = {j: v for (j, _), v in vec.entries.items()}
+        free[max(coords)] = coords
+    picked = [k for k in range(cands.cols) if off + k not in free]
+    position = {k: t for t, k in enumerate(picked)}
+    normal = {j - off: {position[i - off]: f.neg(v) for i, v in coords.items() if off <= i < j}
+              for j, coords in free.items() if j >= off}
+    return picked, normal
+
+
+def items_of(m):
+    """A Matrix's entries in insertion order (None passes through)."""
+    return None if m is None else list(m.entries.items())
+
+
+def kernel_cases(field, rng):
+    """Seeded matrices: sparse and dense, empty shapes, zero, identity,
+    rank-deficient products, and right-hand sides in and out of the span."""
+    vals = (1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5))
+
+    def scalar():
+        while True:
+            v = Fraction(rng.choice(vals))
+            num, den = field.from_int(v.numerator), field.from_int(v.denominator)
+            if not field.is_zero(num) and not field.is_zero(den):  # 2, 3, 5 vanish in small F_p
+                return field.div(num, den)
+
+    def rand(r, c, density):
+        return Matrix(field, r, c, {(i, j): scalar() for i in range(r) for j in range(c) if rng.random() < density})
+
+    cases = [Matrix.zero(field, 0, 4), Matrix.zero(field, 4, 0), Matrix.zero(field, 0, 0),
+             Matrix.zero(field, 3, 5), Matrix.identity(field, 4)]
+    for _ in range(200):
+        r, c = rng.randrange(0, 13), rng.randrange(0, 13)
+        cases.append(rand(r, c, rng.choice((0.1, 0.25, 0.5, 1.0))))
+    for _ in range(60):  # rank-deficient: a product through k < min(r, c)
+        r, c = rng.randrange(2, 13), rng.randrange(2, 13)
+        k = rng.randrange(0, min(r, c))
+        cases.append(rand(r, k, 0.6).matmul(rand(k, c, 0.6)))
+    out = []
+    for m in cases:
+        x = rand(m.cols, 1, 0.6)
+        in_span = m.matmul(x)
+        off_span = rand(m.rows, 1, 0.5)
+        out.append((m, [in_span, off_span]))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(32003)], ids=["Q", "F2", "F3", "F32003"])
+def test_reduced_kernel_matches_reference(field):
+    rng = random.Random(8008)
+    inconsistent = 0
+    for m, rhs in kernel_cases(field, rng):
+        assert m.rank() == len(ref_echelon(m)[0])
+        assert [items_of(v) for v in m.nullspace()] == [items_of(v) for v in ref_nullspace(m)]
+        for b in rhs:
+            x = m.solve(b)
+            assert items_of(x) == items_of(ref_solve(m, b))
+            inconsistent += x is None
+        if m.rows:
+            cands = Matrix.hstack(field, m.rows, rhs + [m])
+            assert basis_extension(m, cands) == ref_basis_extension(m, cands)
+            assert basis_extension(cands, m) == ref_basis_extension(cands, m)
+    assert inconsistent > 20  # the off-span right-hand sides do hit inconsistent systems

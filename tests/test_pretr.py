@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -586,3 +590,41 @@ def test_is_contractible_verifies_once_per_complex_inside_a_scope(monkeypatch):
         assert not is_contractible(x)
     assert ok and h.src is copy and h.dst is copy
     assert real(h) == identity_morphism(copy)
+
+
+def test_reduce_verification_survives_python_O():
+    """reduce, tm_add and DGCategory.add check by raising, so `python -O`
+    (which strips assert statements) keeps the checks."""
+    code = textwrap.dedent(
+        """
+        import sys
+        from dgcat import pretr
+        from dgcat.fixtures import kronecker_category
+        assert False, "assert statements must be stripped in this run"
+        cat = kronecker_category()
+        e1 = pretr.embed(cat, cat.obj("e1"))
+        c = pretr.cone(pretr.identity_morphism(e1))
+        pretr.is_ho_iso = lambda f: False
+        try:
+            pretr.reduce(c)
+        except AssertionError as e:
+            print("reduce raised:", e)
+        for add, f, g in (
+            (pretr.tm_add, pretr.identity_morphism(e1), pretr.identity_morphism(c)),
+            (cat.add, cat.identity(cat.obj("e1")), cat.identity(cat.obj("e2"))),
+        ):
+            try:
+                add(f, g)
+            except ValueError as e:
+                print("add raised:", e)
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "reduce raised: reduction map failed homotopy-isomorphism verification",
+        "add raised: tm_add: morphisms differ in source, target or degree",
+        "add raised: add: morphisms differ in source, target or degree",
+    ]
