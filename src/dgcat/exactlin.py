@@ -102,7 +102,8 @@ class RationalField(Field):
         return 1 / a
 
     def parse(self, s):
-        return Fraction(s)
+        # the shared instances, so `dgcore.contract` skips products by a parsed "1"
+        return _ONE if s == "1" else _ZERO if s == "0" else Fraction(s)
 
     def format(self, a):
         return str(a)

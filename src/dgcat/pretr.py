@@ -56,7 +56,7 @@ class TwistedComplex:
             if (m.src, m.dst) != (self.terms[j].obj, self.terms[i].obj):
                 raise ValueError(f"q[{i},{j}] endpoints wrong")
             self.q[(i, j)] = m
-        if check:
+        if check and self.q:  # with q = 0, dq + q² = 0 holds trivially
             bad = maurer_cartan_defect(self)
             if bad:
                 raise ValueError(f"Maurer-Cartan fails at {sorted(bad)[0]}")

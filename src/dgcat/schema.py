@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .dgcore import DGCategory, Hom, Morphism, ObjId, tensor
-from .exactlin import ChainComplex, Matrix, field_from_spec
+from .exactlin import ChainComplex, FieldMismatch, Matrix, ShapeMismatch, field_from_spec
 from .functors import DGFunctor, EquivCertificate
 from .pretr import KaroubiObject, Term, TwistedComplex, TwistedMorphism
 from .ptring import ClassExpr, Ledger, Provenance, SODProvenance, TensorProvenance
@@ -28,6 +28,28 @@ class DocumentError(Exception):
     pass
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer", bool: "a boolean", float: "a number", type(None): "null"}
+
+
+def _node(x, kind, what):
+    """x itself if it is a JSON value of the Python type kind (a boolean is
+    not an integer), else a DocumentError naming the node."""
+    if type(x) is not kind:
+        raise DocumentError(f"{what} must be {_JSON_TYPES[kind]}, found {_JSON_TYPES.get(type(x), type(x).__name__)}")
+    return x
+
+
+def _index(x, n, what):
+    """x itself if it is an integer in [0, n), else a DocumentError."""
+    if type(x) is not int or not 0 <= x < n:
+        raise DocumentError(f"{what} must be an integer in [0, {n}), found {x!r}")
+    return x
+
+
+def _obj(cat, label):
+    return cat.obj(_node(label, str, "an object label"))
+
+
 def dumps(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True) + "\n"
 
@@ -39,6 +61,8 @@ def loads(text):
         raise DocumentError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict) or "kind" not in doc or "body" not in doc or "field" not in doc:
         raise DocumentError("document must have kind, field, body")
+    _node(doc["field"], str, "field")
+    _node(doc["body"], dict, "body")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DocumentError(f"unsupported schema_version {doc.get('schema_version')!r}")
     if doc["kind"] not in KINDS:
@@ -62,10 +86,13 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(field, data):
-    ent = {}
-    for i, j, s in data["entries"]:
-        ent[(i, j)] = field.parse(s)
-    return Matrix(field, data["rows"], data["cols"], ent)
+    _node(data, dict, "a matrix")
+    rows, cols = _node(data["rows"], int, "matrix rows"), _node(data["cols"], int, "matrix cols")
+    try:
+        ent = {(i, j): field.parse(s) for i, j, s in _node(data["entries"], list, "matrix entries")}
+        return Matrix(field, rows, cols, ent)
+    except (TypeError, AttributeError, FieldMismatch, ShapeMismatch) as e:  # an entry that is not [row, col, scalar] in range
+        raise DocumentError(f"malformed matrix entry: {e}") from e
 
 
 def complex_to_json(c):
@@ -76,8 +103,9 @@ def complex_to_json(c):
 
 
 def complex_from_json(field, data):
-    dims = {int(n): d for n, d in data["dims"].items()}
-    diff = {int(n): matrix_from_json(field, m) for n, m in data["diff"].items()}
+    _node(data, dict, "a complex")
+    dims = {int(n): _node(d, int, "a dimension") for n, d in _node(data["dims"], dict, "dims").items()}
+    diff = {int(n): matrix_from_json(field, m) for n, m in _node(data["diff"], dict, "diff").items()}
     return ChainComplex(field, dims, diff)
 
 
@@ -89,7 +117,15 @@ def _coords_to_json(field, coords):
 
 
 def _coords_from_json(field, data):
-    return {int(i): field.parse(s) for i, s in data.items()}
+    try:
+        return {int(i): field.parse(s) for i, s in data.items()}
+    except (TypeError, AttributeError, FieldMismatch) as e:  # not an object of scalar strings of the field
+        raise DocumentError(f"malformed coordinates: {e}") from e
+
+
+def _morphism_from_json(field, src, dst, data):
+    _node(data, dict, "a morphism")
+    return Morphism(src, dst, _node(data["degree"], int, "a degree"), _coords_from_json(field, data["coords"]))
 
 
 def category_to_json(cat):
@@ -116,25 +152,30 @@ def category_to_json(cat):
 
 
 def category_from_json(field, body):
-    objects = tuple(ObjId(lbl, i) for i, lbl in enumerate(body["objects"]))
+    _node(body, dict, "a category")
+    objects = tuple(ObjId(_node(lbl, str, "an object label"), i) for i, lbl in enumerate(_node(body["objects"], list, "objects")))
     by_label = {o.label: o for o in objects}
     homs = {}
-    for key, data in body["homs"].items():
+    for key, data in _node(body["homs"], dict, "homs").items():
         a, b = key.split("|")
-        names = {int(n): tuple(v) for n, v in data["names"].items()}
+        _node(data, dict, "a Hom")
+        names = {int(n): tuple(_node(x, str, "a basis name") for x in _node(v, list, "basis names")) for n, v in _node(data["names"], dict, "names").items()}
         homs[(by_label[a], by_label[b])] = Hom(complex_from_json(field, data["complex"]), names)
     comp = {}
-    for key, rows in body["comp"].items():
+    for key, rows in _node(body["comp"], dict, "comp").items():
         a, b, c = key.split("|")
         table = {}
-        for p, i, q, j, cons in rows:
+        for row in _node(rows, list, "a comp table"):
+            p, i, q, j, cons = _node(row, list, "a comp row")
+            if not type(p) is type(i) is type(q) is type(j) is int:
+                raise DocumentError(f"comp row {key} {row!r}: degrees and indices must be integers")
             table[(p, i, q, j)] = _coords_from_json(field, cons)
         comp[(by_label[a], by_label[b], by_label[c])] = table
     ids = {}
-    for lbl, data in body["ids"].items():
+    for lbl, data in _node(body["ids"], dict, "ids").items():
         o = by_label[lbl]
-        ids[o] = Morphism(o, o, data["degree"], _coords_from_json(field, data["coords"]))
-    return DGCategory(field, objects, homs, comp, ids, name=body.get("name", ""))
+        ids[o] = _morphism_from_json(field, o, o, data)
+    return DGCategory(field, objects, homs, comp, ids, name=_node(body.get("name", ""), str, "a category name"))
 
 
 # -- twisted complexes ----------------------------------------------------------
@@ -151,12 +192,16 @@ def tc_to_json(x):
 
 
 def tc_from_json(cat, data):
-    terms = [Term(cat.obj(lbl), s) for lbl, s in data["terms"]]
+    _node(data, dict, "a twisted complex")
+    terms = []
+    for term in _node(data["terms"], list, "terms"):
+        lbl, s = _node(term, list, "a term")
+        terms.append(Term(_obj(cat, lbl), _node(s, int, "a shift")))
     q = {}
-    for i, j, m in data["q"]:
-        src = terms[j].obj
-        dst = terms[i].obj
-        q[(i, j)] = Morphism(src, dst, m["degree"], _coords_from_json(cat.field, m["coords"]))
+    for entry in _node(data["q"], list, "q"):
+        i, j, m = _node(entry, list, "a q entry")
+        i, j = _index(i, len(terms), "a term index"), _index(j, len(terms), "a term index")
+        q[(i, j)] = _morphism_from_json(cat.field, terms[j].obj, terms[i].obj, m)
     return TwistedComplex(cat, terms, q)
 
 
@@ -173,14 +218,15 @@ def tm_to_json(f):
 
 
 def tm_from_json(cat, data):
+    _node(data, dict, "a twisted morphism")
     src = tc_from_json(cat, data["src"])
     dst = tc_from_json(cat, data["dst"])
     entries = {}
-    for i, j, m in data["entries"]:
-        entries[(i, j)] = Morphism(
-            src.terms[j].obj, dst.terms[i].obj, m["degree"], _coords_from_json(cat.field, m["coords"])
-        )
-    return TwistedMorphism(src, dst, data["degree"], entries)
+    for entry in _node(data["entries"], list, "entries"):
+        i, j, m = _node(entry, list, "an entry")
+        i, j = _index(i, len(dst.terms), "a term index"), _index(j, len(src.terms), "a term index")
+        entries[(i, j)] = _morphism_from_json(cat.field, src.terms[j].obj, dst.terms[i].obj, m)
+    return TwistedMorphism(src, dst, _node(data["degree"], int, "a degree"), entries)
 
 
 def tc_bundle_to_json(cat, complexes=None, morphisms=None, idempotents=None):
@@ -202,10 +248,11 @@ def tc_bundle_to_json(cat, complexes=None, morphisms=None, idempotents=None):
 
 def tc_bundle_from_json(field, body):
     cat = category_from_json(field, body["category"])
-    complexes = {name: tc_from_json(cat, d) for name, d in body.get("complexes", {}).items()}
-    morphisms = {name: tm_from_json(cat, d) for name, d in body.get("morphisms", {}).items()}
+    complexes = {name: tc_from_json(cat, d) for name, d in _node(body.get("complexes", {}), dict, "complexes").items()}
+    morphisms = {name: tm_from_json(cat, d) for name, d in _node(body.get("morphisms", {}), dict, "morphisms").items()}
     idempotents = {}
-    for name, d in body.get("idempotents", {}).items():
+    for name, d in _node(body.get("idempotents", {}), dict, "idempotents").items():
+        _node(d, dict, "an idempotent")
         idempotents[name] = KaroubiObject(
             tc_from_json(cat, d["carrier"]), tm_from_json(cat, d["e"]), tm_from_json(cat, d["h"])
         )
@@ -229,14 +276,14 @@ def functor_to_json(fun):
 
 
 def functor_from_json(field, body):
-    src = category_from_json(field, body["src_category"])
+    src = category_from_json(field, _node(body, dict, "a functor")["src_category"])
     dst = category_from_json(field, body["dst_category"])
-    obj_map = {src.obj(a): dst.obj(b) for a, b in body["obj_map"].items()}
+    obj_map = {src.obj(a): _obj(dst, b) for a, b in _node(body["obj_map"], dict, "obj_map").items()}
     mor_maps = {}
-    for key, per in body["mor_maps"].items():
+    for key, per in _node(body["mor_maps"], dict, "mor_maps").items():
         a, b = key.split("|")
-        mor_maps[(src.obj(a), src.obj(b))] = {int(n): matrix_from_json(field, m) for n, m in per.items()}
-    return DGFunctor(src, dst, obj_map, mor_maps, name=body.get("name", ""))
+        mor_maps[(src.obj(a), src.obj(b))] = {int(n): matrix_from_json(field, m) for n, m in _node(per, dict, "a morphism map").items()}
+    return DGFunctor(src, dst, obj_map, mor_maps, name=_node(body.get("name", ""), str, "a functor name"))
 
 
 def equiv_cert_to_json(cert):
@@ -251,8 +298,9 @@ def equiv_cert_to_json(cert):
 def equiv_cert_from_json(field, body):
     fun = functor_from_json(field, body)
     witnesses = {}
-    for lbl, data in body["witnesses"].items():
+    for lbl, data in _node(body["witnesses"], dict, "witnesses").items():
         o = fun.dst.obj(lbl)
+        _node(data, dict, "a witness")
         witnesses[o] = (tc_from_json(fun.dst, data["complex"]), tm_from_json(fun.dst, data["morphism"]))
     return EquivCertificate(fun, witnesses)
 
@@ -273,15 +321,15 @@ def _step_to_json(cat, step):
 
 
 def _step_from_json(cat, data):
-    kind = data["kind"]
+    kind = _node(data, dict, "a step")["kind"]
     if kind == "leaf":
-        return Leaf(cat.obj(data["gen"]), data["shift"])
+        return Leaf(_obj(cat, data["gen"]), _node(data["shift"], int, "a shift"))
     if kind == "sum":
-        return Sum(tuple(data["refs"]))
+        return Sum(tuple(_node(r, int, "a step reference") for r in _node(data["refs"], list, "refs")))
     if kind == "cone":
-        return ConeStep(data["c_ref"], data["d_ref"], tm_from_json(cat, data["morphism"]))
+        return ConeStep(_node(data["c_ref"], int, "a step reference"), _node(data["d_ref"], int, "a step reference"), tm_from_json(cat, data["morphism"]))
     if kind == "summand":
-        return Summand(data["ref"], tm_from_json(cat, data["e"]), tm_from_json(cat, data["h"]))
+        return Summand(_node(data["ref"], int, "a step reference"), tm_from_json(cat, data["e"]), tm_from_json(cat, data["h"]))
     raise DocumentError(f"unknown step kind {kind!r}")
 
 
@@ -298,9 +346,10 @@ def gencert_to_json(cat, cert, with_category=True):
 
 
 def gencert_from_json(cat, body):
+    _node(body, dict, "a generation certificate")
     return GenerationCertificate(
-        tuple(cat.obj(lbl) for lbl in body["generators"]),
-        tuple(_step_from_json(cat, s) for s in body["steps"]),
+        tuple(_obj(cat, lbl) for lbl in _node(body["generators"], list, "generators")),
+        tuple(_step_from_json(cat, s) for s in _node(body["steps"], list, "steps")),
         tc_from_json(cat, body["target"]),
         tm_from_json(cat, body["final_iso"]) if body["final_iso"] is not None else None,
     )
@@ -327,16 +376,18 @@ def sod_claim_to_json(cat, claim, with_category=True):
 
 
 def sod_claim_from_json(cat, body):
+    _node(body, dict, "an SOD claim")
     admissibility = {}
-    for item in body["admissibility"]:
-        admissibility[(item["generator"], item["cut"])] = CutWitness(
+    for item in _node(body["admissibility"], list, "admissibility"):
+        _node(item, dict, "a cut witness")
+        admissibility[(_node(item["generator"], str, "a generator label"), _node(item["cut"], int, "a cut"))] = CutWitness(
             tm_from_json(cat, item["u"]),
             gencert_from_json(cat, item["late_cert"]),
             gencert_from_json(cat, item["early_cert"]),
         )
     return SODClaim(
-        tuple(cat.obj(lbl) for lbl in body["ambient_generators"]),
-        tuple(tuple(cat.obj(lbl) for lbl in b) for b in body["blocks"]),
+        tuple(_obj(cat, lbl) for lbl in _node(body["ambient_generators"], list, "ambient_generators")),
+        tuple(tuple(_obj(cat, lbl) for lbl in _node(b, list, "a block")) for b in _node(body["blocks"], list, "blocks")),
         admissibility,
     )
 
@@ -369,28 +420,37 @@ def _provenance_to_json(ledger, prov):
     return out
 
 
+def _payload_category(generators, label):
+    cat = generators[label].payload
+    if cat is None:
+        raise DocumentError(f"generator {label} has no category to carry a claim")
+    return cat
+
+
 def _provenance_from_json(generators, pair_or_label, data):
-    kind = data["kind"]
+    _node(data, dict, "a provenance")
+    kind, citation = _node(data["kind"], str, "a provenance kind"), _node(data.get("citation", ""), str, "a citation")
     payload = data.get("payload")
     if payload is None:
-        return Provenance(kind, data.get("citation", ""))
-    if payload["type"] == "sod":
-        cat = generators[payload["label"]].payload
-        claim = sod_claim_from_json(cat, payload["claim"])
+        return Provenance(kind, citation)
+    if _node(payload, dict, "a provenance payload")["type"] == "sod":
+        label = _node(payload["label"], str, "a generator label")
+        claim = sod_claim_from_json(_payload_category(generators, label), payload["claim"])
         p = SODProvenance(
-            payload["label"],
+            label,
             claim,
-            tuple(ClassExpr.parse(v) for v in payload["block_values"]),
-            tuple(tuple(i) if isinstance(i, list) else i for i in payload["block_idents"]),
+            tuple(_class_expr(v) for v in _node(payload["block_values"], list, "block_values")),
+            tuple(tuple(i) if isinstance(i, list) else _node(i, str, "a block ident") for i in _node(payload["block_idents"], list, "block_idents")),
         )
-        return Provenance(kind, data.get("citation", ""), p)
+        return Provenance(kind, citation, p)
     if payload["type"] == "tensor":
         claim = None
         if "claim" in payload:
             a, b = pair_or_label
-            t = tensor(generators[a].payload, generators[b].payload)
+            t = tensor(_payload_category(generators, a), _payload_category(generators, b))
             claim = sod_claim_from_json(t, payload["claim"])
-        return Provenance(kind, data.get("citation", ""), TensorProvenance(payload["mode"], claim, payload.get("product_kind", "bullet")))
+        mode, product_kind = _node(payload["mode"], str, "a tensor mode"), _node(payload.get("product_kind", "bullet"), str, "a product kind")
+        return Provenance(kind, citation, TensorProvenance(mode, claim, product_kind))
     raise DocumentError(f"unknown provenance payload type {payload['type']!r}")
 
 
@@ -418,18 +478,25 @@ def ledger_to_json(ledger, field):
     return body
 
 
+def _class_expr(s):
+    return ClassExpr.parse(_node(s, str, "a class expression"))
+
+
 def ledger_from_json(field, body, verify=True):
-    led = Ledger(degree_bound=body["degree_bound"], flavor=body["flavor"])
-    for g in body["generators"]:
-        payload = category_from_json(field, g["category"]) if g["category"] is not None else None
-        led = led.register_generator(g["label"], payload, unit_alias=g["unit_alias"], geometric=g["geometric"])
-    for r in body["relations"]:
-        prov = _provenance_from_json(led.generators, None, r["provenance"])
-        led = led.add_relation(ClassExpr.parse(r["expr"]), prov)
-    for f in body["facts"]:
-        pair = tuple(f["pair"])
+    led = Ledger(degree_bound=_node(body["degree_bound"], int, "degree_bound"), flavor=_node(body["flavor"], str, "flavor"))
+    for g in _node(body["generators"], list, "generators"):
+        payload = category_from_json(field, g["category"]) if _node(g, dict, "a generator")["category"] is not None else None
+        flags = _node(g["unit_alias"], bool, "unit_alias"), _node(g["geometric"], bool, "geometric")
+        led = led.register_generator(_node(g["label"], str, "a generator label"), payload, unit_alias=flags[0], geometric=flags[1])
+    for r in _node(body["relations"], list, "relations"):
+        prov = _provenance_from_json(led.generators, None, _node(r, dict, "a relation")["provenance"])
+        led = led.add_relation(_class_expr(r["expr"]), prov)
+    for f in _node(body["facts"], list, "facts"):
+        pair = tuple(_node(_node(f, dict, "a fact")["pair"], list, "a pair"))
+        if len(pair) != 2 or not type(pair[0]) is type(pair[1]) is str:
+            raise DocumentError(f"a fact's pair must be two generator labels, found {list(pair)!r}")
         prov = _provenance_from_json(led.generators, pair, f["provenance"])
-        led = led.add_product_fact(pair[0], pair[1], ClassExpr.parse(f["value"]), prov)
+        led = led.add_product_fact(pair[0], pair[1], _class_expr(f["value"]), prov)
     return led
 
 

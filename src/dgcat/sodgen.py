@@ -173,6 +173,8 @@ def verify_generation(cat, cert):
         if not ok:
             return GenResult(False, 0, [(len(cert.steps) - 1, why)])
     else:
+        if fin is None:
+            return GenResult(False, 0, [(-1, "final_iso is missing")])
         if fin.src != last or fin.dst != cert.target:
             return GenResult(False, 0, [(-1, "final_iso endpoints do not match (last step object, target)")])
         if fin.degree != 0 or not is_closed(fin):

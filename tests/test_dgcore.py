@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from dgcat.dgcore import Arrow, DGCategory, Hom, InfiniteDimensionalHom, Morphism, Violation, contract, from_quiver, opposite, tensor, swap_iso
+from dgcat.dgcore import Arrow, DGCategory, Hom, InfiniteDimensionalHom, Morphism, ObjId, Violation, contract, from_quiver, opposite, tensor, swap_iso
 from dgcat.exactlin import GF, QQ, ChainComplex, Matrix, axpy
 from dgcat.fixtures import (
     a2_category,
@@ -325,16 +325,61 @@ def _reference_validate(cat):
     return report
 
 
-FAULTS = ("scaled_id", "structure_constant", "differential", "wrong_degree_id", "dropped_table")
+FAULTS = ("scaled_id", "structure_constant", "differential", "wrong_degree_id", "dropped_table", "outside_generators", "split_product", "zero_constant")
+
+
+def _generators(cat):
+    """generating_set() as a set of (a, b, degree, index)."""
+    return {(a, b, n, i) for (a, b), per in cat.generating_set().items() for n, ks in per.items() for i in ks}
+
+
+def _products(cat):
+    """(table key, entry) of every product x·y of two basis elements that are
+    not identities."""
+    unit = cat.identity_basis()
+    return [
+        ((a, b, c), (p, i, q, j))
+        for (a, b, c), table in sorted(cat.comp.items())
+        for (p, i, q, j) in sorted(table)
+        if not (p == 0 and i == unit.get((a, b))) and not (q == 0 and j == unit.get((b, c)))
+    ]
 
 
 def plant_fault(cat, kind, rng):
     """A copy of cat with one planted fault, or None where the kind does not
-    apply (no structure constants; no Hom with two adjacent degrees)."""
+    apply (no structure constants; no Hom with two adjacent degrees; no
+    product of the kind's shape).
+
+    * outside_generators scales a product g·h whose h is not in
+      `generating_set()`, so only the walk over every h sees it directly;
+    * split_product adds a second term to a single-term product, so the
+      closure that finds the generating set misses what it used to reach;
+    * zero_constant stores a single-term product's constant as a zero
+      scalar, an entry the closure must not follow."""
     fl = cat.field
     homs, comp, ids = dict(cat.homs), {key: dict(t) for key, t in cat.comp.items()}, dict(cat.ids)
     a = rng.choice(cat.objects)
-    if kind == "scaled_id":
+    if kind in ("outside_generators", "split_product", "zero_constant"):
+        gens = _generators(cat)
+        if kind == "outside_generators":
+            spots = [(key, e) for key, e in _products(cat) if (key[1], key[2], e[2], e[3]) not in gens]
+        elif kind == "split_product":
+            spots = [(key, e) for key, e in _products(cat) if len(cat.comp[key][e]) == 1 and cat.hom(key[0], key[2]).dim(e[0] + e[2]) > 1]
+        else:
+            spots = [(key, e) for key, e in _products(cat) if len(cat.comp[key][e]) == 1]
+        if not spots:
+            return None
+        key, e = rng.choice(spots)
+        cons = dict(comp[key][e])
+        if kind == "outside_generators":
+            cons = {k: fl.mul(fl.from_int(2), v) for k, v in cons.items()}
+        elif kind == "zero_constant":
+            cons = {k: fl.zero() for k in cons}
+        else:
+            (k,) = cons
+            cons[(k + 1) % cat.hom(key[0], key[2]).dim(e[0] + e[2])] = fl.one()
+        comp[key][e] = cons
+    elif kind == "scaled_id":
         ids[a] = Morphism(a, a, 0, {k: fl.mul(fl.from_int(2), v) for k, v in ids[a].coords.items()})
     elif kind == "wrong_degree_id":
         ids[a] = Morphism(a, a, rng.choice([-1, 1]), dict(ids[a].coords))
@@ -374,6 +419,7 @@ def test_validate_matches_reference():
     rng = random.Random(2026)
     cats = [random_category(rng, field=QQ if s % 2 else GF(101)) for s in range(84)]
     cats += [tensor(kronecker_category(), kronecker_category()), tensor(beilinson3_category(), kronecker_category())]
+    cats += [beilinson3_category(GF(3)), skew_beilinson_quiver(QQ, 3, 3, seed=4), cyclic_group_category(QQ, 3), cyclic_group_category(GF(5), 4)]
     planted, axioms = set(), set()
     for cat in cats:
         for kind in (None,) + FAULTS:
@@ -388,6 +434,108 @@ def test_validate_matches_reference():
             axioms.update(v[0] for v in report)
     assert planted == {None, *FAULTS}
     assert axioms == {"d_squared", "unit", "unit_cycle", "left_unit", "right_unit", "leibniz", "associativity"}
+
+
+def cyclic_group_category(field, n):
+    """One object whose endomorphisms are the group algebra of Z/n: basis
+    x^0 = id, x, ..., x^(n-1) in degree 0, x^a·x^b = x^((a+b) mod n).  For
+    n >= 3 every non-identity basis element is a single-term product of two
+    non-identity ones (x^a = x^(a-1)·x for a >= 2, x = x^(n-1)·x^2), so none
+    is picked from the tables at first and the closure reaches nothing."""
+    o = ObjId("*", 0)
+    one = field.one()
+    table = {(0, a, 0, b): {(a + b) % n: one} for a in range(n) for b in range(n)}
+    hom = Hom(ChainComplex(field, {0: n}), {0: tuple(f"x^{a}" for a in range(n))})
+    return DGCategory(field, (o,), {(o, o): hom}, {(o, o, o): table}, {o: Morphism(o, o, 0, {0: one})}, name=f"Z/{n}")
+
+
+def _named(cat, gens):
+    return {(a.label, b.label, cat.hom(a, b).name(n, i)) for a, b, n, i in gens}
+
+
+def _basis(cat):
+    return {(a, b, n, i) for (a, b), h in cat.homs.items() for n in h.complex.degrees() for i in range(h.dim(n))}
+
+
+def _identity_name(cat, x):
+    return cat.hom(x, x).name(0, next(iter(cat.ids[x].coords)))
+
+
+def test_generating_set_of_a_quiver_is_its_arrows():
+    """On categories from from_quiver the generating set is the arrows: the
+    length-one paths, named by the arrow."""
+    rng = random.Random(77)
+    cats = [kronecker_category(), a2_category(), beilinson3_category(), epsilon_category(), beilinson3_category(GF(32003))]
+    cats += [skew_beilinson_quiver(QQ, m, k, seed=s) for m, k, s in ((2, 4, 1), (3, 3, 2), (4, 2, 3))]
+    cats += [random_category(rng) for _ in range(30)]
+    for cat in (c for c in cats if c.name == "quiver"):
+        arrows = {(a, b, n, i) for a, b, n, i in _basis(cat) if a != b or n or cat.ids[a].coords != {i: cat.field.one()}}
+        arrows = {x for x in arrows if "*" not in cat.hom(x[0], x[1]).name(x[2], x[3])}
+        assert _generators(cat) == arrows
+        assert cat.validate() == []
+
+
+def test_generating_set_of_a_tensor_is_factor_generators_with_identities():
+    """On tensor(c, d) the generating set is s(x)id for s a generator of c
+    and id(x)t for t a generator of d."""
+    fixtures = [kronecker_category(), a2_category(), beilinson3_category(), epsilon_category(), epsilon_category(degree=2)]
+    for c in fixtures:
+        for d in fixtures[:3]:
+            t = tensor(c, d)
+            expected = {(f"({a1},{b.label})", f"({a2},{b.label})", f"{s}(x){_identity_name(d, b)}") for a1, a2, s in _named(c, _generators(c)) for b in d.objects}
+            expected |= {(f"({a.label},{b1})", f"({a.label},{b2})", f"{_identity_name(c, a)}(x){s}") for b1, b2, s in _named(d, _generators(d)) for a in c.objects}
+            assert _named(t, _generators(t)) == expected, t.name
+    t = tensor(tensor(beilinson3_category(), beilinson3_category()), beilinson3_category())
+    assert len(_generators(t)) == 162 and len(_basis(t)) == 3375
+
+
+def test_generating_set_grows_by_what_the_closure_misses():
+    """An invertible endomorphism x with x^3 = 1: x = x^2·x^2 and x^2 = x·x
+    are single-term products of non-identity elements, so neither is picked
+    at first and the closure reaches nothing; both must join the set, or a
+    fault on them would go unseen.  A stored zero constant x·x = 0·y must
+    not count as reaching y: with y·y = z and z·y = z, (yy)y = z but
+    y(yy) = 0, a violation whose h is y, so y has to stay in the set."""
+    for field in (QQ, GF(7)):
+        o = ObjId("*", 0)
+        one = field.one()
+        table = {(0, 0, 0, b): {b: one} for b in range(4)} | {(0, b, 0, 0): {b: one} for b in range(4)}
+        table |= {(0, 1, 0, 1): {2: field.zero()}, (0, 2, 0, 2): {3: one}, (0, 3, 0, 2): {3: one}}
+        hom = Hom(ChainComplex(field, {0: 4}), {0: ("id", "x", "y", "z")})
+        cat = DGCategory(field, (o,), {(o, o): hom}, {(o, o, o): table}, {o: Morphism(o, o, 0, {0: one})})
+        assert (o, o, 0, 2) in _generators(cat)
+        report = cat.validate()
+        assert report and report == _reference_validate(cat)
+        assert ("associativity", ("*", "*", "*", "*", (0, 2), (0, 2), (0, 2))) in {(v.axiom, v.where) for v in report}
+
+        cat = cyclic_group_category(field, 3)
+        assert cat.validate() == []
+        o = cat.objects[0]
+        assert _generators(cat) == {(o, o, 0, 1), (o, o, 0, 2)}
+        comp = {key: dict(table) for key, table in cat.comp.items()}
+        comp[(o, o, o)][(0, 2, 0, 2)] = {1: field.from_int(2)}  # x^2·x^2 = 2x
+        bad = DGCategory(field, cat.objects, cat.homs, comp, cat.ids)
+        report = bad.validate()
+        assert report and report == _reference_validate(bad)
+
+
+def test_no_generating_set_when_a_product_leaves_the_basis():
+    """Basis id, f, g, u, s, e with u·s = e, and f·g = P for an index P = 9
+    outside the basis that acts as a unit and has P·e = e.  Then (fg)e = e
+    but f(ge) = 0, while (fg)h = f(gh) holds for h in {f, g, u, s}: the
+    induction through e = u·s needs fg in the span of the basis, so the
+    tables yield no generating set and validate walks every h."""
+    for field in (QQ, GF(7)):
+        o = ObjId("*", 0)
+        one = field.one()
+        table = {(0, 0, 0, b): {b: one} for b in (*range(6), 9)} | {(0, b, 0, 0): {b: one} for b in (*range(6), 9)}
+        table |= {(0, 1, 0, 2): {9: one}, (0, 3, 0, 4): {5: one}, (0, 9, 0, 5): {5: one}}
+        hom = Hom(ChainComplex(field, {0: 6}), {0: ("id", "f", "g", "u", "s", "e")})
+        cat = DGCategory(field, (o,), {(o, o): hom}, {(o, o, o): table}, {o: Morphism(o, o, 0, {0: one})})
+        assert cat.generating_set() is None
+        report = cat.validate()
+        assert report == _reference_validate(cat)
+        assert [(v.axiom, v.where) for v in report] == [("associativity", ("*", "*", "*", "*", (0, 1), (0, 2), (0, 5)))]
 
 
 def _reference_contract(fl, table, p, x, q, y):
@@ -420,3 +568,17 @@ def test_contract_matches_the_multiplying_reference():
             got = contract(fl, table, 0, x, 1, y)
             assert got == _reference_contract(fl, table, 0, x, 1, y)
             assert not any(fl.is_zero(v) for v in got.values())
+
+
+def test_parsed_and_tensored_ones_are_the_shared_one():
+    """A parsed "1" and a tensor product of two shared ones are the field's
+    one() itself, so `contract` takes products by them without multiplying."""
+    from dgcat import schema
+
+    assert QQ.parse("1") is QQ.one() and QQ.parse("0") is QQ.zero()
+    k = kronecker_category()
+    parsed = schema.category_from_json(QQ, schema.category_to_json(tensor(beilinson3_category(), k)))
+    for cat in (tensor(k, a2_category()), parsed):
+        ones = [v for table in cat.comp.values() for cons in table.values() for v in cons.values() if v == 1]
+        ones += [v for m in cat.ids.values() for v in m.coords.values()]
+        assert ones and all(v is QQ.one() for v in ones)
