@@ -9,6 +9,7 @@ atomically (write-temp-then-rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -533,9 +534,15 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built on the first call; parse_args keeps no
+    state between calls, so every in-process command reuses it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
         return args.fn(args, started)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .exactlin import ChainComplex, Matrix, axpy, basis_extension, check_same_field
+from .exactlin import ChainComplex, Matrix, axpy, check_same_field
 
 
 class ObjId(NamedTuple):
@@ -344,14 +344,27 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
     tuples.  relations: each a list of (coeff, [arrow names]) terms; all terms
     of one relation must be parallel paths of equal length and equal degree.
     The differential is zero.  Raises InfiniteDimensionalHom when path spaces
-    fail to die out within the configured bounds.
+    fail to die out within the configured bounds: more than max_path_length
+    arrows in a nonzero path, or more than max_paths candidate paths (the
+    trivial paths included) over all lengths.
 
-    Basis rule: for each source u, target v and length L, list the paths in
-    sorted order and let `ideal` hold the relation consequences as columns
-    over them.  The basis paths are those whose unit vectors are pivot
-    columns of [ideal | I_n], and every path is reduced to them by the same
-    elimination (`exactlin.basis_extension`).  The bytes of every document
-    built from a quiver, the shipped fixtures included, depend on this rule.
+    Basis rule: paths of one length, as tuples of arrow names in sorted
+    order, form a monomial order compatible with concatenation.  The basis
+    paths are those that are not the largest term of any element of the
+    ideal.  The bytes of every document built from a quiver, the shipped
+    fixtures included, depend on this rule.
+
+    Construction, length by length: basis paths are closed under prefixes,
+    so the candidates of length L are the basis paths of length L-1 followed
+    by one arrow.  The ideal's part of length L is I_{L-1}·V (V the arrows)
+    plus the q·R for the relations R of length r and the basis paths q of
+    length L-r.  Rewriting each such q·R over the candidates (the normal
+    form of q along all but the last arrow of each term, then that arrow)
+    kills I_{L-1}·V, so one reduced echelon form of those rows, columns in
+    decreasing path order, has the ideal's leading terms as pivots and
+    their normal forms as rows.  The other candidates are the basis paths
+    of length L.  Structure constants come from right multiplication by
+    one arrow at a time.
     """
     arrows = [a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]
     arrow_by_name = {a.name: a for a in arrows}
@@ -361,7 +374,7 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
         if a.src not in vertices or a.dst not in vertices:
             raise ValueError(f"arrow {a.name} endpoints not in vertex list")
 
-    rels = []
+    rels_into = {}  # target vertex -> [(source vertex, length, terms)]
     for rel in relations:
         terms = []
         sig = None
@@ -380,74 +393,98 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
                 raise ValueError("relation terms must be parallel, length- and degree-homogeneous")
             c = coeff if not isinstance(coeff, int) else field.from_int(coeff)
             terms.append((c, path))
-        rels.append((sig, terms))
+        if sig is not None:
+            rels_into.setdefault(sig[1], []).append((sig[0], sig[2], terms))
 
-    # paths_by_len[L][(u,v)] = ordered list of arrow-name tuples
-    paths_by_len = [{}]
-    for v in vertices:
-        paths_by_len[0].setdefault((v, v), []).append(())
+    one, neg = field.one(), field.neg
     out_arrows = {}
     for a in arrows:
-        out_arrows.setdefault(a.src, []).append(a)
+        out_arrows.setdefault(a.src, []).append((a.name, a.dst))
 
-    # chosen[(u,v)] = list of (L, path); per-component ideal data kept per length
-    chosen = {}
-    components = {}  # (u, v, L) -> (ordered paths, picked indices, normal forms)
+    # rmul[(b, a)]: normal form of the candidate b·a, a sparse dict
+    # {basis path: scalar} whose scalars equal to 1 are the shared one()
+    rmul = {}
+    products = {}  # (p, q) -> normal form of p·q, kept for the products p·q·a
+
+    def times(vec, a):  # the normal form vec·a; the result may be an rmul entry, never to be mutated
+        if len(vec) == 1:
+            ((b, c),) = vec.items()
+            if c is one:
+                return rmul[(b, a)]
+        out = {}
+        for b, c in vec.items():
+            axpy(field, out, rmul[(b, a)], None if c is one else c)
+        for b, c in out.items():
+            if c is not one and c == one:
+                out[b] = one
+        return out
+
+    def product(p, q):
+        """Normal form of the path p·q, for a basis path p and any path q
+        with rmul entries for the candidates along the way: from the longest
+        prefix q' of q with p·q' known, one arrow at a time.  A loop, not a
+        recursion, so no reference cycle keeps these tables alive."""
+        t = len(q)
+        while t and (p, q[:t]) not in products:
+            t -= 1
+        nf = products[(p, q[:t])] if t else {p: one}
+        for s in range(t, len(q)):
+            nf = products[(p, q[: s + 1])] = times(nf, q[s])
+        return nf
+
+    # basis[L][(u, v)]: the basis paths of length L from u to v, sorted
+    basis = [{(v, v): [()] for v in vertices}]
+    chosen = {(v, v): [()] for v in vertices}
     total_paths = len(vertices)
-
-    def component_paths(L):
-        comp = {}
-        for (u, v), plist in paths_by_len[L].items():
-            comp[(u, v)] = sorted(plist)
-        return comp
-
-    def ideal_vectors(u, v, L, paths):
-        index = {p: t for t, p in enumerate(paths)}
-        vecs = []
-        for (rs, rd, rl, _deg), terms in rels:
-            if rl > L:
-                continue
-            for lq in range(L - rl + 1):
-                lp = L - rl - lq
-                for q in paths_by_len[lq].get((u, rs), ()):
-                    for pp in paths_by_len[lp].get((rd, v), ()):
-                        vec = {}
-                        for c, mid in terms:
-                            axpy(field, vec, {index[q + mid + pp]: c})
-                        if vec:
-                            vecs.append(vec)
-        return vecs
-
     L = 0
     while True:
-        comp = component_paths(L)
-        quotient_total = 0
-        for (u, v), paths in sorted(comp.items()):
-            vecs = ideal_vectors(u, v, L, paths)
-            n = len(paths)
-            ideal = Matrix(field, n, len(vecs), {(i, j): c for j, vec in enumerate(vecs) for i, c in vec.items()})
-            picked, normal = basis_extension(ideal, Matrix.identity(field, n))
-            quotient_total += len(picked)
-            if picked or L == 0:
-                chosen.setdefault((u, v), []).extend((L, paths[t]) for t in picked)
-            components[(u, v, L)] = (paths, picked, normal)
-        if L > 0 and quotient_total == 0:
-            break
-        nxt = {}
-        cnt = 0
-        for (u, v), plist in paths_by_len[L].items():
-            for p in plist:
-                for a in out_arrows.get(v, ()):
-                    nxt.setdefault((u, a.dst), []).append(p + (a.name,))
-                    cnt += 1
-        total_paths += cnt
+        candidates = {}
+        for (u, v), paths in basis[L].items():
+            for b in paths:
+                for a, w in out_arrows.get(v, ()):
+                    candidates.setdefault((u, w), []).append(b + (a,))
+        total_paths += sum(map(len, candidates.values()))
         if total_paths > max_paths:
-            raise InfiniteDimensionalHom(f"path count exceeded {max_paths}")
-        paths_by_len.append(nxt)
+            raise InfiniteDimensionalHom(f"candidate path count exceeded {max_paths}")
         L += 1
         if L > max_path_length:
             raise InfiniteDimensionalHom(f"path length exceeded {max_path_length}")
-    max_len = L
+        level = {}
+        for (u, w), cands in sorted(candidates.items()):
+            cands.sort(reverse=True)
+            col = {c: j for j, c in enumerate(cands)}
+            rows = []
+            for rs, r, terms in rels_into.get(w, ()):
+                if r > L:
+                    continue
+                for q in basis[L - r].get((u, rs), ()):
+                    row = {}
+                    for c, mid in terms:
+                        last = mid[-1:]
+                        vec = {col[b + last]: cb for b, cb in product(q, mid[:-1]).items()}
+                        axpy(field, row, vec, None if c is one else c)
+                    if row:
+                        rows.append(row)
+            lead = set()
+            if rows:
+                ideal = Matrix(field, len(rows), len(cands), {(i, j): v for i, row in enumerate(rows) for j, v in row.items()})
+                for j, row in ideal._reduced():
+                    lead.add(j)
+                    nf = {}
+                    for k, v in row.items():
+                        if k != j:
+                            v = neg(v)
+                            nf[cands[k]] = one if v == one else v
+                    rmul[(cands[j][:-1], cands[j][-1])] = nf
+            picked = [c for j, c in enumerate(cands) if j not in lead][::-1]
+            for c in picked:
+                rmul[(c[:-1], c[-1])] = {c: one}
+            if picked:
+                level[(u, w)] = picked
+                chosen.setdefault((u, w), []).extend(picked)
+        if not level:
+            break
+        basis.append(level)
 
     def path_degree(p):
         return sum(arrow_by_name[n].degree for n in p)
@@ -459,8 +496,7 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
     by_label = {o.label: o for o in objs}
     homs = {}
     basis_index = {}  # (u, v) -> {path: (degree, idx)}
-    for (u, v), items in sorted(chosen.items()):
-        paths = [p for _, p in sorted(items)]
+    for (u, v), paths in sorted(chosen.items()):
         by_deg = {}
         for p in paths:
             by_deg.setdefault(path_degree(p), []).append(p)
@@ -469,32 +505,18 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
         homs[(by_label[u], by_label[v])] = Hom(ChainComplex(field, dims), names)
         basis_index[(u, v)] = {p: (n, i) for n, ps in by_deg.items() for i, p in enumerate(ps)}
 
-    # reduced[(u, v)][path] = coordinates of the path's class in the chosen basis
-    reduced = {}
-    for (u, v, _), (paths, picked, normal) in components.items():
-        index = basis_index.get((u, v), {})
-        basis = [index[paths[t]] for t in picked]
-        red = reduced.setdefault((u, v), {})
-        for t, n_i in zip(picked, basis):
-            red[paths[t]] = {n_i: field.one()}
-        for k, coords in normal.items():
-            red[paths[k]] = {basis[t]: c for t, c in coords.items()}
-
     comp = {}
     for (u, v), idx_uv in basis_index.items():
         for (v2, w), idx_vw in basis_index.items():
             if v2 != v:
                 continue
+            idx_uw = basis_index.get((u, w))
             table = {}
             for p, (np_, ip) in idx_uv.items():
                 for q, (nq, iq) in idx_vw.items():
-                    if len(p) + len(q) > max_len:
-                        continue
-                    red = reduced.get((u, w), {}).get(p + q)
-                    if red is None:
-                        raise RuntimeError("path reduction failed")
                     entry = {}
-                    for (nr, ir), c in red.items():
+                    for b, c in product(p, q).items():
+                        nr, ir = idx_uw[b]
                         if nr != np_ + nq:
                             raise RuntimeError("degree bookkeeping error in quiver composition")
                         entry[ir] = c
@@ -506,7 +528,7 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
     ids = {}
     for o in objs:
         n_i = basis_index[(o.label, o.label)][()]
-        ids[o] = Morphism(o, o, n_i[0], {n_i[1]: field.one()})
+        ids[o] = Morphism(o, o, n_i[0], {n_i[1]: one})
     return DGCategory(field, objs, homs, comp, ids, name="quiver")
 
 

@@ -163,14 +163,19 @@ def category_from_json(field, body):
         homs[(by_label[a], by_label[b])] = Hom(complex_from_json(field, data["complex"]), names)
     comp = {}
     for key, rows in _node(body["comp"], dict, "comp").items():
-        a, b, c = key.split("|")
+        a, b, c = (by_label[x] for x in key.split("|"))
+        dims_ab, dims_bc, dims_ac = (homs[h].complex.dims if h in homs else {} for h in ((a, b), (b, c), (a, c)))
         table = {}
         for row in _node(rows, list, "a comp table"):
             p, i, q, j, cons = _node(row, list, "a comp row")
             if not type(p) is type(i) is type(q) is type(j) is int:
                 raise DocumentError(f"comp row {key} {row!r}: degrees and indices must be integers")
-            table[(p, i, q, j)] = _coords_from_json(field, cons)
-        comp[(by_label[a], by_label[b], by_label[c])] = table
+            coords = _coords_from_json(field, cons)
+            dim_ac = dims_ac.get(p + q, 0)
+            if not (0 <= i < dims_ab.get(p, 0) and 0 <= j < dims_bc.get(q, 0)) or any(not 0 <= k < dim_ac for k in coords):
+                raise DocumentError(f"comp row {key} {row!r}: an index lies outside the basis of its Hom and degree")
+            table[(p, i, q, j)] = coords
+        comp[(a, b, c)] = table
     ids = {}
     for lbl, data in _node(body["ids"], dict, "ids").items():
         o = by_label[lbl]

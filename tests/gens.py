@@ -111,6 +111,44 @@ def random_quiver_category(field, rng):
     return from_quiver(field, vertices, arrows)
 
 
+def random_quiver_presentation(field, rng):
+    """(vertices, arrows, relations) for from_quiver: 1-3 vertices, up to
+    five arrows of degree -1..1 between any two vertices, at most two of
+    them loops, and up to four relations of length 1-3.  A relation is a
+    combination of parallel paths of one length and degree with
+    coefficients in {1, -1, 2, 3} (zero in some fields); some repeat their
+    first term negated, so that term cancels.  Most loops also get the
+    relation loop·loop = 0; many presentations stay infinite-dimensional."""
+    vertices = [f"w{i}" for i in range(rng.randrange(1, 4))]
+    arrows = []
+    for k in range(rng.randrange(1, 6)):
+        src, dst = rng.choice(vertices), rng.choice(vertices)
+        if src != dst or sum(a.src == a.dst for a in arrows) < 2:
+            arrows.append(Arrow(f"a{k}", src, dst, rng.randrange(-1, 2)))
+    out = {}
+    for a in arrows:
+        out.setdefault(a.src, []).append(a)
+    # paths[r]: (arrow names, source, target, degree) of every path of length r
+    paths = {1: [((a.name,), a.src, a.dst, a.degree) for a in arrows]}
+    for r in (2, 3):
+        paths[r] = [(p + (a.name,), s, a.dst, d + a.degree) for p, s, t, d in paths[r - 1] for a in out.get(t, ())]
+    relations = []
+    for _ in range(rng.randrange(0, 5)):
+        r = rng.randrange(1, 4)
+        if not paths[r]:
+            continue
+        lead = rng.choice(paths[r])
+        parallel = [p for p in paths[r] if p[1:] == lead[1:]]
+        picked = rng.sample(parallel, min(len(parallel), rng.randrange(1, 4)))
+        terms = [(field.from_int(rng.choice((1, -1, 2, 3))), list(p[0])) for p in picked]
+        if rng.random() < 0.25:
+            c, path = terms[0]
+            terms.append((field.neg(c), path))
+        relations.append(terms)
+    relations += [[(field.one(), [a.name, a.name])] for a in arrows if a.src == a.dst and rng.random() < 0.7]
+    return vertices, arrows, relations
+
+
 SKEW_SCALARS = (2, -2, 3, Fraction(1, 2), Fraction(-1, 3))
 
 
@@ -130,6 +168,19 @@ def skew_beilinson_quiver(field, m, k, seed):
             for s in range(k - 1):
                 rels.append([(field.one(), [f"x{s}_{j}", f"x{s + 1}_{i}"]), (field.neg(c), [f"x{s}_{i}", f"x{s + 1}_{j}"])])
     return from_quiver(field, verts, arrows, rels)
+
+
+def product_outside_basis_category(field):
+    """One object with End basis id, f, g, u, s, e in degree 0, whose table
+    has u·s = e and f·g = P for an index P = 9 outside the basis, with P
+    acting as a unit and P·e = e: not a category, and not even a table
+    over its own basis."""
+    o = ObjId("*", 0)
+    one = field.one()
+    table = {(0, 0, 0, b): {b: one} for b in (*range(6), 9)} | {(0, b, 0, 0): {b: one} for b in (*range(6), 9)}
+    table |= {(0, 1, 0, 2): {9: one}, (0, 3, 0, 4): {5: one}, (0, 9, 0, 5): {5: one}}
+    hom = Hom(ChainComplex(field, {0: 6}), {0: ("id", "f", "g", "u", "s", "e")})
+    return DGCategory(field, (o,), {(o, o): hom}, {(o, o, o): table}, {o: Morphism(o, o, 0, {0: one})})
 
 
 def random_category(rng, field=None):

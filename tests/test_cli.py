@@ -405,3 +405,58 @@ def test_check_qe_verdicts_on_bad_witnesses(fixture_dir, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "check-qe", str(path))
         (verdict,) = strip_timing(out)["verdicts"]
         assert (code, verdict["ok"], verdict["detail"]) == expected[name], name
+
+
+def test_comp_row_outside_the_basis_is_rejected(fixture_dir, tmp_path, capsys):
+    """A comp row whose i, j or product index lies outside the basis of the
+    Hom and degree it names makes a malformed document: parsing raises
+    DocumentError and `validate` exits 2 with a message."""
+    from dgcat.exactlin import GF, QQ
+    from gens import product_outside_basis_category
+
+    kronecker = json.loads((fixture_dir / "kronecker.category.json").read_text())
+    docs = {f"product_{f.p if f != QQ else 0}": schema.document("category", f, schema.category_to_json(product_outside_basis_category(f))) for f in (QQ, GF(7))}
+    for slot, bad in ((1, 2), (3, 1)):  # Hom(e1, e2) has 2 arrows, End(e2) only its identity
+        doc = json.loads(json.dumps(kronecker))
+        doc["body"]["comp"]["e1|e2|e2"][0][slot] = bad
+        docs[f"kronecker_slot{slot}"] = doc
+    for name, doc in docs.items():
+        text = schema.dumps(doc)
+        with pytest.raises(schema.DocumentError, match="outside the basis"):
+            schema.parse_document(text)
+        path = tmp_path / f"{name}.category.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out) == (2, ""), name
+        assert "outside the basis of its Hom and degree" in json.loads(err)["error"]
+
+
+def _without_timing(text):
+    if text.startswith("{"):
+        return strip_timing(text)
+    return [line for line in text.splitlines() if not line.startswith("_timing:")]
+
+
+def test_one_process_runs_commands_like_fresh_processes(fixture_dir, capsys):
+    """main reuses one parser: a mix of subcommands, options and an input
+    error run in one process report what each reports in a fresh
+    interpreter."""
+    import subprocess
+    import sys
+
+    cat = str(fixture_dir / "kronecker.category.json")
+    ledger = str(fixture_dir / "motivic.ledger.json")
+    runs = [
+        ["--output", "md", "ext", cat, "--objects", "e1"],
+        ["ring", ledger, "eq", "[P1]*[P1]", "4*[pt]"],
+        ["ext", cat],
+        ["check-sod", str(fixture_dir / "kronecker.sod-claim.json")],
+        ["ext", cat, "--objects", "bogus"],
+        ["serre", "--fixture", "point"],
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in runs]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, (code, out, err) in zip(runs, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "dgcat.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
+        assert (code, _without_timing(out), err) == (fresh.returncode, _without_timing(fresh.stdout), fresh.stderr), argv

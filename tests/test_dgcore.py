@@ -15,7 +15,9 @@ from dgcat.fixtures import (
 )
 from dgcat.functors import validate_functor
 
-from gens import random_category, skew_beilinson_quiver
+import gens
+import quiver_reference
+from gens import product_outside_basis_category, random_category, random_quiver_presentation, skew_beilinson_quiver
 
 
 def brute_path_count(vertices, arrows, src, dst, length):
@@ -107,8 +109,74 @@ def test_beilinson_p4(field):
 
 
 def test_loop_quiver_without_relations_fails():
-    with pytest.raises(InfiniteDimensionalHom):
-        from_quiver(QQ, ["*"], [Arrow("e", "*", "*")], max_path_length=8, max_paths=64)
+    for construct in (from_quiver, quiver_reference.from_quiver):
+        with pytest.raises(InfiniteDimensionalHom):
+            construct(QQ, ["*"], [Arrow("e", "*", "*")], max_path_length=8, max_paths=64)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "Fp"])
+def test_beilinson_p5(field):
+    """O..O(5) on P^5 builds (past the old free-path bound) and validates:
+    dim Hom(v_a, v_{a+d}) = C(5+d, d), all in degree 0."""
+    cat = skew_beilinson_quiver(field, 6, 5, seed=5)
+    for a in range(6):
+        for b in range(6):
+            expected = {0: comb(5 + b - a, b - a)} if b >= a else {}
+            assert cat.hom(cat.obj(f"v{a}"), cat.obj(f"v{b}")).complex.dims == expected
+    assert cat.validate() == []
+
+
+def _quiver_parts(cat):
+    """A quiver category as plain data, in its dicts' order, with every
+    scalar paired with its type."""
+    def scalars(coords):
+        return [(i, v, type(v)) for i, v in coords.items()]
+
+    homs = [((a.label, b.label), h.complex.dims, h.names) for (a, b), h in cat.homs.items()]
+    comp = [(tuple(o.label for o in key), [(k, sorted(scalars(cons))) for k, cons in table.items()]) for key, table in cat.comp.items()]
+    ids = [(o.label, m.degree, scalars(m.coords)) for o, m in cat.ids.items()]
+    return cat.objects, homs, comp, ids
+
+
+def _assert_same_quiver_category(cat, ref):
+    assert _quiver_parts(cat) == _quiver_parts(ref)
+    one = cat.field.one()
+    ones = [v for table in cat.comp.values() for cons in table.values() for v in cons.values() if v == one]
+    assert all(v is one for v in ones) and all(v is one for m in cat.ids.values() for v in m.coords.values())
+
+
+def test_from_quiver_matches_the_path_enumeration_reference(monkeypatch):
+    """The length-by-length construction gives the bases, names, structure
+    constants and scalar types of the reference that reduces every free
+    path, on skew Beilinson quivers and on seeded random presentations with
+    loops, arrows of nonzero degree, relations of length 1-3 and cancelling
+    terms, over Q, F_2, F_3 and F_32003; both raise on the same infinite
+    presentations."""
+    for field in (QQ, GF(32003)):
+        for m, k, seed in ((2, 4, 1), (3, 3, 2), (4, 2, 3), (4, 3, 11), (3, 4, 12)):
+            cat = skew_beilinson_quiver(field, m, k, seed)
+            with monkeypatch.context() as mp:
+                mp.setattr(gens, "from_quiver", quiver_reference.from_quiver)
+                ref = skew_beilinson_quiver(field, m, k, seed)
+            _assert_same_quiver_category(cat, ref)
+    outcomes = {}
+    for field in (QQ, GF(2), GF(3), GF(32003)):
+        rng = random.Random(f"quiver-reference:{field!r}")
+        for _ in range(100):
+            presentation = random_quiver_presentation(field, rng)
+            built = []
+            for construct in (from_quiver, quiver_reference.from_quiver):
+                try:
+                    built.append(construct(field, *presentation, max_path_length=6, max_paths=10**6))
+                except InfiniteDimensionalHom:
+                    built.append(None)
+            cat, ref = built
+            assert (cat is None) == (ref is None), presentation
+            if cat is not None:
+                _assert_same_quiver_category(cat, ref)
+            outcome = "infinite" if cat is None else "with relations" if presentation[2] else "free"
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert outcomes["with relations"] >= 150 and outcomes["free"] >= 20 and outcomes["infinite"] >= 20, outcomes
 
 
 def test_epsilon_category():
@@ -526,12 +594,7 @@ def test_no_generating_set_when_a_product_leaves_the_basis():
     induction through e = u·s needs fg in the span of the basis, so the
     tables yield no generating set and validate walks every h."""
     for field in (QQ, GF(7)):
-        o = ObjId("*", 0)
-        one = field.one()
-        table = {(0, 0, 0, b): {b: one} for b in (*range(6), 9)} | {(0, b, 0, 0): {b: one} for b in (*range(6), 9)}
-        table |= {(0, 1, 0, 2): {9: one}, (0, 3, 0, 4): {5: one}, (0, 9, 0, 5): {5: one}}
-        hom = Hom(ChainComplex(field, {0: 6}), {0: ("id", "f", "g", "u", "s", "e")})
-        cat = DGCategory(field, (o,), {(o, o): hom}, {(o, o, o): table}, {o: Morphism(o, o, 0, {0: one})})
+        cat = product_outside_basis_category(field)
         assert cat.generating_set() is None
         report = cat.validate()
         assert report == _reference_validate(cat)
@@ -571,14 +634,17 @@ def test_contract_matches_the_multiplying_reference():
 
 
 def test_parsed_and_tensored_ones_are_the_shared_one():
-    """A parsed "1" and a tensor product of two shared ones are the field's
-    one() itself, so `contract` takes products by them without multiplying."""
+    """A parsed "1", a tensor product of two shared ones and a quiver's
+    structure constant equal to 1 (its relations with or without scalars)
+    are the field's one() itself, so `contract` takes products by them
+    without multiplying."""
     from dgcat import schema
 
     assert QQ.parse("1") is QQ.one() and QQ.parse("0") is QQ.zero()
     k = kronecker_category()
     parsed = schema.category_from_json(QQ, schema.category_to_json(tensor(beilinson3_category(), k)))
-    for cat in (tensor(k, a2_category()), parsed):
+    quivers = (beilinson3_category(QQ), skew_beilinson_quiver(QQ, 3, 3, seed=4))
+    for cat in (tensor(k, a2_category()), parsed, *quivers):
         ones = [v for table in cat.comp.values() for cons in table.values() for v in cons.values() if v == 1]
         ones += [v for m in cat.ids.values() for v in m.coords.values()]
         assert ones and all(v is QQ.one() for v in ones)
