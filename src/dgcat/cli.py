@@ -20,7 +20,7 @@ from .dgcore import tensor
 from .exactlin import field_from_spec
 from .functors import check_quasi_equiv, functor_as_serre_data, identity_functor, validate_functor, verify_serre
 from .pretr import karoubi_hom, reduce as reduce_tc
-from .ptring import ClassExpr, ProvenanceError, Provenance
+from .ptring import ClassExpr, ProvenanceError, Provenance, SODProvenance
 from .schema import DocumentError
 
 
@@ -111,8 +111,7 @@ def cmd_validate(args, started):
         res = sodgen.verify_generation(cat, cert)
         verdicts.append({"name": "generation certificate", "ok": res.ok, "detail": f"layers={res.layer_count}" if res.ok else str(res.failures)})
     elif kind == "sod-claim":
-        cat, claim = payload
-        verdict = sodgen.check_sod(cat, claim)
+        verdict = _check_claim_document(*payload)
         for a in verdict.audit:
             if not a.ok:
                 verdicts.append({"name": f"{a.obligation}@{a.where}", "ok": False, "detail": a.detail})
@@ -144,11 +143,19 @@ def cmd_ext(args, started):
     return PASS
 
 
+def _check_claim_document(cat, claim):
+    """check_sod after a category_axioms entry: the category comes from a
+    document, and check_sod's lemma holds only in a DG category."""
+    bad = cat.validate()
+    verdict = sodgen.check_sod(cat, claim)
+    axioms = sodgen.AuditEntry("category_axioms", (), not bad, f"{len(bad)} violations" if bad else "")
+    return sodgen.SODVerdict(verdict.ok and not bad, [axioms] + verdict.audit)
+
+
 def cmd_check_sod(args, started):
     kind, field, payload = _read_document(args.path)
     _expect("sod-claim", kind, args.path)
-    cat, claim = payload
-    verdict = sodgen.check_sod(cat, claim)
+    verdict = _check_claim_document(*payload)
     audit_rows = [["obligation", "where", "ok", "detail"]]
     for a in verdict.audit:
         audit_rows.append([a.obligation, str(a.where), "ok" if a.ok else "FAIL", a.detail])
@@ -203,8 +210,6 @@ def cmd_ring(args, started):
     elif sub == "relate":
         if args.claim:
             # machine-verified SOD relation: [label] = sum of point blocks
-            from .ptring import SODProvenance
-
             ckind, cfield, cpayload = _read_document(args.claim)
             _expect("sod-claim", ckind, args.claim)
             ccat, claim = cpayload
@@ -214,7 +219,7 @@ def cmd_ring(args, started):
             expr = ClassExpr.gen(args.label).sub(ClassExpr.unit(n))
             prov = Provenance(
                 "verified-sod",
-                payload=SODProvenance(args.label, claim, tuple(ClassExpr.unit() for _ in range(n)), tuple("point" for _ in range(n))),
+                payload=SODProvenance(args.label, claim, tuple(ClassExpr.unit() for _ in range(n)), tuple("point" for _ in range(n)), ccat),
             )
         else:
             try:
@@ -427,15 +432,12 @@ def write_fixture_documents(out_dir, field_spec="Q"):
 
     claim = fixtures.kronecker_sod_claim(k2)
     put("kronecker.sod-claim.json", schema.document("sod-claim", field, schema.sod_claim_to_json(k2, claim)))
-    broken = fixtures.broken_kronecker_sod_claim(fixtures.kronecker_category(field))
-    bcat = broken.admissibility[("e1", 1)].u.dst.cat
-    put("kronecker_broken.sod-claim.json", schema.document("sod-claim", field, schema.sod_claim_to_json(bcat, broken)))
+    broken = fixtures.broken_kronecker_sod_claim(k2)
+    put("kronecker_broken.sod-claim.json", schema.document("sod-claim", field, schema.sod_claim_to_json(k2, broken)))
     b3 = cats["beilinson3"]
     put("beilinson3.sod-claim.json", schema.document("sod-claim", field, schema.sod_claim_to_json(b3, fixtures.beilinson_sod_claim(b3))))
     t = cats["kronecker_x_kronecker"]
-    from .sodgen import exceptional_sod_claim
-
-    put("kronecker_squared.sod-claim.json", schema.document("sod-claim", field, schema.sod_claim_to_json(t, exceptional_sod_claim(t, list(t.objects)))))
+    put("kronecker_squared.sod-claim.json", schema.document("sod-claim", field, schema.sod_claim_to_json(t, sodgen.exceptional_sod_claim(t, list(t.objects)))))
 
     led = fixtures.motivic_ledger(field)
     put("motivic.ledger.json", schema.document("ledger", field, schema.ledger_to_json(led, field)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 from .dgcore import Arrow, from_quiver, tensor
 from .exactlin import QQ, Matrix
 from .pretr import embed, cone
-from . import pretr
+from . import pretr, sodgen
 
 
 def point_category(field=QQ):
@@ -87,33 +87,23 @@ def tensor_object_order(t):
 
 
 def kronecker_sod_claim(cat):
-    from .sodgen import exceptional_sod_claim
-
-    return exceptional_sod_claim(cat, [cat.obj("e1"), cat.obj("e2")])
+    return sodgen.exceptional_sod_claim(cat, [cat.obj("e1"), cat.obj("e2")])
 
 
 def broken_kronecker_sod_claim(cat):
-    """The u = 0 variant: the cut witness for e2 uses the zero morphism, so
-    cone(0) = e2 + e2[1] is neither right-orthogonal to e2 nor generated
-    over the early block."""
-    from . import sodgen
-    from .pretr import TwistedMorphism, zero_morphism
-
+    """The Kronecker claim with one cut witness, for e2, built on the zero
+    morphism u: e2 -> e2.  check_sod replays it: cone(0) = e2 + e2[1] is
+    neither right-orthogonal to e2 nor generated over the early block."""
     claim = kronecker_sod_claim(cat)
-    e2 = cat.obj("e2")
-    w = claim.admissibility[("e2", 1)]
-    x = w.late_cert.target
-    u0 = zero_morphism(x, embed(cat, e2))
-    cn = cone(u0)
-    early_cert = sodgen.zero_certificate(cat, [cat.obj("e1")], cn)
-    claim.admissibility[("e2", 1)] = sodgen.CutWitness(u0, w.late_cert, early_cert)
+    e1, e2 = cat.obj("e1"), cat.obj("e2")
+    late_cert = sodgen.leaf_certificate(cat, [e2], e2)
+    u0 = pretr.zero_morphism(late_cert.target, embed(cat, e2))
+    claim.admissibility[("e2", 1)] = sodgen.CutWitness(u0, late_cert, sodgen.zero_certificate(cat, [e1], cone(u0)))
     return claim
 
 
 def beilinson_sod_claim(cat):
-    from .sodgen import exceptional_sod_claim
-
-    return exceptional_sod_claim(cat, [cat.obj("v1"), cat.obj("v2"), cat.obj("v3")])
+    return sodgen.exceptional_sod_claim(cat, [cat.obj("v1"), cat.obj("v2"), cat.obj("v3")])
 
 
 def motivic_ledger(field=QQ, degree_bound=4):
@@ -121,7 +111,6 @@ def motivic_ledger(field=QQ, degree_bound=4):
     verified product facts for P^1, and the classical projective-bundle and
     blowup formulas as [PAPER]-tagged external entries."""
     from .ptring import ClassExpr, Ledger, Provenance, SODProvenance, TensorProvenance
-    from .sodgen import exceptional_sod_claim
 
     pt = point_category(field)
     k2 = kronecker_category(field)
@@ -138,7 +127,7 @@ def motivic_ledger(field=QQ, degree_bound=4):
     led = led.register_generator("BlP2pt")
 
     def sod_relation(label, cat, order):
-        claim = exceptional_sod_claim(cat, order)
+        claim = sodgen.exceptional_sod_claim(cat, order)
         n = len(order)
         expr = ClassExpr.gen(label).sub(ClassExpr.unit(n))
         prov = Provenance(
@@ -169,9 +158,9 @@ def motivic_ledger(field=QQ, degree_bound=4):
 
     def point_sod_fact(a, b, cat_a, cat_b):
         t = tensor(cat_a, cat_b)
-        claim = exceptional_sod_claim(t, tensor_object_order(t))
+        claim = sodgen.exceptional_sod_claim(t, tensor_object_order(t))
         n = len(t.objects)
-        prov = Provenance("verified-tensor", payload=TensorProvenance("point-sod", claim=claim))
+        prov = Provenance("verified-tensor", payload=TensorProvenance("point-sod", claim=claim, category=t))
         return led.add_product_fact(a, b, ClassExpr.unit(n), prov)
 
     led = point_sod_fact("P1", "P1xP1", k2, k2k2)

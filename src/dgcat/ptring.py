@@ -154,6 +154,7 @@ class SODProvenance:
     claim: object
     block_values: tuple  # one ClassExpr per block
     block_idents: tuple  # "point" or ("generator", label) per block
+    category: object = None  # the claim's own copy of the registered category, if any
 
 
 @dataclass
@@ -171,6 +172,7 @@ class TensorProvenance:
     mode: str
     claim: object = None
     product_kind: str = "bullet"  # bullet | pretr
+    category: object = None  # the tensor category the claim is stated over; None: build it
 
 
 @dataclass
@@ -199,13 +201,6 @@ def _point_block_ok(cat, block):
     if len(block) != 1:
         return False
     return check_exceptional_collection(cat, list(block))
-
-
-def claim_category(claim, fallback=None):
-    """The category instance a claim's witnesses were built over."""
-    for w in claim.admissibility.values():
-        return w.u.src.cat
-    return fallback
 
 
 class Ledger:
@@ -289,7 +284,7 @@ class Ledger:
         info = self.generators.get(p.label)
         if info is None or info.payload is None:
             raise ProvenanceError(f"generator {p.label!r} has no registered category")
-        cat = claim_category(p.claim, info.payload)
+        cat = info.payload if p.category is None else p.category
         if cat is not info.payload and not categories_structurally_equal(cat, info.payload):
             raise ProvenanceError("claim category does not match the registered category")
         if tuple(p.claim.ambient_generators) != tuple(cat.objects):
@@ -376,7 +371,7 @@ class Ledger:
         elif p.mode == "point-sod":
             if p.claim is None:
                 raise ProvenanceError("point-sod mode requires a claim on the tensor category")
-            ccat = claim_category(p.claim)
+            ccat = p.category
             if not built_from_payloads(ccat):
                 t = tensor(cats[0], cats[1])
                 if ccat is None:

@@ -123,9 +123,15 @@ def _coords_from_json(field, data):
         raise DocumentError(f"malformed coordinates: {e}") from e
 
 
-def _morphism_from_json(field, src, dst, data):
+def _morphism_from_json(field, homs, src, dst, data):
+    """A morphism src -> dst whose coordinates index the basis of homs[(src, dst)] in its degree."""
     _node(data, dict, "a morphism")
-    return Morphism(src, dst, _node(data["degree"], int, "a degree"), _coords_from_json(field, data["coords"]))
+    degree = _node(data["degree"], int, "a degree")
+    coords = _coords_from_json(field, data["coords"])
+    dim = homs[(src, dst)].complex.dims.get(degree, 0) if (src, dst) in homs else 0
+    if any(not 0 <= k < dim for k in coords):
+        raise DocumentError(f"morphism {src.label} -> {dst.label}: a coordinate lies outside the basis of its Hom in degree {degree}")
+    return Morphism(src, dst, degree, coords)
 
 
 def category_to_json(cat):
@@ -160,7 +166,10 @@ def category_from_json(field, body):
         a, b = key.split("|")
         _node(data, dict, "a Hom")
         names = {int(n): tuple(_node(x, str, "a basis name") for x in _node(v, list, "basis names")) for n, v in _node(data["names"], dict, "names").items()}
-        homs[(by_label[a], by_label[b])] = Hom(complex_from_json(field, data["complex"]), names)
+        cx = complex_from_json(field, data["complex"])
+        if any(len(names.get(n, ())) != cx.dims.get(n, 0) for n in {*names, *cx.dims}):
+            raise DocumentError(f"Hom {key}: each degree needs one basis name per dimension")
+        homs[(by_label[a], by_label[b])] = Hom(cx, names)
     comp = {}
     for key, rows in _node(body["comp"], dict, "comp").items():
         a, b, c = (by_label[x] for x in key.split("|"))
@@ -179,7 +188,7 @@ def category_from_json(field, body):
     ids = {}
     for lbl, data in _node(body["ids"], dict, "ids").items():
         o = by_label[lbl]
-        ids[o] = _morphism_from_json(field, o, o, data)
+        ids[o] = _morphism_from_json(field, homs, o, o, data)
     return DGCategory(field, objects, homs, comp, ids, name=_node(body.get("name", ""), str, "a category name"))
 
 
@@ -206,7 +215,7 @@ def tc_from_json(cat, data):
     for entry in _node(data["q"], list, "q"):
         i, j, m = _node(entry, list, "a q entry")
         i, j = _index(i, len(terms), "a term index"), _index(j, len(terms), "a term index")
-        q[(i, j)] = _morphism_from_json(cat.field, terms[j].obj, terms[i].obj, m)
+        q[(i, j)] = _morphism_from_json(cat.field, cat.homs, terms[j].obj, terms[i].obj, m)
     return TwistedComplex(cat, terms, q)
 
 
@@ -230,7 +239,7 @@ def tm_from_json(cat, data):
     for entry in _node(data["entries"], list, "entries"):
         i, j, m = _node(entry, list, "an entry")
         i, j = _index(i, len(dst.terms), "a term index"), _index(j, len(src.terms), "a term index")
-        entries[(i, j)] = _morphism_from_json(cat.field, src.terms[j].obj, dst.terms[i].obj, m)
+        entries[(i, j)] = _morphism_from_json(cat.field, cat.homs, src.terms[j].obj, dst.terms[i].obj, m)
     return TwistedMorphism(src, dst, _node(data["degree"], int, "a degree"), entries)
 
 
@@ -415,9 +424,7 @@ def _provenance_to_json(ledger, prov):
     elif isinstance(p, TensorProvenance):
         out["payload"] = {"type": "tensor", "mode": p.mode, "product_kind": p.product_kind}
         if p.claim is not None:
-            from .ptring import claim_category
-
-            out["payload"]["claim"] = sod_claim_to_json(claim_category(p.claim), p.claim, with_category=False)
+            out["payload"]["claim"] = sod_claim_to_json(p.category, p.claim, with_category=False)
     elif p is None:
         out["payload"] = None
     else:
@@ -449,13 +456,13 @@ def _provenance_from_json(generators, pair_or_label, data):
         )
         return Provenance(kind, citation, p)
     if payload["type"] == "tensor":
-        claim = None
+        claim = t = None
         if "claim" in payload:
             a, b = pair_or_label
             t = tensor(_payload_category(generators, a), _payload_category(generators, b))
             claim = sod_claim_from_json(t, payload["claim"])
         mode, product_kind = _node(payload["mode"], str, "a tensor mode"), _node(payload.get("product_kind", "bullet"), str, "a product kind")
-        return Provenance(kind, citation, TensorProvenance(mode, claim, product_kind))
+        return Provenance(kind, citation, TensorProvenance(mode, claim, product_kind, t))
     raise DocumentError(f"unknown provenance payload type {payload['type']!r}")
 
 

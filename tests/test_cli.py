@@ -460,3 +460,62 @@ def test_one_process_runs_commands_like_fresh_processes(fixture_dir, capsys):
     for argv, (code, out, err) in zip(runs, in_process):
         fresh = subprocess.run([sys.executable, "-m", "dgcat.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
         assert (code, _without_timing(out), err) == (fresh.returncode, _without_timing(fresh.stdout), fresh.stderr), argv
+
+
+def test_short_names_and_identity_coordinates_outside_end_are_input_errors(fixture_dir, tmp_path, capsys):
+    """A Hom degree with fewer basis names than its dimension, or an
+    identity with a coordinate outside End(x), makes a malformed document:
+    exit code 2 with a message, for `validate` and for `tensor`."""
+    kronecker = json.loads((fixture_dir / "kronecker.category.json").read_text())
+    short, ids = json.loads(json.dumps(kronecker)), json.loads(json.dumps(kronecker))
+    short["body"]["homs"]["e1|e2"]["names"]["0"] = ["a"]
+    ids["body"]["ids"]["e1"]["coords"] = {"7": "1"}
+    point = str(fixture_dir / "point.category.json")
+    for name, doc, message in (("short", short, "basis name"), ("ids", ids, "outside the basis")):
+        path = tmp_path / f"{name}.category.json"
+        path.write_text(schema.dumps(doc))
+        for argv in (["validate", str(path)], ["tensor", str(path), point, "--out", str(tmp_path / "t.json")]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (name, argv)
+            assert message in json.loads(err)["error"], (name, argv)
+
+
+def test_claim_documents_check_the_category_axioms_first(fixture_dir, tmp_path, capsys):
+    """check-sod and validate on a sod-claim document put a category_axioms
+    entry before the check_sod entries: the Kronecker claim whose category
+    has its identities scaled by 2 fails (exit code 1)."""
+    doc = json.loads((fixture_dir / "kronecker.sod-claim.json").read_text())
+    code, out, _ = run_cli(capsys, "check-sod", str(fixture_dir / "kronecker.sod-claim.json"))
+    audit = strip_timing(out)["tables"]["audit"]
+    assert code == 0 and [row[0] for row in audit[1:3]] == ["category_axioms", "semiorthogonality"]
+    for ident in doc["body"]["category"]["ids"].values():
+        ident["coords"] = {k: str(2 * int(v)) for k, v in ident["coords"].items()}
+    scaled = tmp_path / "scaled.sod-claim.json"
+    scaled.write_text(schema.dumps(doc))
+    code, out, _ = run_cli(capsys, "check-sod", str(scaled))
+    assert code == 1
+    assert [row[:3] for row in strip_timing(out)["tables"]["audit"][1:3]] == [["category_axioms", "()", "FAIL"], ["semiorthogonality", "()", "ok"]]
+    code, out, _ = run_cli(capsys, "validate", str(scaled))
+    assert code == 1
+    assert strip_timing(out)["verdicts"][0]["name"] == "category_axioms@()"
+
+
+def test_ring_relate_replays_the_witnesses_of_a_claim_document(tmp_path, capsys):
+    """`ring relate --claim` with a claim document that carries its cut
+    witnesses, over the document's own copy of the registered category:
+    accepted when they hold, refused for the failing obligation when not."""
+    from sod_reference import witnessed_exceptional_claim
+    from dgcat.fixtures import broken_kronecker_sod_claim, kronecker_category, point_category
+    from dgcat.ptring import Ledger
+
+    led = Ledger(degree_bound=2).register_generator("pt", point_category(), unit_alias=True).register_generator("P1", kronecker_category())
+    base = tmp_path / "base.ledger.json"
+    base.write_text(schema.dumps(schema.document("ledger", "Q", schema.ledger_to_json(led, None))))
+    k2 = kronecker_category()
+    for name, claim, code_want in (("good", witnessed_exceptional_claim(k2, k2.objects), 0), ("broken", broken_kronecker_sod_claim(k2), 1)):
+        path = tmp_path / f"{name}.sod-claim.json"
+        path.write_text(schema.dumps(schema.document("sod-claim", "Q", schema.sod_claim_to_json(k2, claim))))
+        code, out, _ = run_cli(capsys, "ring", str(base), "relate", "--claim", str(path), "--label", "P1", "--out", str(tmp_path / f"{name}.ledger.json"))
+        assert code == code_want, name
+        if code:
+            assert "cone_right_orthogonal_to_late" in strip_timing(out)["verdicts"][0]["detail"]

@@ -23,6 +23,8 @@ from dgcat.ptring import (
 )
 from dgcat.sodgen import exceptional_sod_claim
 
+from sod_reference import witnessed_exceptional_claim
+
 
 def test_class_expr_algebra_and_parse():
     e = ClassExpr.parse("2*[pt] + [P1]*[P1] - 3*[X]")
@@ -52,6 +54,31 @@ def test_verified_sod_relation_ingestion():
     assert led.eq(ClassExpr.gen("P1"), ClassExpr.unit(3)) == "unequal_within_bound"
 
 
+def test_claims_with_witnesses_are_still_ingested_and_stored():
+    """Relations and point-sod facts whose claims carry every cut witness,
+    as ledgers stored them before witnesses became optional, verify, and a
+    ledger document holding them parses and writes back to the same bytes."""
+    from dgcat import schema
+
+    k2 = kronecker_category()
+    t = tensor(k2, k2)
+    led = Ledger().register_generator("pt", point_category(), unit_alias=True).register_generator("P1", k2)
+    claim = witnessed_exceptional_claim(k2, k2.objects)
+    assert len(claim.admissibility) == 2
+    led = led.add_relation(
+        ClassExpr.gen("P1").sub(ClassExpr.unit(2)),
+        Provenance("verified-sod", payload=SODProvenance("P1", claim, (ClassExpr.unit(),) * 2, ("point",) * 2)),
+    )
+    fact = TensorProvenance("point-sod", claim=witnessed_exceptional_claim(t, t.objects), category=t)
+    led = led.add_product_fact("P1", "P1", ClassExpr.unit(4), Provenance("verified-tensor", payload=fact))
+    assert led.eq(ClassExpr.parse("[P1]*[P1]"), ClassExpr.unit(4)) == "equal"
+    text = schema.dumps(schema.document("ledger", k2.field, schema.ledger_to_json(led, k2.field)))
+    kind, field, led2 = schema.parse_document(text)
+    assert [len(r.provenance.payload.claim.admissibility) for r in led2.relations] == [2]
+    assert len(led2.facts[("P1", "P1")].provenance.payload.claim.admissibility) == 12
+    assert schema.dumps(schema.document(kind, field, schema.ledger_to_json(led2, field))) == text
+
+
 def test_broken_sod_rejected_at_ingestion():
     led = Ledger()
     k2 = kronecker_category()
@@ -64,6 +91,18 @@ def test_broken_sod_rejected_at_ingestion():
     )
     with pytest.raises(ProvenanceError):
         led.add_relation(ClassExpr.gen("P1").sub(ClassExpr.unit(2)), prov)
+
+
+def test_a_one_block_claim_that_misses_a_generator_is_refused():
+    """[P1] = [pt] from the one block {e1} of the Kronecker category: e2
+    lies in no block, so its witness is required and missing."""
+    from dgcat.sodgen import SODClaim
+
+    k2 = kronecker_category()
+    led = Ledger().register_generator("pt", point_category(), unit_alias=True).register_generator("P1", k2)
+    prov = Provenance("verified-sod", payload=SODProvenance("P1", SODClaim(tuple(k2.objects), ((k2.obj("e1"),),), {}), (ClassExpr.unit(),), ("point",)))
+    with pytest.raises(ProvenanceError, match="cut_witness_present"):
+        led.add_relation(ClassExpr.gen("P1").sub(ClassExpr.unit()), prov)
 
 
 def test_paper_fact_requires_citation_and_is_tagged():
@@ -240,7 +279,7 @@ def test_point_sod_fact_reuses_or_compares_the_tensor_category(monkeypatch):
 
     def fact(t):
         claim = exceptional_sod_claim(t, tensor_object_order(t))
-        prov = Provenance("verified-tensor", payload=TensorProvenance("point-sod", claim=claim))
+        prov = Provenance("verified-tensor", payload=TensorProvenance("point-sod", claim=claim, category=t))
         return led.add_product_fact("A", "B", ClassExpr.unit(len(t.objects)), prov)
 
     # built by tensor() from the registered payloads: used as it is

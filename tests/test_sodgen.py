@@ -21,7 +21,6 @@ from dgcat.fixtures import (
 from dgcat import pretr, sodgen
 from dgcat.pretr import (
     HomSpace,
-    TwistedComplex,
     cone,
     direct_sum,
     embed,
@@ -52,6 +51,7 @@ from dgcat.sodgen import (
 )
 
 from gens import random_category, random_closed_degree0, random_twisted_complex
+from sod_reference import witnessed_claim, witnessed_exceptional_claim
 
 
 def test_single_leaf_certificate():
@@ -182,7 +182,7 @@ def test_check_sod_subsumes_semiorthogonality():
 
 def test_triangle_euler_identity_for_passing_claim():
     cat = kronecker_category()
-    claim = kronecker_sod_claim(cat)
+    claim = witnessed_exceptional_claim(cat, [cat.obj("e1"), cat.obj("e2")])
     assert check_sod(cat, claim).ok
     for (lbl, c), w in claim.admissibility.items():
         e = embed(cat, cat.obj(lbl))
@@ -235,41 +235,24 @@ def test_kronecker_tensor_a2_distributivity_blocks():
     b2 = (t.obj("(e2,u)"), t.obj("(e2,v)"))
     assert check_semiorthogonality(t, [b1, b2])
     # full cut obligations via the canonical trivial triangles
-    claim = exceptional_sod_claim(t, tensor_object_order(t))
+    claim = witnessed_exceptional_claim(t, tensor_object_order(t))
     verdict = check_sod(t, claim)
     assert verdict.ok
     # and the two-block version with the induced blocks
-    two_block = SODClaim(tuple(t.objects), (b1, b2), _two_block_witnesses(t, b1, b2))
+    two_block = witnessed_claim(t, (b1, b2))
+    assert two_block.ambient_generators == tuple(t.objects)
     verdict2 = check_sod(t, two_block)
     assert verdict2.ok, [a for a in verdict2.audit if not a.ok]
-
-
-def _two_block_witnesses(cat, early, late):
-    from dgcat.sodgen import cone_id_certificate, leaf_certificate, GenerationCertificate, Sum
-
-    adm = {}
-    for gen in cat.objects:
-        if gen in late:
-            u = identity_morphism(embed(cat, gen))
-            late_cert = leaf_certificate(cat, late, gen)
-            early_cert = cone_id_certificate(cat, early, gen)
-        else:
-            empty = TwistedComplex(cat, [], {}, check=False)
-            u = zero_morphism(empty, embed(cat, gen))
-            late_cert = GenerationCertificate(tuple(late), (Sum(()),), empty, identity_morphism(empty))
-            early_cert = leaf_certificate(cat, early, gen)
-        adm[(gen.label, 1)] = CutWitness(u, late_cert, early_cert)
-    return adm
 
 
 def test_check_sod_audit_identical_without_shared_scope(monkeypatch):
     rng = random.Random(2718)
     k2, b3 = kronecker_category(), beilinson3_category()
-    cases = [(k2, kronecker_sod_claim(k2)), (k2, broken_kronecker_sod_claim(k2)), (b3, beilinson_sod_claim(b3))]
+    cases = [(k2, witnessed_exceptional_claim(k2, k2.objects)), (k2, broken_kronecker_sod_claim(k2)), (b3, witnessed_exceptional_claim(b3, b3.objects))]
     for cat in [k2, b3, tensor(k2, a2_category()), epsilon_category()] + [random_category(rng) for _ in range(4)]:
         order = list(cat.objects)
         rng.shuffle(order)
-        cases.append((cat, exceptional_sod_claim(cat, order)))
+        cases.append((cat, witnessed_exceptional_claim(cat, order)))
     builds = []
     real_build = pretr.HomSpace._build
     monkeypatch.setattr(pretr.HomSpace, "_build", lambda self: builds.append(1) or real_build(self))
@@ -285,7 +268,7 @@ def test_check_sod_audit_identical_without_shared_scope(monkeypatch):
 
 def test_check_sod_drops_the_shared_scope(monkeypatch):
     cat = kronecker_category()
-    claim = kronecker_sod_claim(cat)
+    claim = witnessed_exceptional_claim(cat, cat.objects)
     inside = []
     real = sodgen._check_cut_witness
 
@@ -319,9 +302,9 @@ def exhaustive_right_orthogonal_check(cat, gens, x):
 
 
 def _scaled_claim(cat, order, c):
-    """exceptional_sod_claim with u = c·id for every late generator: its
-    cone is contractible without being cone(id)."""
-    claim = exceptional_sod_claim(cat, order)
+    """The witnessed exceptional claim with u = c·id for every late
+    generator: its cone is contractible without being cone(id)."""
+    claim = witnessed_exceptional_claim(cat, order)
     for key, w in claim.admissibility.items():
         if w.u.src == w.u.dst:
             u = tm_scale(c, w.u)
@@ -337,11 +320,11 @@ def test_check_sod_audit_equals_the_exhaustive_orthogonality_reference(monkeypat
     b1 = (k2a2.obj("(e1,u)"), k2a2.obj("(e1,v)"))
     b2 = (k2a2.obj("(e2,u)"), k2a2.obj("(e2,v)"))
     cases = [
-        (k2, kronecker_sod_claim(k2)),
+        (k2, witnessed_exceptional_claim(k2, k2.objects)),
         (k2, broken_kronecker_sod_claim(k2)),
-        (b3, beilinson_sod_claim(b3)),
-        (k2k2, exceptional_sod_claim(k2k2, tensor_object_order(k2k2))),
-        (k2a2, SODClaim(tuple(k2a2.objects), (b1, b2), _two_block_witnesses(k2a2, b1, b2))),
+        (b3, witnessed_exceptional_claim(b3, b3.objects)),
+        (k2k2, witnessed_exceptional_claim(k2k2, tensor_object_order(k2k2))),
+        (k2a2, witnessed_claim(k2a2, (b1, b2))),
         (k2, _scaled_claim(k2, list(k2.objects), QQ.from_int(3))),
         (b3, _scaled_claim(b3, list(b3.objects), QQ.from_int(-2))),
     ]
@@ -349,9 +332,9 @@ def test_check_sod_audit_equals_the_exhaustive_orthogonality_reference(monkeypat
     models += [random_category(rng, field=(QQ, GF(32003))[t % 2]) for t in range(6)]
     for cat in models:
         order = list(cat.objects)
-        cases.append((cat, exceptional_sod_claim(cat, order)))
+        cases.append((cat, witnessed_exceptional_claim(cat, order)))
         rng.shuffle(order)
-        cases.append((cat, exceptional_sod_claim(cat, order)))
+        cases.append((cat, witnessed_exceptional_claim(cat, order)))
     fast = [check_sod(cat, claim) for cat, claim in cases]
     monkeypatch.setattr(sodgen, "right_orthogonal_check", exhaustive_right_orthogonal_check)
     for (cat, claim), verdict in zip(cases, fast):
@@ -395,7 +378,7 @@ def test_check_sod_counts_on_a_twelve_object_claim(monkeypatch):
     the exhaustive orthogonality loop."""
     k2 = kronecker_category()
     t = tensor(k2, tensor(k2, beilinson3_category()))
-    claim = exceptional_sod_claim(t, tensor_object_order(t))
+    claim = witnessed_exceptional_claim(t, tensor_object_order(t))
     assert len(t.objects) == 12 and len(claim.admissibility) == 132
     counts = Counter()
 
@@ -420,3 +403,86 @@ def test_check_sod_counts_on_a_twelve_object_claim(monkeypatch):
     assert fast["build"] < counts["build"]
     assert fast["is_closed"] <= 3 * len(claim.admissibility)
     assert fast["differential"] <= fast["is_closed"] + fast["build"]
+
+
+def _two_block_claims(cat, rng):
+    """Blocks (the first k objects, the rest) of a seeded order, for a
+    seeded k: claims on two blocks, with and without the reference
+    witnesses."""
+    order = list(cat.objects)
+    rng.shuffle(order)
+    k = rng.randrange(1, len(order))
+    blocks = (tuple(order[:k]), tuple(order[k:]))
+    return SODClaim(tuple(order), blocks, {}), witnessed_claim(cat, blocks)
+
+
+def test_partition_claims_without_witnesses_match_the_reference_witnesses():
+    """A claim whose blocks partition the generators gets the verdict and
+    the semiorthogonality entry of the same claim with every trivial cut
+    witness replayed, over Q and F_32003: exceptional orders, seeded
+    permuted orders and two-block claims on tensor models and random
+    categories."""
+    rng = random.Random(1011)
+    seen = Counter()
+    for field in (QQ, GF(32003)):
+        k2, a2, b3 = kronecker_category(field), a2_category(field), beilinson3_category(field)
+        models = [k2, b3, tensor(k2, k2), tensor(k2, a2), tensor(k2, b3), tensor(a2, a2)]
+        models += [random_category(rng, field=field) for _ in range(6)]
+        for cat in models:
+            order = list(cat.objects)
+            shuffled = rng.sample(order, len(order))
+            pairs = [(exceptional_sod_claim(cat, o), witnessed_exceptional_claim(cat, o)) for o in (order, shuffled)]
+            if len(order) > 1:
+                pairs.append(_two_block_claims(cat, rng))
+            for bare, witnessed in pairs:
+                assert bare.admissibility == {}
+                assert len(witnessed.admissibility) == (len(bare.blocks) - 1) * len(cat.objects)
+                got, want = check_sod(cat, bare), check_sod(cat, witnessed)
+                assert got.ok == want.ok
+                assert got.audit[0] == want.audit[0] and got.audit[0].obligation == "semiorthogonality"
+                assert [a.obligation for a in got.audit[1:]] == ["generators_in_blocks"] * (len(bare.blocks) - 1)
+                seen[(len(bare.blocks) == 2, got.ok)] += 1
+    assert all(seen[(two, ok)] for two in (True, False) for ok in (True, False)), seen
+
+
+def test_claims_without_witnesses_fail_where_the_lemma_does_not_apply():
+    b3 = beilinson3_category()
+    v1, v2, v3 = b3.objects
+    # a partition that is not semiorthogonal fails with no witness to replay
+    verdict = check_sod(b3, exceptional_sod_claim(b3, [v1, v3, v2]))
+    assert not verdict.ok and not verdict.audit[0].ok
+    assert [a.obligation for a in verdict.audit[1:]] == ["generators_in_blocks"] * 2
+    # v3 lies in no block: not a partition, so its witnesses are required
+    verdict = check_sod(b3, SODClaim((v1, v2, v3), ((v1,), (v2,)), {}))
+    assert verdict.audit[0].ok and not verdict.ok
+    assert {(a.obligation, a.where) for a in verdict.audit if not a.ok} == {("cut_witness_present", (lbl, 1)) for lbl in ("v1", "v2", "v3")}
+    # one block that misses v3 is checked at the cut after the block, where v3 has no witness
+    verdict = check_sod(b3, SODClaim((v1, v2, v3), ((v1, v2),), {}))
+    assert verdict.audit[0].ok and not verdict.ok
+    assert {(a.obligation, a.where) for a in verdict.audit if not a.ok} == {("cut_witness_present", (lbl, 1)) for lbl in ("v1", "v2", "v3")}
+    # a block object that is not ambient is no partition either
+    verdict = check_sod(b3, SODClaim((v1, v2), ((v1,), (v2,), (v3,)), {}))
+    assert not verdict.ok and "cut_witness_present" in {a.obligation for a in verdict.audit if not a.ok}
+
+
+def test_a_witnessed_claim_document_round_trips_and_replays():
+    """A claim that carries its witnesses, as every claim document did
+    before witnesses became optional, parses and replays, and writes back
+    to the same bytes; the Kronecker-squared one is byte for byte the
+    document that dgcat shipped then."""
+    import hashlib
+
+    from dgcat import schema
+
+    k2 = kronecker_category()
+    for cat in (tensor(k2, k2), k2, beilinson3_category()):
+        claim = witnessed_exceptional_claim(cat, list(cat.objects))
+        text = schema.dumps(schema.document("sod-claim", cat.field, schema.sod_claim_to_json(cat, claim)))
+        kind, field, (cat2, claim2) = schema.parse_document(text)
+        assert kind == "sod-claim" and len(claim2.admissibility) == len(claim.admissibility) > 0
+        verdict = check_sod(cat2, claim2)
+        assert verdict.ok and verdict == check_sod(cat, claim)
+        assert "generators_in_blocks" not in {a.obligation for a in verdict.audit}
+        assert schema.dumps(schema.document(kind, field, schema.sod_claim_to_json(cat2, claim2))) == text
+        if len(cat.objects) == 4:
+            assert hashlib.sha256(text.encode()).hexdigest() == "176ba8a1fd824d6c861e2d2399f553c36d61768f34da896537a701cc36ec02d8"
