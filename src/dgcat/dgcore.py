@@ -12,6 +12,7 @@ stored sparsely and every operation is deterministic in the basis order.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -589,79 +590,167 @@ class TensorIndex:
 
 def tensor(c, d):
     """Tensor product DG category with the sign
-    (f1 (x) g1)(f2 (x) g2) = (-1)^{deg g1 deg f2} f1 f2 (x) g1 g2."""
+    (f1 (x) g1)(f2 (x) g2) = (-1)^{deg g1 deg f2} f1 f2 (x) g1 g2.
+
+    Builds the objects (a, b), the Hom complexes Hom_c(a1, a2) (x)
+    Hom_d(b1, b2) with d(x (x) y) = dx (x) y + (-1)^p x (x) dy, and the
+    identities id_a (x) id_b.  The structure constants are derived from the
+    factors' when `comp` is first used (see _DerivedTables)."""
     check_same_field(c.field, d.field)
     fl = c.field
-    one, minus, mul = fl.one(), fl.neg(fl.one()), fl.mul
-    objs = []
+    one, mul = fl.one(), fl.mul
     pair = {}
-    k = 0
     for a in c.objects:
         for b in d.objects:
-            o = ObjId(f"({a.label},{b.label})", k)
-            objs.append(o)
-            pair[o] = (a, b)
-            k += 1
-    rev = {v: o for o, v in pair.items()}
+            pair[ObjId(f"({a.label},{b.label})", len(pair))] = (a, b)
 
-    homs = {}
+    homs, indices = {}, {}
+    for o1, (a1, b1) in pair.items():
+        for o2, (a2, b2) in pair.items():
+            hc, hd = c.hom(a1, a2), d.hom(b1, b2)
+            if hc.complex.dims and hd.complex.dims:
+                idx = indices[(o1, o2)] = TensorIndex(hc, hd)
+                homs[(o1, o2)] = _tensor_hom(fl, hc, hd, idx)
+
+    ids = {}
+    for o, (a, b) in pair.items():
+        ida, idb = c.ids[a], d.ids[b]
+        pos = indices[(o, o)].pos
+        coords = {}
+        for i, va in ida.coords.items():
+            for j, vb in idb.coords.items():
+                coords[pos[(0, 0, i, j)][1]] = vb if va is one else va if vb is one else mul(va, vb)
+        ids[o] = Morphism(o, o, 0, coords)
+    return TensorCategory(c, d, pair, homs, ids)
+
+
+def _tensor_hom(fl, hc, hd, idx):
+    """Hom_c (x) Hom_d in the basis order of idx, names "x(x)y".  Each
+    factor differential is read once per degree; a column's image is worked
+    out only when a factor has a differential."""
+    minus = fl.neg(fl.one())
+
+    def columns(cx):  # {p: {i: [(row, scalar), ...]}} of the differential d(p)
+        out = {}
+        for p, m in cx.diff.items():
+            cols = out[p] = {}
+            for (r, i), v in m.entries.items():
+                cols.setdefault(i, []).append((r, v))
+        return out
+
+    dc, dd = columns(hc.complex), columns(hd.complex)
+    name_c = {p: [hc.name(p, i) for i in range(hc.dim(p))] for p in hc.complex.dims}
+    name_d = {q: [hd.name(q, j) for j in range(hd.dim(q))] for q in hd.complex.dims}
+    pos, diff, names = idx.pos, {}, {}
+    for n, lst in idx.by_degree.items():
+        if dc or dd:
+            ent = {}
+            for col, (p, q, i, j) in enumerate(lst):
+                dx = {pos[(p + 1, q, r, j)][1]: v for r, v in dc.get(p, {}).get(i, ())}
+                dy = {pos[(p, q + 1, i, r)][1]: v for r, v in dd.get(q, {}).get(j, ())}
+                for row, v in axpy(fl, dx, dy, minus if p % 2 else None).items():
+                    ent[(row, col)] = v
+            if ent:
+                diff[n] = Matrix(fl, len(idx.by_degree.get(n + 1, ())), len(lst), ent)
+        names[n] = tuple(f"{name_c[p][i]}(x){name_d[q][j]}" for (p, q, i, j) in lst)
+    return Hom(ChainComplex(fl, idx.dims(), diff), names)
+
+
+class TensorCategory(DGCategory):
+    """c(x)d as `tensor` builds it: it keeps its factors, `pair_map` (object
+    -> (a, b)) and `pair_rev`.  Its `comp` starts as a `_DerivedTables`,
+    which puts the plain dict of tables in its own place on first use."""
+
+    def __init__(self, c, d, pair_map, homs, ids):
+        super().__init__(c.field, pair_map, homs, _DerivedTables(self), ids, name=f"{c.name}(x){d.name}")
+        self.factors = (c, d)
+        self.pair_map = pair_map
+        self.pair_rev = {v: o for o, v in pair_map.items()}
+
+    def validate(self):
+        """[] when both factors validate: the tensor product of two DG
+        categories is a DG category, with the Koszul sign of `tensor` (the
+        tests check the rule by the full walk on copies of the tables).
+        Otherwise the full walk of DGCategory.validate, entry for entry."""
+        c, d = self.factors
+        if not c.validate() and not d.validate():
+            return []
+        return super().validate()
+
+
+class _DerivedTables(Mapping):
+    """The `comp` of a TensorCategory before its first use.  Any read
+    derives every table from the factors' (`_tensor_comp`) and sets the
+    category's `comp` to that plain dict, so later `cat.comp.get` calls are
+    an ordinary attribute read and a C-level lookup.  A caller still holding
+    this object reads the same dict through it.
+
+    The category stays a plain instance: a `__getattr__` or a descriptor
+    for `comp` on its class would keep CPython 3.11 from specialising
+    attribute reads on every tensor category."""
+
+    __slots__ = ("cat", "comp")
+
+    def __init__(self, cat):
+        self.cat, self.comp = cat, None
+
+    def _comp(self):
+        if self.comp is None:
+            self.comp = self.cat.comp = _tensor_comp(self.cat)
+            self.cat = None
+        return self.comp
+
+    def get(self, key, default=None):
+        return self._comp().get(key, default)
+
+    def __getitem__(self, key):
+        return self._comp()[key]
+
+    def __iter__(self):
+        return iter(self._comp())
+
+    def __len__(self):
+        return len(self._comp())
+
+
+def _tensor_comp(t):
+    """Structure constants of t = c(x)d from the factors' tables: the
+    product of basis elements x1 (x) y1 and x2 (x) y2 is
+    (-1)^{deg y1 deg x2} (x1 x2) (x) (y1 y2).  Table entries that name an
+    index outside a factor's basis are dropped."""
+    c, d = t.factors
+    fl, pair = t.field, t.pair_map
+    one, minus, mul = fl.one(), fl.neg(fl.one()), fl.mul
     indices = {}
-    for o1 in objs:
-        a1, b1 = pair[o1]
-        for o2 in objs:
-            a2, b2 = pair[o2]
-            hc = c.hom(a1, a2)
-            hd = d.hom(b1, b2)
-            if not hc.complex.dims or not hd.complex.dims:
-                continue
-            idx = TensorIndex(hc, hd)
-            indices[(o1, o2)] = idx
-            dims = idx.dims()
-            diff = {}
-            for n, lst in idx.by_degree.items():
-                ent = {}
-                for col, (p, q, i, j) in enumerate(lst):
-                    # d(x (x) y) = dx (x) y + (-1)^p x (x) dy
-                    dx = {idx.pos[(p + 1, q, i2, j)][1]: v for (i2, ii), v in hc.complex.d(p).entries.items() if ii == i}
-                    dy = {idx.pos[(p, q + 1, i, j2)][1]: v for (j2, jj), v in hd.complex.d(q).entries.items() if jj == j}
-                    for row, v in axpy(fl, dx, dy, minus if p % 2 else None).items():
-                        ent[(row, col)] = v
-                mdims = len(idx.by_degree.get(n + 1, []))
-                m = Matrix(fl, mdims, len(lst), ent)
-                if not m.is_zero():
-                    diff[n] = m
-            names = {}
-            for n, lst in idx.by_degree.items():
-                names[n] = tuple(f"{hc.name(p, i)}(x){hd.name(q, j)}" for (p, q, i, j) in lst)
-            homs[(o1, o2)] = Hom(ChainComplex(fl, dims, diff), names)
-
+    for o1, o2 in t.homs:
+        (a1, b1), (a2, b2) = pair[o1], pair[o2]
+        indices[(o1, o2)] = TensorIndex(c.hom(a1, a2), d.hom(b1, b2))
     comp = {}
-    for o1 in objs:
-        for o2 in objs:
+    for o1 in t.objects:
+        a1, b1 = pair[o1]
+        for o2 in t.objects:
             if (o1, o2) not in indices:
                 continue
-            a1, b1 = pair[o1]
             a2, b2 = pair[o2]
-            idx12 = indices[(o1, o2)]
-            for o3 in objs:
+            pos12 = indices[(o1, o2)].pos
+            for o3 in t.objects:
                 if (o2, o3) not in indices or (o1, o3) not in indices:
                     continue
                 a3, b3 = pair[o3]
-                idx23 = indices[(o2, o3)]
-                idx13 = indices[(o1, o3)]
+                pos23, pos13 = indices[(o2, o3)].pos, indices[(o1, o3)].pos
                 tc = c.comp.get((a1, a2, a3), {})
                 td = d.comp.get((b1, b2, b3), {})
                 table = {}
                 for (p1, i1, p2, i2), cons_c in tc.items():
                     for (q1, j1, q2, j2), cons_d in td.items():
-                        key1 = idx12.pos.get((p1, q1, i1, j1))
-                        key2 = idx23.pos.get((p2, q2, i2, j2))
+                        key1 = pos12.get((p1, q1, i1, j1))
+                        key2 = pos23.get((p2, q2, i2, j2))
                         if key1 is None or key2 is None:
                             continue
                         entry = {}
                         for ic, vc in cons_c.items():
                             for jd, vd in cons_d.items():
-                                tgt = idx13.pos.get((p1 + p2, q1 + q2, ic, jd))
+                                tgt = pos13.get((p1 + p2, q1 + q2, ic, jd))
                                 if tgt is not None:
                                     # products by the shared one keep it, so `contract` skips them later
                                     entry[tgt[1]] = vd if vc is one else vc if vd is one else mul(vc, vd)
@@ -669,23 +758,7 @@ def tensor(c, d):
                             axpy(fl, table.setdefault((key1[0], key1[1], key2[0], key2[1]), {}), entry, minus if (q1 * p2) % 2 else None)
                 if table:
                     comp[(o1, o2, o3)] = table
-
-    ids = {}
-    for o in objs:
-        a, b = pair[o]
-        ida, idb = c.ids[a], d.ids[b]
-        idx = indices[(o, o)]
-        coords = {}
-        for i, va in ida.coords.items():
-            for j, vb in idb.coords.items():
-                n, t = idx.pos[(0, 0, i, j)]
-                coords[t] = vb if va is one else va if vb is one else mul(va, vb)
-        ids[o] = Morphism(o, o, 0, coords)
-    t = DGCategory(fl, tuple(objs), homs, comp, ids, name=f"{c.name}(x){d.name}")
-    t.pair_map = pair
-    t.pair_rev = rev
-    t.factors = (c, d)
-    return t
+    return comp
 
 
 def swap_iso(c, d):

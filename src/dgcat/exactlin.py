@@ -647,7 +647,8 @@ class ChainComplex:
         return self.dims.get(n, 0)
 
     def d(self, n):
-        return self.diff.get(n, Matrix.zero(self.field, self.dim(n + 1), self.dim(n)))
+        m = self.diff.get(n)
+        return m if m is not None else Matrix.zero(self.field, self.dim(n + 1), self.dim(n))
 
     def degrees(self):
         return sorted(self.dims)

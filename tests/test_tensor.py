@@ -1,0 +1,169 @@
+"""`dgcore.tensor` against the materialising reference in tensor_reference.py:
+the same Homs, identities, tables, Ext tables, SOD verdicts and documents,
+with `comp` derived from the factors only when it is used."""
+
+import random
+
+import pytest
+
+from dgcat import schema
+from dgcat.cli import write_fixture_documents
+from dgcat.dgcore import DGCategory, TensorCategory, tensor
+from dgcat.exactlin import GF, QQ
+from dgcat.fixtures import beilinson3_category, kronecker_category
+from dgcat.sodgen import check_sod, exceptional_sod_claim, ext_table
+
+import tensor_reference
+from gens import product_outside_basis_category, random_category
+from sod_reference import witnessed_exceptional_claim
+from tensor_reference import plain
+from test_dgcore import FAULTS, plant_fault
+
+FIELDS = (QQ, GF(32003))
+
+
+def _power(make, factors):
+    """((f1 (x) f2) (x) f3) ... with `make` as the tensor construction."""
+    t = factors[0]
+    for f in factors[1:]:
+        t = make(t, f)
+    return t
+
+
+def _models(field, rng):
+    """(name, factor list) pairs: (P^1)^k for k = 2..4, P1xP2, P2xP2,
+    (P^2)^3 and seeded random products."""
+    k2, b3 = kronecker_category(field), beilinson3_category(field)
+    models = [(f"(P1)^{k}", [k2] * k) for k in (2, 3, 4)]
+    models += [("P1xP2", [k2, b3]), ("P2xP2", [b3, b3]), ("(P2)^3", [b3, b3, b3])]
+    models += [(f"random {s}", [random_category(rng, field), random_category(rng, field)]) for s in range(6)]
+    return models
+
+
+def _is_built_lazily(t):
+    return type(t) is TensorCategory and type(t.comp) is not dict
+
+
+def _same_homs_and_ids(t, r):
+    assert t.objects == r.objects and t.pair_map == r.pair_map and t.pair_rev == r.pair_rev
+    assert t.homs.keys() == r.homs.keys()
+    for key, h in r.homs.items():
+        assert t.homs[key].complex == h.complex and t.homs[key].names == h.names, key
+    assert {o: (m.src, m.dst, m.degree, m.coords) for o, m in t.ids.items()} == {o: (m.src, m.dst, m.degree, m.coords) for o, m in r.ids.items()}
+
+
+def _same_tables(t, r):
+    """The same table on every triple a caller can look up, with the shared
+    one() at the same places, then the same dict."""
+    one = t.field.one()
+    for x in t.objects:
+        for y in t.objects:
+            for z in t.objects:
+                got, want = t.comp.get((x, y, z)), r.comp.get((x, y, z))
+                assert got == want, (x, y, z)
+                if want is not None:
+                    assert {e: {k for k, v in cons.items() if v is one} for e, cons in got.items()} == {
+                        e: {k for k, v in cons.items() if v is one} for e, cons in want.items()
+                    }
+    assert t.comp == r.comp
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_tensor_matches_the_materialising_reference(field):
+    rng = random.Random(12)
+    for name, factors in _models(field, rng):
+        t, r = _power(tensor, factors), _power(tensor_reference.tensor, factors)
+        assert _is_built_lazily(t), name
+        _same_homs_and_ids(t, r)
+        assert ext_table(t, t.objects) == ext_table(r, r.objects), name
+        order = list(t.objects)
+        rng.shuffle(order)
+        for claim in (exceptional_sod_claim(t, t.objects), exceptional_sod_claim(t, order)):
+            assert check_sod(t, claim) == check_sod(r, claim), name
+        # nothing so far has read a composition table
+        assert _is_built_lazily(t), name
+        if len(t.objects) <= 8:  # cut witnesses replay cones, which read the tables
+            witnessed = check_sod(t, witnessed_exceptional_claim(t, t.objects))
+            assert witnessed == check_sod(r, witnessed_exceptional_claim(r, r.objects)), name
+        _same_tables(t, r)
+        assert type(t.comp) is dict
+        doc = schema.dumps(schema.document("category", field, schema.category_to_json(t)))
+        assert doc == schema.dumps(schema.document("category", field, schema.category_to_json(r))), name
+
+
+def test_tables_outside_a_factor_basis_are_dropped_as_the_reference_drops_them():
+    for field in FIELDS:
+        c, d = product_outside_basis_category(field), kronecker_category(field)
+        for t, r in ((tensor(c, d), tensor_reference.tensor(c, d)), (tensor(d, c), tensor_reference.tensor(d, c))):
+            _same_homs_and_ids(t, r)
+            _same_tables(t, r)
+
+
+def test_the_koszul_sign_rule_holds_under_the_full_walk():
+    """validate on a plain copy of the tables runs every axiom check: the
+    derived tables of products of valid categories are DG categories."""
+    rng = random.Random(5)
+    for field in FIELDS:
+        for name, factors in _models(field, rng):
+            if len(factors) == 2 and all(len(f.objects) <= 3 for f in factors):
+                t = _power(tensor, factors)
+                assert plain(t).validate() == [], name
+
+
+def test_validate_trusts_valid_factors_and_walks_invalid_ones_entry_for_entry():
+    """With both factors valid, validate returns [] and leaves `comp`
+    unbuilt.  With a faulted factor it gives the reference report of the
+    materialised product, in order."""
+    rng = random.Random(31)
+    d = kronecker_category()
+    faulted = 0
+    for s in range(12):
+        c = random_category(rng, field=QQ)
+        t = tensor(c, d)
+        assert t.validate() == [] and _is_built_lazily(t)
+        for kind in FAULTS:
+            bad = plant_fault(c, kind, rng)
+            if bad is None or not bad.validate():
+                continue
+            for pair in ((bad, d), (d, bad)):
+                got = [(v.axiom, v.where, v.detail) for v in tensor(*pair).validate()]
+                want = [(v.axiom, v.where, v.detail) for v in plain(tensor_reference.tensor(*pair)).validate()]
+                assert got == want, (s, kind)
+                faulted += bool(got)
+    assert faulted >= 12
+
+
+def test_validate_of_a_nested_product_fills_no_table():
+    """Timing-free guard: tensor(P^2, tensor(P^2, P^2)) validates from its
+    factors, without building the composition tables of either product."""
+    b3 = beilinson3_category()
+    inner = tensor(b3, b3)
+    t = tensor(b3, inner)
+    assert t.validate() == []
+    assert _is_built_lazily(t) and _is_built_lazily(inner)
+
+
+def test_ledger_ingestion_fills_no_point_sod_table(tmp_path):
+    """Timing-free guard: parsing the shipped ledger document verifies its
+    point-sod facts on tensor categories whose tables are never built."""
+    paths = write_fixture_documents(str(tmp_path))
+    with open(paths["motivic.ledger.json"], encoding="utf-8") as fh:
+        kind, field, led = schema.parse_document(fh.read())
+    cats = [f.provenance.payload.category for f in led.facts.values() if f.provenance.payload is not None and f.provenance.payload.mode == "point-sod"]
+    assert sorted(len(c.objects) for c in cats) == [8, 12]
+    assert all(_is_built_lazily(c) for c in cats)
+
+
+def test_a_tensor_category_puts_a_plain_dict_in_place_of_its_tables_on_first_use():
+    """The first read through `comp` fills it; the category then holds a
+    plain dict, and an earlier reference to `comp` reads the same tables."""
+    t = tensor(kronecker_category(), kronecker_category())
+    r = tensor_reference.tensor(kronecker_category(), kronecker_category())
+    assert isinstance(t, DGCategory) and [len(f.objects) for f in t.factors] == [2, 2]
+    held = t.comp
+    assert type(held) is not dict and type(t.comp) is not dict
+    key = (t.objects[0], t.objects[1], t.objects[3])
+    assert held.get(key) == r.comp[key] and type(t.comp) is dict
+    assert held[key] is t.comp[key] and len(held) == len(t.comp) and list(held) == list(t.comp)
+    assert held == r.comp and dict(held.items()) == t.comp and key in held
+    assert t.validate() == []
