@@ -464,7 +464,6 @@ def build_parser():
     p.add_argument("--output", choices=("json", "md"), default="json")
     p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: every check runs sequentially")
     p.add_argument("--field", default="Q", help='"Q" or "Fp:<prime>" (fixture-producing commands)')
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized search facilities")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("validate", help="validate any document")

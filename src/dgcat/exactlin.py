@@ -262,10 +262,6 @@ class Matrix:
                     ent[(i, j)] = fv
         return cls(field, rows, cols, ent)
 
-    @classmethod
-    def column(cls, field, values):
-        return cls.from_rows(field, [[v] for v in values])
-
     def get(self, i, j):
         return self.entries.get((i, j), self.field.zero())
 
@@ -310,7 +306,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
-        cols = self._columns()
+        cols = self.columns()
         out = {}
         for (k, j), w in other.entries.items():
             if k in cols:
@@ -320,22 +316,19 @@ class Matrix:
     def apply(self, vec):
         """Apply to a coordinate vector given as a sparse dict idx -> scalar."""
         f = self.field
-        cols = self._columns()
+        cols = self.columns()
         out = {}
         for j, c in vec.items():
             if j in cols:
                 axpy(f, out, cols[j], c)
         return out
 
-    def _columns(self):
+    def columns(self):
         """Sparse columns: {col: {row: scalar}}, empty columns left out."""
         cols = {}
         for (i, j), v in self.entries.items():
             cols.setdefault(j, {})[i] = v
         return cols
-
-    def column_vector(self, j):
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
 
     def _check_binop(self, other, same_shape=False):
         check_same_field(self.field, other.field)
@@ -344,22 +337,27 @@ class Matrix:
 
     # -- elimination ------------------------------------------------------
 
-    def _echelon(self, extra=None):
-        """Row-echelon form of [self | extra] as a list of (col, row) pivots.
+    def _echelon(self, b=None):
+        """Row-echelon form of [self | b] as a list of (col, row) pivots.
 
-        Pivot columns increase, and each row dict holds its pivot and
-        columns to the right of it only.  Over Q the rows hold integers
-        (Bareiss on the rows scaled to integers); over F_p they hold ints
-        mod p, scaled so the pivot is 1.
+        b is an optional extra column, a sparse dict {row: scalar}.  Pivot
+        columns increase, and each row dict holds its pivot and columns to
+        the right of it only.  Over Q the rows hold integers (Bareiss on the
+        rows scaled to integers); over F_p they hold ints mod p, scaled so
+        the pivot is 1.
         """
         f = self.field
-        ncols = self.cols + (extra.cols if extra is not None else 0)
+        ncols = self.cols
         rows = [{} for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             rows[i][j] = v
-        if extra is not None:
-            for (i, j), v in extra.entries.items():
-                rows[i][self.cols + j] = v
+        if b is not None:
+            ncols += 1
+            for i, v in b.items():
+                if not 0 <= i < self.rows:
+                    raise ShapeMismatch(f"right-hand side row {i} out of bounds for {self.rows} rows")
+                if not f.is_zero(v):
+                    rows[i][self.cols] = v
         if isinstance(f, RationalField):
             for i, r in enumerate(rows):
                 if r:
@@ -370,12 +368,12 @@ class Matrix:
             return _echelon_int(rows, ncols)
         return _echelon_mod(rows, f.p)
 
-    def _reduced(self, extra=None):
-        """Reduced row-echelon form of [self | extra]: (col, row) pivots whose
+    def _reduced(self, b=None):
+        """Reduced row-echelon form of [self | b]: (col, row) pivots whose
         rows hold field elements, 1 at their pivot and 0 at every other pivot
         column.  It depends only on the row space, not on the pivot rows the
         elimination happened to choose."""
-        pivots = self._echelon(extra)
+        pivots = self._echelon(b)
         if isinstance(self.field, RationalField):
             return _reduce_int(pivots)
         return _reduce_mod(pivots, self.field.p)
@@ -389,28 +387,27 @@ class Matrix:
     def solve(self, b):
         """Some x with self @ x = b, or None if inconsistent.
 
-        b is a column Matrix.  When solutions exist, free variables are set
-        to zero, giving the unique solution supported on pivot columns of the
-        fixed column order: x[c] is the entry of the reduced [self | b] in
-        column b of the row pivoting at c.  The reduced form, and so x, does
-        not depend on which rows the elimination picks as pivots.
+        b and x are sparse dicts {index: scalar}; a row of b out of range
+        raises ShapeMismatch and zero scalars of b are dropped.  When
+        solutions exist, free variables are set to zero, giving the unique
+        solution supported on pivot columns of the fixed column order: x[c]
+        is the entry of the reduced [self | b] in column b of the row
+        pivoting at c.  The reduced form, and so x, does not depend on which
+        rows the elimination picks as pivots.
         """
-        self._check_binop(b)
-        if b.rows != self.rows or b.cols != 1:
-            raise ShapeMismatch("solve: b must be a column of matching height")
         n = self.cols
-        pivots = self._reduced(extra=b)
+        pivots = self._reduced(b)
         if pivots and pivots[-1][0] == n:
             return None
         x = {}
         for c, row in reversed(pivots):
             v = row.get(n)
             if v:
-                x[(c, 0)] = v
-        return Matrix(self.field, n, 1, x)
+                x[c] = v
+        return x
 
     def nullspace(self):
-        """Deterministic basis of ker(self) as a list of column Matrix.
+        """Deterministic basis of ker(self) as a list of sparse dicts.
 
         One vector per non-pivot column j, in increasing j: it has a 1 at j,
         0 at every other non-pivot column, and -R[i][j] at the pivot column
@@ -422,53 +419,17 @@ class Matrix:
         one, neg = f.one(), f.neg
         pivots = self._reduced()
         pivot_set = {c for c, _ in pivots}
-        vecs = {j: {(j, 0): one} for j in range(self.cols) if j not in pivot_set}
+        vecs = {j: {j: one} for j in range(self.cols) if j not in pivot_set}
         for c, row in reversed(pivots):
             for j, v in row.items():
                 if j != c:
-                    vecs[j][(c, 0)] = neg(v)
-        return [Matrix(f, self.cols, 1, vec) for vec in vecs.values()]
+                    vecs[j][c] = neg(v)
+        return list(vecs.values())
 
     @classmethod
-    def hstack(cls, field, rows, blocks):
-        """Concatenate column blocks (all with `rows` rows)."""
-        ent = {}
-        off = 0
-        for b in blocks:
-            check_same_field(field, b.field)
-            if b.rows != rows:
-                raise ShapeMismatch("hstack: row mismatch")
-            for (i, j), v in b.entries.items():
-                ent[(i, j + off)] = v
-            off += b.cols
-        return cls(field, rows, off, ent)
-
-
-def basis_extension(base, candidates):
-    """Extend span(base) by candidate columns, with normal forms of the rest.
-
-    One elimination of [base | candidates].  `picked` lists the candidate
-    columns that are pivot columns, in increasing order: exactly the ones a
-    greedy pass "append the candidate when the rank grows" would take.  For
-    every other candidate k, `normal[k]` is a sparse dict {t: c} with
-    candidates[k] - sum_t c * candidates[picked[t]] in the column span of
-    base; it is read off the kernel vector with a 1 at column k.
-    """
-    check_same_field(base.field, candidates.field)
-    f = base.field
-    off = base.cols
-    kernel = Matrix.hstack(f, base.rows, [base, candidates]).nullspace()
-    free = {}
-    for vec in kernel:
-        coords = {j: v for (j, _), v in vec.entries.items()}
-        free[max(coords)] = coords
-    picked = [k for k in range(candidates.cols) if off + k not in free]
-    position = {k: t for t, k in enumerate(picked)}
-    normal = {}
-    for j, coords in free.items():
-        if j >= off:
-            normal[j - off] = {position[i - off]: f.neg(v) for i, v in coords.items() if off <= i < j}
-    return picked, normal
+    def from_columns(cls, field, rows, columns):
+        """The rows x len(columns) matrix whose column j is the sparse dict columns[j]."""
+        return cls(field, rows, len(columns), {(i, j): v for j, col in enumerate(columns) for i, v in col.items()})
 
 
 def _echelon_int(rows, ncols):
@@ -691,10 +652,10 @@ class Cohomology:
     """Basis of H^n with lift/project between classes and cycles.
 
     Representatives are the cycles of the deterministic nullspace basis of
-    d(n) that are pivot columns of [image of d(n-1) | cycles], i.e. each
-    cycle independent modulo the image and the cycles before it
-    (`basis_extension`).  Class coordinates, and every report that prints
-    them, depend on this rule.
+    d(n) that are pivot columns of one echelon form of [d(n-1) | cycles]:
+    each cycle independent modulo the image and the cycles before it, the
+    ones a greedy "keep it when the rank grows" pass keeps.  Class
+    coordinates, and every report that prints them, depend on this rule.
     """
 
     def __init__(self, complex_, n):
@@ -704,9 +665,14 @@ class Cohomology:
         dim = complex_.dim(n)
         img = complex_.d(n - 1)
         cycles = complex_.d(n).nullspace()
-        picked, _ = basis_extension(img, Matrix.hstack(f, dim, cycles))
-        self.reps = [cycles[k] for k in picked]
-        self._solver = Matrix.hstack(f, dim, self.reps + [img])
+        off = img.cols
+        ent = dict(img.entries)
+        ent.update(((i, off + k), v) for k, z in enumerate(cycles) for i, v in z.items())
+        pivots = Matrix(f, dim, off + len(cycles), ent)._echelon()
+        self.reps = [cycles[c - off] for c, _ in pivots if c >= off]
+        ent = {(i, t): v for t, z in enumerate(self.reps) for i, v in z.items()}
+        ent.update(((i, len(self.reps) + j), v) for (i, j), v in img.entries.items())
+        self._solver = Matrix(f, dim, len(self.reps) + off, ent)
 
     @property
     def dim(self):
@@ -717,7 +683,7 @@ class Cohomology:
         f = self.complex.field
         out = {}
         for t, c in coords.items():
-            axpy(f, out, {i: v for (i, _), v in self.reps[t].entries.items()}, c)
+            axpy(f, out, self.reps[t], c)
         return out
 
     def project(self, cycle):
@@ -725,14 +691,12 @@ class Cohomology:
 
         Raises ValueError when the vector is not a cycle.
         """
-        f = self.complex.field
         if not self.reps:
             return {}
-        b = Matrix(f, self.complex.dim(self.n), 1, {(i, 0): v for i, v in cycle.items() if not f.is_zero(v)})
-        x = self._solver.solve(b)
+        x = self._solver.solve(cycle)
         if x is None:
             raise ValueError("vector is not a cycle modulo boundaries of this complex")
-        return {t: v for (t, _), v in x.entries.items() if t < len(self.reps)}
+        return {t: v for t, v in x.items() if t < len(self.reps)}
 
 
 # -- integer Smith normal form ----------------------------------------------

@@ -325,16 +325,14 @@ class ModuleHomSpace:
         for k in sorted(dims):
             if k + 1 not in dims:
                 continue
-            cols = {}
-            target = Matrix.hstack(fl, self.basis[k + 1][0].rows, self.basis[k + 1])
-            for t, vec in enumerate(self.basis[k]):
-                dvec = self._apply_d(k, vec)
-                sol = target.solve(dvec)
+            target = Matrix.from_columns(fl, self._offsets(k + 1)[1], self.basis[k + 1])
+            sols = []
+            for vec in self.basis[k]:
+                sol = target.solve(self._apply_d(k, vec))
                 if sol is None:
                     raise RuntimeError("module_hom differential left the solution space")
-                for (r, _), v in sol.entries.items():
-                    cols[(r, t)] = v
-            m2 = Matrix(fl, dims[k + 1], dims[k], cols)
+                sols.append(sol)
+            m2 = Matrix.from_columns(fl, dims[k + 1], sols)
             if not m2.is_zero():
                 diff[k] = m2
         self.complex = ChainComplex(fl, dims, diff)
@@ -354,7 +352,7 @@ class ModuleHomSpace:
         out = {}
         for (b, p), (off, r, c) in offs.items():
             ent = {}
-            for (idx, _), v in vec.entries.items():
+            for idx, v in vec.items():
                 if off <= idx < off + r * c:
                     loc = idx - off
                     ent[(loc // c, loc % c)] = v
@@ -379,8 +377,8 @@ class ModuleHomSpace:
             if blk2 is not None:
                 acc = acc.add(blk2.matmul(mb.d(p)).scale(fl.neg(sgn)))
             for (i, j), v in acc.entries.items():
-                ent[(off + i * c + j, 0)] = v
-        return Matrix(fl, nvars1, 1, ent)
+                ent[off + i * c + j] = v
+        return ent
 
 
 def module_hom(m, n):
@@ -402,22 +400,19 @@ def evaluation_maps(cat, a, mod):
     phi = {}
     psi = {}
     for k in space.complex.degrees():
-        cols = {}
-        for t, vec in enumerate(space.basis[k]):
+        images = []
+        for vec in space.basis[k]:
             blk = space.blocks(k, vec).get((a, 0))
-            if blk is None:
-                continue
-            for i, v in blk.apply(ida.coords).items():
-                cols[(i, t)] = v
-        phi[k] = Matrix(fl, va.dim(k), len(space.basis[k]), cols)
+            images.append(blk.apply(ida.coords) if blk is not None else {})
+        phi[k] = Matrix.from_columns(fl, va.dim(k), images)
     for k in space.complex.degrees():
         if not space.basis.get(k):
             psi[k] = Matrix(fl, 0, va.dim(k), {})
             continue
-        target = Matrix.hstack(fl, space.basis[k][0].rows, space.basis[k])
-        cols = {}
+        offs, nvars = space._offsets(k)
+        target = Matrix.from_columns(fl, nvars, space.basis[k])
+        sols = []
         for j in range(va.dim(k)):
-            offs, nvars = space._offsets(k)
             ent = {}
             for (b, p), (off, r, c) in offs.items():
                 h = cat.hom(b, a)
@@ -426,13 +421,12 @@ def evaluation_maps(cat, a, mod):
                     g = cat.basis_morphism(b, a, p, g_idx)
                     img = mod.act(g, k, {j: fl.one()})
                     for i, v in img.items():
-                        ent[(off + i * c + g_idx, 0)] = fl.mul(sgn, v)
-            sol = target.solve(Matrix(fl, nvars, 1, ent))
+                        ent[off + i * c + g_idx] = fl.mul(sgn, v)
+            sol = target.solve(ent)
             if sol is None:
                 raise RuntimeError("evaluation inverse does not land in the transformation space")
-            for (i, _), v in sol.entries.items():
-                cols[(i, j)] = v
-        psi[k] = Matrix(fl, len(space.basis[k]), va.dim(k), cols)
+            sols.append(sol)
+        psi[k] = Matrix.from_columns(fl, len(space.basis[k]), sols)
     return space, phi, psi
 
 
@@ -473,12 +467,8 @@ def check_quasi_equiv(cert):
                 if ca.dim == 0:
                     continue
                 mn = fun.mor_maps.get((a, b), {}).get(n, Matrix.zero(src.field, h2.dim(n), h.dim(n)))
-                cols = {}
-                for t, rep in enumerate(ca.reps):
-                    img = mn.matmul(rep)
-                    for r, v in cb.project({i: v for (i, _), v in img.entries.items()}).items():
-                        cols[(r, t)] = v
-                if Matrix(src.field, cb.dim, ca.dim, cols).rank() != ca.dim:
+                images = [cb.project(mn.apply(rep)) for rep in ca.reps]
+                if Matrix.from_columns(src.field, cb.dim, images).rank() != ca.dim:
                     failures.append(("hom_iso_rank", (a.label, b.label, n)))
     image = set(fun.obj_map.values())
     for dobj in dst.objects:
@@ -582,11 +572,7 @@ class SerreData:
         m = self.mor_images.get((f.src, f.dst), {}).get(f.degree)
         if m is None:
             return hs.from_vector(f.degree, {})
-        return hs.from_vector(f.degree, {i: v for (i, _), v in m.matmul(_col(self.cat, f)).entries.items()})
-
-
-def _col(cat, f):
-    return Matrix(cat.field, cat.hom(f.src, f.dst).dim(f.degree), 1, {(i, 0): v for i, v in f.coords.items()})
+        return hs.from_vector(f.degree, m.apply(f.coords))
 
 
 def functor_as_serre_data(fun):
@@ -599,14 +585,14 @@ def functor_as_serre_data(fun):
         hs = data.space(a, b)
         out = {}
         for n, m in per_deg.items():
-            cols = {}
+            m_cols = m.columns()
+            images = []
             for col in range(m.cols):
-                img = m.column_vector(col)
+                img = m_cols.get(col, {})
                 mor = Morphism(fun.obj_map[a], fun.obj_map[b], n, img)
                 tm = TwistedMorphism(obj_images[a], obj_images[b], n, {(0, 0): mor} if img else {})
-                for r, v in hs.to_vector(tm).items():
-                    cols[(r, col)] = v
-            out[n] = Matrix(cat.field, hs.complex.dim(n), m.cols, cols)
+                images.append(hs.to_vector(tm))
+            out[n] = Matrix.from_columns(cat.field, hs.complex.dim(n), images)
         mor_images[(a, b)] = out
     data.mor_images = mor_images
     return data
@@ -705,7 +691,7 @@ def verify_serre(data, pairings):
     def hom_classes(a, b, n):
         h = cat.hom(a, b).complex
         co = h.cohomology(n)
-        return [Morphism(a, b, n, {i: v for (i, _), v in rep.entries.items()}) for rep in co.reps]
+        return [Morphism(a, b, n, dict(rep)) for rep in co.reps]
 
     # naturality in the second argument: <mul(x,g), y> = <x, mul(g,y)>
     for a in cat.objects:
@@ -780,7 +766,7 @@ def composition_trace_pairings(data, traces):
                 d = h.cohomology_dim(n)
                 if d == 0 or hs.complex.cohomology_dim(-n) != d:
                     continue
-                xs = [Morphism(a, b, n, {i: v for (i, _), v in rep.entries.items()}) for rep in h.cohomology(n).reps]
+                xs = [Morphism(a, b, n, dict(rep)) for rep in h.cohomology(n).reps]
                 ys = hs.cohomology_classes(-n)
                 ent = {}
                 for c, x in enumerate(xs):

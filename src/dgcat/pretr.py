@@ -405,7 +405,7 @@ class HomSpace:
     def cohomology_classes(self, n):
         """Representative cycles of a basis of H^n as TwistedMorphisms."""
         h = self.cohomology(n)
-        return [self.from_vector(n, {i: v for (i, _), v in rep.entries.items()}) for rep in h.reps]
+        return [self.from_vector(n, rep) for rep in h.reps]
 
     def project(self, f):
         """Class coordinates of a cycle f in the H^{f.degree} basis."""
@@ -503,11 +503,10 @@ def is_contractible(x, with_witness=False):
         sol = hs._derived["null_homotopy"]
     else:
         idv = hs.to_vector(identity_morphism(x))
-        b = Matrix(x.cat.field, hs.complex.dim(0), 1, {(i, 0): v for i, v in idv.items()})
-        sol = hs.complex.d(-1).solve(b)
+        sol = hs.complex.d(-1).solve(idv)
     h = None
     if sol is not None and (with_witness or not verified):
-        h = hs.from_vector(-1, {i: v for (i, _), v in sol.entries.items()})
+        h = hs.from_vector(-1, sol)
         if differential(h) != identity_morphism(x):
             raise AssertionError("contractibility witness failed re-verification")
     hs._derived["null_homotopy"] = sol
@@ -550,21 +549,12 @@ def _invert(cat, phi):
     n = h.dim(0)
     if n == 0:
         return None
-    fl = cat.field
-    idt = cat.identity(phi.src)
-    h_tt = cat.hom(phi.src, phi.src)
-    rows = h_tt.dim(0)
-    cols = {}
-    for j in range(n):
-        psi = cat.basis_morphism(phi.dst, phi.src, 0, j)
-        for t, v in cat.mul(phi, psi).coords.items():
-            cols[(t, j)] = v
-    m = Matrix(fl, rows, n, cols)
-    b = Matrix(fl, rows, 1, {(t, 0): v for t, v in idt.coords.items()})
-    sol = m.solve(b)
+    products = [cat.mul(phi, cat.basis_morphism(phi.dst, phi.src, 0, j)).coords for j in range(n)]
+    m = Matrix.from_columns(cat.field, cat.hom(phi.src, phi.src).dim(0), products)
+    sol = m.solve(cat.identity(phi.src).coords)
     if sol is None:
         return None
-    psi = Morphism(phi.dst, phi.src, 0, {j: v for (j, _), v in sol.entries.items()})
+    psi = Morphism(phi.dst, phi.src, 0, sol)
     if cat.mul(psi, phi) != cat.identity(phi.dst):
         return None
     return psi

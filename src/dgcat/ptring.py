@@ -15,13 +15,13 @@ surface as "unknown", not as wrong answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 
 from .dgcore import full_subcategory, tensor
-from .exactlin import in_rowspan
+from .exactlin import Matrix, in_rowspan, smith_normal_form
 from .functors import DGFunctor, EquivCertificate
 from .pretr import embed, identity_morphism
 from .sodgen import check_sod, check_exceptional_collection
-from .exactlin import Matrix, smith_normal_form
 
 
 class ProvenanceError(Exception):
@@ -397,62 +397,53 @@ class Ledger:
 
     # -- normalization and the decision procedure --------------------------
 
-    def _fact_value(self, a, b):
-        if self.generators[a].unit_alias:
-            return self.expr_gen(b)
-        if self.generators[b].unit_alias:
-            return self.expr_gen(a)
-        f = self.facts.get(tuple(sorted((a, b))))
-        return f.value if f else None
+    def _rewrite(self, m, memo):
+        """{monomial of degree <= 1: int} equal to the sorted monomial m
+        through the product table, or None when no order of rewrites
+        completes within the degree bound.
 
-    def normalize(self, expr, memo=None):
+        Rewriting a pair by its fact value (degree <= 1, aliases resolved)
+        strictly lowers the degree, so the recursion ends.  memo (monomial
+        -> result) may be shared by calls on one ledger version."""
+        if len(m) > self.degree_bound:
+            return None
+        if len(m) <= 1:
+            return {m: 1}
+        if m in memo:
+            return memo[m]
+        out = None
+        for i, j in combinations(range(len(m)), 2):
+            fact = self.facts.get((m[i], m[j]))
+            if fact is None:
+                continue
+            rest = m[:i] + m[i + 1:j] + m[j + 1:]
+            total = {}
+            for mono, c in fact.value.terms.items():
+                sub = self._rewrite(tuple(sorted(mono + rest)), memo)
+                if sub is None:
+                    break
+                for k, v in sub.items():
+                    total[k] = total.get(k, 0) + c * v
+            else:
+                out = total
+                break
+        memo[m] = out
+        return out
+
+    def normalize(self, expr):
         """(normal form, complete): rewrite every monomial through the
         product table; complete=False when a monomial of degree >= 2
-        survives or the degree bound is exceeded.
-
-        memo (monomial -> result) may be shared by calls on one ledger
-        version.  That is sound because product-fact values have degree
-        <= 1: each rewrite strictly lowers the degree, so the cycle guard
-        below never fires and no memoized result depends on the call."""
+        survives or the degree bound is exceeded."""
         self._check_registered(expr)
-        expr = self._resolve_aliases(expr)
-        if memo is None:
-            memo = {}
-
-        def norm_mono(m):
-            if m in memo:
-                return memo[m]
-            if len(m) > self.degree_bound:
-                memo[m] = (ClassExpr({m: 1}), False)
-                return memo[m]
-            if len(m) <= 1:
-                memo[m] = (ClassExpr({m: 1}), True)
-                return memo[m]
-            memo[m] = (ClassExpr({m: 1}), False)  # cycle guard
-            for i in range(len(m)):
-                for j in range(i + 1, len(m)):
-                    val = self._fact_value(m[i], m[j])
-                    if val is None:
-                        continue
-                    rest = tuple(x for t, x in enumerate(m) if t not in (i, j))
-                    total = ClassExpr()
-                    ok = True
-                    for mono2, c2 in val.mul(ClassExpr({rest: 1})).terms.items():
-                        sub, sub_ok = norm_mono(mono2)
-                        ok = ok and sub_ok
-                        total = total.add(sub.scale(c2))
-                    if ok:
-                        memo[m] = (total, True)
-                        return memo[m]
-            return memo[m]
-
-        out = ClassExpr()
-        complete = True
-        for m, c in expr.terms.items():
-            nf, ok = norm_mono(m)
-            complete = complete and ok
-            out = out.add(nf.scale(c))
-        return out, complete
+        memo = {}
+        out, complete = {}, True
+        for m, c in self._resolve_aliases(expr).terms.items():
+            nf = self._rewrite(m, memo)
+            if nf is None:
+                complete, nf = False, {m: 1}
+            for k, v in nf.items():
+                out[k] = out.get(k, 0) + c * v
+        return ClassExpr(out), complete
 
     def _coordinates(self):
         if not self.generators and not self.relations:
@@ -468,37 +459,33 @@ class Ledger:
         return vec
 
     def saturated_rows(self):
-        """Lattice rows: every relation times every completely-rewritable
-        monomial of total degree <= degree bound."""
-        if self.degree_bound in self._sat_cache:
-            return self._sat_cache[self.degree_bound]
+        """Lattice rows: every relation times every monomial of total degree
+        <= degree bound whose product rewrites completely."""
+        bound = self.degree_bound
+        if bound in self._sat_cache:
+            return self._sat_cache[bound]
         coords = self._coordinates()
+        idx = {m: i for i, m in enumerate(coords)}
         gens = [m[0] for m in coords[1:]]
-        monomials = [UNIT]
-        frontier = [UNIT]
-        for _ in range(self.degree_bound - 1):
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    mono = tuple(sorted(m + (g,)))
-                    if mono not in nxt and mono not in monomials:
-                        nxt.append(mono)
-            monomials.extend(nxt)
-            frontier = nxt
+        monomials = [m for d in range(max(bound, 1)) for m in combinations_with_replacement(gens, d)]
         rows = []
         memo = {}
         for rel in self.relations:
+            deg = rel.expr.degree()
             for m in monomials:
-                prod = rel.expr.mul(ClassExpr({m: 1}))
-                if prod.degree() > self.degree_bound:
+                if deg + len(m) > bound:
                     continue
-                nf, complete = self.normalize(prod, memo)
-                if not complete:
-                    continue
-                vec = self._vector(nf, coords)
-                if any(vec):
-                    rows.append(vec)
-        self._sat_cache[self.degree_bound] = (coords, rows)
+                vec = [0] * len(coords)
+                for mono, c in rel.expr.terms.items():
+                    nf = self._rewrite(tuple(sorted(mono + m)), memo)
+                    if nf is None:
+                        break
+                    for k, v in nf.items():
+                        vec[idx[k]] += c * v
+                else:
+                    if any(vec):
+                        rows.append(vec)
+        self._sat_cache[bound] = (coords, rows)
         return coords, rows
 
     def eq(self, lhs, rhs):
@@ -589,9 +576,8 @@ def point_equivalence_certificate(cat, obj, point_cat):
     exceptional object (used to identify blocks with [pt])."""
     sub = full_subcategory(cat, [obj])
     p = point_cat.objects[0]
-    h = point_cat.hom(p, p)
-    target = sub.hom(obj, obj)
-    mor_maps = {(p, p): {0: Matrix(cat.field, target.dim(0), h.dim(0), {(i, 0): v for i, v in cat.identity(obj).coords.items()})}}
+    # degree 0 of End(p) = k: its unit goes to the identity of obj
+    mor_maps = {(p, p): {0: Matrix.from_columns(cat.field, sub.hom(obj, obj).dim(0), [cat.identity(obj).coords])}}
     fun = DGFunctor(point_cat, sub, {p: obj}, mor_maps, name=f"pt->{obj.label}")
     witnesses = {obj: (embed(sub, obj), identity_morphism(embed(sub, obj)))}
     return EquivCertificate(fun, witnesses)

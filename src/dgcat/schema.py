@@ -494,7 +494,7 @@ def _class_expr(s):
     return ClassExpr.parse(_node(s, str, "a class expression"))
 
 
-def ledger_from_json(field, body, verify=True):
+def ledger_from_json(field, body):
     led = Ledger(degree_bound=_node(body["degree_bound"], int, "degree_bound"), flavor=_node(body["flavor"], str, "flavor"))
     for g in _node(body["generators"], list, "generators"):
         payload = category_from_json(field, g["category"]) if _node(g, dict, "a generator")["category"] is not None else None

@@ -189,31 +189,22 @@ def _karoubi_final_check(cat, k, u, target):
         return False, "final_iso endpoints do not match (carrier, target)"
     if u.degree != 0 or not is_closed(u):
         return False, "final_iso is not a closed degree-0 morphism"
-    fl = cat.field
     hs_tx = HomSpace(target, k.carrier)
     hs_xx = HomSpace(k.carrier, k.carrier)
     hs_tt = HomSpace(target, target)
     vs = hs_tx.cohomology_classes(0)
     if not vs:
         return False, "no candidate inverse classes"
-    rows = []
-    h_xx = hs_xx.cohomology(0)
-    h_tt = hs_tt.cohomology(0)
-    cols = {}
-    for t, v in enumerate(vs):
-        uv = hs_xx.project(compose(u, v))
-        for r, val in uv.items():
-            cols[(r, t)] = val
-        vu = hs_tt.project(compose(v, u))
-        for r, val in vu.items():
-            cols[(h_xx.dim + r, t)] = val
-    m = Matrix(fl, h_xx.dim + h_tt.dim, len(vs), cols)
-    rhs = {}
-    for r, val in hs_xx.project(k.e).items():
-        rhs[(r, 0)] = val
-    for r, val in hs_tt.project(identity_morphism(target)).items():
-        rhs[(h_xx.dim + r, 0)] = val
-    sol = m.solve(Matrix(fl, h_xx.dim + h_tt.dim, 1, rhs))
+    n_xx = hs_xx.cohomology(0).dim
+
+    def stacked(xx, tt):
+        """Class coordinates of xx in H^0 End(X) over those of tt in H^0 End(target)."""
+        col = hs_xx.project(xx)
+        col.update((n_xx + r, val) for r, val in hs_tt.project(tt).items())
+        return col
+
+    m = Matrix.from_columns(cat.field, n_xx + hs_tt.cohomology(0).dim, [stacked(compose(u, v), compose(v, u)) for v in vs])
+    sol = m.solve(stacked(k.e, identity_morphism(target)))
     if sol is None:
         return False, "no inverse class: target is not the claimed summand"
     return True, ""
@@ -358,12 +349,19 @@ def check_sod(cat, claim):
     T is all that certificates build when the ambient generators are all
     objects; otherwise the audit ends with the note.
 
+    Nothing shows that a block object outside the ambient generators lies
+    in T, so a claim naming one fails (blocks_in_ambient_generators, an
+    entry present only then).
+
     Witnesses replay in one shared_homspaces() scope (each distinct Hom
     complex built and its contraction verified once); each morphism is
     checked closed once, before its cone is built (see right_orthogonal_check).
     """
     audit = [AuditEntry("semiorthogonality", (), check_semiorthogonality(cat, claim.blocks))]
     in_blocks = [g for b in claim.blocks for g in b]
+    outside = [g.label for g in dict.fromkeys(in_blocks) if g not in claim.ambient_generators]
+    if outside:
+        audit.append(AuditEntry("blocks_in_ambient_generators", (), False, f"{', '.join(outside)}: not an ambient generator, so nothing places its block in the envelope"))
     partition = sorted(in_blocks) == sorted(set(claim.ambient_generators)) and set(in_blocks) <= set(cat.objects)
     with shared_homspaces():
         for c in range(1, len(claim.blocks) if partition else max(len(claim.blocks), 2)):

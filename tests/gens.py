@@ -55,13 +55,7 @@ def random_complex(field, rng, max_atoms=3, degree_span=(-2, 2)):
     diff = {n: Matrix(field, dims.get(n + 1, 0), dims[n], e) for n, e in ent.items()}
     # conjugate by random invertible degreewise changes of basis
     changes = {n: random_invertible(field, d, rng) for n, d in dims.items()}
-    inverses = {}
-    for n, g in changes.items():
-        cols = []
-        for j in range(g.cols):
-            e = Matrix(field, g.rows, 1, {(j, 0): field.one()})
-            cols.append(g.solve(e))
-        inverses[n] = Matrix(field, g.cols, g.rows, {(i, j): v for j, c in enumerate(cols) for (i, _), v in c.entries.items()})
+    inverses = {n: Matrix.from_columns(field, g.cols, [g.solve({j: field.one()}) for j in range(g.rows)]) for n, g in changes.items()}
     new_diff = {}
     for n, m in diff.items():
         new = changes[n + 1].matmul(m).matmul(inverses[n]) if n + 1 in changes else m
@@ -209,7 +203,7 @@ def random_closed_degree0(hs, rng, max_tries=8):
         return pretr.zero_morphism(hs.x, hs.y)
     vec = {}
     for c in cycles:
-        axpy(fl, vec, {i: v for (i, _), v in c.entries.items()}, fl.from_int(rng.randrange(-2, 3)))
+        axpy(fl, vec, c, fl.from_int(rng.randrange(-2, 3)))
     return hs.from_vector(0, vec)
 
 

@@ -3,13 +3,39 @@ that `dgcat.dgcore.from_quiver` replaced, kept verbatim.
 
 It lists every free path of each length and reduces all of them at once
 against the relation consequences, with `basis_extension` over
-[ideal | I_n].  Slow (P^4 over Q takes about a second, P^5 exceeds its path
+[ideal | I_n] (the helper exactlin had then, kept here with it).  Slow (P^4 over Q takes about a second, P^5 exceeds its path
 bound) but direct, so tests compare the length-by-length construction
 against it on bases, names, structure constants and scalar types.
 """
 
 from dgcat.dgcore import Arrow, DGCategory, Hom, InfiniteDimensionalHom, Morphism, ObjId
-from dgcat.exactlin import ChainComplex, Matrix, axpy, basis_extension
+from dgcat.exactlin import ChainComplex, Matrix, axpy
+
+
+def basis_extension(base, candidates):
+    """Extend span(base) by candidate columns, with normal forms of the rest.
+
+    One elimination of [base | candidates].  `picked` lists the candidate
+    columns that are pivot columns, in increasing order: exactly the ones a
+    greedy pass "append the candidate when the rank grows" would take.  For
+    every other candidate k, `normal[k]` is a sparse dict {t: c} with
+    candidates[k] - sum_t c * candidates[picked[t]] in the column span of
+    base; it is read off the kernel vector with a 1 at column k.
+    """
+    f = base.field
+    off = base.cols
+    ent = dict(base.entries)
+    ent.update(((i, off + j), v) for (i, j), v in candidates.entries.items())
+    free = {}
+    for coords in Matrix(f, base.rows, off + candidates.cols, ent).nullspace():
+        free[max(coords)] = coords
+    picked = [k for k in range(candidates.cols) if off + k not in free]
+    position = {k: t for t, k in enumerate(picked)}
+    normal = {}
+    for j, coords in free.items():
+        if j >= off:
+            normal[j - off] = {position[i - off]: f.neg(v) for i, v in coords.items() if off <= i < j}
+    return picked, normal
 
 
 def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_paths=4096):
@@ -25,7 +51,7 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
     sorted order and let `ideal` hold the relation consequences as columns
     over them.  The basis paths are those whose unit vectors are pivot
     columns of [ideal | I_n], and every path is reduced to them by the same
-    elimination (`exactlin.basis_extension`).  The bytes of every document
+    elimination (`basis_extension` above).  The bytes of every document
     built from a quiver, the shipped fixtures included, depend on this rule.
     """
     arrows = [a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]

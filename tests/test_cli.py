@@ -535,3 +535,22 @@ def test_ring_rejects_a_ledger_with_a_one_block_point_sod_fact(fixture_dir, tmp_
     bad.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "ring", str(bad), "invariants")
     assert code == 1 and "every block of a point-sod claim must be a single object" in err
+
+
+def test_check_sod_rejects_a_block_object_outside_the_ambient_generators(tmp_path, capsys):
+    """A sod-claim document with ambient (e1,), blocks (e1), (e2) and e1's
+    cut witness: exit 1 on the blocks_in_ambient_generators obligation."""
+    from sod_reference import witnessed_claim
+    from dgcat.fixtures import kronecker_category
+    from dgcat.sodgen import SODClaim
+
+    k2 = kronecker_category()
+    e1, e2 = k2.objects
+    full = witnessed_claim(k2, [(e1,), (e2,)])
+    claim = SODClaim((e1,), full.blocks, {("e1", 1): full.admissibility[("e1", 1)]})
+    path = tmp_path / "outside.sod-claim.json"
+    path.write_text(schema.dumps(schema.document("sod-claim", "Q", schema.sod_claim_to_json(k2, claim))))
+    code, out, _ = run_cli(capsys, "check-sod", str(path))
+    assert code == 1
+    failed = [row for row in strip_timing(out)["tables"]["audit"][1:] if row[2] == "FAIL"]
+    assert [row[0] for row in failed] == ["blocks_in_ambient_generators"]

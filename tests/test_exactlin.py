@@ -10,8 +10,8 @@ from dgcat.exactlin import (
     ChainComplex,
     FieldMismatch,
     Matrix,
+    ShapeMismatch,
     axpy,
-    basis_extension,
     field_from_spec,
     in_rowspan,
     int_det,
@@ -19,6 +19,22 @@ from dgcat.exactlin import (
 )
 
 from gens import random_complex
+from quiver_reference import basis_extension
+
+
+def hstack(*blocks):
+    """[b1 | b2 | ...] for matrices with the same number of rows."""
+    ent, off = {}, 0
+    for b in blocks:
+        ent.update(((i, off + j), v) for (i, j), v in b.entries.items())
+        off += b.cols
+    return Matrix(blocks[0].field, blocks[0].rows, off, ent)
+
+
+def column_list(m):
+    """The columns of m as sparse dicts, empty ones included."""
+    cols = m.columns()
+    return [cols.get(j, {}) for j in range(m.cols)]
 
 
 def dense_rank_oracle(rows):
@@ -71,11 +87,18 @@ def test_field_mixing_rejected():
 
 
 def test_solve_examples():
-    b = Matrix.column(QQ, [3, 1])
+    b = {0: Fraction(3), 1: Fraction(1)}
     assert Matrix.identity(QQ, 2).solve(b) == b
     assert Matrix.zero(QQ, 2, 2).solve(b) is None
     a = Matrix.from_rows(QQ, [[1, 1], [0, 1]])
-    assert a.solve(b) == Matrix.column(QQ, [2, 1])
+    assert a.solve(b) == {0: 2, 1: 1}
+    # zero scalars of b are dropped; a row out of range is a shape error
+    assert a.solve({0: Fraction(0), 1: Fraction(1)}) == {0: -1, 1: 1}
+    assert Matrix.identity(GF(5), 2).solve({0: 0, 1: 3}) == {1: 3}
+    with pytest.raises(ShapeMismatch):
+        a.solve({2: Fraction(1)})
+    with pytest.raises(ShapeMismatch):
+        a.solve({-1: Fraction(0)})
 
 
 def test_solve_consistency_random():
@@ -83,18 +106,19 @@ def test_solve_consistency_random():
     for _ in range(60):
         r, c = rng.randrange(1, 5), rng.randrange(1, 5)
         a = Matrix.from_rows(QQ, [[rng.randrange(-2, 3) for _ in range(c)] for _ in range(r)])
-        b = Matrix.column(QQ, [rng.randrange(-2, 3) for _ in range(r)])
+        b = {i: Fraction(v) for i in range(r) if (v := rng.randrange(-2, 3))}
         x = a.solve(b)
         if x is None:
-            assert Matrix.hstack(QQ, r, [a, b]).rank() > a.rank()
+            assert Matrix.from_columns(QQ, r, column_list(a) + [b]).rank() > a.rank()
         else:
-            assert a.matmul(x) == b
+            assert a.apply(x) == b
 
 
 def test_nullspace_exact():
     a = Matrix.from_rows(QQ, [[1, 0, -1], [0, 1, 2]])
     (v,) = a.nullspace()
-    assert a.matmul(v).is_zero()
+    assert v == {2: 1, 0: 1, 1: -2}
+    assert a.apply(v) == {}
     rng = random.Random(3)
     for _ in range(40):
         r, c = rng.randrange(1, 5), rng.randrange(1, 6)
@@ -102,39 +126,47 @@ def test_nullspace_exact():
         basis = a.nullspace()
         assert len(basis) == a.nullity()
         for v in basis:
-            assert a.matmul(v).is_zero()
+            assert a.apply(v) == {}
 
 
 def greedy_picked(base, cands):
     """Reference: the greedy "append the candidate when the rank grows" loop
-    that basis_extension replaced in from_quiver and Cohomology."""
+    over sparse column dicts, which one elimination replaced in from_quiver
+    (`quiver_reference.basis_extension`) and Cohomology."""
     f = base.field
     picked = []
-    cur, rank = base, base.rank()
-    for k in range(cands.cols):
-        col = Matrix(f, cands.rows, 1, {(i, 0): v for i, v in cands.column_vector(k).items()})
-        nxt = Matrix.hstack(f, base.rows, [cur, col])
-        r = nxt.rank()
+    cur = column_list(base)
+    rank = base.rank()
+    for k, col in enumerate(cands):
+        r = Matrix.from_columns(f, base.rows, cur + [col]).rank()
         if r > rank:
             picked.append(k)
-            cur, rank = nxt, r
+            cur, rank = cur + [col], r
     return picked
 
 
 def check_basis_extension(base, cands):
     f = base.field
     picked, normal = basis_extension(base, cands)
-    assert picked == greedy_picked(base, cands)
+    cols = column_list(cands)
+    assert picked == greedy_picked(base, cols)
     assert sorted(normal) == [k for k in range(cands.cols) if k not in picked]
     base_rank = base.rank()
     for k, coords in normal.items():
-        residual = cands.column_vector(k)
+        residual = dict(cols[k])
         for t, c in coords.items():
             assert not f.is_zero(c)
-            for i, v in cands.column_vector(picked[t]).items():
-                residual[i] = f.sub(residual.get(i, f.zero()), f.mul(c, v))
-        res = Matrix(f, base.rows, 1, {(i, 0): v for i, v in residual.items()})
-        assert Matrix.hstack(f, base.rows, [base, res]).rank() == base_rank
+            axpy(f, residual, cols[picked[t]], f.neg(c))
+        assert Matrix.from_columns(f, base.rows, column_list(base) + [residual]).rank() == base_rank
+
+
+def check_cohomology_reps(c, n):
+    """Cohomology(c, n).reps are the cycles of the nullspace basis of d(n)
+    that the greedy loop keeps modulo the image of d(n-1)."""
+    cycles = c.d(n).nullspace()
+    reps = c.cohomology(n).reps
+    assert reps == [cycles[k] for k in greedy_picked(c.d(n - 1), cycles)]
+    assert len(reps) == c.cohomology_dim(n)
 
 
 def random_sparse(field, rng, rows, cols, density):
@@ -158,8 +190,14 @@ def test_basis_extension_matches_greedy_loop(field):
         if n and base.cols and rng.random() < 0.5:
             # mix in candidates that already lie in span(base)
             combo = random_sparse(field, rng, base.cols, 2, 0.5)
-            cands = Matrix.hstack(field, n, [cands, base.matmul(combo)])
+            cands = hstack(cands, base.matmul(combo))
         check_basis_extension(base, cands)
+        # the same picks through Cohomology: d(n-1) = base, d(n) = 0, so the
+        # cycles are the unit vectors; then a complex with nonzero d(n)
+        check_cohomology_reps(ChainComplex(field, {0: base.cols, 1: n}, {0: base}), 1)
+        c = random_complex(field, rng, max_atoms=6)
+        for deg in c.degrees():
+            check_cohomology_reps(c, deg)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "Fp"])
@@ -175,16 +213,27 @@ def test_basis_extension_edge_cases(field):
     # zero candidates
     assert basis_extension(e(3, 0, 1), empty) == ([], {})
     # a zero column is never picked and reduces to nothing
-    assert basis_extension(empty, Matrix.hstack(field, 3, [e(3, 0), Matrix.zero(field, 3, 1), e(3, 1)])) == ([0, 2], {1: {}})
+    assert basis_extension(empty, hstack(e(3, 0), Matrix.zero(field, 3, 1), e(3, 1))) == ([0, 2], {1: {}})
     # a duplicate candidate reduces to its first copy; twice a column to 2x it
     dup = Matrix(field, 3, 3, {(0, 0): one, (1, 0): one, (0, 1): one, (1, 1): one, (0, 2): two, (1, 2): two})
     assert basis_extension(empty, dup) == ([0], {1: {0: one}, 2: {0: two}})
     # candidates already in span(base) are not picked and reduce to zero
-    assert basis_extension(e(3, 0, 1), Matrix.hstack(field, 3, [e(3, 1), e(3, 2), e(3, 0)])) == ([1], {0: {}, 2: {}})
+    assert basis_extension(e(3, 0, 1), hstack(e(3, 1), e(3, 2), e(3, 0))) == ([1], {0: {}, 2: {}})
     # no rows at all
     assert basis_extension(Matrix.zero(field, 0, 2), Matrix.zero(field, 0, 2)) == ([], {0: {}, 1: {}})
     for base, cands in ((empty, dup), (e(3, 0), dup), (e(3, 0, 1, 2), dup)):
         check_basis_extension(base, cands)
+    # Cohomology picks: no differential, an exact complex, an image that
+    # covers a later unit vector, a kernel with a dependent column
+    check_cohomology_reps(ChainComplex(field, {0: 3}), 0)
+    check_cohomology_reps(ChainComplex(field, {0: 0, 1: 3}), 1)
+    exact = ChainComplex(field, {0: 2, 1: 2}, {0: Matrix.identity(field, 2)})
+    for n in (0, 1):
+        check_cohomology_reps(exact, n)
+        assert exact.cohomology(n).reps == []
+    check_cohomology_reps(ChainComplex(field, {0: 1, 1: 3}, {0: e(3, 2)}), 1)
+    assert ChainComplex(field, {0: 1, 1: 3}, {0: e(3, 0)}).cohomology(1).reps == [{1: one}, {2: one}]
+    check_cohomology_reps(ChainComplex(field, {0: 3, 1: 1}, {0: Matrix(field, 1, 3, {(0, 0): one, (0, 1): two})}), 0)
 
 
 def random_scalar(field, rng):
@@ -242,7 +291,7 @@ def test_cohomology_basis():
     z = ChainComplex(QQ, {0: 2})
     h = z.cohomology(0)
     assert h.dim == 2
-    assert [r.entries for r in h.reps] == [{(0, 0): 1}, {(1, 0): 1}]
+    assert h.reps == [{0: 1}, {1: 1}]
 
     c = ChainComplex(QQ, {0: 1, 1: 1}, {0: Matrix.identity(QQ, 1)})
     assert c.cohomology(0).dim == 0
@@ -251,7 +300,7 @@ def test_cohomology_basis():
     h = two_step_complex().cohomology(0)
     assert h.dim == 1
     (rep,) = h.reps
-    assert two_step_complex().d(0).matmul(rep).is_zero()
+    assert two_step_complex().d(0).apply(rep) == {}
 
 
 def test_cohomology_project_lift_roundtrip():
@@ -338,7 +387,7 @@ def test_spec_named_conveniences():
     from dgcat.exactlin import rank, solve, cohomology_dim, cohomology_basis
     m = Matrix.from_rows(QQ, [[1, 2], [2, 4]])
     assert rank(m) == 1
-    assert solve(Matrix.identity(QQ, 2), Matrix.column(QQ, [1, 2])) == Matrix.column(QQ, [1, 2])
+    assert solve(Matrix.identity(QQ, 2), {0: Fraction(1), 1: Fraction(2)}) == {0: 1, 1: 2}
     c = two_step_complex()
     assert cohomology_dim(c, 0) == 1
     assert cohomology_basis(c, 0).dim == 1
@@ -365,15 +414,14 @@ def test_chain_complex_rank_cache_matches_elimination(field):
 # reduced-form kernel must return the same entries, in the same order.
 
 
-def ref_echelon(m, extra=None):
+def ref_echelon(m, b=None):
     f = m.field
-    ncols = m.cols + (extra.cols if extra is not None else 0)
+    ncols = m.cols + (b is not None)
     rows = [{} for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
         rows[i][j] = v
-    if extra is not None:
-        for (i, j), v in extra.entries.items():
-            rows[i][m.cols + j] = v
+    for i, v in (b or {}).items():
+        rows[i][m.cols] = v
     if f == QQ:
         int_rows = []
         for r in rows:
@@ -436,7 +484,7 @@ def ref_echelon_mod(rows, ncols, f):
 
 def ref_solve(m, b):
     f = m.field
-    pivots, rows = ref_echelon(m, extra=b)
+    pivots, rows = ref_echelon(m, b)
     if any(c >= m.cols for _, c in pivots):
         return None
     x = {}
@@ -447,7 +495,7 @@ def ref_solve(m, b):
             if c < j < m.cols and j in x:
                 s = f.sub(s, f.mul(v, x[j]))
         x[c] = f.div(s, row[c])
-    return Matrix(f, m.cols, 1, {(j, 0): v for j, v in x.items() if not f.is_zero(v)})
+    return {j: v for j, v in x.items() if not f.is_zero(v)}
 
 
 def ref_nullspace(m):
@@ -466,26 +514,13 @@ def ref_nullspace(m):
                     s = f.add(s, f.mul(v, vec[j]))
             if not f.is_zero(s):
                 vec[c] = f.neg(f.div(s, rows[r][c]))
-        basis.append(Matrix(f, m.cols, 1, {(j, 0): v for j, v in vec.items() if not f.is_zero(v)}))
+        basis.append({j: v for j, v in vec.items() if not f.is_zero(v)})
     return basis
 
 
-def ref_basis_extension(base, cands):
-    f, off = base.field, base.cols
-    free = {}
-    for vec in ref_nullspace(Matrix.hstack(f, base.rows, [base, cands])):
-        coords = {j: v for (j, _), v in vec.entries.items()}
-        free[max(coords)] = coords
-    picked = [k for k in range(cands.cols) if off + k not in free]
-    position = {k: t for t, k in enumerate(picked)}
-    normal = {j - off: {position[i - off]: f.neg(v) for i, v in coords.items() if off <= i < j}
-              for j, coords in free.items() if j >= off}
-    return picked, normal
-
-
-def items_of(m):
-    """A Matrix's entries in insertion order (None passes through)."""
-    return None if m is None else list(m.entries.items())
+def items_of(vec):
+    """A sparse vector's entries in insertion order (None passes through)."""
+    return None if vec is None else list(vec.items())
 
 
 def kernel_cases(field, rng):
@@ -513,10 +548,12 @@ def kernel_cases(field, rng):
         k = rng.randrange(0, min(r, c))
         cases.append(rand(r, k, 0.6).matmul(rand(k, c, 0.6)))
     out = []
+    def vec(n, density):
+        return {i: v for (i, _), v in rand(n, 1, density).entries.items()}
+
     for m in cases:
-        x = rand(m.cols, 1, 0.6)
-        in_span = m.matmul(x)
-        off_span = rand(m.rows, 1, 0.5)
+        in_span = m.apply(vec(m.cols, 0.6))
+        off_span = vec(m.rows, 0.5)
         out.append((m, [in_span, off_span]))
     return out
 
@@ -532,8 +569,4 @@ def test_reduced_kernel_matches_reference(field):
             x = m.solve(b)
             assert items_of(x) == items_of(ref_solve(m, b))
             inconsistent += x is None
-        if m.rows:
-            cands = Matrix.hstack(field, m.rows, rhs + [m])
-            assert basis_extension(m, cands) == ref_basis_extension(m, cands)
-            assert basis_extension(cands, m) == ref_basis_extension(cands, m)
     assert inconsistent > 20  # the off-span right-hand sides do hit inconsistent systems

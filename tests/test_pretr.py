@@ -433,14 +433,9 @@ def test_homotopy_idempotent_with_nontrivial_witness():
     defect = tm_add(compose(ep, ep), tm_neg(ep))
     assert not defect.is_zero()  # genuinely non-strict
     # solve d(h) = ep^2 - ep exactly
-    from dgcat.exactlin import Matrix
-
-    dvec = hs.to_vector(defect)
-    d = hs.complex.d(-1)
-    b = Matrix(fl, hs.complex.dim(0), 1, {(i, 0): v for i, v in dvec.items()})
-    sol = d.solve(b)
+    sol = hs.complex.d(-1).solve(hs.to_vector(defect))
     assert sol is not None
-    h = hs.from_vector(-1, {i: v for (i, _), v in sol.entries.items()})
+    h = hs.from_vector(-1, sol)
     kob = KaroubiObject(x, ep, h)
     assert kob.verify()
     strict = KaroubiObject(x, e, zero_morphism(x, x, -1))
@@ -534,7 +529,7 @@ def test_contracting_homotopy_bounds_every_cycle_into_the_cone():
                 if not hs.complex.dim(n):
                     continue
                 for z in hs.complex.d(n).nullspace():
-                    f = hs.from_vector(n, {i: v for (i, _), v in z.entries.items()})
+                    f = hs.from_vector(n, z)
                     f = tm_scale(cat.field.from_int(rng.choice([1, 2, -1])), f)
                     assert differential(compose(f, h)) == (tm_neg(f) if n % 2 else f)
                     checked += 1
@@ -548,8 +543,7 @@ def _doubled_solve(real_solve):
         sol = real_solve(self, b)
         if sol is None:
             return None
-        fl = sol.field
-        return Matrix(fl, sol.rows, sol.cols, {k: fl.add(v, v) for k, v in sol.entries.items()})
+        return {k: self.field.add(v, v) for k, v in sol.items()}
 
     return solve
 

@@ -465,6 +465,21 @@ def test_claims_without_witnesses_fail_where_the_lemma_does_not_apply():
     assert not verdict.ok and "cut_witness_present" in {a.obligation for a in verdict.audit if not a.ok}
 
 
+def test_a_block_object_outside_the_ambient_generators_fails():
+    """Ambient (e1,) with blocks (e1), (e2) of the Kronecker category and
+    e1's trivial cut witness: nothing places e2's block in the envelope of
+    e1, so the claim fails on that obligation alone."""
+    k2 = kronecker_category()
+    e1, e2 = k2.objects
+    full = witnessed_claim(k2, [(e1,), (e2,)])
+    claim = SODClaim((e1,), full.blocks, {("e1", 1): full.admissibility[("e1", 1)]})
+    verdict = check_sod(k2, claim)
+    assert not verdict.ok
+    assert [(a.obligation, a.detail.split(":")[0]) for a in verdict.audit if not a.ok] == [("blocks_in_ambient_generators", "e2")]
+    # the entry is only there on failure
+    assert "blocks_in_ambient_generators" not in {a.obligation for a in check_sod(k2, full).audit}
+
+
 def test_a_witnessed_claim_document_round_trips_and_replays():
     """A claim that carries its witnesses, as every claim document did
     before witnesses became optional, parses and replays, and writes back
