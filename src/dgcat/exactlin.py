@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q and F_p, chain complexes, and integer Smith normal form.
+"""Exact linear algebra over Q and F_p, chain complexes, and integer lattices.
 
 All arithmetic is exact: rationals are `fractions.Fraction`, prime-field
 elements are ints in [0, p).  A field object is fixed per session and mixing
@@ -8,7 +8,9 @@ rows are scaled to integers and reduced fraction-free (one-step Bareiss) to
 control coefficient growth; over F_p rows stay ints mod p, with one inverse
 per pivot.  `solve` and `nullspace` read their answers off the reduced
 row-echelon form, which depends only on the row space, so no answer depends
-on which row the elimination takes as pivot.
+on which row the elimination takes as pivot.  An integer row lattice has
+one Hermite normal form basis: membership reduces a vector against it, and
+invariant factors are read off the Smith normal form of that basis.
 """
 
 from __future__ import annotations
@@ -699,7 +701,7 @@ class Cohomology:
         return {t: v for t, v in x.items() if t < len(self.reps)}
 
 
-# -- integer Smith normal form ----------------------------------------------
+# -- integer lattices: Smith normal form and Hermite basis --------------------
 
 
 class SNFResult:
@@ -793,47 +795,83 @@ def smith_normal_form(m):
     return SNFResult(diag, U, V, rows, cols)
 
 
-def int_det(m):
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    a = [list(map(int, row)) for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def lattice_basis(rows):
+    """Hermite normal form basis of the Z-span of integer rows, as a list of
+    (col, row) pivots.
+
+    Pivot columns increase, each row is zero left of its pivot, its pivot is
+    positive and every entry above a pivot lies in [0, pivot).  Each row is
+    folded in by gcd row operations, which are unimodular, so the basis
+    spans the same lattice as the rows and depends only on it.
+    Rows of unequal length raise ShapeMismatch.
+    """
+    ncols = len(rows[0]) if rows else 0
+    basis = {}  # pivot column -> row
+    for r in rows:
+        if len(r) != ncols:
+            raise ShapeMismatch("rows of unequal length")
+        v = list(r)
+        c = next((j for j, x in enumerate(v) if x), None)
+        while c is not None:
+            b = basis.get(c)
+            if b is None:
+                basis[c] = v if v[c] > 0 else [-x for x in v]
+                break
+            p, a = b[c], v[c]
+            if a % p:
+                # [[s, t], [a/g, -p/g]] has determinant -1
+                g, s, t = _xgcd(p, a)
+                basis[c], v = [s * x + t * y for x, y in zip(b, v)], [a // g * x - p // g * y for x, y in zip(b, v)]
+            else:
+                q = a // p
+                v = [y - q * x for x, y in zip(b, v)]
+            c = next((j for j in range(c + 1, ncols) if v[j]), None)
+    pivots = sorted(basis.items())
+    for k, (ck, rk) in enumerate(pivots):
+        pk = rk[ck]
+        for _, ri in pivots[:k]:
+            q = ri[ck] // pk
+            if q:
+                for j in range(ck, ncols):
+                    ri[j] -= q * rk[j]
+    return pivots
+
+
+def in_lattice(basis, vec):
+    """Exact membership of an integer vector in the lattice spanned by the
+    (col, row) pivots of `lattice_basis`: vec is reduced against the basis
+    with integer quotients, pivot by pivot, and lies in the lattice iff
+    nothing is left."""
+    if basis and len(vec) != len(basis[0][1]):
+        raise ShapeMismatch("vector length mismatch")
+    vec = list(vec)
+    for c, row in basis:
+        v = vec[c]
+        if v:
+            q, r = divmod(v, row[c])
+            if r:
+                return False
+            for j in range(c, len(row)):
+                vec[j] -= q * row[j]
+    return not any(vec)
 
 
 def in_rowspan(rows, vec):
     """Exact membership of an integer vector in the Z-span of integer rows."""
-    if not rows:
-        return all(v == 0 for v in vec)
-    snf = smith_normal_form(rows)
-    cols = snf.cols
-    if len(vec) != cols:
+    if rows and len(vec) != len(rows[0]):
         raise ShapeMismatch("vector length mismatch")
-    # v in rowspan(R) iff w = v @ V has w_i divisible by d_i and 0 beyond
-    w = [sum(vec[i] * snf.V[i][j] for i in range(cols)) for j in range(cols)]
-    for j in range(cols):
-        d = snf.diag[j] if j < len(snf.diag) else 0
-        if d == 0:
-            if w[j] != 0:
-                return False
-        elif w[j] % d != 0:
-            return False
-    return True
+    return in_lattice(lattice_basis(rows), vec)
 
 
 # -- module-level conveniences ---------------------------------------------------

@@ -7,7 +7,8 @@ facts; the product of two generator classes is opaque until a product fact
 identifies it.  Equality is decided in the degree-bounded quotient: formal
 monomials are rewritten through the product table, relations are saturated
 by all completely-rewritable monomial multiples, and membership in the
-resulting integer lattice is decided by Smith normal form.  A relation
+resulting integer lattice is decided against its Hermite basis, built once
+per ledger version and degree bound.  A relation
 multiple that cannot be fully rewritten is never admitted, so missing facts
 surface as "unknown", not as wrong answers.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from .dgcore import full_subcategory, tensor
-from .exactlin import Matrix, in_rowspan, smith_normal_form
+from .exactlin import Matrix, in_lattice, lattice_basis, smith_normal_form
 from .functors import DGFunctor, EquivCertificate
 from .pretr import embed, identity_morphism
 from .sodgen import check_sod, check_exceptional_collection
@@ -213,7 +214,7 @@ class Ledger:
         self.relations = []
         self.facts = {}
         self.version = 0
-        self._sat_cache = {}  # degree_bound -> (coords, rows)
+        self._sat_cache = {}  # degree_bound -> (coords, rows); ("basis", degree_bound) -> lattice basis
 
     def _copy(self):
         l = Ledger(self.degree_bound, self.flavor)
@@ -488,6 +489,16 @@ class Ledger:
         self._sat_cache[bound] = (coords, rows)
         return coords, rows
 
+    def _lattice(self):
+        """(coords, Hermite basis of the saturated rows), the basis built once
+        per degree bound and kept next to the rows."""
+        coords, rows = self.saturated_rows()
+        key = ("basis", self.degree_bound)
+        basis = self._sat_cache.get(key)
+        if basis is None:
+            basis = self._sat_cache[key] = lattice_basis(rows)
+        return coords, basis
+
     def eq(self, lhs, rhs):
         """equal | unequal_within_bound | unknown, with exact semantics in
         the degree-bounded presented quotient."""
@@ -498,8 +509,8 @@ class Ledger:
             return "equal"
         if not complete or nf.degree() > 1:
             return "unknown"
-        coords, rows = self.saturated_rows()
-        if in_rowspan(rows, self._vector(nf, coords)):
+        coords, basis = self._lattice()
+        if in_lattice(basis, self._vector(nf, coords)):
             return "equal"
         return "unequal_within_bound"
 
@@ -516,11 +527,13 @@ class Ledger:
         return {"verdict": verdict, "relations": used, "facts": facts}
 
     def group_invariants(self):
-        """(free rank, torsion) of the degree-bounded additive quotient."""
-        coords, rows = self.saturated_rows()
-        if not rows:
+        """(free rank, torsion) of the degree-bounded additive quotient, from
+        the Smith normal form of the lattice basis: it spans the lattice the
+        saturated rows span, so the invariant factors are theirs."""
+        coords, basis = self._lattice()
+        if not basis:
             return len(coords), []
-        snf = smith_normal_form(rows)
+        snf = smith_normal_form([row for _, row in basis])
         rank = len(coords) - len(snf.diag)
         torsion = [d for d in snf.diag if d not in (0, 1)]
         return rank, torsion

@@ -243,15 +243,29 @@ def check_semiorthogonality(cat, blocks):
 
 def check_exceptional_collection(cat, objs):
     """Each End is k concentrated in degree 0 (spanned by the identity) and
-    the singleton blocks are semiorthogonal."""
+    the singleton blocks are semiorthogonal.
+
+    Once dim H^0 End(e) = 1, the identity spans H^0 exactly when its class is
+    nonzero, that is when it is a cycle outside the image of d(-1); no
+    cohomology basis is built, and without a d(-1) nothing is eliminated.
+    An identity that is not a cycle raises ValueError.
+    """
     for e in objs:
         h = cat.hom(e, e).complex
         for n in h.degrees():
             expected = 1 if n == 0 else 0
             if h.cohomology_dim(n) != expected:
                 return False
-        if h.cohomology(0).project(cat.identity(e).coords) == {}:
+        ident = cat.identity(e).coords
+        d_in, d_out = h.diff.get(-1), h.diff.get(0)
+        if d_in is not None:
+            boundary = d_in.solve(ident) is not None
+        else:
+            boundary = not any(ident.values())
+        if not h.dim(0) or boundary:
             return False
+        if d_out is not None and d_out.apply(ident):
+            raise ValueError("vector is not a cycle modulo boundaries of this complex")
     return check_semiorthogonality(cat, [(e,) for e in objs])
 
 

@@ -41,6 +41,13 @@ def random_complex(field, rng, max_atoms=3, degree_span=(-2, 2)):
             atoms.append(("point", d0))
         else:
             atoms.append(("interval", d0))
+    return complex_from_atoms(field, rng, atoms)
+
+
+def complex_from_atoms(field, rng, atoms):
+    """The sum of the given atoms, ("point", n) (k in degree n) and
+    ("interval", n) (k -> k from degree n to n+1), under a random invertible
+    change of basis in each degree."""
     dims = {}
     ent = {}
     for kind, d0 in atoms:

@@ -1,16 +1,39 @@
 """Reference ring normal forms for tests: the `normalize` and
 `saturated_rows` that `dgcat.ptring.Ledger` had before its one memoized
-`_rewrite`, kept verbatim.
+`_rewrite`, and the `eq` and `group_invariants` it had before its Hermite
+lattice basis, kept verbatim, with the Smith-form `in_rowspan` they used.
 
 Normal forms are built as `ClassExpr` sums through a closure with a shared
 memo and a cycle guard; saturation multiplies each relation by every
 monomial of a frontier deduplicated by list scans and normalizes each
-product.  `reference(ledger)` views a ledger through these methods, so its
-inherited `eq`, `group_invariants` and `derive_measure_check` decide with
-them too.
+product.  `eq` decides membership with a Smith normal form of all the
+saturated rows, and `group_invariants` reads the same form.
+`reference(ledger)` views a ledger through these methods, so its inherited
+`derive_measure_check` decides with them too.
 """
 
+from dgcat.exactlin import ShapeMismatch, smith_normal_form
 from dgcat.ptring import UNIT, ClassExpr, Ledger
+
+
+def snf_in_rowspan(rows, vec):
+    """Exact membership of an integer vector in the Z-span of integer rows."""
+    if not rows:
+        return all(v == 0 for v in vec)
+    snf = smith_normal_form(rows)
+    cols = snf.cols
+    if len(vec) != cols:
+        raise ShapeMismatch("vector length mismatch")
+    # v in rowspan(R) iff w = v @ V has w_i divisible by d_i and 0 beyond
+    w = [sum(vec[i] * snf.V[i][j] for i in range(cols)) for j in range(cols)]
+    for j in range(cols):
+        d = snf.diag[j] if j < len(snf.diag) else 0
+        if d == 0:
+            if w[j] != 0:
+                return False
+        elif w[j] % d != 0:
+            return False
+    return True
 
 
 class ReferenceLedger(Ledger):
@@ -94,6 +117,28 @@ class ReferenceLedger(Ledger):
                     rows.append(vec)
         self._sat_cache[self.degree_bound] = (coords, rows)
         return coords, rows
+
+    def eq(self, lhs, rhs):
+        diff = lhs.sub(rhs)
+        self._check_registered(diff)
+        nf, complete = self.normalize(diff)
+        if nf.is_zero():
+            return "equal"
+        if not complete or nf.degree() > 1:
+            return "unknown"
+        coords, rows = self.saturated_rows()
+        if snf_in_rowspan(rows, self._vector(nf, coords)):
+            return "equal"
+        return "unequal_within_bound"
+
+    def group_invariants(self):
+        coords, rows = self.saturated_rows()
+        if not rows:
+            return len(coords), []
+        snf = smith_normal_form(rows)
+        rank = len(coords) - len(snf.diag)
+        torsion = [d for d in snf.diag if d not in (0, 1)]
+        return rank, torsion
 
 
 def reference(led):

@@ -13,13 +13,15 @@ from dgcat.exactlin import (
     ShapeMismatch,
     axpy,
     field_from_spec,
+    in_lattice,
     in_rowspan,
-    int_det,
+    lattice_basis,
     smith_normal_form,
 )
 
 from gens import random_complex
 from quiver_reference import basis_extension
+from ring_reference import snf_in_rowspan
 
 
 def hstack(*blocks):
@@ -344,6 +346,29 @@ def test_snf_examples():
     assert r.diag == [2]  # rank 1, then zero diagonal
 
 
+def int_det(m):
+    """Exact determinant of a square integer matrix (Bareiss)."""
+    a = [list(map(int, row)) for row in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def mat_mul_int(a, b):
     n, k, m = len(a), len(b), len(b[0]) if b else 0
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
@@ -371,7 +396,100 @@ def test_in_rowspan():
     assert in_rowspan(rows, [2, 3])
     assert in_rowspan(rows, [4, 0])
     assert not in_rowspan(rows, [1, 0])
-    assert in_rowspan([], [0, 0]) if True else None
+    assert in_rowspan([], [0, 0])
+    assert in_rowspan([], [])
+    assert not in_rowspan([], [1, 0])
+    assert not in_rowspan([[2, 0]], [1, 0])  # in the Q-span, not the Z-span
+    assert not in_rowspan([[1, 1]], [1, 0])  # outside the Q-span
+    assert in_rowspan([[4, 6], [6, 9]], [2, 3])  # 2 = gcd(4, 6) from gcd row operations
+    for rows, vec in (([[1, 2]], [1]), ([[1, 2]], [1, 2, 0]), ([[1, 2], [3]], [1, 2])):
+        with pytest.raises(ShapeMismatch):
+            in_rowspan(rows, vec)
+
+
+def test_lattice_basis_is_the_hermite_normal_form():
+    assert lattice_basis([]) == []
+    assert lattice_basis([[0, 0], [0, 0]]) == []
+    assert lattice_basis([[4, 6], [6, 9]]) == [(0, [2, 3])]
+    assert lattice_basis([[-3, 5, 1], [0, 0, 4], [0, 2, 7]]) == [(0, [3, 1, 0]), (1, [0, 2, 3]), (2, [0, 0, 4])]
+    rng = random.Random(1414)
+    for _ in range(200):
+        c = rng.randrange(1, 6)
+        rows = [[rng.randrange(-9, 10) for _ in range(c)] for _ in range(rng.randrange(0, 6))]
+        basis = lattice_basis(rows)
+        cols = [col for col, _ in basis]
+        assert cols == sorted(set(cols))
+        for k, (col, row) in enumerate(basis):
+            assert row[col] > 0 and not any(row[:col])
+            assert all(0 <= r[col] < row[col] for _, r in basis[:k])
+        # the same lattice: each side's rows lie in the other's span
+        assert all(in_lattice(basis, r) for r in rows)
+        assert all(snf_in_rowspan(rows, r) for _, r in basis)
+        # a change of generators that keeps the lattice keeps the basis
+        shuffled = [list(r) for r in rows]
+        rng.shuffle(shuffled)
+        if len(shuffled) > 1:
+            shuffled[0] = [x + 3 * y for x, y in zip(shuffled[0], shuffled[1])]
+        assert lattice_basis(shuffled + [[0] * c]) == basis
+
+
+def _random_lattice_case(rng):
+    """Seeded integer rows and a vector with their kind: zero and duplicate
+    rows, negative and large entries, rank-deficient shapes, more columns
+    than rows and no rows; the vector in the lattice, in the Q-span but
+    outside the Z-span (rows scaled by m), or random."""
+    c = rng.randrange(1, 6)
+    big = rng.random() < 0.2
+    # the reference Smith form's transforms grow fast with large entries
+    k = rng.randrange(0, 3 if big else 4)
+    base = [[rng.randrange(-10**6, 10**6) if big else rng.randrange(-4, 5) for _ in range(c)] for _ in range(k)]
+    rows = [list(r) for r in base]
+    for _ in range(rng.randrange(0, 3)):  # rank-deficient: combinations of earlier rows
+        if rows and not big:
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append([rng.randrange(-3, 4) * x + rng.randrange(-3, 4) * y for x, y in zip(a, b)])
+    if rows and rng.random() < 0.3:
+        rows.append(list(rng.choice(rows)))
+    if rng.random() < 0.2:
+        rows.append([0] * c)
+    rng.shuffle(rows)
+    kind = rng.choice(("lattice", "q-not-z", "random"))
+    if kind == "lattice":
+        vec = [0] * c
+        for r in rows:
+            q = rng.randrange(-5, 6)
+            vec = [x + q * y for x, y in zip(vec, r)]
+    elif kind == "q-not-z":
+        m = rng.choice((2, 3, 5))
+        vec = [0] * c
+        for r in rows:
+            q = rng.randrange(-5, 6)
+            vec = [x + q * y for x, y in zip(vec, r)]
+        if rows:
+            vec = [x + y for x, y in zip(vec, rng.choice(rows))]
+        rows = [[m * x for x in r] for r in rows]
+    else:
+        vec = [rng.randrange(-6, 7) for _ in range(c)]
+    return rows, vec, kind
+
+
+def test_in_rowspan_matches_the_smith_form_reference():
+    """Hermite-basis membership agrees with the Smith-form test on seeded
+    lattices and vectors of every kind."""
+    rng = random.Random(2014)
+    seen = {}
+    for _ in range(1500):
+        rows, vec, kind = _random_lattice_case(rng)
+        got = in_rowspan(rows, vec)
+        assert got == snf_in_rowspan(rows, vec), (rows, vec)
+        assert got == in_lattice(lattice_basis(rows), vec)
+        if kind == "lattice":
+            assert got
+        seen[kind, got] = seen.get((kind, got), 0) + 1
+    # each kind shows up on the side that makes it a real check
+    assert seen["lattice", True] > 300 and seen["q-not-z", False] > 200 and seen["random", False] > 200
+    assert seen.get(("q-not-z", True), 0) > 20 and seen.get(("random", True), 0) > 20
+    assert not in_rowspan([[2, 0]], [1, 0]) and not snf_in_rowspan([[2, 0]], [1, 0])
 
 
 def test_field_spec_roundtrip():

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
+from dgcat.cli import write_fixture_documents
 from dgcat.dgcore import tensor
-from dgcat import ptring
+from dgcat import exactlin, ptring, schema
 from dgcat.fixtures import (
     a2_category,
     broken_kronecker_sod_claim,
@@ -391,21 +393,57 @@ def random_ring_ledger(rng, bound):
 def test_ring_normal_forms_match_the_reference():
     """Rows (in order), normal forms, eq, group invariants and the measure
     check agree with the ClassExpr-based reference, on the shipped ledger
-    and on seeded ledgers, at every bound 0-5."""
+    and on seeded ledgers, at every bound 0-5.  The reference decides eq
+    by Smith-form membership and reads the invariants off the Smith form of
+    all rows, so the Hermite basis is checked against both, torsion cases
+    included."""
     for bound in range(6):
         led = motivic_ledger(degree_bound=bound)
         assert led.saturated_rows() == reference(led).saturated_rows()
     rng = random.Random(1313)
-    rows_seen = 0
+    rows_seen = torsion_seen = 0
     for trial in range(60):
         led, expr = random_ring_ledger(rng, trial % 6)
         ref = reference(led)
         assert led.saturated_rows() == ref.saturated_rows()
         rows_seen += len(led.saturated_rows()[1])
         assert led.group_invariants() == ref.group_invariants()
+        torsion_seen += bool(ref.group_invariants()[1])
         assert led.derive_measure_check() == ref.derive_measure_check()
         for _ in range(6):
             lhs, rhs = expr(led.degree_bound + 1), expr(2)
             assert led.normalize(lhs) == ref.normalize(lhs)
             assert led.eq(lhs, rhs) == ref.eq(lhs, rhs)
-    assert rows_seen > 300
+    assert rows_seen > 300 and torsion_seen >= 5
+
+
+def test_ring_commands_build_one_lattice_basis_and_no_cohomology(tmp_path, monkeypatch):
+    """Timing-free guard: ingesting the shipped ledger builds no cohomology
+    basis and takes no Smith form; the measure check builds the lattice
+    basis once for all its eq calls; clearing the cache drops the basis."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(exactlin.Cohomology, "__init__", counted("cohomology", exactlin.Cohomology.__init__))
+    monkeypatch.setattr(exactlin, "smith_normal_form", counted("snf", exactlin.smith_normal_form))
+    monkeypatch.setattr(ptring, "smith_normal_form", counted("snf", ptring.smith_normal_form))
+    monkeypatch.setattr(ptring, "lattice_basis", counted("basis", ptring.lattice_basis))
+    paths = write_fixture_documents(str(tmp_path))
+    counts.clear()
+    with open(paths["motivic.ledger.json"], encoding="utf-8") as fh:
+        _, _, led = schema.parse_document(fh.read())
+    assert counts == {}
+    rep = led.derive_measure_check()
+    assert rep["pass"] and len(rep["checks"]) > 1
+    assert counts == {"basis": 1}
+    assert led.group_invariants() == (1, [])
+    assert counts == {"basis": 1, "snf": 1}
+    led._sat_cache.clear()
+    assert led.eq(ClassExpr.gen("P1"), ClassExpr.unit(2)) == "equal"
+    assert counts == {"basis": 2, "snf": 1}

@@ -1,11 +1,12 @@
 import contextlib
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from dgcat.dgcore import tensor
-from dgcat.exactlin import GF, QQ
+from dgcat.exactlin import GF, QQ, axpy
 from dgcat.fixtures import (
     a2_category,
     beilinson3_category,
@@ -50,7 +51,7 @@ from dgcat.sodgen import (
     zero_certificate,
 )
 
-from gens import random_category, random_closed_degree0, random_twisted_complex
+from gens import complex_from_atoms, random_category, random_closed_degree0, random_twisted_complex
 from sod_reference import witnessed_claim, witnessed_exceptional_claim
 
 
@@ -144,6 +145,74 @@ def test_exceptional_collection_examples():
     assert check_exceptional_collection(b3, [b3.obj("v1"), b3.obj("v2"), b3.obj("v3")])
     eps = epsilon_category()
     assert not check_exceptional_collection(eps, [eps.objects[0]])
+
+
+def reference_exceptional_collection(cat, objs):
+    """`check_exceptional_collection` as it was when it projected the
+    identity onto a basis of H^0 End(e)."""
+    for e in objs:
+        h = cat.hom(e, e).complex
+        for n in h.degrees():
+            expected = 1 if n == 0 else 0
+            if h.cohomology_dim(n) != expected:
+                return False
+        if h.cohomology(0).project(cat.identity(e).coords) == {}:
+            return False
+    return check_semiorthogonality(cat, [(e,) for e in objs])
+
+
+def _outcome(check, cat, objs):
+    try:
+        return check(cat, objs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _one_object(h, ident):
+    """What `check_exceptional_collection` reads of a category with one
+    object: End is the complex h and the identity has coordinates ident."""
+    return SimpleNamespace(hom=lambda a, b: SimpleNamespace(complex=h), identity=lambda a: SimpleNamespace(coords=ident))
+
+
+def test_identity_check_matches_the_cohomology_basis_reference():
+    """Deciding the identity's class from d(-1) and d(0) gives the
+    reference's answer, or raises where it raises: on seeded End complexes
+    with d(-1) != 0, identities that are nonzero classes, boundaries, zero
+    or not cycles, and on the epsilon fixture, random categories and tensor
+    models."""
+    rng = random.Random(1414)
+    seen = Counter()
+    for trial in range(600):
+        field = (QQ, GF(2), GF(3), GF(32003))[trial % 4]
+        atoms = [("point", 0)] + [("interval", rng.choice((-2, -1, -1, 0, 0, 1))) for _ in range(rng.randrange(0, 4))]
+        if rng.random() < 0.15:
+            atoms.append(("point", rng.choice((-1, 0, 1))))
+        h = complex_from_atoms(field, rng, atoms)
+        d_in, d_out = h.d(-1), h.d(0)
+        boundary = d_in.apply({j: field.from_int(rng.randrange(-2, 3)) for j in range(h.dim(-1))})
+        kind = rng.choice(("class", "boundary", "zero", "not a cycle"))
+        ident = boundary if kind == "boundary" else {}
+        if kind == "class" and h.cohomology_dim(0):
+            ident = axpy(field, dict(boundary), h.cohomology(0).reps[0], field.from_int(rng.choice((1, 2, -1))))
+        elif kind == "not a cycle":
+            ident = {j: field.from_int(rng.randrange(-2, 3)) for j in range(h.dim(0))}
+        cat = _one_object(h, ident)
+        got = _outcome(check_exceptional_collection, cat, ["e"])
+        assert got == _outcome(reference_exceptional_collection, cat, ["e"]), (atoms, ident)
+        if isinstance(got, str) or not d_out.apply(ident):
+            seen[kind if not isinstance(got, str) else "raised", got is True, not d_in.is_zero()] += 1
+    assert seen["class", True, True] > 40 and seen["boundary", False, True] > 40 and seen["zero", False, True] > 40
+    assert seen["raised", False, True] > 10 and seen["raised", False, False] > 10
+    cats = [epsilon_category(f, deg) for f in (QQ, GF(3)) for deg in (-1, 0, 1, 2)]
+    cats += [random_category(rng, f) for f in (QQ, GF(101)) for _ in range(20)]
+    k2, b3 = kronecker_category(), beilinson3_category()
+    cats += [tensor(k2, k2), tensor(k2, b3), tensor(b3, k2), tensor(tensor(k2, k2), k2), tensor(epsilon_category(), k2)]
+    for cat in cats:
+        for o in cat.objects:
+            assert _outcome(check_exceptional_collection, cat, [o]) == _outcome(reference_exceptional_collection, cat, [o])
+        assert check_exceptional_collection(cat, list(cat.objects)) == reference_exceptional_collection(cat, list(cat.objects))
+    for t in cats[-5:-1]:
+        assert check_exceptional_collection(t, tensor_object_order(t))
 
 
 def test_kronecker_sod_claim_passes():
