@@ -87,14 +87,19 @@ class DGCategory:
         self.ids = ids
         self.name = name
         self._by_label = {o.label: o for o in self.objects}
+        self._empty_hom = None
 
     def obj(self, label):
         return self._by_label[label]
 
     def hom(self, a, b):
+        """Hom(a, b); a pair without one gets the category's one empty Hom,
+        made on first use (callers only read what hom returns)."""
         h = self.homs.get((a, b))
         if h is None:
-            return Hom(ChainComplex(self.field, {}), {})
+            h = self._empty_hom
+            if h is None:
+                h = self._empty_hom = Hom(ChainComplex(self.field, {}), {})
         return h
 
     def basis_morphism(self, a, b, degree, idx):

@@ -39,10 +39,17 @@ class Term:
 
 
 class TwistedComplex:
-    """(⊕ C_i[r_i], q) with q strictly upper triangular, dq + q² = 0."""
+    """(⊕ C_i[r_i], q) with q strictly upper triangular, dq + q² = 0.
+
+    A twisted complex is not changed after construction: terms and q are
+    written only here.  So its content key (_canon) is computed once, and
+    _homs keeps the Hom complexes built with it as an end (see HomSpace).
+    """
 
     def __init__(self, cat, terms, q=None, check=True):
         self.cat = cat
+        self._key = None
+        self._homs = {}  # (cat, content of x, content of y) -> (basis, pos, complex)
         self.terms = tuple(t if isinstance(t, Term) else Term(*t) for t in terms)
         self.q = {}
         for (i, j), m in (q or {}).items():
@@ -255,9 +262,13 @@ def shared_homspaces():
 
     Inside the block, HomSpace(x, y) reuses the basis, the complex and the
     cached cohomology and verified contracting homotopy of an earlier HomSpace
-    over the same category whose ends have the same terms and twists.  A
-    nested block uses the outer one's entries; everything is dropped when
-    the outermost block exits, so memory is bounded by one block's work.
+    over the same category whose ends have the same terms and twists, even
+    when the ends are other objects.  A nested block uses the outer one's
+    entries; everything is dropped when the outermost block exits, so
+    memory is bounded by one block's work.  Outside a block HomSpace shares
+    only the basis and the complex, through the memo on its ends, and the
+    derived results stay with each HomSpace: outside a scope every call
+    verifies.
     """
     global _shared
     if _shared is not None:
@@ -272,19 +283,31 @@ def shared_homspaces():
 
 def _canon(x):
     """Content key of a twisted complex: terms and twist with sorted coords,
-    as plain tuples so that hashing and comparing them runs in C."""
-    return tuple([(t.obj, t.shift) for t in x.terms]), tuple(
-        sorted((i, j, m.degree, tuple(sorted(m.coords.items()))) for (i, j), m in x.q.items())
-    )
+    as plain tuples so that hashing and comparing them runs in C.  Computed
+    once per complex, which is not changed after construction."""
+    key = x._key
+    if key is None:
+        key = x._key = tuple([(t.obj, t.shift) for t in x.terms]), tuple(
+            sorted((i, j, m.degree, tuple(sorted(m.coords.items()))) for (i, j), m in x.q.items())
+        )
+    return key
 
 
 class HomSpace:
     """The Hom chain complex between two twisted complexes, with the
     entry-indexed basis and conversions morphism <-> coordinate vector.
 
-    Inside shared_homspaces() a HomSpace whose ends equal an earlier one's
-    in content (same category, terms and twists) takes that one's basis,
-    complex and derived-result cache; x and y are always the caller's own.
+    A HomSpace whose ends equal an earlier one's in content (same category,
+    terms and twists) takes that one's basis and complex instead of building
+    them; x and y are always the caller's own.  There is one lookup:
+
+    * inside shared_homspaces(), the scope's table, which also shares the
+      derived-result cache (cohomology bases, verified contracting homotopy);
+    * otherwise the memo on the ends: x._homs, then y._homs, both keyed by
+      (category, content of x, content of y).  A build stores
+      (basis, pos, complex) in both.  The memo holds neither the HomSpace
+      nor its ends, so it is freed with them.  The complex is shared with
+      the ranks it caches; each HomSpace keeps its own derived results.
 
     Block layout: the basis of degree n lists, for each target term i, each
     source term j and each degree u of Hom(x_j, y_i) with
@@ -311,31 +334,37 @@ class HomSpace:
         self.x = x
         self.y = y
         self.cat = x.cat
-        key = None
+        cx = _canon(x)
+        key = (x.cat, cx, cx if y is x else _canon(y))
         if _shared is not None:
-            cx = _canon(x)
-            key = (x.cat, cx, cx if y is x else _canon(y))
             hit = _shared.get(key)
-            if hit is not None:
+            if hit is None:
+                self._build()
+                self._derived = {}  # ("cohomology", n) or "null_homotopy" (verified) -> result
+                _shared[key] = self
+            else:
                 self.basis, self.pos, self.complex, self._derived = hit.basis, hit.pos, hit.complex, hit._derived
-                return
-        self._build()
-        if key is not None:
-            _shared[key] = self
+            return
+        hit = x._homs.get(key) or y._homs.get(key)
+        if hit is None:
+            self._build()
+            x._homs[key] = y._homs[key] = self.basis, self.pos, self.complex
+        else:
+            self.basis, self.pos, self.complex = hit
+        self._derived = {}
 
     def _build(self):
         x, y, cat = self.x, self.y, self.cat
+        blocks = [(i, ty, j, tx, cat.hom(tx.obj, ty.obj)) for i, ty in enumerate(y.terms) for j, tx in enumerate(x.terms)]
         basis = {}
         pos = {}
-        for i, ty in enumerate(y.terms):
-            for j, tx in enumerate(x.terms):
-                h = cat.hom(tx.obj, ty.obj)
-                for u in h.complex.degrees():
-                    n = u - ty.shift + tx.shift
-                    lst = basis.setdefault(n, [])
-                    for t in range(h.dim(u)):
-                        pos[(i, j, u, t)] = (n, len(lst))
-                        lst.append((i, j, u, t))
+        for i, ty, j, tx, h in blocks:
+            for u in h.complex.degrees():
+                n = u - ty.shift + tx.shift
+                lst = basis.setdefault(n, [])
+                for t in range(h.dim(u)):
+                    pos[(i, j, u, t)] = (n, len(lst))
+                    lst.append((i, j, u, t))
         self.basis = basis
         self.pos = pos
         fl = cat.field
@@ -347,34 +376,31 @@ class HomSpace:
         for (j, j2), m in x.q.items():
             q_from.setdefault(j, []).append((j2, m))
         ent = {n: {} for n in basis}
-        for i, ty in enumerate(y.terms):
-            for j, tx in enumerate(x.terms):
-                h = cat.hom(tx.obj, ty.obj)
-                for u in h.complex.degrees():
-                    n = u - ty.shift + tx.shift
-                    out = ent[n]
-                    base = h.complex.diff.get(u)
-                    if base is not None:
-                        for (r, t), v in base.entries.items():
-                            out[(pos[(i, j, u + 1, r)][1], pos[(i, j, u, t)][1])] = fl.neg(v) if ty.shift % 2 else v
-                    for i2, q in q_into.get(i, ()):
-                        table = cat.comp.get((tx.obj, ty.obj, y.terms[i2].obj), {})
-                        odd = u * q.degree % 2
-                        for t in range(h.dim(u)):
-                            col = pos[(i, j, u, t)][1]
-                            for k, v in contract(fl, table, u, {t: one}, q.degree, q.coords).items():
-                                out[(pos[(i2, j, u + q.degree, k)][1], col)] = fl.neg(v) if odd else v
-                    for j2, q in q_from.get(j, ()):
-                        table = cat.comp.get((x.terms[j2].obj, tx.obj, ty.obj), {})
-                        odd = (q.degree * u + n + 1) % 2
-                        for t in range(h.dim(u)):
-                            col = pos[(i, j, u, t)][1]
-                            for k, v in contract(fl, table, q.degree, q.coords, u, {t: one}).items():
-                                out[(pos[(i, j2, u + q.degree, k)][1], col)] = fl.neg(v) if odd else v
+        for i, ty, j, tx, h in blocks:
+            for u in h.complex.degrees():
+                n = u - ty.shift + tx.shift
+                out = ent[n]
+                base = h.complex.diff.get(u)
+                if base is not None:
+                    for (r, t), v in base.entries.items():
+                        out[(pos[(i, j, u + 1, r)][1], pos[(i, j, u, t)][1])] = fl.neg(v) if ty.shift % 2 else v
+                for i2, q in q_into.get(i, ()):
+                    table = cat.comp.get((tx.obj, ty.obj, y.terms[i2].obj), {})
+                    odd = u * q.degree % 2
+                    for t in range(h.dim(u)):
+                        col = pos[(i, j, u, t)][1]
+                        for k, v in contract(fl, table, u, {t: one}, q.degree, q.coords).items():
+                            out[(pos[(i2, j, u + q.degree, k)][1], col)] = fl.neg(v) if odd else v
+                for j2, q in q_from.get(j, ()):
+                    table = cat.comp.get((x.terms[j2].obj, tx.obj, ty.obj), {})
+                    odd = (q.degree * u + n + 1) % 2
+                    for t in range(h.dim(u)):
+                        col = pos[(i, j, u, t)][1]
+                        for k, v in contract(fl, table, q.degree, q.coords, u, {t: one}).items():
+                            out[(pos[(i, j2, u + q.degree, k)][1], col)] = fl.neg(v) if odd else v
         dims = {n: len(lst) for n, lst in basis.items()}
         diff = {n: Matrix(fl, dims.get(n + 1, 0), dims[n], e) for n, e in ent.items() if e}
         self.complex = ChainComplex(fl, dims, diff)
-        self._derived = {}  # ("cohomology", n) or "null_homotopy" (verified) -> result
 
     def to_vector(self, f):
         vec = {}
@@ -493,9 +519,10 @@ def is_contractible(x, with_witness=False):
     differential(h) == 1_x has been checked, and a failed check raises.
     differential depends only on the category, terms and twist that the
     shared_homspaces() key holds, so inside a scope a later content-equal
-    call reads the verified result; outside a scope every call builds its
-    own HomSpace and verifies.  with_witness=True always builds h on the
-    caller's own x and verifies it there.
+    call reads the verified result.  Outside a scope the memo on x shares
+    the Hom complex but not the derived results: outside a scope every call
+    verifies.  with_witness=True always builds h on the caller's own x and
+    verifies it there.
     """
     hs = HomSpace(x, x)
     verified = "null_homotopy" in hs._derived

@@ -1,14 +1,17 @@
+import gc
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import weakref
+from collections import Counter
 
 import pytest
 
-from dgcat.dgcore import Arrow, Morphism, from_quiver
+from dgcat.dgcore import Arrow, Morphism, from_quiver, tensor
 from dgcat.exactlin import QQ, GF, Matrix
-from dgcat.fixtures import kronecker_category, kronecker_ev_morphism
+from dgcat.fixtures import beilinson3_category, kronecker_category, kronecker_ev_morphism
 from dgcat import pretr
 from dgcat.pretr import (
     HomSpace,
@@ -510,6 +513,101 @@ def test_shared_scope_nests_and_is_dropped_on_error():
     assert pretr._shared is None
 
 
+def test_memoized_homspace_equals_fresh_build():
+    """Outside a scope a second HomSpace on the same ends takes the complex
+    from the memo on them; everything read from it equals a fresh build on
+    content copies, and the derived results are its own."""
+    rng = random.Random(1515)
+    for trial in range(30):
+        cat = random_category(rng, field=(QQ, GF(32003))[trial % 2])
+        x = random_twisted_complex(cat, rng, max_terms=5)
+        y = shift(random_twisted_complex(cat, rng, max_terms=5), rng.randrange(-1, 2))
+        for a, b in ((x, y), (y, x), (x, x)):
+            first = HomSpace(a, b)
+            hs = HomSpace(a, b)
+            fresh = HomSpace(_content_copy(a), _content_copy(b))
+            assert hs.complex is first.complex and fresh.complex is not first.complex
+            assert hs._derived is not first._derived
+            assert hs.x is a and hs.y is b
+            assert (hs.basis, hs.pos, hs.complex.diff) == (fresh.basis, fresh.pos, fresh.complex.diff)
+            for n in range(min(fresh.complex.degrees(), default=0) - 1, max(fresh.complex.degrees(), default=0) + 2):
+                assert ho_hom(a, b, n) == ho_hom(_content_copy(a), _content_copy(b), n) == fresh.complex.cohomology_dim(n)
+                assert [f.entries for f in hs.cohomology_classes(n)] == [f.entries for f in fresh.cohomology_classes(n)]
+                assert all(f.src is a and f.dst is b for f in hs.cohomology_classes(n))
+    assert pretr._shared is None
+
+
+def _hull_cone(cat, rng, depth):
+    """Iterated cone into the last object, in the shape of the benchmark's
+    cone jobs: C_1 = cone(x1 + x2 + x3 -> top), C_s = cone(z_s -> C_{s-1})."""
+    fl = cat.field
+    top = cat.objects[-1]
+
+    def into_top(obj):
+        n = cat.hom(obj, top).dim(0)
+        return Morphism(obj, top, 0, {t: fl.from_int(rng.randrange(1, 50)) for t in range(n)})
+
+    xs = [rng.choice(cat.objects) for _ in range(3)]
+    src = embed(cat, xs[0])
+    for o in xs[1:]:
+        src = direct_sum(src, embed(cat, o))
+    c = cone(TwistedMorphism(src, embed(cat, top), 0, {(0, j): into_top(o) for j, o in enumerate(xs)}))
+    for _ in range(depth - 1):
+        oz = rng.choice(cat.objects)
+        c = cone(TwistedMorphism(embed(cat, oz), c, 0, {(0, 0): into_top(oz)}))
+    return c
+
+
+def test_hull_cone_tables_build_each_hom_complex_once(monkeypatch):
+    """Timing-free guard: the ho_hom tables of a cone, over every object and
+    shift in both directions, build each Hom complex once per distinct pair
+    of ends and eliminate each distinct differential at most once."""
+    fl = GF(32003)
+    k2 = kronecker_category(fl)
+    rng = random.Random(77)
+    builds, echelons = Counter(), Counter()
+    real_build, real_echelon = pretr.HomSpace._build, Matrix._echelon
+
+    def build(self):
+        builds[(pretr._canon(self.x), pretr._canon(self.y))] += 1
+        return real_build(self)
+
+    def echelon(self, b=None):
+        echelons[(self.rows, self.cols, tuple(sorted(self.entries.items())), None if b is None else tuple(sorted(b.items())))] += 1
+        return real_echelon(self, b)
+
+    for cat in (tensor(k2, k2), tensor(k2, beilinson3_category(fl))):
+        c = _hull_cone(cat, rng, depth=3)
+        monkeypatch.setattr(pretr.HomSpace, "_build", build)
+        monkeypatch.setattr(Matrix, "_echelon", echelon)
+        shifts = sorted({t.shift for t in c.terms})
+        into = [[ho_hom(embed(cat, e), c, -s) for s in shifts] for e in cat.objects]
+        out = [[ho_hom(c, embed(cat, e), s) for s in shifts] for e in cat.objects]
+        monkeypatch.undo()
+        assert len(shifts) == 2 and any(map(any, into + out))
+        assert len(builds) == 2 * len(cat.objects) and set(builds.values()) == {1}
+        assert echelons and set(echelons.values()) == {1}
+        builds.clear()
+        echelons.clear()
+
+
+def test_the_memo_holds_no_reference_cycle():
+    cat = kronecker_category()
+    e1, e2 = embed(cat, cat.obj("e1")), embed(cat, cat.obj("e2"))
+    c = cone(kronecker_ev_morphism(cat))
+    for n in (-1, 0, 1):
+        ho_hom(e1, c, n), ho_hom(c, e2, n), ho_hom(c, c, n)
+    assert c._homs and e1._homs and e2._homs
+    probe = weakref.ref(c)
+    gc.disable()
+    try:
+        del c
+        assert probe() is None
+    finally:
+        gc.enable()
+    assert e1._homs and e2._homs
+
+
 def test_contracting_homotopy_bounds_every_cycle_into_the_cone():
     """With d(h) = 1_C, every cycle f: E -> C of degree n has
     d(f·h) = (-1)^n f, so C is right-orthogonal to every object."""
@@ -551,6 +649,7 @@ def _doubled_solve(real_solve):
 def test_a_wrong_null_homotopy_raises_and_is_not_stored(monkeypatch):
     cat = kronecker_category()
     c = cone(identity_morphism(embed(cat, cat.obj("e1"))))
+    assert ho_hom(c, c, 0) == 0 and c._homs  # both calls below start from a warm memo
     monkeypatch.setattr(Matrix, "solve", _doubled_solve(Matrix.solve))
     for _ in range(2):
         with pytest.raises(AssertionError):
@@ -584,6 +683,24 @@ def test_is_contractible_verifies_once_per_complex_inside_a_scope(monkeypatch):
         assert not is_contractible(x)
     assert ok and h.src is copy and h.dst is copy
     assert real(h) == identity_morphism(copy)
+
+
+def test_is_contractible_verifies_on_every_call_after_the_memo_is_warm(monkeypatch):
+    cat = kronecker_category()
+    c = cone(identity_morphism(embed(cat, cat.obj("e1"))))
+    assert ho_hom(c, c, -1) == 0 and c._homs
+    copy = _content_copy(c)
+    verified, built = [], []
+    real, real_build = pretr.differential, pretr.HomSpace._build
+    monkeypatch.setattr(pretr, "differential", lambda f: verified.append(f.src) or real(f))
+    monkeypatch.setattr(pretr.HomSpace, "_build", lambda self: built.append(self.x) or real_build(self))
+    assert is_contractible(c) and is_contractible(copy) and is_contractible(c)
+    assert verified == [c, copy, c]  # outside a scope every call verifies
+    assert built == [copy]  # c's Hom complex came from its memo
+    verified.clear()
+    with pretr.shared_homspaces():
+        assert is_contractible(c) and is_contractible(copy)
+        assert verified == [c]
 
 
 def test_reduce_verification_survives_python_O():
