@@ -181,6 +181,8 @@ def cmd_ring(args, started):
     _expect("ledger", kind, args.path)
     stored_bound = ledger.degree_bound
     if args.degree_bound is not None:
+        if args.degree_bound < 0:
+            raise CliError(f"--degree-bound must be a non-negative integer, found {args.degree_bound}")
         ledger.degree_bound = args.degree_bound
     sub = args.subcommand
     verdicts = []
@@ -200,6 +202,8 @@ def cmd_ring(args, started):
         provenance = [f"{r['tag']} {r['expr']} ({r['citation'] or r['provenance']})" for r in rep["relations"]]
         provenance += [f"{f['tag']} {f['pair'][0]}*{f['pair'][1]} = {f['value']} ({f['citation'] or f['provenance']})" for f in rep["facts"]]
     elif sub == "measure":
+        if args.line not in ledger.generators:
+            raise CliError(f"measure: no generator {args.line!r} in {args.path}")
         rep = ledger.derive_measure_check(args.line)
         for name, verdict in sorted(rep["checks"].items()):
             verdicts.append({"name": f"mu(L)*[{name}] = [{name}]", "ok": verdict == "equal", "detail": verdict})

@@ -590,7 +590,8 @@ class ChainComplex:
 
     dims maps degree -> dimension; diff[n] is the matrix of d: V^n -> V^{n+1}
     with shape dims(n+1) x dims(n).  A complex is not mutated after
-    construction, so the rank of each d(n) is computed once and kept.
+    construction, so the rank of each d(n) and the Cohomology of each degree
+    are computed once and kept.
     """
 
     def __init__(self, field, dims, diff=None):
@@ -605,6 +606,7 @@ class ChainComplex:
                 raise ShapeMismatch(f"diff({n}) has shape {m.rows}x{m.cols}, expected {self.dim(n + 1)}x{self.dim(n)}")
             self.diff[n] = m
         self._ranks = {}
+        self._cohomology = {}
 
     def dim(self, n):
         return self.dims.get(n, 0)
@@ -639,7 +641,10 @@ class ChainComplex:
         return self.dim(n) - self.rank(n) - self.rank(n - 1)
 
     def cohomology(self, n):
-        return Cohomology(self, n)
+        h = self._cohomology.get(n)
+        if h is None:
+            h = self._cohomology[n] = Cohomology(self, n)
+        return h
 
     def __eq__(self, other):
         return (

@@ -560,12 +560,7 @@ class SerreData:
     name: str = "S"
 
     def space(self, a, b):
-        key = (a, b)
-        if not hasattr(self, "_spaces"):
-            self._spaces = {}
-        if key not in self._spaces:
-            self._spaces[key] = HomSpace(self.obj_images[a], self.obj_images[b])
-        return self._spaces[key]
+        return HomSpace(self.obj_images[a], self.obj_images[b])
 
     def apply(self, f):
         hs = self.space(f.src, f.dst)

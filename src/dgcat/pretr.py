@@ -25,7 +25,6 @@ the nose.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .dgcore import Morphism, ObjId, contract
@@ -252,35 +251,6 @@ def compose(f, g):
     return result
 
 
-_shared = None  # canonical key -> HomSpace, only inside shared_homspaces()
-
-
-@contextmanager
-def shared_homspaces():
-    """Share Hom complexes, and the results derived from them, for the
-    duration of the block.
-
-    Inside the block, HomSpace(x, y) reuses the basis, the complex and the
-    cached cohomology and verified contracting homotopy of an earlier HomSpace
-    over the same category whose ends have the same terms and twists, even
-    when the ends are other objects.  A nested block uses the outer one's
-    entries; everything is dropped when the outermost block exits, so
-    memory is bounded by one block's work.  Outside a block HomSpace shares
-    only the basis and the complex, through the memo on its ends, and the
-    derived results stay with each HomSpace: outside a scope every call
-    verifies.
-    """
-    global _shared
-    if _shared is not None:
-        yield
-        return
-    _shared = {}
-    try:
-        yield
-    finally:
-        _shared = None
-
-
 def _canon(x):
     """Content key of a twisted complex: terms and twist with sorted coords,
     as plain tuples so that hashing and comparing them runs in C.  Computed
@@ -297,17 +267,14 @@ class HomSpace:
     """The Hom chain complex between two twisted complexes, with the
     entry-indexed basis and conversions morphism <-> coordinate vector.
 
-    A HomSpace whose ends equal an earlier one's in content (same category,
-    terms and twists) takes that one's basis and complex instead of building
-    them; x and y are always the caller's own.  There is one lookup:
-
-    * inside shared_homspaces(), the scope's table, which also shares the
-      derived-result cache (cohomology bases, verified contracting homotopy);
-    * otherwise the memo on the ends: x._homs, then y._homs, both keyed by
-      (category, content of x, content of y).  A build stores
-      (basis, pos, complex) in both.  The memo holds neither the HomSpace
-      nor its ends, so it is freed with them.  The complex is shared with
-      the ranks it caches; each HomSpace keeps its own derived results.
+    A HomSpace whose ends already have one in content (same category, terms
+    and twists) takes its basis and complex instead of building them; x and
+    y are always the caller's own.  The one lookup is the memo on the ends:
+    x._homs, then y._homs, both keyed by (category, content of x, content
+    of y).  A build stores (basis, pos, complex) in both.  The memo holds
+    neither the HomSpace nor its ends, so it is freed with them.  The
+    complex is shared with the ranks and cohomology bases it caches; nothing
+    verified is stored (see is_contractible).
 
     Block layout: the basis of degree n lists, for each target term i, each
     source term j and each degree u of Hom(x_j, y_i) with
@@ -336,22 +303,12 @@ class HomSpace:
         self.cat = x.cat
         cx = _canon(x)
         key = (x.cat, cx, cx if y is x else _canon(y))
-        if _shared is not None:
-            hit = _shared.get(key)
-            if hit is None:
-                self._build()
-                self._derived = {}  # ("cohomology", n) or "null_homotopy" (verified) -> result
-                _shared[key] = self
-            else:
-                self.basis, self.pos, self.complex, self._derived = hit.basis, hit.pos, hit.complex, hit._derived
-            return
         hit = x._homs.get(key) or y._homs.get(key)
         if hit is None:
             self._build()
             x._homs[key] = y._homs[key] = self.basis, self.pos, self.complex
         else:
             self.basis, self.pos, self.complex = hit
-        self._derived = {}
 
     def _build(self):
         x, y, cat = self.x, self.y, self.cat
@@ -423,15 +380,11 @@ class HomSpace:
         return TwistedMorphism(self.x, self.y, degree, ent)
 
     def cohomology(self, n):
-        key = ("cohomology", n)
-        if key not in self._derived:
-            self._derived[key] = self.complex.cohomology(n)
-        return self._derived[key]
+        return self.complex.cohomology(n)
 
     def cohomology_classes(self, n):
         """Representative cycles of a basis of H^n as TwistedMorphisms."""
-        h = self.cohomology(n)
-        return [self.from_vector(n, rep) for rep in h.reps]
+        return [self.from_vector(n, rep) for rep in self.cohomology(n).reps]
 
     def project(self, f):
         """Class coordinates of a cycle f in the H^{f.degree} basis."""
@@ -510,36 +463,24 @@ def verify_cone_axioms(c, f, maps=None):
 
 
 def is_contractible(x, with_witness=False):
-    """True iff d(h) = 1_x is solvable in End^{-1}(x); the witness re-verifies.
+    """True iff d(h) = 1_x is solvable in End^{-1}(x).
 
     Such an h also makes x right-orthogonal to every object: each cycle
     f: E -> x of degree n satisfies d(f·h) = (-1)^n f, so H^n Hom(E, x) = 0.
 
-    A solution h is stored in the HomSpace's derived results only after
-    differential(h) == 1_x has been checked, and a failed check raises.
-    differential depends only on the category, terms and twist that the
-    shared_homspaces() key holds, so inside a scope a later content-equal
-    call reads the verified result.  Outside a scope the memo on x shares
-    the Hom complex but not the derived results: outside a scope every call
-    verifies.  with_witness=True always builds h on the caller's own x and
-    verifies it there.
+    Every call solves d(-1)·h = 1 and, when there is a solution, builds h on
+    the caller's own x and checks differential(h) == 1_x, raising on
+    failure.  Nothing is stored: the memo shares the Hom complex, not the
+    verdict.  with_witness=True also returns h (None when there is none).
     """
     hs = HomSpace(x, x)
-    verified = "null_homotopy" in hs._derived
-    if verified:
-        sol = hs._derived["null_homotopy"]
-    else:
-        idv = hs.to_vector(identity_morphism(x))
-        sol = hs.complex.d(-1).solve(idv)
+    sol = hs.complex.d(-1).solve(hs.to_vector(identity_morphism(x)))
     h = None
-    if sol is not None and (with_witness or not verified):
+    if sol is not None:
         h = hs.from_vector(-1, sol)
         if differential(h) != identity_morphism(x):
             raise AssertionError("contractibility witness failed re-verification")
-    hs._derived["null_homotopy"] = sol
-    if with_witness:
-        return sol is not None, h
-    return sol is not None
+    return (h is not None, h) if with_witness else h is not None
 
 
 def is_ho_iso(f):

@@ -439,6 +439,15 @@ def _payload_category(generators, label):
     return cat
 
 
+def _block_ident(i):
+    """A block identification: a string, or ["generator", <label>]."""
+    if type(i) is list:
+        if len(i) != 2 or i[0] != "generator" or type(i[1]) is not str:
+            raise DocumentError(f'a list block ident must be ["generator", <label>], found {i!r}')
+        return tuple(i)
+    return _node(i, str, "a block ident")
+
+
 def _provenance_from_json(generators, pair_or_label, data):
     _node(data, dict, "a provenance")
     kind, citation = _node(data["kind"], str, "a provenance kind"), _node(data.get("citation", ""), str, "a citation")
@@ -452,7 +461,7 @@ def _provenance_from_json(generators, pair_or_label, data):
             label,
             claim,
             tuple(_class_expr(v) for v in _node(payload["block_values"], list, "block_values")),
-            tuple(tuple(i) if isinstance(i, list) else _node(i, str, "a block ident") for i in _node(payload["block_idents"], list, "block_idents")),
+            tuple(_block_ident(i) for i in _node(payload["block_idents"], list, "block_idents")),
         )
         return Provenance(kind, citation, p)
     if payload["type"] == "tensor":
@@ -495,7 +504,10 @@ def _class_expr(s):
 
 
 def ledger_from_json(field, body):
-    led = Ledger(degree_bound=_node(body["degree_bound"], int, "degree_bound"), flavor=_node(body["flavor"], str, "flavor"))
+    bound = _node(body["degree_bound"], int, "degree_bound")
+    if bound < 0:
+        raise DocumentError(f"degree_bound must be a non-negative integer, found {bound}")
+    led = Ledger(degree_bound=bound, flavor=_node(body["flavor"], str, "flavor"))
     for g in _node(body["generators"], list, "generators"):
         payload = category_from_json(field, g["category"]) if _node(g, dict, "a generator")["category"] is not None else None
         flags = _node(g["unit_alias"], bool, "unit_alias"), _node(g["geometric"], bool, "geometric")

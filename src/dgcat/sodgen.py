@@ -31,7 +31,6 @@ from .pretr import (
     is_closed,
     is_contractible,
     is_ho_iso,  # not called here; dgbench's tracer self-test checks that its rebinding reaches this copy
-    shared_homspaces,
     shift,
     zero_morphism,
     HomSpace,
@@ -367,9 +366,9 @@ def check_sod(cat, claim):
     in T, so a claim naming one fails (blocks_in_ambient_generators, an
     entry present only then).
 
-    Witnesses replay in one shared_homspaces() scope (each distinct Hom
-    complex built and its contraction verified once); each morphism is
-    checked closed once, before its cone is built (see right_orthogonal_check).
+    Every contractibility verdict of a replayed witness checks its null
+    homotopy; each morphism is checked closed once, before its cone is
+    built (see right_orthogonal_check).
     """
     audit = [AuditEntry("semiorthogonality", (), check_semiorthogonality(cat, claim.blocks))]
     in_blocks = [g for b in claim.blocks for g in b]
@@ -377,18 +376,17 @@ def check_sod(cat, claim):
     if outside:
         audit.append(AuditEntry("blocks_in_ambient_generators", (), False, f"{', '.join(outside)}: not an ambient generator, so nothing places its block in the envelope"))
     partition = sorted(in_blocks) == sorted(set(claim.ambient_generators)) and set(in_blocks) <= set(cat.objects)
-    with shared_homspaces():
-        for c in range(1, len(claim.blocks) if partition else max(len(claim.blocks), 2)):
-            early = [g for b in claim.blocks[:c] for g in b]
-            late = [g for b in claim.blocks[c:] for g in b]
-            implied = []
-            for gen in claim.ambient_generators:
-                if partition and (gen.label, c) not in claim.admissibility:
-                    implied.append(gen.label)
-                else:
-                    audit.extend(_check_cut_witness(cat, claim, c, gen, early, late))
-            if implied:
-                audit.append(AuditEntry("generators_in_blocks", (c,), True, f"{', '.join(implied)}: each lies in one block, so semiorthogonality gives its triangle"))
+    for c in range(1, len(claim.blocks) if partition else max(len(claim.blocks), 2)):
+        early = [g for b in claim.blocks[:c] for g in b]
+        late = [g for b in claim.blocks[c:] for g in b]
+        implied = []
+        for gen in claim.ambient_generators:
+            if partition and (gen.label, c) not in claim.admissibility:
+                implied.append(gen.label)
+            else:
+                audit.extend(_check_cut_witness(cat, claim, c, gen, early, late))
+        if implied:
+            audit.append(AuditEntry("generators_in_blocks", (c,), True, f"{', '.join(implied)}: each lies in one block, so semiorthogonality gives its triangle"))
     if set(claim.ambient_generators) != set(cat.objects):
         note = "note: beyond the envelope of the ambient generators, equality of the right orthogonal with the early envelope is not verified"
         audit.append(AuditEntry("orthogonal_envelope_completeness", (), True, note))

@@ -554,3 +554,26 @@ def test_check_sod_rejects_a_block_object_outside_the_ambient_generators(tmp_pat
     assert code == 1
     failed = [row for row in strip_timing(out)["tables"]["audit"][1:] if row[2] == "FAIL"]
     assert [row[0] for row in failed] == ["blocks_in_ambient_generators"]
+
+
+def test_ring_measure_of_an_unregistered_line_is_an_input_error(fixture_dir, capsys):
+    code, out, err = run_cli(capsys, "ring", str(fixture_dir / "motivic.ledger.json"), "measure", "--line", "P9")
+    assert code == 2 and not out
+    assert "no generator 'P9'" in json.loads(err)["error"]
+
+
+def test_a_negative_degree_bound_is_an_input_error(fixture_dir, tmp_path, capsys):
+    """A degree bound below 0, from --degree-bound or from the document,
+    exits 2 with a message."""
+    ledger = fixture_dir / "motivic.ledger.json"
+    code, out, err = run_cli(capsys, "ring", str(ledger), "invariants", "--degree-bound", "-1")
+    assert code == 2 and not out
+    assert "--degree-bound must be a non-negative integer" in json.loads(err)["error"]
+    doc = json.loads(ledger.read_text())
+    doc["body"]["degree_bound"] = -1
+    bad = tmp_path / "negative.ledger.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["validate", str(bad)], ["ring", str(bad), "invariants"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        assert "degree_bound must be a non-negative integer" in json.loads(err)["error"]

@@ -85,3 +85,22 @@ def test_scalars_of_another_field_and_entries_out_of_range_are_input_errors(tmp_
         path.write_text(json.dumps(doc))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["validate", str(path)]) == 2
+
+
+def test_malformed_block_idents_are_input_errors(tmp_path):
+    """A list block ident is ["generator", <label>] and nothing else: the
+    shipped ledger with one point ident replaced by [], ["generator"] or
+    ["generator", 7] exits 2 under validate and ring, without a traceback."""
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    ledger = json.loads((docs / "motivic.ledger.json").read_text())
+    for n, ident in enumerate(([], ["generator"], ["generator", 7])):
+        bad = json.loads(json.dumps(ledger))
+        bad["body"]["relations"][1]["provenance"]["payload"]["block_idents"][0] = ident
+        path = tmp_path / f"ident{n}.ledger.json"
+        path.write_text(json.dumps(bad))
+        for argv in (["validate", str(path)], ["ring", str(path), "invariants"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert main(argv) == 2, (ident, argv)
+            assert "block ident" in json.loads(err.getvalue())["error"], (ident, argv)

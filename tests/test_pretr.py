@@ -458,66 +458,35 @@ def _content_copy(x):
     return TwistedComplex(x.cat, list(x.terms), q, check=False)
 
 
-def test_shared_homspace_equals_fresh_build():
-    rng = random.Random(515)
-    reordered = 0
-    for trial in range(30):
-        cat = random_category(rng, field=(QQ, GF(32003))[trial % 2])
-        x = random_twisted_complex(cat, rng, max_terms=5)
-        y = shift(random_twisted_complex(cat, rng, max_terms=5), rng.randrange(-1, 2))
-        for a, b in ((x, y), (y, x), (x, x)):
-            reordered += any(len(m.coords) > 1 for m in list(a.q.values()) + list(b.q.values()))
-            fresh = HomSpace(a, b)
-            with pretr.shared_homspaces():
-                first = HomSpace(_content_copy(a), _content_copy(b))
-                hs = HomSpace(a, b)
-                assert hs.complex is first.complex
-                assert hs.x is a and hs.y is b
-                assert (hs.basis, hs.pos, hs.complex.diff) == (fresh.basis, fresh.pos, fresh.complex.diff)
-                for n in fresh.complex.degrees():
-                    assert [f.entries for f in hs.cohomology_classes(n)] == [f.entries for f in fresh.cohomology_classes(n)]
-                    assert all(f.src is a and f.dst is b for f in hs.cohomology_classes(n))
-    assert reordered
-    assert pretr._shared is None
-
-
 def test_shared_homspace_is_keyed_by_category_and_witnesses_are_rebound():
+    """The memo key names the category: c1 and c2 are equal in content
+    over two equal Kronecker categories, and an entry of c1's memo planted
+    on c2 is not read.  A witness is always built on the caller's ends."""
     k1, k2 = kronecker_category(), kronecker_category()
     c1 = cone(identity_morphism(embed(k1, k1.obj("e1"))))
     c2 = cone(identity_morphism(embed(k2, k2.obj("e1"))))
-    with pretr.shared_homspaces():
-        assert HomSpace(c1, c1).complex is not HomSpace(c2, c2).complex
-        copy = _content_copy(c1)
-        assert HomSpace(copy, copy).complex is HomSpace(c1, c1).complex
-        ok1, h1 = is_contractible(c1, with_witness=True)
-        ok2, h2 = is_contractible(copy, with_witness=True)
+    assert pretr._canon(c1) == pretr._canon(c2)
+    first = HomSpace(c1, c1)
+    c2._homs.update(c1._homs)
+    assert HomSpace(c2, c2).complex is not first.complex
+    assert HomSpace(c1, c1).complex is first.complex
+    copy = _content_copy(c1)
+    assert HomSpace(copy, copy).complex.diff == first.complex.diff
+    ok1, h1 = is_contractible(c1, with_witness=True)
+    ok2, h2 = is_contractible(copy, with_witness=True)
+    assert is_contractible(embed(k1, k1.obj("e2")), with_witness=True) == (False, None)
     assert ok1 and ok2
     assert h1.src is c1 and h2.src is copy and h2.entries == h1.entries
     assert differential(h2) == identity_morphism(copy)
 
 
-def test_shared_scope_nests_and_is_dropped_on_error():
-    assert pretr._shared is None
-    with pretr.shared_homspaces():
-        outer = pretr._shared
-        with pretr.shared_homspaces():
-            assert pretr._shared is outer
-        assert pretr._shared is outer
-    assert pretr._shared is None
-    try:
-        with pretr.shared_homspaces():
-            with pretr.shared_homspaces():
-                raise RuntimeError("inside")
-    except RuntimeError:
-        pass
-    assert pretr._shared is None
-
-
 def test_memoized_homspace_equals_fresh_build():
-    """Outside a scope a second HomSpace on the same ends takes the complex
-    from the memo on them; everything read from it equals a fresh build on
-    content copies, and the derived results are its own."""
+    """A second HomSpace on the same ends takes the complex from the memo on
+    them, as does one whose other end is a content copy with its twist and
+    coordinates reordered; everything read from it equals a fresh build on
+    content copies."""
     rng = random.Random(1515)
+    reordered = 0
     for trial in range(30):
         cat = random_category(rng, field=(QQ, GF(32003))[trial % 2])
         x = random_twisted_complex(cat, rng, max_terms=5)
@@ -527,14 +496,16 @@ def test_memoized_homspace_equals_fresh_build():
             hs = HomSpace(a, b)
             fresh = HomSpace(_content_copy(a), _content_copy(b))
             assert hs.complex is first.complex and fresh.complex is not first.complex
-            assert hs._derived is not first._derived
             assert hs.x is a and hs.y is b
+            reordered += any(len(m.coords) > 1 for m in b.q.values())
+            half = HomSpace(a, _content_copy(b))
+            assert half.complex is first.complex and half.y is not b
             assert (hs.basis, hs.pos, hs.complex.diff) == (fresh.basis, fresh.pos, fresh.complex.diff)
             for n in range(min(fresh.complex.degrees(), default=0) - 1, max(fresh.complex.degrees(), default=0) + 2):
                 assert ho_hom(a, b, n) == ho_hom(_content_copy(a), _content_copy(b), n) == fresh.complex.cohomology_dim(n)
                 assert [f.entries for f in hs.cohomology_classes(n)] == [f.entries for f in fresh.cohomology_classes(n)]
                 assert all(f.src is a and f.dst is b for f in hs.cohomology_classes(n))
-    assert pretr._shared is None
+    assert reordered
 
 
 def _hull_cone(cat, rng, depth):
@@ -654,35 +625,8 @@ def test_a_wrong_null_homotopy_raises_and_is_not_stored(monkeypatch):
     for _ in range(2):
         with pytest.raises(AssertionError):
             is_contractible(c)
-    with pretr.shared_homspaces():
-        for _ in range(2):
-            with pytest.raises(AssertionError):
-                is_contractible(c)
-        monkeypatch.undo()
-        assert is_contractible(c)
-    assert pretr._shared is None
-
-
-def test_is_contractible_verifies_once_per_complex_inside_a_scope(monkeypatch):
-    cat = kronecker_category()
-    c = cone(identity_morphism(embed(cat, cat.obj("e1"))))
-    copy = _content_copy(c)
-    verified = []
-    real = pretr.differential
-    monkeypatch.setattr(pretr, "differential", lambda f: verified.append(f.src) or real(f))
-    assert is_contractible(c) and is_contractible(c)
-    assert verified == [c, c]  # outside a scope every call verifies
-    verified.clear()
-    with pretr.shared_homspaces():
-        assert is_contractible(c) and is_contractible(copy) and is_contractible(c)
-        assert len(verified) == 1 and verified[0] is c
-        ok, h = is_contractible(copy, with_witness=True)
-        assert len(verified) == 2 and verified[1] is copy
-        x = embed(cat, cat.obj("e2"))
-        assert is_contractible(x, with_witness=True) == (False, None)
-        assert not is_contractible(x)
-    assert ok and h.src is copy and h.dst is copy
-    assert real(h) == identity_morphism(copy)
+    monkeypatch.undo()
+    assert is_contractible(c)
 
 
 def test_is_contractible_verifies_on_every_call_after_the_memo_is_warm(monkeypatch):
@@ -695,12 +639,8 @@ def test_is_contractible_verifies_on_every_call_after_the_memo_is_warm(monkeypat
     monkeypatch.setattr(pretr, "differential", lambda f: verified.append(f.src) or real(f))
     monkeypatch.setattr(pretr.HomSpace, "_build", lambda self: built.append(self.x) or real_build(self))
     assert is_contractible(c) and is_contractible(copy) and is_contractible(c)
-    assert verified == [c, copy, c]  # outside a scope every call verifies
+    assert verified == [c, copy, c]  # every call verifies
     assert built == [copy]  # c's Hom complex came from its memo
-    verified.clear()
-    with pretr.shared_homspaces():
-        assert is_contractible(c) and is_contractible(copy)
-        assert verified == [c]
 
 
 def test_reduce_verification_survives_python_O():

@@ -1,4 +1,3 @@
-import contextlib
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -314,7 +313,10 @@ def test_kronecker_tensor_a2_distributivity_blocks():
     assert verdict2.ok, [a for a in verdict2.audit if not a.ok]
 
 
-def test_check_sod_audit_identical_without_shared_scope(monkeypatch):
+def _witnessed_sod_cases():
+    """Claims that carry cut witnesses, so check_sod replays them: K2 and
+    Beilinson P^2 in order, the broken Kronecker claim, and shuffled orders
+    over K2, Beilinson P^2, K2⊗A2, epsilon and seeded random categories."""
     rng = random.Random(2718)
     k2, b3 = kronecker_category(), beilinson3_category()
     cases = [(k2, witnessed_exceptional_claim(k2, k2.objects)), (k2, broken_kronecker_sod_claim(k2)), (b3, witnessed_exceptional_claim(b3, b3.objects))]
@@ -322,41 +324,50 @@ def test_check_sod_audit_identical_without_shared_scope(monkeypatch):
         order = list(cat.objects)
         rng.shuffle(order)
         cases.append((cat, witnessed_exceptional_claim(cat, order)))
-    builds = []
-    real_build = pretr.HomSpace._build
-    monkeypatch.setattr(pretr.HomSpace, "_build", lambda self: builds.append(1) or real_build(self))
-    shared = [check_sod(cat, claim) for cat, claim in cases]
-    shared_builds = len(builds)
-    assert {v.ok for v in shared} == {True, False}
-    builds.clear()
-    monkeypatch.setattr(sodgen, "shared_homspaces", contextlib.nullcontext)
-    for (cat, claim), verdict in zip(cases, shared):
+    return cases
+
+
+def test_check_sod_audit_identical_without_shared_scope():
+    """Replaying a claim again, with the Hom-complex memo on its witness
+    objects warm, gives the same audit."""
+    cases = _witnessed_sod_cases()
+    first = [check_sod(cat, claim) for cat, claim in cases]
+    assert {v.ok for v in first} == {True, False}
+    for (cat, claim), verdict in zip(cases, first):
         assert check_sod(cat, claim) == verdict
-    assert shared_builds < len(builds)
 
 
-def test_check_sod_drops_the_shared_scope(monkeypatch):
-    cat = kronecker_category()
-    claim = witnessed_exceptional_claim(cat, cat.objects)
-    inside = []
-    real = sodgen._check_cut_witness
+def test_every_contractible_verdict_in_check_sod_is_replayed(monkeypatch):
+    """Each time check_sod is told "contractible", d(h) = 1 was checked on
+    that call's own object."""
+    calls = []  # per is_contractible call: [object, verdict, d(h) = 1 checks on it]
+    real, real_differential = sodgen.is_contractible, pretr.differential
 
-    def spy(*args):
-        inside.append(pretr._shared is not None)
-        return real(*args)
+    def counted(x):
+        entry = [x, None, 0]
+        calls.append(entry)
+        entry[1] = real(x)
+        return entry[1]
 
-    monkeypatch.setattr(sodgen, "_check_cut_witness", spy)
-    assert check_sod(cat, claim).ok
-    assert inside and all(inside)
-    assert pretr._shared is None
+    def differential(f):
+        if calls and calls[-1][1] is None and f.degree == -1 and f.src is calls[-1][0] is f.dst:
+            calls[-1][2] += 1
+        return real_differential(f)
 
-    def boom(*args):
-        raise RuntimeError("obligation raised")
-
-    monkeypatch.setattr(sodgen, "_check_cut_witness", boom)
-    with pytest.raises(RuntimeError):
-        check_sod(cat, claim)
-    assert pretr._shared is None
+    monkeypatch.setattr(sodgen, "is_contractible", counted)
+    monkeypatch.setattr(pretr, "differential", differential)
+    cases = _witnessed_sod_cases()
+    oks, counts = [], []
+    for cat, claim in cases:
+        calls.clear()
+        oks.append(check_sod(cat, claim).ok)
+        contractible = [checks for _, ok, checks in calls if ok]
+        assert contractible == [1] * len(contractible)
+        assert all(checks == 0 for _, ok, checks in calls if not ok)
+        counts.append((len(contractible), len(calls) - len(contractible)))
+    assert oks == [True, False, True, True, False, False, True, True, True, True, True]
+    assert counts[2] == (15, 3)  # Beilinson P^2 in order
+    assert all(n for n, _ in counts[:6]) and all(m for _, m in counts[:6])
 
 
 def exhaustive_right_orthogonal_check(cat, gens, x):
