@@ -466,7 +466,6 @@ def cmd_fixtures(args, started):
 def build_parser():
     p = argparse.ArgumentParser(prog="dgcat", description="Exact computer algebra for finite DG categories")
     p.add_argument("--output", choices=("json", "md"), default="json")
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: every check runs sequentially")
     p.add_argument("--field", default="Q", help='"Q" or "Fp:<prime>" (fixture-producing commands)')
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -5,7 +5,8 @@ Exact scalars are encoded as strings ("3/7", "5 mod 101").  Serialization is
 canonical (sorted keys, sorted sparse entries, fixed separators), so
 parse -> serialize round-trips byte-identically.  Ledgers are parsed by
 replaying registrations, relations, and facts, which re-runs all provenance
-verification on ingestion.
+verification on ingestion; a generator whose category tensor() built from
+two registered ones is written as {"tensor": [a, b]} and rebuilt on parse.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .dgcore import DGCategory, Hom, Morphism, ObjId, tensor
 from .exactlin import ChainComplex, FieldMismatch, Matrix, ShapeMismatch, field_from_spec
 from .functors import DGFunctor, EquivCertificate
 from .pretr import KaroubiObject, Term, TwistedComplex, TwistedMorphism
-from .ptring import ClassExpr, Ledger, Provenance, SODProvenance, TensorProvenance
+from .ptring import ClassExpr, Ledger, Provenance, ProvenanceError, SODProvenance, TensorProvenance
 from .sodgen import ConeStep, CutWitness, GenerationCertificate, Leaf, SODClaim, Sum, Summand
 
 SCHEMA_VERSION = 1
@@ -475,7 +476,27 @@ def _provenance_from_json(generators, pair_or_label, data):
     raise DocumentError(f"unknown provenance payload type {payload['type']!r}")
 
 
+def _generator_categories(ledger):
+    """{label: category entry} of a ledger's generators: {"tensor": [a, b]}
+    when tensor() built the payload from the payloads of the generators a
+    and b themselves (the first label in sorted order names a payload
+    registered twice), else the full body, or None."""
+    owner = {}
+    for lbl in sorted(ledger.generators):
+        if ledger.generators[lbl].payload is not None:
+            owner.setdefault(id(ledger.generators[lbl].payload), lbl)
+    out = {}
+    for lbl, info in ledger.generators.items():
+        refs = [owner.get(id(f)) for f in getattr(info.payload, "factors", ())]
+        if len(refs) == 2 and None not in refs:
+            out[lbl] = {"tensor": refs}
+        else:
+            out[lbl] = category_to_json(info.payload) if info.payload is not None else None
+    return out
+
+
 def ledger_to_json(ledger, field):
+    categories = _generator_categories(ledger)
     body = {
         "flavor": ledger.flavor,
         "degree_bound": ledger.degree_bound,
@@ -484,7 +505,7 @@ def ledger_to_json(ledger, field):
                 "label": info.label,
                 "unit_alias": info.unit_alias,
                 "geometric": info.geometric,
-                "category": category_to_json(info.payload) if info.payload is not None else None,
+                "category": categories[info.label],
             }
             for info in (ledger.generators[lbl] for lbl in sorted(ledger.generators))
         ],
@@ -499,6 +520,46 @@ def ledger_to_json(ledger, field):
     return body
 
 
+def _generator_categories_from_json(field, generators):
+    """{label: category or None} of a ledger's generator list.  Explicit
+    bodies are decoded and must satisfy the category axioms (a
+    ProvenanceError names the generator); then each {"tensor": [a, b]}
+    reference is built as tensor(category of a, category of b), factors
+    first; a reference to an unknown label or to a generator without a
+    category, or a cycle of references, is a DocumentError.  A tensor of
+    two valid categories is valid (TensorCategory.validate), so references
+    need no walk."""
+    cats, refs = {}, {}
+    for g in generators:
+        label = _node(_node(g, dict, "a generator")["label"], str, "a generator label")
+        if label in cats or label in refs:
+            raise DocumentError(f"generator {label} is listed twice")
+        entry = g["category"]
+        if type(entry) is dict and "tensor" in entry:
+            pair = refs[label] = _node(entry["tensor"], list, f"generator {label}'s tensor reference")
+            if len(pair) != 2 or not all(type(x) is str for x in pair):
+                raise DocumentError(f"generator {label}: a tensor reference must be two generator labels, found {pair!r}")
+        else:
+            cats[label] = category_from_json(field, entry) if entry is not None else None
+    for label, pair in refs.items():
+        for x in pair:
+            if x not in cats and x not in refs:
+                raise DocumentError(f"generator {label}: tensor reference to unknown generator {x!r}")
+            if x in cats and cats[x] is None:
+                raise DocumentError(f"generator {label}: tensor factor {x} has no category")
+    for label, cat in cats.items():
+        if cat is not None and (bad := cat.validate()):
+            raise ProvenanceError(f"generator {label}'s category violates the category axioms: {len(bad)} violations, first {bad[0].axiom}@{bad[0].where}")
+    while refs:
+        ready = [label for label, (a, b) in refs.items() if a in cats and b in cats]
+        if not ready:
+            raise DocumentError(f"tensor references form a cycle among generators {sorted(refs)}")
+        for label in ready:
+            a, b = refs.pop(label)
+            cats[label] = tensor(cats[a], cats[b])
+    return cats
+
+
 def _class_expr(s):
     return ClassExpr.parse(_node(s, str, "a class expression"))
 
@@ -508,10 +569,11 @@ def ledger_from_json(field, body):
     if bound < 0:
         raise DocumentError(f"degree_bound must be a non-negative integer, found {bound}")
     led = Ledger(degree_bound=bound, flavor=_node(body["flavor"], str, "flavor"))
-    for g in _node(body["generators"], list, "generators"):
-        payload = category_from_json(field, g["category"]) if _node(g, dict, "a generator")["category"] is not None else None
+    generators = _node(body["generators"], list, "generators")
+    categories = _generator_categories_from_json(field, generators)
+    for g in generators:
         flags = _node(g["unit_alias"], bool, "unit_alias"), _node(g["geometric"], bool, "geometric")
-        led = led.register_generator(_node(g["label"], str, "a generator label"), payload, unit_alias=flags[0], geometric=flags[1])
+        led = led.register_generator(g["label"], categories[g["label"]], unit_alias=flags[0], geometric=flags[1])
     for r in _node(body["relations"], list, "relations"):
         prov = _provenance_from_json(led.generators, None, _node(r, dict, "a relation")["provenance"])
         led = led.add_relation(_class_expr(r["expr"]), prov)

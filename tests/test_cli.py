@@ -293,10 +293,11 @@ def test_validate_ledger_document(fixture_dir, capsys):
 
 
 def test_check_sod_jobs_deterministic_cli(fixture_dir, capsys):
+    """Two runs of one check-sod report the same, up to timing_ms."""
     path = str(fixture_dir / "kronecker_squared.sod-claim.json")
-    _, out1, _ = run_cli(capsys, "--jobs", "1", "check-sod", path)
-    _, out4, _ = run_cli(capsys, "--jobs", "4", "check-sod", path)
-    assert strip_timing(out1) == strip_timing(out4)
+    _, out1, _ = run_cli(capsys, "check-sod", path)
+    _, out2, _ = run_cli(capsys, "check-sod", path)
+    assert strip_timing(out1) == strip_timing(out2)
 
 
 def test_summand_step_serialization_roundtrip(tmp_path):
@@ -577,3 +578,44 @@ def test_a_negative_degree_bound_is_an_input_error(fixture_dir, tmp_path, capsys
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and not out
         assert "degree_bound must be a non-negative integer" in json.loads(err)["error"]
+
+
+def test_a_ledger_category_that_breaks_the_unit_law_is_rejected(fixture_dir, tmp_path, capsys):
+    """The shipped ledger with id_v1·x = 2x in P2 and without the P1·P2
+    fact, whose structural comparison would catch an explicit P1xP2 body:
+    ingestion validates P2 and fails, exit 1, under ring eq and validate,
+    with the products written as references and as full bodies."""
+    from ledger_docs import broken_unit, with_explicit_bodies
+
+    text = (fixture_dir / "motivic.ledger.json").read_text()
+    for form, doc in (("reference", text), ("explicit", with_explicit_bodies(text))):
+        bad = tmp_path / f"{form}.ledger.json"
+        bad.write_text(broken_unit(doc))
+        for argv in (["ring", str(bad), "eq", "[P2]", "3*[pt]"], ["validate", str(bad)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and not out, (form, argv)
+            assert "generator P2's category violates the category axioms" in json.loads(err)["error"], (form, argv)
+            assert "left_unit" in err
+
+
+def test_a_wrong_tensor_reference_fails_the_generator_fact(fixture_dir, tmp_path, capsys):
+    """P1xP2 written as tensor(P1, P1) or tensor(P2, P1): the fact
+    [P1]·[P2] = [P1xP2] compares tensor(P1, P2) with it and fails, exit 1.
+    The entries that name P1xP2's objects are dropped first, since their
+    labels are not in either category; with them the ledger is refused too."""
+    doc = json.loads((fixture_dir / "motivic.ledger.json").read_text())
+    body = doc["body"]
+    for refs in (["P1", "P1"], ["P2", "P1"]):
+        wrong = json.loads(json.dumps(doc))
+        next(g for g in wrong["body"]["generators"] if g["label"] == "P1xP2")["category"] = {"tensor": refs}
+        whole = tmp_path / "whole.ledger.json"
+        whole.write_text(json.dumps(wrong))
+        assert run_cli(capsys, "validate", str(whole))[0] != 0
+        wrong["body"]["relations"] = [r for r in body["relations"] if (r["provenance"]["payload"] or {}).get("label") != "P1xP2"]
+        wrong["body"]["facts"] = [f for f in body["facts"] if f["pair"] != ["P1", "P1xP2"]]
+        path = tmp_path / "wrong.ledger.json"
+        path.write_text(json.dumps(wrong))
+        for argv in (["validate", str(path)], ["ring", str(path), "eq", "[P1]*[P2]", "[P1xP2]"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and not out, (refs, argv)
+            assert "tensor category does not match the value generator's category" in json.loads(err)["error"], refs

@@ -6,6 +6,7 @@ import io
 import json
 import random
 
+from dgcat import schema
 from dgcat.cli import main, write_fixture_documents
 
 MUTATIONS = 300
@@ -104,3 +105,70 @@ def test_malformed_block_idents_are_input_errors(tmp_path):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 assert main(argv) == 2, (ident, argv)
             assert "block ident" in json.loads(err.getvalue())["error"], (ident, argv)
+
+
+HOSTILE_REFERENCES = (
+    ({"P1xP2": ["P1", "P3"]}, "unknown generator 'P3'"),
+    ({"P1xP2": ["P1xP2", "P2"]}, "form a cycle among generators ['P1xP2']"),
+    ({"P1xP1": ["P1", "P1xP2"], "P1xP2": ["P1xP1", "P2"]}, "form a cycle among generators ['P1xP1', 'P1xP2']"),
+    ({"P1xP2": ["P1"]}, "must be two generator labels"),
+    ({"P1xP2": ["P1", "P2", "P1"]}, "must be two generator labels"),
+    ({"P1xP2": ["P1", 7]}, "must be two generator labels"),
+    ({"P1xP2": "P1"}, "tensor reference must be an array"),
+    ({"P1xP2": ["P1", "BlP2pt"]}, "tensor factor BlP2pt has no category"),
+)
+
+
+def test_hostile_tensor_references_are_input_errors(tmp_path):
+    """A generator category {"tensor": refs} naming an unknown label, itself,
+    a cycle, not exactly two string labels, or a generator without a
+    category exits 2 with a JSON error under validate and ring."""
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    ledger = json.loads((docs / "motivic.ledger.json").read_text())
+    for n, (refs, message) in enumerate(HOSTILE_REFERENCES):
+        bad = json.loads(json.dumps(ledger))
+        for g in bad["body"]["generators"]:
+            if g["label"] in refs:
+                g["category"] = {"tensor": refs[g["label"]]}
+        path = tmp_path / f"refs{n}.ledger.json"
+        path.write_text(json.dumps(bad))
+        for argv in (["validate", str(path)], ["ring", str(path), "invariants"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(argv) == 2, (refs, argv)
+            assert not out.getvalue() and message in json.loads(err.getvalue())["error"], (refs, argv, err.getvalue())
+
+
+LEDGER_MUTATIONS = 80
+
+
+def test_mutated_ledgers_never_raise_under_validate_or_ring(tmp_path):
+    """Seeded mutations of the shipped ledger give the same exit code, 0, 1
+    or 2, under validate and ring invariants, never a traceback; a ledger
+    that is accepted has categories that validate."""
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    ledger = json.loads((docs / "motivic.ledger.json").read_text())
+    nodes = list(_nodes(ledger))
+    rng = random.Random(20261019)
+    codes = {}
+    for n in range(LEDGER_MUTATIONS):
+        doc = _mutate(ledger, nodes, rng)
+        path = tmp_path / f"m{n}.ledger.json"
+        path.write_text(json.dumps(doc))
+        seen = []
+        for argv in (["validate", str(path)], ["ring", str(path), "invariants"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (n, argv, code)
+            if code:
+                assert "error" in json.loads(err.getvalue()), (n, argv)
+            seen.append(code)
+        assert seen[0] == seen[1], (n, seen)
+        if seen[0] == 0:
+            _, _, led = schema.parse_document(path.read_text())
+            assert all(not g.payload.validate() for g in led.generators.values() if g.payload is not None), n
+        codes[seen[0]] = codes.get(seen[0], 0) + 1
+    assert codes.get(2, 0) > LEDGER_MUTATIONS // 2, codes

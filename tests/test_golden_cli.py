@@ -14,6 +14,7 @@ import io
 import json
 import os
 
+from dgcat import schema
 from dgcat.cli import main, write_fixture_documents
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_report_digests.json")
@@ -57,14 +58,14 @@ def _normalise(text, docs):
     return "".join(line for line in text.splitlines(keepends=True) if not line.startswith("_timing:"))
 
 
-def cli_report_digests(tmp_dir):
-    """Digest of every guarded report (and written ledger), keyed by name."""
-    docs = os.path.join(tmp_dir, "docs")
-    out_dir = os.path.join(tmp_dir, "out")
+def _report_digests(docs, out_dir, keep=lambda name: True):
+    """Digest of each guarded report on the documents in docs whose name
+    keep accepts, and of the ledger that ring relate --claim writes."""
     os.makedirs(out_dir)
-    write_fixture_documents(docs)
     out = {}
     for name, argv in _cli_runs(docs, out_dir):
+        if not keep(name):
+            continue
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(argv)
@@ -74,7 +75,43 @@ def cli_report_digests(tmp_dir):
     return out
 
 
+def cli_report_digests(tmp_dir):
+    """Digest of every guarded report (and written ledger), keyed by name."""
+    docs = os.path.join(tmp_dir, "docs")
+    write_fixture_documents(docs)
+    return _report_digests(docs, os.path.join(tmp_dir, "out"))
+
+
 def test_cli_reports_match_golden_digests(tmp_path):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     assert cli_report_digests(str(tmp_path)) == golden
+
+
+# The shipped ledger as written while products were stored as full category
+# bodies: its size and SHA-256, and the SHA-256 of the ledger that
+# ring relate --claim wrote from it.
+EXPLICIT_LEDGER = (16304, "fae94e9736a661a6e9dc5b28b235ffdf9f5429098051a7b42de18c39fb7bbbf1")
+EXPLICIT_RELATED_LEDGER = "b7b5f81345dcf4f1d5aae14f5f15545faea84981134c39bba4b9263c71339fb3"
+
+
+def test_a_ledger_with_explicit_product_bodies_reads_as_before(tmp_path):
+    """The shipped ledger with its tensor references written out as full
+    bodies is the older document byte for byte.  It still parses and
+    re-writes byte for byte, every guarded ring command reports on it what
+    it reports on the shipped ledger, and ring relate --claim writes the
+    older bytes."""
+    from ledger_docs import with_explicit_bodies
+
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    text = with_explicit_bodies((docs / "motivic.ledger.json").read_text())
+    assert (len(text), _sha256(text)) == EXPLICIT_LEDGER
+    kind, field, led = schema.parse_document(text)
+    assert schema.dumps(schema.document(kind, field, schema.ledger_to_json(led, field))) == text
+    (docs / "motivic.ledger.json").write_text(text)
+    digests = _report_digests(str(docs), str(tmp_path / "out"), keep=lambda name: name.startswith("ring/"))
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    golden["ring/relate-claim/ledger"] = EXPLICIT_RELATED_LEDGER
+    assert digests == {name: d for name, d in golden.items() if name.startswith("ring/")}

@@ -447,3 +447,51 @@ def test_ring_commands_build_one_lattice_basis_and_no_cohomology(tmp_path, monke
     led._sat_cache.clear()
     assert led.eq(ClassExpr.gen("P1"), ClassExpr.unit(2)) == "equal"
     assert counts == {"basis": 2, "snf": 1}
+
+
+def test_parsing_the_shipped_ledger_builds_and_compares_no_tensor_category(tmp_path, monkeypatch):
+    """The shipped ledger names P1xP1 and P1xP2 as tensor references, so both
+    generator-mode facts hold by construction: a parse calls neither
+    ptring.tensor nor categories_structurally_equal.  The same ledger with
+    the products written as full bodies rebuilds and compares both."""
+    from ledger_docs import with_explicit_bodies
+
+    counts = Counter()
+    for name in ("tensor", "categories_structurally_equal"):
+        real = getattr(ptring, name)
+        monkeypatch.setattr(ptring, name, lambda *a, _real=real, _name=name: counts.update([_name]) or _real(*a))
+    paths = write_fixture_documents(str(tmp_path))
+    with open(paths["motivic.ledger.json"], encoding="utf-8") as fh:
+        text = fh.read()
+    counts.clear()
+    _, _, led = schema.parse_document(text)
+    assert counts == {}
+    assert led.eq(ClassExpr.parse("[P1]*[P2]"), ClassExpr.unit(6)) == "equal"
+    explicit = with_explicit_bodies(text)
+    counts.clear()
+    schema.parse_document(explicit)
+    assert counts == {"tensor": 2, "categories_structurally_equal": 2}
+
+
+def test_ledger_documents_name_products_of_registered_payloads_as_references():
+    """ledger_to_json writes {"tensor": [a, b]} exactly when tensor() built
+    the payload from two registered payloads, naming a payload registered
+    twice by its first label in sorted order; a nested reference that sorts
+    before its factors resolves, and the parse re-writes byte for byte with
+    each reference built over the parsed factors."""
+    k2, pt = kronecker_category(), point_category()
+    kp = tensor(k2, pt)
+    led = Ledger()
+    for label, payload in (("L", k2), ("K", k2), ("pt", pt), ("KxP", kp), ("AAA", tensor(kp, k2)), ("M", tensor(kronecker_category(), pt))):
+        led = led.register_generator(label, payload)
+    body = schema.ledger_to_json(led, k2.field)
+    cats = {g["label"]: g["category"] for g in body["generators"]}
+    assert cats["KxP"] == {"tensor": ["K", "pt"]} and cats["AAA"] == {"tensor": ["KxP", "K"]}
+    assert cats["M"] == schema.category_to_json(led.generators["M"].payload)
+    assert cats["K"] == cats["L"] == schema.category_to_json(k2)
+    text = schema.dumps(schema.document("ledger", k2.field, body))
+    kind, field, led2 = schema.parse_document(text)
+    assert schema.dumps(schema.document(kind, field, schema.ledger_to_json(led2, field))) == text
+    g = {label: info.payload for label, info in led2.generators.items()}
+    assert g["AAA"].factors[0] is g["KxP"] and g["AAA"].factors[1] is g["K"] and g["KxP"].factors == (g["K"], g["pt"])
+    assert g["K"] is not g["L"] and ptring.categories_structurally_equal(g["AAA"], tensor(kp, k2))
