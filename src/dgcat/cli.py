@@ -9,6 +9,7 @@ atomically (write-temp-then-rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -55,9 +56,14 @@ def _expect(kind, got, path):
 
 def _write_atomic(path, text):
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise CliError(f"cannot write {path}: {e}")
 
 
 def emit(report, args, started):
@@ -337,7 +343,10 @@ def cmd_karoubi(args, started):
     kb = idempotents.get(args.b or args.a)
     if ka is None or kb is None:
         raise CliError("karoubi needs idempotent names present in the document")
-    lo, hi = (int(s) for s in args.degrees.split(".."))
+    try:
+        lo, hi = (int(s) for s in args.degrees.split(".."))
+    except ValueError:
+        raise CliError(f"--degrees must be <lo>..<hi> with integer ends, found {args.degrees!r}")
     rows = [["degree", "dim"]]
     for n in range(lo, hi + 1):
         try:

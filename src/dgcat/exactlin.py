@@ -10,14 +10,15 @@ per pivot.  `solve` and `nullspace` read their answers off the reduced
 row-echelon form, which depends only on the row space, so no answer depends
 on which row the elimination takes as pivot.  An integer row lattice has
 one Hermite normal form basis: membership reduces a vector against it, and
-invariant factors are read off the Smith normal form of that basis.
+its invariant factors come from gcd steps on that basis modulo twice the
+product of its pivots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, prod
 
 
 class FieldMismatch(Exception):
@@ -706,98 +707,54 @@ class Cohomology:
         return {t: v for t, v in x.items() if t < len(self.reps)}
 
 
-# -- integer lattices: Smith normal form and Hermite basis --------------------
-
-
-class SNFResult:
-    def __init__(self, diag, U, V, rows, cols):
-        self.diag = diag
-        self.U = U
-        self.V = V
-        self.rows = rows
-        self.cols = cols
+# -- integer lattices: Hermite basis and invariant factors --------------------
 
 
 def smith_normal_form(m):
-    """Smith normal form of an integer matrix (list of lists).
+    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix (list of
+    lists): the nonzero diagonal of its Smith normal form.
 
-    Returns SNFResult with d_1 | d_2 | ... and unimodular U, V such that
-    U @ m @ V is the diagonal matrix of the d_i.
+    Steps are taken modulo D = 2 * (product of the pivots of the Hermite
+    basis of the row lattice L), after Domich, Kannan and Trotter (1987).
+    Z^n / (L + D Z^n) is the sum of the Z/d_i and of (Z/D)^(n-r), and each
+    d_i divides the product of the pivots, which is less than D.  So gcd row
+    and column steps on the basis, with every entry reduced mod D, reach a
+    diagonal g_1..g_r, and the gcd(g_i, D), put into a divisibility chain,
+    are the d_i.  No entry ever reaches D.
     """
-    a = [list(map(int, row)) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, k, q):  # row_i -= q * row_k
-        ai, ak = a[i], a[k]
-        for j in range(cols):
-            ai[j] -= q * ak[j]
-        ui, uk = U[i], U[k]
-        for j in range(rows):
-            ui[j] -= q * uk[j]
-
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for i in range(rows):
-            a[i][j] -= q * a[i][k]
-        for i in range(cols):
-            V[i][j] -= q * V[i][k]
-
-    def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        U[i], U[k] = U[k], U[i]
-
-    def col_swap(j, k):
-        for i in range(rows):
-            a[i][j], a[i][k] = a[i][k], a[i][j]
-        for i in range(cols):
-            V[i][j], V[i][k] = V[i][k], V[i][j]
-
-    t = 0
-    while t < rows and t < cols:
-        pi, pj, best = -1, -1, 0
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(a[i][j])
-                if v and (best == 0 or v < best or (v == best and (i, j) < (pi, pj))):
-                    pi, pj, best = i, j, v
-        if best == 0:
-            break
-        row_swap(t, pi)
-        col_swap(t, pj)
+    basis = lattice_basis(m)
+    D = 2 * prod(row[c] for c, row in basis)
+    a = [[x % D for x in row] for _, row in basis]
+    r, n = len(a), len(a[0]) if a else 0
+    for t in range(r):
         dirty = True
         while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
+            for i in range(t + 1, r):
                 if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
+                    s, u, v, w = _gcd_step(a[t][t], a[i][t])
+                    a[t], a[i] = [(s * x + u * y) % D for x, y in zip(a[t], a[i])], [(v * x + w * y) % D for x, y in zip(a[t], a[i])]
+            for j in range(t + 1, n):
                 if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty:
-                # force divisibility of the remaining block by the pivot
-                for i in range(t + 1, rows):
-                    bad = next((j for j in range(t + 1, cols) if a[i][j] % a[t][t]), None)
-                    if bad is not None:
-                        row_op(t, i, -1)
-                        dirty = True
-                        break
-        if a[t][t] < 0:
-            row_op(t, t, 2)  # negate the row: row_t -= 2*row_t
-        t += 1
-    diag = [a[i][i] for i in range(min(rows, cols))]
-    while diag and diag[-1] == 0:
-        diag.pop()
-    return SNFResult(diag, U, V, rows, cols)
+                    s, u, v, w = _gcd_step(a[t][t], a[t][j])
+                    for row in a:
+                        row[t], row[j] = (s * row[t] + u * row[j]) % D, (v * row[t] + w * row[j]) % D
+            # a column step refills column t only when it lowers the pivot
+            dirty = any(a[i][t] for i in range(t + 1, r))
+    d = [gcd(a[t][t], D) for t in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
+
+
+def _gcd_step(p, x):
+    """(s, u, v, w) with [[s, u], [v, w]] of determinant +-1 sending (p, x)
+    to (gcd(p, x), 0); it leaves p in place when p divides x."""
+    if p and x % p == 0:
+        return 1, 0, -(x // p), 1
+    g, s, u = _xgcd(p, x)
+    return s, u, x // g, -(p // g)
 
 
 def _xgcd(a, b):

@@ -24,7 +24,6 @@ the nose.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .dgcore import Morphism, ObjId, contract
@@ -624,50 +623,3 @@ def karoubi_hom(a, b, n):
         for r, v in hs.project(image).items():
             cols[(r, t)] = v
     return Matrix(fl, h.dim, h.dim, cols).rank()
-
-
-def search_ho_iso(x, y, seed=0, attempts=100, enumerate_bound=10000):
-    """Bounded search for a homotopy isomorphism x -> y.
-
-    Over F_p enumerates H^0 classes when the class count is within the
-    bound, otherwise (and over Q) samples randomly with a retry budget.
-    Returns a verified TwistedMorphism or None; "not found" never means
-    "not isomorphic".
-    """
-    hs = HomSpace(x, y)
-    classes = hs.cohomology_classes(0)
-    if not classes:
-        return None
-    fl = x.cat.field
-    k = len(classes)
-
-    def candidate(coeffs):
-        f = zero_morphism(x, y)
-        for c, z in zip(coeffs, classes):
-            if not fl.is_zero(c):
-                f = tm_add(f, tm_scale(c, z))
-        return f if not f.is_zero() else None
-
-    if hasattr(fl, "p") and fl.p**k <= enumerate_bound:
-        coords = [0] * k
-        while True:
-            pos = 0
-            while pos < k:
-                coords[pos] += 1
-                if coords[pos] < fl.p:
-                    break
-                coords[pos] = 0
-                pos += 1
-            if pos == k:
-                return None
-            f = candidate(coords)
-            if f is not None and is_ho_iso(f):
-                return f
-    rng = random.Random(seed)
-    span = fl.p if hasattr(fl, "p") else 7
-    for _ in range(attempts):
-        coeffs = [fl.from_int(rng.randrange(span) - (0 if hasattr(fl, "p") else span // 2)) for _ in range(k)]
-        f = candidate(coeffs)
-        if f is not None and is_ho_iso(f):
-            return f
-    return None

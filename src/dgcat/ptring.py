@@ -154,7 +154,7 @@ class SODProvenance:
     label: str
     claim: object
     block_values: tuple  # one ClassExpr per block
-    block_idents: tuple  # "point" or ("generator", label) per block
+    block_idents: tuple  # "point" per block
     category: object = None  # the claim's own copy of the registered category, if any
 
 
@@ -294,22 +294,15 @@ class Ledger:
         if not verdict.ok:
             bad = [a for a in verdict.audit if not a.ok]
             raise ProvenanceError(f"SOD claim failed verification: {bad[:3]}")
-        if len(p.block_values) != len(p.claim.blocks):
-            raise ProvenanceError("one value per block required")
+        if not len(p.block_values) == len(p.block_idents) == len(p.claim.blocks):
+            raise ProvenanceError("one value and one ident per block required")
         for block, value, ident in zip(p.claim.blocks, p.block_values, p.block_idents):
-            if ident == "point":
-                if not _point_block_ok(cat, block):
-                    raise ProvenanceError(f"block {block} is not machine-identifiable with the point")
-                if value != ClassExpr.unit():
-                    raise ProvenanceError("point blocks must carry the unit value")
-            elif isinstance(ident, tuple) and ident[0] == "generator":
-                ginfo = self.generators.get(ident[1])
-                if ginfo is None:
-                    raise ProvenanceError(f"block identified with unregistered generator {ident[1]!r}")
-                if value != self.expr_gen(ident[1]):
-                    raise ProvenanceError("block value must match its identifying generator")
-            else:
+            if ident != "point":
                 raise ProvenanceError(f"unknown block identification {ident!r}")
+            if not _point_block_ok(cat, block):
+                raise ProvenanceError(f"block {block} is not machine-identifiable with the point")
+            if value != ClassExpr.unit():
+                raise ProvenanceError("point blocks must carry the unit value")
         claimed = self.expr_gen(p.label)
         for value in p.block_values:
             claimed = claimed.sub(value)
@@ -528,15 +521,11 @@ class Ledger:
 
     def group_invariants(self):
         """(free rank, torsion) of the degree-bounded additive quotient, from
-        the Smith normal form of the lattice basis: it spans the lattice the
+        the invariant factors of the lattice basis: it spans the lattice the
         saturated rows span, so the invariant factors are theirs."""
         coords, basis = self._lattice()
-        if not basis:
-            return len(coords), []
-        snf = smith_normal_form([row for _, row in basis])
-        rank = len(coords) - len(snf.diag)
-        torsion = [d for d in snf.diag if d not in (0, 1)]
-        return rank, torsion
+        factors = smith_normal_form([row for _, row in basis])
+        return len(coords) - len(factors), [d for d in factors if d != 1]
 
     def derive_measure_check(self, line_label="P1"):
         """Check mu(L) = 1: with L = [P1] - [pt], eq(L*x, x) for every

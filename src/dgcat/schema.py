@@ -48,7 +48,10 @@ def _index(x, n, what):
 
 
 def _obj(cat, label):
-    return cat.obj(_node(label, str, "an object label"))
+    try:
+        return cat.obj(_node(label, str, "an object label"))
+    except KeyError:
+        raise DocumentError(f"unknown object label {label!r}") from None
 
 
 def dumps(doc):
@@ -420,7 +423,7 @@ def _provenance_to_json(ledger, prov):
             "label": p.label,
             "claim": sod_claim_to_json(info.payload, p.claim, with_category=False),
             "block_values": [v.format() for v in p.block_values],
-            "block_idents": [list(i) if isinstance(i, tuple) else i for i in p.block_idents],
+            "block_idents": list(p.block_idents),
         }
     elif isinstance(p, TensorProvenance):
         out["payload"] = {"type": "tensor", "mode": p.mode, "product_kind": p.product_kind}
@@ -440,13 +443,12 @@ def _payload_category(generators, label):
     return cat
 
 
-def _block_ident(i):
-    """A block identification: a string, or ["generator", <label>]."""
-    if type(i) is list:
-        if len(i) != 2 or i[0] != "generator" or type(i[1]) is not str:
-            raise DocumentError(f'a list block ident must be ["generator", <label>], found {i!r}')
-        return tuple(i)
-    return _node(i, str, "a block ident")
+def _claim_from_json(cat, body, owner):
+    """sod_claim_from_json, naming the generator or fact whose claim fails."""
+    try:
+        return sod_claim_from_json(cat, body)
+    except DocumentError as e:
+        raise DocumentError(f"claim of {owner}: {e}") from None
 
 
 def _provenance_from_json(generators, pair_or_label, data):
@@ -457,12 +459,12 @@ def _provenance_from_json(generators, pair_or_label, data):
         return Provenance(kind, citation)
     if _node(payload, dict, "a provenance payload")["type"] == "sod":
         label = _node(payload["label"], str, "a generator label")
-        claim = sod_claim_from_json(_payload_category(generators, label), payload["claim"])
+        claim = _claim_from_json(_payload_category(generators, label), payload["claim"], f"generator {label}")
         p = SODProvenance(
             label,
             claim,
             tuple(_class_expr(v) for v in _node(payload["block_values"], list, "block_values")),
-            tuple(_block_ident(i) for i in _node(payload["block_idents"], list, "block_idents")),
+            tuple(_node(i, str, "a block ident") for i in _node(payload["block_idents"], list, "block_idents")),
         )
         return Provenance(kind, citation, p)
     if payload["type"] == "tensor":
@@ -470,7 +472,7 @@ def _provenance_from_json(generators, pair_or_label, data):
         if "claim" in payload:
             a, b = pair_or_label
             t = tensor(_payload_category(generators, a), _payload_category(generators, b))
-            claim = sod_claim_from_json(t, payload["claim"])
+            claim = _claim_from_json(t, payload["claim"], f"fact ({a}, {b})")
         mode, product_kind = _node(payload["mode"], str, "a tensor mode"), _node(payload.get("product_kind", "bullet"), str, "a product kind")
         return Provenance(kind, citation, TensorProvenance(mode, claim, product_kind, t))
     raise DocumentError(f"unknown provenance payload type {payload['type']!r}")

@@ -1,7 +1,9 @@
 """Reference ring normal forms for tests: the `normalize` and
 `saturated_rows` that `dgcat.ptring.Ledger` had before its one memoized
 `_rewrite`, and the `eq` and `group_invariants` it had before its Hermite
-lattice basis, kept verbatim, with the Smith-form `in_rowspan` they used.
+lattice basis, kept verbatim, with the Smith-form `in_rowspan` they used and
+the `dgcat.exactlin.smith_normal_form` that tracked unimodular transforms
+U and V before it returned only the invariant factors.
 
 Normal forms are built as `ClassExpr` sums through a closure with a shared
 memo and a cycle guard; saturation multiplies each relation by every
@@ -12,8 +14,99 @@ saturated rows, and `group_invariants` reads the same form.
 `derive_measure_check` decides with them too.
 """
 
-from dgcat.exactlin import ShapeMismatch, smith_normal_form
+from dgcat.exactlin import ShapeMismatch
 from dgcat.ptring import UNIT, ClassExpr, Ledger
+
+
+class SNFResult:
+    def __init__(self, diag, U, V, rows, cols):
+        self.diag = diag
+        self.U = U
+        self.V = V
+        self.rows = rows
+        self.cols = cols
+
+
+def smith_normal_form(m):
+    """Smith normal form of an integer matrix (list of lists).
+
+    Returns SNFResult with d_1 | d_2 | ... and unimodular U, V such that
+    U @ m @ V is the diagonal matrix of the d_i.
+    """
+    a = [list(map(int, row)) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_op(i, k, q):  # row_i -= q * row_k
+        ai, ak = a[i], a[k]
+        for j in range(cols):
+            ai[j] -= q * ak[j]
+        ui, uk = U[i], U[k]
+        for j in range(rows):
+            ui[j] -= q * uk[j]
+
+    def col_op(j, k, q):  # col_j -= q * col_k
+        for i in range(rows):
+            a[i][j] -= q * a[i][k]
+        for i in range(cols):
+            V[i][j] -= q * V[i][k]
+
+    def row_swap(i, k):
+        a[i], a[k] = a[k], a[i]
+        U[i], U[k] = U[k], U[i]
+
+    def col_swap(j, k):
+        for i in range(rows):
+            a[i][j], a[i][k] = a[i][k], a[i][j]
+        for i in range(cols):
+            V[i][j], V[i][k] = V[i][k], V[i][j]
+
+    t = 0
+    while t < rows and t < cols:
+        pi, pj, best = -1, -1, 0
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = abs(a[i][j])
+                if v and (best == 0 or v < best or (v == best and (i, j) < (pi, pj))):
+                    pi, pj, best = i, j, v
+        if best == 0:
+            break
+        row_swap(t, pi)
+        col_swap(t, pj)
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    row_op(i, t, q)
+                    if a[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    col_op(j, t, q)
+                    if a[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+            if not dirty:
+                # force divisibility of the remaining block by the pivot
+                for i in range(t + 1, rows):
+                    bad = next((j for j in range(t + 1, cols) if a[i][j] % a[t][t]), None)
+                    if bad is not None:
+                        row_op(t, i, -1)
+                        dirty = True
+                        break
+        if a[t][t] < 0:
+            row_op(t, t, 2)  # negate the row: row_t -= 2*row_t
+        t += 1
+    diag = [a[i][i] for i in range(min(rows, cols))]
+    while diag and diag[-1] == 0:
+        diag.pop()
+    return SNFResult(diag, U, V, rows, cols)
 
 
 def snf_in_rowspan(rows, vec):

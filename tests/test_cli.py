@@ -619,3 +619,72 @@ def test_a_wrong_tensor_reference_fails_the_generator_fact(fixture_dir, tmp_path
             code, out, err = run_cli(capsys, *argv)
             assert code == 1 and not out, (refs, argv)
             assert "tensor category does not match the value generator's category" in json.loads(err)["error"], refs
+
+
+def _with_fake_p2_relation(ledger_path, block_values, block_idents):
+    """The ledger document with a copy of its P1 relation claiming
+    [P1] - [P2] - [pt] through the given block values and idents."""
+    doc = json.loads(ledger_path.read_text())
+    fake = json.loads(json.dumps(doc["body"]["relations"][0]))
+    assert fake["provenance"]["payload"]["label"] == "P1"
+    fake["expr"] = "[P1] - [P2] - [pt]"
+    fake["provenance"]["payload"].update(block_values=block_values, block_idents=block_idents)
+    doc["body"]["relations"].append(fake)
+    return json.dumps(doc)
+
+
+def test_a_generator_block_ident_is_an_input_error(fixture_dir, tmp_path, capsys):
+    """The shipped ledger reads free rank 1 and no torsion.  With the fake-P2
+    relation, whose [P2] block is identified as ["generator", "P2"], it
+    exits 2 under validate and ring invariants, without a traceback; with
+    one "point" ident for its two blocks it fails verification, exit 1."""
+    ledger = fixture_dir / "motivic.ledger.json"
+    code, out, _ = run_cli(capsys, "ring", str(ledger), "invariants")
+    assert code == 0 and strip_timing(out)["verdicts"][0]["detail"] == "free rank 1, torsion []"
+    for name, values, idents, expected, message in (
+        ("generator", ["[P2]", "[pt]"], [["generator", "P2"], "point"], 2, "a block ident must be a string"),
+        ("short", ["[pt]", "[P2]"], ["point"], 1, "one value and one ident per block"),
+    ):
+        path = tmp_path / f"{name}.ledger.json"
+        path.write_text(_with_fake_p2_relation(ledger, values, idents))
+        for argv in (["validate", str(path)], ["ring", str(path), "invariants"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == expected and not out, (name, argv)
+            assert message in json.loads(err)["error"], (name, argv)
+
+
+def test_malformed_karoubi_degrees_are_input_errors(tmp_path, capsys):
+    """--degrees takes <lo>..<hi>: abc, 1..2..3 and 2 exit 2 with a JSON
+    error, and 0..0 still runs."""
+    from dgcat.fixtures import kronecker_category
+    from dgcat import pretr
+
+    k2 = kronecker_category()
+    x = pretr.embed(k2, k2.obj("e1"))
+    body = schema.tc_bundle_to_json(k2, idempotents={"one": pretr.karoubi_identity(x)})
+    p = tmp_path / "one.twisted-complex.json"
+    p.write_text(schema.dumps(schema.document("twisted-complex", "Q", body)))
+    assert run_cli(capsys, "karoubi", str(p), "--a", "one", "--degrees", "0..0")[0] == 0
+    for degrees in ("abc", "1..2..3", "2"):
+        code, out, err = run_cli(capsys, "karoubi", str(p), "--a", "one", "--degrees", degrees)
+        assert code == 2 and not out, degrees
+        assert "--degrees must be <lo>..<hi>" in json.loads(err)["error"], degrees
+
+
+def test_an_unwritable_output_is_an_input_error_and_leaves_no_temp_file(fixture_dir, tmp_path, capsys):
+    """tensor and ring relate with --out in a missing directory, or naming an
+    existing directory, exit 2 with a JSON error and leave no *.tmp.<pid>."""
+    cat = str(fixture_dir / "point.category.json")
+    ledger = str(fixture_dir / "motivic.ledger.json")
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for out_path in (tmp_path / "missing" / "out.json", taken):
+        for argv in (
+            ["tensor", cat, cat, "--out", str(out_path)],
+            ["ring", ledger, "relate", "--expr", "[P1] - 2*[pt]", "--citation", "x", "--out", str(out_path)],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and not out, argv
+            assert f"cannot write {out_path}" in json.loads(err)["error"], argv
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken"]
+    assert not [p for p in fixture_dir.iterdir() if ".tmp." in p.name]

@@ -89,13 +89,14 @@ def test_scalars_of_another_field_and_entries_out_of_range_are_input_errors(tmp_
 
 
 def test_malformed_block_idents_are_input_errors(tmp_path):
-    """A list block ident is ["generator", <label>] and nothing else: the
-    shipped ledger with one point ident replaced by [], ["generator"] or
-    ["generator", 7] exits 2 under validate and ring, without a traceback."""
+    """A block ident is the string "point" and nothing else: the shipped
+    ledger with one point ident replaced by [], ["generator"],
+    ["generator", 7] or ["generator", "P2"] exits 2 under validate and ring,
+    without a traceback."""
     docs = tmp_path / "docs"
     write_fixture_documents(str(docs))
     ledger = json.loads((docs / "motivic.ledger.json").read_text())
-    for n, ident in enumerate(([], ["generator"], ["generator", 7])):
+    for n, ident in enumerate(([], ["generator"], ["generator", 7], ["generator", "P2"])):
         bad = json.loads(json.dumps(ledger))
         bad["body"]["relations"][1]["provenance"]["payload"]["block_idents"][0] = ident
         path = tmp_path / f"ident{n}.ledger.json"
@@ -138,6 +139,30 @@ def test_hostile_tensor_references_are_input_errors(tmp_path):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 assert main(argv) == 2, (refs, argv)
             assert not out.getvalue() and message in json.loads(err.getvalue())["error"], (refs, argv, err.getvalue())
+
+
+def test_a_claim_object_outside_its_category_is_named_with_the_claim(tmp_path):
+    """With P1xP2 written as tensor(P1, P1), the labels of P1xP2's objects
+    are in no category: the shipped ledger exits 2 under validate and ring,
+    naming the missing label and the generator whose relation's claim lists
+    it, or, without that relation, the fact whose claim lists it."""
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    ledger = json.loads((docs / "motivic.ledger.json").read_text())
+    next(g for g in ledger["body"]["generators"] if g["label"] == "P1xP2")["category"] = {"tensor": ["P1", "P1"]}
+    without = json.loads(json.dumps(ledger))
+    without["body"]["relations"] = [r for r in ledger["body"]["relations"] if (r["provenance"]["payload"] or {}).get("label") != "P1xP2"]
+    for name, doc, message in (
+        ("relation", ledger, "claim of generator P1xP2: unknown object label '(e1,v1)'"),
+        ("fact", without, "claim of fact (P1, P1xP2): unknown object label '(e1,(e1,v1))'"),
+    ):
+        path = tmp_path / f"{name}.ledger.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["ring", str(path), "invariants"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(argv) == 2, (name, argv)
+            assert not out.getvalue() and message in json.loads(err.getvalue())["error"], (name, argv, err.getvalue())
 
 
 LEDGER_MUTATIONS = 80

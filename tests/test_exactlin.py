@@ -21,7 +21,7 @@ from dgcat.exactlin import (
 
 from gens import random_complex
 from quiver_reference import basis_extension
-from ring_reference import snf_in_rowspan
+from ring_reference import smith_normal_form as reference_snf, snf_in_rowspan
 
 
 def hstack(*blocks):
@@ -338,12 +338,10 @@ def test_euler_characteristic_invariance():
 
 
 def test_snf_examples():
-    r = smith_normal_form([[2, 0], [0, 3]])
-    assert r.diag == [1, 6]
-    r = smith_normal_form([[1, 0], [0, 1]])
-    assert r.diag == [1, 1]
-    r = smith_normal_form([[2, 4], [4, 8]])
-    assert r.diag == [2]  # rank 1, then zero diagonal
+    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
+    assert smith_normal_form([[2, 4], [4, 8]]) == [2]  # rank 1, then zero diagonal
+    assert smith_normal_form([]) == [] and smith_normal_form([[0, 0]]) == []
 
 
 def int_det(m):
@@ -375,11 +373,13 @@ def mat_mul_int(a, b):
 
 
 def test_snf_transforms_unimodular():
+    """The reference Smith form's U and V are unimodular and U m V is the
+    diagonal of its invariant factors."""
     rng = random.Random(5)
     for _ in range(40):
         r, c = rng.randrange(1, 5), rng.randrange(1, 5)
         m = [[rng.randrange(-6, 7) for _ in range(c)] for _ in range(r)]
-        res = smith_normal_form(m)
+        res = reference_snf(m)
         assert abs(int_det(res.U)) == 1
         assert abs(int_det(res.V)) == 1
         d = mat_mul_int(mat_mul_int(res.U, m), res.V)
@@ -389,6 +389,32 @@ def test_snf_transforms_unimodular():
                 assert d[i][j] == expected
         for i in range(len(res.diag) - 1):
             assert res.diag[i + 1] % res.diag[i] == 0
+
+
+# a raw input on which the reference Smith form did not return in 3 s
+REFERENCE_HANGS = [[5736, -578, 233, -510], [-87, -1498, -764, 2214], [-1, -138, -51, -20], [-1086, -1650, -2115, -1582], [1070, -598, 3096, -916]]
+
+
+def test_invariant_factors_match_the_reference_smith_form():
+    """Seeded matrices with small entries agree with the reference Smith
+    form's diagonal.  Entries up to 1000 make the reference's entries grow
+    until it does not return on many raw inputs, so those are compared with
+    the reference run on their Hermite basis, which spans the same lattice."""
+    rng = random.Random(2026)
+    for _ in range(300):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
+        assert smith_normal_form(m) == reference_snf(m).diag, m
+    nontrivial = 0
+    for n in range(600):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-1000, 1000) * (rng.choice((1, 2, 6)) if n % 2 else 1) for _ in range(c)] for _ in range(r)]
+        got = smith_normal_form(m)
+        assert got == reference_snf([row for _, row in lattice_basis(m)]).diag, m
+        assert all(b % a == 0 for a, b in zip(got, got[1:]))
+        nontrivial += any(d != 1 for d in got)
+    assert nontrivial > 100
+    assert smith_normal_form(REFERENCE_HANGS) == reference_snf([row for _, row in lattice_basis(REFERENCE_HANGS)]).diag == [1, 1, 2, 4]
 
 
 def test_in_rowspan():

@@ -35,7 +35,6 @@ from dgcat.pretr import (
     KaroubiObject,
     maurer_cartan_defect,
     reduce,
-    search_ho_iso,
     shift,
     tm_add,
     tm_neg,
@@ -397,24 +396,6 @@ def test_triangle_euler_exactness():
         for n in degrees:
             total += (-1) ** n * (hx.cohomology_dim(n) - hy.cohomology_dim(n) + hc.cohomology_dim(n))
         assert total == 0
-
-
-def test_search_ho_iso_fp():
-    cat = kronecker_category(GF(5))
-    e1 = embed(cat, cat.obj("e1"))
-    x = direct_sum(e1, cone(identity_morphism(embed(cat, cat.obj("e2")))))
-    f = search_ho_iso(x, e1)
-    assert f is not None and is_ho_iso(f)
-    # not found is reported as None (never a disproof)
-    assert search_ho_iso(e1, embed(cat, cat.obj("e2")), attempts=5) is None
-
-
-def test_search_ho_iso_rational_sampling():
-    cat = kronecker_category(QQ)
-    e1 = embed(cat, cat.obj("e1"))
-    x = direct_sum(cone(identity_morphism(embed(cat, cat.obj("e2")))), e1)
-    f = search_ho_iso(x, e1, seed=3, attempts=50)
-    assert f is not None and is_ho_iso(f)
 
 
 def test_homotopy_idempotent_with_nontrivial_witness():

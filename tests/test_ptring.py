@@ -98,6 +98,22 @@ def test_broken_sod_rejected_at_ingestion():
         led.add_relation(ClassExpr.gen("P1").sub(ClassExpr.unit(2)), prov)
 
 
+def test_every_block_is_a_verified_point_block():
+    """The fake-P2 relation [P1] - [P2] - [pt] on the Kronecker claim is
+    refused through the API: with a ("generator", "P2") ident, and with one
+    ident for its two blocks, which would leave the [P2] block unchecked."""
+    k2 = kronecker_category()
+    led = Ledger().register_generator("pt", point_category(), unit_alias=True).register_generator("P1", k2).register_generator("P2", a2_category())
+    claim = kronecker_sod_claim(k2)
+    expr = ClassExpr.parse("[P1] - [P2] - [pt]")
+    for values, idents, message in (
+        ((ClassExpr.gen("P2"), ClassExpr.unit()), (("generator", "P2"), "point"), "unknown block identification"),
+        ((ClassExpr.unit(), ClassExpr.gen("P2")), ("point",), "one value and one ident per block"),
+    ):
+        with pytest.raises(ProvenanceError, match=message):
+            led.add_relation(expr, Provenance("verified-sod", payload=SODProvenance("P1", claim, values, idents)))
+
+
 def test_a_one_block_claim_that_misses_a_generator_is_refused():
     """[P1] = [pt] from the one block {e1} of the Kronecker category: e2
     lies in no block, so its witness is required and missing."""
