@@ -195,10 +195,11 @@ def cmd_ring(args, started):
     provenance = []
     mutated = None
     if sub == "eq":
+        if len(args.args) != 2:
+            raise CliError(f"eq takes exactly two class expressions, found {len(args.args)}")
         try:
-            lhs = ClassExpr.parse(args.args[0])
-            rhs = ClassExpr.parse(args.args[1])
-        except (IndexError, ValueError) as e:
+            lhs, rhs = (ClassExpr.parse(s) for s in args.args)
+        except ValueError as e:
             raise CliError(f"eq needs two class expressions: {e}")
         try:
             rep = ledger.eq_report(lhs, rhs)
@@ -245,7 +246,7 @@ def cmd_ring(args, started):
             return FAIL
         verdicts.append({"name": "relation ingested", "ok": True, "detail": expr.format()})
         mutated = ledger
-    elif sub == "fact":
+    else:  # fact: argparse choices admit no other subcommand
         try:
             value = ClassExpr.parse(args.value)
         except ValueError as e:
@@ -258,8 +259,6 @@ def cmd_ring(args, started):
             return FAIL
         verdicts.append({"name": "fact ingested", "ok": True})
         mutated = ledger
-    else:
-        raise CliError(f"unknown ring subcommand {sub!r}")
     if mutated is not None:
         # --degree-bound bounds this run's queries; the new version keeps the stored bound
         mutated.degree_bound = stored_bound
@@ -372,8 +371,15 @@ def cmd_check_qe(args, started):
     return PASS if verdict.ok else FAIL
 
 
+def _field(spec):
+    try:
+        return field_from_spec(spec)
+    except ValueError as e:
+        raise CliError(f"bad --field {spec!r}: {e}")
+
+
 def cmd_serre(args, started):
-    field = field_from_spec(args.field)
+    field = _field(args.field)
     if args.fixture == "a2":
         data, pairings = fixtures.a2_serre_data(field)
     elif args.fixture == "point":
@@ -463,6 +469,7 @@ def write_fixture_documents(out_dir, field_spec="Q"):
 
 
 def cmd_fixtures(args, started):
+    _field(args.field)
     paths = write_fixture_documents(args.out, args.field)
     report = {
         "command": ["fixtures", args.out],

@@ -1,12 +1,12 @@
-"""DG functors, Yoneda modules, quasi-equivalence certificates, Serre data,
-and op-duality of twisted complexes."""
+"""DG functors, quasi-equivalence certificates, full subcategories of the
+pretriangulated hull and Serre data."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dgcore import DGCategory, Hom, Morphism, ObjId, Violation, contract, opposite
-from .exactlin import ChainComplex, Matrix, axpy
+from .dgcore import DGCategory, Hom, Morphism, ObjId, Violation
+from .exactlin import Matrix
 from .pretr import (
     HomSpace,
     Term,
@@ -109,325 +109,9 @@ def extend_to_complex(fun, x):
     return TwistedComplex(fun.dst, terms, {k: m for k, m in q.items() if not m.is_zero()}, check=False)
 
 
-def extend_to_morphism(fun, f):
-    return TwistedMorphism(
-        extend_to_complex(fun, f.src),
-        extend_to_complex(fun, f.dst),
-        f.degree,
-        {k: fun.apply(m) for k, m in f.entries.items() if not fun.apply(m).is_zero()},
-    )
-
-
 def base_to_tm(cat, f):
     """A base morphism as a twisted morphism embed(src) -> embed(dst)."""
     return TwistedMorphism(embed(cat, f.src), embed(cat, f.dst), f.degree, {(0, 0): f} if not f.is_zero() else {})
-
-
-# -- DG modules ---------------------------------------------------------------
-
-
-@dataclass
-class DGModule:
-    """Contravariant DG module: values per object plus the left action
-    Hom(A,B) (x) values(B) -> values(A), a chain map satisfying the same
-    Leibniz convention as composition."""
-
-    base: DGCategory
-    values: dict  # ObjId -> ChainComplex
-    action: dict  # (A, B) -> {(deg_f, idx_f, deg_v, idx_v): {idx_out: scalar}}
-    name: str = ""
-
-    def value(self, a):
-        return self.values.get(a, ChainComplex(self.base.field, {}))
-
-    def act(self, f, deg_v, vec):
-        """Coordinates of f . v for v in values(f.dst)^deg_v (sparse dict)."""
-        table = self.action.get((f.src, f.dst), {})
-        return contract(self.base.field, table, f.degree, f.coords, deg_v, vec)
-
-
-def yoneda(cat, a):
-    """The representable module h^a with h^a(B) = Hom(B, a)."""
-    values = {b: cat.hom(b, a).complex for b in cat.objects}
-    action = {}
-    for (x, y) in cat.homs:
-        table = cat.comp.get((x, y, a))
-        if table:
-            action[(x, y)] = table
-    return DGModule(cat, values, action, name=f"h^{a.label}")
-
-
-def validate_module(mod):
-    cat = mod.base
-    fl = cat.field
-    report = []
-    for (a, b), _ in sorted(mod.action.items()):
-        h = cat.hom(a, b)
-        vb = mod.value(b)
-        va = mod.value(a)
-        for s in h.complex.degrees():
-            for i in range(h.dim(s)):
-                f = cat.basis_morphism(a, b, s, i)
-                df = cat.d(f)
-                for p in vb.degrees():
-                    for j in range(vb.dim(p)):
-                        v = {j: fl.one()}
-                        # d(f.v) = df.v + (-1)^s f.(dv)
-                        lhs = va.d(s + p).apply(mod.act(f, p, v))
-                        rhs = mod.act(df, p, v)
-                        dv = vb.d(p).apply(v)
-                        term = mod.act(f, p + 1, dv)
-                        sgn = fl.one() if s % 2 == 0 else fl.neg(fl.one())
-                        axpy(fl, rhs, term, sgn)
-                        if lhs != rhs:
-                            report.append(Violation("module_leibniz", (a.label, b.label, s, i, p, j), ""))
-    for a in cat.objects:
-        va = mod.value(a)
-        for p in va.degrees():
-            for j in range(va.dim(p)):
-                if mod.act(cat.identity(a), p, {j: fl.one()}) != {j: fl.one()}:
-                    report.append(Violation("module_unit", (a.label, p, j), "id.v != v"))
-    for a in cat.objects:
-        for b in cat.objects:
-            hab = cat.hom(a, b)
-            for c in cat.objects:
-                hbc = cat.hom(b, c)
-                vc = mod.value(c)
-                for s1 in hab.complex.degrees():
-                    for i in range(hab.dim(s1)):
-                        f = cat.basis_morphism(a, b, s1, i)
-                        for s2 in hbc.complex.degrees():
-                            for j in range(hbc.dim(s2)):
-                                g = cat.basis_morphism(b, c, s2, j)
-                                fg = cat.mul(f, g)
-                                for p in vc.degrees():
-                                    for t in range(vc.dim(p)):
-                                        v = {t: mod.base.field.one()}
-                                        if mod.act(fg, p, v) != mod.act(f, s2 + p, mod.act(g, p, v)):
-                                            report.append(
-                                                Violation("module_assoc", (a.label, b.label, c.label, (s1, i), (s2, j), (p, t)), "")
-                                            )
-    return report
-
-
-def restrict_module(fun, mod):
-    """Restriction of a module over fun.dst along fun to fun.src."""
-    cat = fun.src
-    values = {a: mod.value(fun.obj_map[a]) for a in cat.objects}
-    action = {}
-    fl = cat.field
-    for (a, b) in cat.homs:
-        h = cat.hom(a, b)
-        table = {}
-        va = mod.value(fun.obj_map[b])
-        for s in h.complex.degrees():
-            for i in range(h.dim(s)):
-                img = fun.apply(cat.basis_morphism(a, b, s, i))
-                if img.is_zero():
-                    continue
-                for p in va.degrees():
-                    for j in range(va.dim(p)):
-                        out = mod.act(img, p, {j: fl.one()})
-                        if out:
-                            table[(s, i, p, j)] = out
-        if table:
-            action[(a, b)] = table
-    return DGModule(cat, values, action, name=f"Res({mod.name})")
-
-
-class ModuleHomSpace:
-    """Complex of graded natural transformations between two DG modules.
-
-    A degree-k transformation assigns each object B a degree-k map
-    t(B): m(B) -> n(B) with graded naturality
-    t(A)(f.v) = (-1)^{k s} f.t(B)(v) for f of degree s, and differential
-    (dt)(B) = d_n t(B) - (-1)^k t(B) d_m.
-    """
-
-    def __init__(self, m, n):
-        if m.base is not n.base:
-            raise ValueError("module_hom: different base categories")
-        self.m, self.n = m, n
-        cat = m.base
-        fl = cat.field
-        m_degs = [p for a in cat.objects for p in m.value(a).degrees()]
-        n_degs = [p for a in cat.objects for p in n.value(a).degrees()]
-        if not m_degs or not n_degs:
-            self.complex = ChainComplex(fl, {})
-            self.basis = {}
-            self.layout = {}
-            return
-        kmin = min(n_degs) - max(m_degs)
-        kmax = max(n_degs) - min(m_degs)
-        self.layout = {}
-        self.basis = {}
-        raw = {}
-        for k in range(kmin, kmax + 2):
-            layout = []
-            for b in cat.objects:
-                vb, nb = m.value(b), n.value(b)
-                for p in vb.degrees():
-                    if nb.dim(p + k):
-                        layout.append((b, p, nb.dim(p + k), vb.dim(p)))
-            self.layout[k] = layout
-            nvars = sum(r * c for _, _, r, c in layout)
-            if nvars == 0:
-                raw[k] = []
-                continue
-            offs = {}
-            off = 0
-            for (b, p, r, c) in layout:
-                offs[(b, p)] = off
-                off += r * c
-            rows = []
-            for a in cat.objects:
-                for b in cat.objects:
-                    h = cat.hom(a, b)
-                    vb = m.value(b)
-                    na = n.value(a)
-                    for s in h.complex.degrees():
-                        sgn = fl.one() if (k * s) % 2 == 0 else fl.neg(fl.one())
-                        for i in range(h.dim(s)):
-                            f = cat.basis_morphism(a, b, s, i)
-                            for p in vb.degrees():
-                                out_dim = na.dim(p + s + k)
-                                ta_ok = (a, p + s) in offs
-                                tb_ok = (b, p) in offs
-                                if out_dim == 0 or (not ta_ok and not tb_ok):
-                                    continue
-                                for j in range(vb.dim(p)):
-                                    fv = m.act(f, p, {j: fl.one()})
-                                    row = {}
-                                    if ta_ok and m.value(a).dim(p + s):
-                                        base = offs[(a, p + s)]
-                                        cdim = m.value(a).dim(p + s)
-                                        for jj, cv in fv.items():
-                                            for r in range(na.dim(p + s + k)):
-                                                row[(r, base + r * cdim + jj)] = cv
-                                    if tb_ok and n.value(b).dim(p + k):
-                                        base = offs[(b, p)]
-                                        cdim = vb.dim(p)
-                                        rdim = n.value(b).dim(p + k)
-                                        for r2 in range(rdim):
-                                            col = base + r2 * cdim + j
-                                            img = n.act(f, p + k, {r2: fl.one()})
-                                            axpy(fl, row, {(r, col): cv for r, cv in img.items()}, fl.neg(sgn))
-                                    for r in range(out_dim):
-                                        rows.append({c: v for (rr, c), v in row.items() if rr == r})
-            cons = Matrix(fl, len(rows), nvars, {(i, c): v for i, row in enumerate(rows) for c, v in row.items() if not fl.is_zero(v)})
-            raw[k] = cons.nullspace()
-        dims = {}
-        for k, vecs in raw.items():
-            if vecs:
-                dims[k] = len(vecs)
-                self.basis[k] = vecs
-        diff = {}
-        for k in sorted(dims):
-            if k + 1 not in dims:
-                continue
-            target = Matrix.from_columns(fl, self._offsets(k + 1)[1], self.basis[k + 1])
-            sols = []
-            for vec in self.basis[k]:
-                sol = target.solve(self._apply_d(k, vec))
-                if sol is None:
-                    raise RuntimeError("module_hom differential left the solution space")
-                sols.append(sol)
-            m2 = Matrix.from_columns(fl, dims[k + 1], sols)
-            if not m2.is_zero():
-                diff[k] = m2
-        self.complex = ChainComplex(fl, dims, diff)
-
-    def _offsets(self, k):
-        offs = {}
-        off = 0
-        for (b, p, r, c) in self.layout[k]:
-            offs[(b, p)] = (off, r, c)
-            off += r * c
-        return offs, off
-
-    def blocks(self, k, vec):
-        """Solution vector -> {(B, p): Matrix} component maps."""
-        offs, _ = self._offsets(k)
-        fl = self.m.base.field
-        out = {}
-        for (b, p), (off, r, c) in offs.items():
-            ent = {}
-            for idx, v in vec.items():
-                if off <= idx < off + r * c:
-                    loc = idx - off
-                    ent[(loc // c, loc % c)] = v
-            out[(b, p)] = Matrix(fl, r, c, ent)
-        return out
-
-    def _apply_d(self, k, vec):
-        """(dt) as a flat vector in the degree k+1 layout."""
-        fl = self.m.base.field
-        blocks = self.blocks(k, vec)
-        offs1, nvars1 = self._offsets(k + 1)
-        ent = {}
-        sgn = fl.one() if k % 2 == 0 else fl.neg(fl.one())
-        for (b, p), (off, r, c) in offs1.items():
-            nb = self.n.value(b)
-            mb = self.m.value(b)
-            acc = Matrix.zero(fl, r, c)
-            blk = blocks.get((b, p))
-            if blk is not None:
-                acc = acc.add(nb.d(p + k).matmul(blk))
-            blk2 = blocks.get((b, p + 1))
-            if blk2 is not None:
-                acc = acc.add(blk2.matmul(mb.d(p)).scale(fl.neg(sgn)))
-            for (i, j), v in acc.entries.items():
-                ent[off + i * c + j] = v
-        return ent
-
-
-def module_hom(m, n):
-    return ModuleHomSpace(m, n).complex
-
-
-def evaluation_maps(cat, a, mod):
-    """The Yoneda evaluation isomorphism module_hom(h^a, mod) ~ mod(a).
-
-    Returns (space, phi, psi) where phi[k] maps transformation coordinates
-    to mod(a)^k coordinates (t -> t(a)(id)) and psi[k] the inverse
-    (v -> (g -> (-1)^{k deg g} g.v)).
-    """
-    fl = cat.field
-    ha = yoneda(cat, a)
-    space = ModuleHomSpace(ha, mod)
-    ida = cat.identity(a)
-    va = mod.value(a)
-    phi = {}
-    psi = {}
-    for k in space.complex.degrees():
-        images = []
-        for vec in space.basis[k]:
-            blk = space.blocks(k, vec).get((a, 0))
-            images.append(blk.apply(ida.coords) if blk is not None else {})
-        phi[k] = Matrix.from_columns(fl, va.dim(k), images)
-    for k in space.complex.degrees():
-        if not space.basis.get(k):
-            psi[k] = Matrix(fl, 0, va.dim(k), {})
-            continue
-        offs, nvars = space._offsets(k)
-        target = Matrix.from_columns(fl, nvars, space.basis[k])
-        sols = []
-        for j in range(va.dim(k)):
-            ent = {}
-            for (b, p), (off, r, c) in offs.items():
-                h = cat.hom(b, a)
-                sgn = fl.one() if (k * p) % 2 == 0 else fl.neg(fl.one())
-                for g_idx in range(h.dim(p)):
-                    g = cat.basis_morphism(b, a, p, g_idx)
-                    img = mod.act(g, k, {j: fl.one()})
-                    for i, v in img.items():
-                        ent[off + i * c + g_idx] = fl.mul(sgn, v)
-            sol = target.solve(ent)
-            if sol is None:
-                raise RuntimeError("evaluation inverse does not land in the transformation space")
-            sols.append(sol)
-        psi[k] = Matrix.from_columns(fl, len(space.basis[k]), sols)
-    return space, phi, psi
 
 
 # -- quasi-equivalence certificates -------------------------------------------
@@ -440,7 +124,9 @@ class EquivCertificate:
 
 
 @dataclass
-class QEVerdict:
+class Verdict:
+    """What check_quasi_equiv and verify_serre return."""
+
     ok: bool
     failures: list
 
@@ -451,7 +137,7 @@ def check_quasi_equiv(cert):
     fun = cert.functor
     bad = validate_functor(fun)
     if bad:
-        return QEVerdict(False, [("functor", v) for v in bad])
+        return Verdict(False, [("functor", v) for v in bad])
     src, dst = fun.src, fun.dst
     for a in src.objects:
         for b in src.objects:
@@ -489,13 +175,7 @@ def check_quasi_equiv(cert):
         # f was checked closed of degree 0 above: is_ho_iso would check it again
         if not is_contractible(_cone(f)):
             failures.append(("essential_surjectivity", (dobj.label, "witness is not a homotopy isomorphism")))
-    return QEVerdict(not failures, failures)
-
-
-def identity_equiv_certificate(cat):
-    fun = identity_functor(cat)
-    witnesses = {o: (embed(cat, o), identity_morphism(embed(cat, o))) for o in cat.objects}
-    return EquivCertificate(fun, witnesses)
+    return Verdict(not failures, failures)
 
 
 # -- full subcategories of the hull -------------------------------------------
@@ -537,9 +217,7 @@ def hull_subcategory(cat, named_objects):
     for i, o in enumerate(objs):
         hs = spaces[(o, o)]
         ids[o] = Morphism(o, o, 0, hs.to_vector(identity_morphism(complexes[i])))
-    sub = DGCategory(cat.field, objs, homs, comp, ids, name="hull-sub")
-    sub.hull_objects = dict(zip(objs, complexes))
-    return sub
+    return DGCategory(cat.field, objs, homs, comp, ids, name="hull-sub")
 
 
 # -- Serre data ----------------------------------------------------------------
@@ -622,12 +300,6 @@ def validate_serre_data(data):
     return report
 
 
-@dataclass
-class SerreVerdict:
-    ok: bool
-    failures: list
-
-
 def verify_serre(data, pairings):
     """Verify Serre duality data: perfect pairings
     H^n Hom(A,B) x H^{-n} Hom(embed B, S A) -> k, natural in both arguments.
@@ -641,7 +313,7 @@ def verify_serre(data, pairings):
     failures = []
     bad = validate_serre_data(data)
     if bad:
-        return SerreVerdict(False, [("functor", v) for v in bad])
+        return Verdict(False, [("functor", v) for v in bad])
     pair_spaces = {}
     for a in cat.objects:
         for b in cat.objects:
@@ -659,7 +331,7 @@ def verify_serre(data, pairings):
                 if d1 != d2:
                     failures.append(("dimension_symmetry", (a.label, b.label, n, d1, d2)))
     if failures:
-        return SerreVerdict(False, failures)
+        return Verdict(False, failures)
     for (a, b) in sorted(pair_spaces, key=lambda k: (k[0].index, k[1].index)):
         h = cat.hom(a, b).complex
         for n in degrees[(a, b)]:
@@ -673,7 +345,7 @@ def verify_serre(data, pairings):
             if p.rank() != d:
                 failures.append(("pairing_not_perfect", (a.label, b.label, n)))
     if failures:
-        return SerreVerdict(False, failures)
+        return Verdict(False, failures)
 
     def pair_value(a, b, n, x_coords, y_coords):
         p = pairings[(a, b, n)]
@@ -738,7 +410,7 @@ def verify_serre(data, pairings):
                                     rhs = pair_value(a, b, n, x_cls, ysf_coords)
                                     if lhs != rhs:
                                         failures.append(("naturality_source", (a2.label, a.label, b.label, p, n)))
-    return SerreVerdict(not failures, failures)
+    return Verdict(not failures, failures)
 
 
 def composition_trace_pairings(data, traces):
@@ -776,41 +448,3 @@ def composition_trace_pairings(data, traces):
                 pairings[(a, b, n)] = Matrix(fl, d, d, ent)
     return pairings
 
-
-# -- op-duality of twisted complexes -------------------------------------------
-
-
-def dualize(x, opcat=None):
-    """Transpose duality: terms reversed with negated shifts over the
-    opposite category; q transposed with the Koszul/shift sign
-    sigma = (-1)^{1 + r_dst (1 + r_src)} per entry."""
-    cat = x.cat
-    if opcat is None:
-        opcat = opposite(cat)
-    n = len(x.terms)
-    terms = [Term(x.terms[n - 1 - t].obj, -x.terms[n - 1 - t].shift) for t in range(n)]
-    fl = cat.field
-    q = {}
-    for (c, a), m in x.q.items():
-        # m: obj_a -> obj_c in cat = obj_c -> obj_a in opcat, same coordinates
-        r_src = x.terms[a].shift
-        r_dst = x.terms[c].shift
-        exp = 1 + r_dst * (1 + r_src)
-        mor = Morphism(m.dst, m.src, m.degree, dict(m.coords))
-        if exp % 2:
-            mor = opcat.neg(mor)
-        q[(n - 1 - a, n - 1 - c)] = mor
-    return TwistedComplex(opcat, terms, q, check=False)
-
-
-def double_dual_iso(x, ddual):
-    """The canonical DG isomorphism x -> dualize(dualize(x)) with diagonal
-    entries (-1)^{shift} id."""
-    cat = x.cat
-    entries = {}
-    for t, term in enumerate(x.terms):
-        m = cat.identity(term.obj)
-        if term.shift % 2:
-            m = cat.neg(m)
-        entries[(t, t)] = m
-    return TwistedMorphism(x, ddual, 0, entries)

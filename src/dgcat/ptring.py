@@ -545,14 +545,6 @@ class Ledger:
             ok = ok and verdict == "equal"
         return {"pass": ok, "line": f"L = [{line_label}] - [pt]", "checks": report}
 
-    def beta_report(self):
-        """The forgetful re-flagging Gamma -> PT."""
-        return {
-            "from": self.flavor,
-            "to": "PT",
-            "generators": {lbl: ("geometric" if info.geometric else "abstract") for lbl, info in self.generators.items()},
-        }
-
 
 def categories_structurally_equal(c1, c2):
     if c1.field != c2.field:

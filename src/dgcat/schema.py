@@ -570,7 +570,10 @@ def ledger_from_json(field, body):
     bound = _node(body["degree_bound"], int, "degree_bound")
     if bound < 0:
         raise DocumentError(f"degree_bound must be a non-negative integer, found {bound}")
-    led = Ledger(degree_bound=bound, flavor=_node(body["flavor"], str, "flavor"))
+    flavor = _node(body["flavor"], str, "flavor")
+    if flavor not in ("PT", "Gamma"):
+        raise DocumentError(f'flavor must be "PT" or "Gamma", found {flavor!r}')
+    led = Ledger(degree_bound=bound, flavor=flavor)
     generators = _node(body["generators"], list, "generators")
     categories = _generator_categories_from_json(field, generators)
     for g in generators:

@@ -6,13 +6,12 @@ import time
 from fractions import Fraction
 
 from dgcat.dgcore import opposite, tensor
-from dgcat.exactlin import QQ, GF, Matrix
+from dgcat.exactlin import QQ, GF
 from dgcat.fixtures import (
     a2_category,
     a2_serre_data,
     beilinson3_category,
     beilinson_sod_claim,
-    epsilon_category,
     kronecker_category,
     kronecker_sod_claim,
     motivic_ledger,
@@ -21,18 +20,14 @@ from dgcat.fixtures import (
 )
 from dgcat.functors import (
     check_quasi_equiv,
-    evaluation_maps,
     functor_as_serre_data,
     identity_functor,
-    module_hom,
     verify_serre,
-    yoneda,
 )
 from dgcat.pretr import (
     HomSpace,
     cone,
     direct_sum,
-    embed,
     ho_hom,
     identity_morphism,
     is_contractible,
@@ -159,40 +154,6 @@ def test_criterion_6_motivic_measure():
     assert rep["pass"], rep
     assert set(rep["checks"].values()) == {"equal"}
     report(6, "mu(L) = 1 on the shipped motivic ledger (degree bound 4)", started, 10)
-
-
-def test_criterion_7_yoneda_suite():
-    started = time.monotonic()
-    k2 = kronecker_category()
-    a2 = a2_category()
-    cats = [
-        point_category(),
-        epsilon_category(),
-        a2,
-        k2,
-        beilinson3_category(),
-        tensor(k2, point_category()),
-        tensor(k2, a2),
-    ]
-    for cat in cats:
-        for a in cat.objects:
-            for b in cat.objects:
-                mh = module_hom(yoneda(cat, a), yoneda(cat, b))
-                ea, eb = embed(cat, a), embed(cat, b)
-                degs = set(mh.degrees()) | set(cat.hom(a, b).complex.degrees())
-                for n in degs:
-                    assert mh.cohomology_dim(n) == ho_hom(ea, eb, n)
-            # evaluation isomorphism, exact in chosen bases
-            mod = yoneda(cat, a)
-            for b in cat.objects:
-                space, phi, psi = evaluation_maps(cat, b, mod)
-                vb = mod.value(b)
-                for k in set(space.complex.degrees()) | set(vb.degrees()):
-                    p = phi.get(k, Matrix.zero(cat.field, vb.dim(k), space.complex.dim(k)))
-                    q = psi.get(k, Matrix.zero(cat.field, space.complex.dim(k), vb.dim(k)))
-                    assert p.matmul(q) == Matrix.identity(cat.field, vb.dim(k))
-                    assert q.matmul(p) == Matrix.identity(cat.field, space.complex.dim(k))
-    report(7, "Yoneda full faithfulness and exact evaluation on all shipped fixtures", started, 30)
 
 
 def test_criterion_8_serre():

@@ -688,3 +688,23 @@ def test_an_unwritable_output_is_an_input_error_and_leaves_no_temp_file(fixture_
             assert f"cannot write {out_path}" in json.loads(err)["error"], argv
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken"]
     assert not [p for p in fixture_dir.iterdir() if ".tmp." in p.name]
+
+
+def test_a_malformed_field_spec_is_an_input_error(tmp_path, capsys):
+    """--field that is not Q or Fp:<prime> exits 2 under serre and fixtures
+    with a JSON error naming the spec, and fixtures writes nothing."""
+    out_dir = tmp_path / "d"
+    for spec in ("Fp:4", "Fp:x", "garbage"):
+        for argv in (["--field", spec, "serre"], ["--field", spec, "fixtures", "--out", str(out_dir)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and not out, argv
+            assert f"bad --field {spec!r}" in json.loads(err)["error"], argv
+    assert not out_dir.exists()
+
+
+def test_ring_eq_takes_exactly_two_expressions(fixture_dir, capsys):
+    ledger = str(fixture_dir / "motivic.ledger.json")
+    for exprs in ([], ["[P1]"], ["[P1]", "2*[pt]", "[P2]"]):
+        code, out, err = run_cli(capsys, "ring", ledger, "eq", *exprs)
+        assert code == 2 and not out, exprs
+        assert f"eq takes exactly two class expressions, found {len(exprs)}" in json.loads(err)["error"], exprs

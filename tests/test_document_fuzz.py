@@ -108,6 +108,24 @@ def test_malformed_block_idents_are_input_errors(tmp_path):
             assert "block ident" in json.loads(err.getvalue())["error"], (ident, argv)
 
 
+def test_an_unknown_ledger_flavor_is_an_input_error(tmp_path):
+    """A ledger flavor other than "PT" or "Gamma" exits 2 under validate and
+    ring; the shipped ledger re-flavored "PT" still reads."""
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    ledger = json.loads((docs / "motivic.ledger.json").read_text())
+    for flavor, expected in (("XYZ", 2), ("PT", 0)):
+        ledger["body"]["flavor"] = flavor
+        path = tmp_path / f"{flavor}.ledger.json"
+        path.write_text(json.dumps(ledger))
+        for argv in (["validate", str(path)], ["ring", str(path), "invariants"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert main(argv) == expected, (flavor, argv)
+            if expected:
+                assert "flavor must be" in json.loads(err.getvalue())["error"], argv
+
+
 HOSTILE_REFERENCES = (
     ({"P1xP2": ["P1", "P3"]}, "unknown generator 'P3'"),
     ({"P1xP2": ["P1xP2", "P2"]}, "form a cycle among generators ['P1xP2']"),

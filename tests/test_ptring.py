@@ -253,11 +253,9 @@ def test_product_admissibility_semantic_check():
     assert check_sod(t, claim).ok
 
 
-def test_beta_report_and_gamma_flavor():
+def test_gamma_flavor_admits_only_geometric_generators():
     led = motivic_ledger()
     assert led.flavor == "Gamma"
-    rep = led.beta_report()
-    assert rep["from"] == "Gamma" and rep["to"] == "PT"
     with pytest.raises(ValueError):
         led.register_generator("weird", geometric=False)
 
