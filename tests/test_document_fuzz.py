@@ -163,24 +163,37 @@ def test_a_claim_object_outside_its_category_is_named_with_the_claim(tmp_path):
     """With P1xP2 written as tensor(P1, P1), the labels of P1xP2's objects
     are in no category: the shipped ledger exits 2 under validate and ring,
     naming the missing label and the generator whose relation's claim lists
-    it, or, without that relation, the fact whose claim lists it."""
+    it."""
     docs = tmp_path / "docs"
     write_fixture_documents(str(docs))
     ledger = json.loads((docs / "motivic.ledger.json").read_text())
     next(g for g in ledger["body"]["generators"] if g["label"] == "P1xP2")["category"] = {"tensor": ["P1", "P1"]}
-    without = json.loads(json.dumps(ledger))
-    without["body"]["relations"] = [r for r in ledger["body"]["relations"] if (r["provenance"]["payload"] or {}).get("label") != "P1xP2"]
-    for name, doc, message in (
-        ("relation", ledger, "claim of generator P1xP2: unknown object label '(e1,v1)'"),
-        ("fact", without, "claim of fact (P1, P1xP2): unknown object label '(e1,(e1,v1))'"),
-    ):
-        path = tmp_path / f"{name}.ledger.json"
-        path.write_text(json.dumps(doc))
-        for argv in (["validate", str(path)], ["ring", str(path), "invariants"]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                assert main(argv) == 2, (name, argv)
-            assert not out.getvalue() and message in json.loads(err.getvalue())["error"], (name, argv, err.getvalue())
+    path = tmp_path / "relation.ledger.json"
+    path.write_text(json.dumps(ledger))
+    for argv in (["validate", str(path)], ["ring", str(path), "invariants"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 2, argv
+        assert not out.getvalue() and "claim of generator P1xP2: unknown object label '(e1,v1)'" in json.loads(err.getvalue())["error"], (argv, err.getvalue())
+
+
+def test_an_unknown_generator_in_a_relation_payload_is_named(tmp_path):
+    """A verified-sod payload whose label names no generator ("P9") exits 2
+    under validate and ring with a JSON error naming the label and the
+    relation, not a bare KeyError."""
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    ledger = json.loads((docs / "motivic.ledger.json").read_text())
+    relation = ledger["body"]["relations"][1]
+    relation["provenance"]["payload"]["label"] = "P9"
+    path = tmp_path / "p9.ledger.json"
+    path.write_text(json.dumps(ledger))
+    message = f"relation {relation['expr']!r}: verified-sod payload names unknown generator 'P9'"
+    for argv in (["validate", str(path)], ["ring", str(path), "invariants"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 2, argv
+        assert not out.getvalue() and message in json.loads(err.getvalue())["error"], (argv, err.getvalue())
 
 
 LEDGER_MUTATIONS = 80
@@ -215,3 +228,70 @@ def test_mutated_ledgers_never_raise_under_validate_or_ring(tmp_path):
             assert all(not g.payload.validate() for g in led.generators.values() if g.payload is not None), n
         codes[seen[0]] = codes.get(seen[0], 0) + 1
     assert codes.get(2, 0) > LEDGER_MUTATIONS // 2, codes
+
+
+# Each shipped certificate: the commands that replay it, and the keys of its
+# categories with the `where` of their category_axioms entries.
+CERTIFICATES = {
+    "kronecker_ev_cone.gen-certificate.json": (("validate",), {"category": "()"}),
+    "kronecker_block_e1_point.equiv-certificate.json": (("validate", "check-qe"), {"src_category": "source", "dst_category": "target"}),
+}
+CERTIFICATE_MUTATIONS = 60
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _failed(report):
+    """The failed verdicts and audit rows of a report, as name@where."""
+    rows = report.get("tables", {}).get("audit", [])[1:]
+    return [v["name"] for v in report["verdicts"] if not v["ok"]] + [f"{r[0]}@{r[1]}" for r in rows if r[2] == "FAIL"]
+
+
+def test_mutated_certificates_never_raise_and_pass_only_over_dg_categories(tmp_path):
+    """The shipped gen- and equiv-certificates pass each command that
+    replays them.  Seeded mutations give the same exit code, 0, 1 or 2,
+    under each of those commands, never a traceback; a certificate that is
+    accepted has categories that validate.
+    Scaling any one composition constant of a certificate's category by 2
+    fails that category's category_axioms entry, exit 1."""
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    rng = random.Random(20261020)
+    codes = {}
+    for name, (commands, wheres) in CERTIFICATES.items():
+        doc = json.loads((docs / name).read_text())
+        nodes = list(_nodes(doc))
+        assert [_run([command, str(docs / name)])[0] for command in commands] == [0] * len(commands), name
+        for n in range(CERTIFICATE_MUTATIONS):
+            path = tmp_path / f"m{n}.{name}"
+            path.write_text(json.dumps(_mutate(doc, nodes, rng)))
+            seen = []
+            for command in commands:
+                code, _, err = _run([command, str(path)])
+                assert code in (0, 1, 2), (name, n, command, code)
+                if code == 2:
+                    assert "error" in json.loads(err), (name, n, command)
+                seen.append(code)
+            assert len(set(seen)) == 1, (name, n, seen)
+            if seen[0] == 0:
+                kind, _, payload = schema.parse_document(path.read_text())
+                cats = [payload[0]] if kind == "gen-certificate" else [payload.functor.src, payload.functor.dst]
+                assert all(not c.validate() for c in cats), (name, n)
+            codes[seen[0]] = codes.get(seen[0], 0) + 1
+        for key, where in wheres.items():
+            for table, rows in doc["body"][key]["comp"].items():
+                for r, row in enumerate(rows):
+                    for k, v in row[4].items():
+                        bad = json.loads(json.dumps(doc))
+                        bad["body"][key]["comp"][table][r][4][k] = str(2 * int(v))
+                        path = tmp_path / f"scaled.{name}"
+                        path.write_text(json.dumps(bad))
+                        for command in commands:
+                            code, out, _ = _run([command, str(path)])
+                            assert code == 1 and f"category_axioms@{where}" in _failed(json.loads(out)), (name, key, table, r, command)
+    assert codes.get(2, 0) > CERTIFICATE_MUTATIONS, codes

@@ -88,30 +88,37 @@ def test_cli_reports_match_golden_digests(tmp_path):
     assert cli_report_digests(str(tmp_path)) == golden
 
 
-# The shipped ledger as written while products were stored as full category
-# bodies: its size and SHA-256, and the SHA-256 of the ledger that
-# ring relate --claim wrote from it.
+# Older forms of the shipped ledger: as written while its point-sod facts
+# carried a claim and every product fact a product kind (size and SHA-256),
+# then with its products also stored as full category bodies, and the
+# SHA-256 of the ledger that ring relate --claim writes from the latter.
+CLAIMS_LEDGER = (6200, "268e80ff82aadfaaf4eaa16e8611f40e174237db16829acf469c2c62c3a6fd3e")
 EXPLICIT_LEDGER = (16304, "fae94e9736a661a6e9dc5b28b235ffdf9f5429098051a7b42de18c39fb7bbbf1")
-EXPLICIT_RELATED_LEDGER = "b7b5f81345dcf4f1d5aae14f5f15545faea84981134c39bba4b9263c71339fb3"
+EXPLICIT_RELATED_LEDGER = "7af01a108ffc7e7718c7cb41a2bdd312920f8b3d0f3f6fbb075f7b1a103ff6d8"
 
 
 def test_a_ledger_with_explicit_product_bodies_reads_as_before(tmp_path):
-    """The shipped ledger with its tensor references written out as full
-    bodies is the older document byte for byte.  It still parses and
-    re-writes byte for byte, every guarded ring command reports on it what
-    it reports on the shipped ledger, and ring relate --claim writes the
-    older bytes."""
-    from ledger_docs import with_explicit_bodies
+    """The shipped ledger with each fact's claim and product kind put back
+    is the older shipped document byte for byte, and with its tensor
+    references also written out as full bodies, the older explicit-body
+    document.  Both parse and re-write without those keys, and every
+    guarded ring command reports on each what it reports on the shipped
+    ledger; ring relate --claim writes the shipped form's bytes from the
+    first and the explicit-body form's from the second."""
+    from ledger_docs import with_explicit_bodies, with_fact_claims
 
     docs = tmp_path / "docs"
     write_fixture_documents(str(docs))
-    text = with_explicit_bodies((docs / "motivic.ledger.json").read_text())
-    assert (len(text), _sha256(text)) == EXPLICIT_LEDGER
-    kind, field, led = schema.parse_document(text)
-    assert schema.dumps(schema.document(kind, field, schema.ledger_to_json(led, field))) == text
-    (docs / "motivic.ledger.json").write_text(text)
-    digests = _report_digests(str(docs), str(tmp_path / "out"), keep=lambda name: name.startswith("ring/"))
+    shipped = (docs / "motivic.ledger.json").read_text()
     with open(GOLDEN, encoding="utf-8") as fh:
-        golden = json.load(fh)
-    golden["ring/relate-claim/ledger"] = EXPLICIT_RELATED_LEDGER
-    assert digests == {name: d for name, d in golden.items() if name.startswith("ring/")}
+        golden = {name: d for name, d in json.load(fh).items() if name.startswith("ring/")}
+    for form, text, size_digest, rewritten, related in (
+        ("claims", with_fact_claims(shipped), CLAIMS_LEDGER, shipped, golden["ring/relate-claim/ledger"]),
+        ("explicit", with_explicit_bodies(with_fact_claims(shipped)), EXPLICIT_LEDGER, with_explicit_bodies(shipped), EXPLICIT_RELATED_LEDGER),
+    ):
+        assert (len(text), _sha256(text)) == size_digest, form
+        kind, field, led = schema.parse_document(text)
+        assert schema.dumps(schema.document(kind, field, schema.ledger_to_json(led, field))) == rewritten, form
+        (docs / "motivic.ledger.json").write_text(text)
+        digests = _report_digests(str(docs), str(tmp_path / form), keep=lambda name: name.startswith("ring/"))
+        assert digests == {**golden, "ring/relate-claim/ledger": related}, form

@@ -60,10 +60,12 @@ def test_verified_sod_relation_ingestion():
 
 
 def test_claims_with_witnesses_are_still_ingested_and_stored():
-    """Relations and point-sod facts whose claims carry every cut witness,
-    as ledgers stored them before witnesses became optional, verify, and a
-    ledger document holding them parses and writes back to the same bytes."""
-    from dgcat import schema
+    """A relation whose claim carries every cut witness, as ledgers stored
+    claims before witnesses became optional, verifies and is written back
+    with its witnesses.  A point-sod fact whose payload carries such a claim
+    (12 witnesses over tensor(K2, K2)), as older ledgers wrote it, still
+    parses; the fact does not read the claim and is written without it."""
+    import json
 
     k2 = kronecker_category()
     t = tensor(k2, k2)
@@ -74,13 +76,16 @@ def test_claims_with_witnesses_are_still_ingested_and_stored():
         ClassExpr.gen("P1").sub(ClassExpr.unit(2)),
         Provenance("verified-sod", payload=SODProvenance("P1", claim, (ClassExpr.unit(),) * 2, ("point",) * 2)),
     )
-    fact = TensorProvenance("point-sod", claim=witnessed_exceptional_claim(t, t.objects), category=t)
-    led = led.add_product_fact("P1", "P1", ClassExpr.unit(4), Provenance("verified-tensor", payload=fact))
+    led = led.add_product_fact("P1", "P1", ClassExpr.unit(4), Provenance("verified-tensor", payload=TensorProvenance("point-sod")))
     assert led.eq(ClassExpr.parse("[P1]*[P1]"), ClassExpr.unit(4)) == "equal"
     text = schema.dumps(schema.document("ledger", k2.field, schema.ledger_to_json(led, k2.field)))
-    kind, field, led2 = schema.parse_document(text)
+    doc = json.loads(text)
+    (fact,) = doc["body"]["facts"]
+    fact["provenance"]["payload"]["claim"] = schema.sod_claim_to_json(t, witnessed_exceptional_claim(t, t.objects), with_category=False)
+    assert len(fact["provenance"]["payload"]["claim"]["admissibility"]) == 12
+    kind, field, led2 = schema.parse_document(schema.dumps(doc))
     assert [len(r.provenance.payload.claim.admissibility) for r in led2.relations] == [2]
-    assert len(led2.facts[("P1", "P1")].provenance.payload.claim.admissibility) == 12
+    assert led2.eq(ClassExpr.parse("[P1]*[P1]"), ClassExpr.unit(4)) == "equal"
     assert schema.dumps(schema.document(kind, field, schema.ledger_to_json(led2, field))) == text
 
 
@@ -289,55 +294,26 @@ def test_motivic_pipeline_over_fp():
     assert rep["pass"]
 
 
-def test_point_sod_fact_reuses_or_compares_the_tensor_category(monkeypatch):
-    k2, pt = kronecker_category(), point_category()
-    led = Ledger().register_generator("A", k2).register_generator("B", pt)
-    built = []
-    real = ptring.tensor
-    monkeypatch.setattr(ptring, "tensor", lambda c, d: built.append((c, d)) or real(c, d))
-
-    def fact(t):
-        claim = exceptional_sod_claim(t, tensor_object_order(t))
-        prov = Provenance("verified-tensor", payload=TensorProvenance("point-sod", claim=claim, category=t))
-        return led.add_product_fact("A", "B", ClassExpr.unit(len(t.objects)), prov)
-
-    # built by tensor() from the registered payloads: used as it is
-    assert fact(tensor(k2, pt)).eq(ClassExpr.parse("[A]*[B]"), ClassExpr.unit(2)) == "equal"
-    assert built == []
-    # equal in content but over other instances: built again and compared
-    assert fact(tensor(kronecker_category(), point_category())).eq(ClassExpr.parse("[A]*[B]"), ClassExpr.unit(2)) == "equal"
-    assert built == [(k2, pt)]
-    # over another category: the comparison rejects it
-    with pytest.raises(ProvenanceError, match="claim category does not match the tensor category"):
-        fact(tensor(k2, a2_category()))
-
-
 def test_point_sod_fact_counts_points_not_blocks():
-    """A point-sod fact must decompose the whole tensor category into
-    single objects: a one-block claim over the 4 objects of tensor(K2, K2)
-    (once accepted as [P1]*[P1] = [pt]), a claim whose ambient generators
-    omit an object or list one twice, and a claim with a two-object block
-    are all rejected; the exceptional claim is still accepted."""
-    from dgcat.sodgen import SODClaim
+    """A point-sod fact's value is the product of its factors' verified
+    point counts: [P1]*[P1] = 4[pt] is accepted, and [pt] (what a one-block
+    claim over tensor(K2, K2) once gave) and 3[pt] are refused.  The unit
+    alias counts 1.  A factor whose only relation is an external one, or
+    which has no category and so no verified relation, is refused."""
+    from dgcat.fixtures import beilinson3_category
 
-    k2 = kronecker_category()
-    t = tensor(k2, k2)
-    led = Ledger().register_generator("pt", point_category(), unit_alias=True).register_generator("P1", k2)
-    o = list(t.objects)
-
-    def fact(claim):
-        prov = Provenance("verified-tensor", payload=TensorProvenance("point-sod", claim=claim, category=t))
-        return led.add_product_fact("P1", "P1", ClassExpr.unit(len(claim.blocks)), prov)
-
-    assert fact(exceptional_sod_claim(t, o)).eq(ClassExpr.parse("[P1]*[P1]"), ClassExpr.unit(4)) == "equal"
-    with pytest.raises(ProvenanceError, match="every block of a point-sod claim must be a single object"):
-        fact(SODClaim(tuple(o), (tuple(o),), {}))
-    with pytest.raises(ProvenanceError, match="every block of a point-sod claim must be a single object"):
-        fact(SODClaim(tuple(o), ((o[0],), (o[1], o[2]), (o[3],)), {}))
-    with pytest.raises(ProvenanceError, match="must list every object of the tensor category once"):
-        fact(exceptional_sod_claim(t, o[:3]))
-    with pytest.raises(ProvenanceError, match="must list every object of the tensor category once"):
-        fact(SODClaim(tuple(o) + (o[0],), tuple((x,) for x in o), {}))
+    led = small_ledger()
+    led = led.register_generator("P2", beilinson3_category()).register_generator("X")
+    led = led.add_relation(ClassExpr.gen("P2").sub(ClassExpr.unit(3)), Provenance("external-paper-fact", citation="Beilinson"))
+    point_sod = Provenance("verified-tensor", payload=TensorProvenance("point-sod"))
+    assert led.add_product_fact("P1", "P1", ClassExpr.unit(4), point_sod).eq(ClassExpr.parse("[P1]*[P1]"), ClassExpr.unit(4)) == "equal"
+    for n in (1, 3):
+        with pytest.raises(ProvenanceError, match=r"value must be 4\[pt\]"):
+            led.add_product_fact("P1", "P1", ClassExpr.unit(n), point_sod)
+    assert led.add_product_fact("P1", "pt", ClassExpr.unit(2), point_sod).facts[("P1", "pt")].value == ClassExpr.unit(2)
+    for other, n in (("P2", 6), ("X", 2)):
+        with pytest.raises(ProvenanceError, match=f"factor '{other}' has no verified-sod relation"):
+            led.add_product_fact("P1", other, ClassExpr.unit(n), point_sod)
 
 
 def test_generator_fact_reuses_or_compares_the_tensor_category(monkeypatch):

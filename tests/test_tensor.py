@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from dgcat import schema
+from dgcat import ptring, schema
 from dgcat.cli import write_fixture_documents
 from dgcat.dgcore import DGCategory, TensorCategory, tensor
 from dgcat.exactlin import GF, QQ
@@ -143,15 +143,32 @@ def test_validate_of_a_nested_product_fills_no_table():
     assert _is_built_lazily(t) and _is_built_lazily(inner)
 
 
-def test_ledger_ingestion_fills_no_point_sod_table(tmp_path):
-    """Timing-free guard: parsing the shipped ledger document verifies its
-    point-sod facts on tensor categories whose tables are never built."""
+def test_ledger_ingestion_calls_tensor_twice_and_builds_nothing_for_a_fact(tmp_path, monkeypatch):
+    """Count guard: a parse of the shipped ledger calls tensor exactly twice,
+    once per generator written as a tensor reference, and check_sod once per
+    verified-sod relation, each on a registered category.  Its point-sod
+    facts are decided from the factors' relations and build nothing."""
     paths = write_fixture_documents(str(tmp_path))
     with open(paths["motivic.ledger.json"], encoding="utf-8") as fh:
-        kind, field, led = schema.parse_document(fh.read())
-    cats = [f.provenance.payload.category for f in led.facts.values() if f.provenance.payload is not None and f.provenance.payload.mode == "point-sod"]
-    assert sorted(len(c.objects) for c in cats) == [8, 12]
-    assert all(_is_built_lazily(c) for c in cats)
+        text = fh.read()
+    calls = []
+    for module, name in ((schema, "tensor"), (ptring, "tensor"), (ptring, "check_sod")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name: calls.append((_name, a)) or _real(*a))
+    _, _, led = schema.parse_document(text)
+    g = {label: id(info.payload) for label, info in led.generators.items()}
+    assert [(name, tuple(map(id, a[:2]))) for name, a in calls] == [
+        ("tensor", (g["P1"], g["P1"])),
+        ("tensor", (g["P1"], g["P2"])),
+        *(("check_sod", (g[label], id(r.provenance.payload.claim))) for label, r in zip(("P1", "P2", "P1xP1", "P1xP2"), led.relations)),
+    ]
+    facts = {f.pair: (f.provenance.payload, f.value.format()) for f in led.facts.values() if f.provenance.kind == "verified-tensor"}
+    assert facts == {
+        ("P1", "P1"): (ptring.TensorProvenance("generator"), "[P1xP1]"),
+        ("P1", "P2"): (ptring.TensorProvenance("generator"), "[P1xP2]"),
+        ("P1", "P1xP1"): (ptring.TensorProvenance("point-sod"), "8*[pt]"),
+        ("P1", "P1xP2"): (ptring.TensorProvenance("point-sod"), "12*[pt]"),
+    }
 
 
 def test_a_tensor_category_puts_a_plain_dict_in_place_of_its_tables_on_first_use():
