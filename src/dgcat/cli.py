@@ -265,8 +265,9 @@ def cmd_ring(args, started):
         verdicts.append({"name": "relation ingested", "ok": True, "detail": expr.format()})
         mutated = ledger
     else:  # fact: argparse choices admit no other subcommand
-        if not args.value.strip():
-            raise CliError("fact needs --value")
+        missing = [f"--{k}" for k in ("a", "b", "value") if not getattr(args, k).strip()]
+        if missing:
+            raise CliError(f"fact needs {' and '.join(missing)}")
         try:
             value = ClassExpr.parse(args.value)
         except ValueError as e:

@@ -57,14 +57,12 @@ def serre_from_images(cat, obj_images, basis_images):
 
     basis_images[(a, b, n, i)] is the TwistedMorphism image of the i-th
     degree-n basis morphism of Hom(a, b)."""
-    from .functors import SerreData
-    from .exactlin import Matrix
+    from .functors import serre_data
 
-    data = SerreData(cat, obj_images, {})
     fl = cat.field
     mor_images = {}
     for (a, b), h in cat.homs.items():
-        hs = data.space(a, b)
+        hs = pretr.HomSpace(obj_images[a], obj_images[b])
         per_deg = {}
         for n in h.complex.degrees():
             cols = {}
@@ -77,8 +75,7 @@ def serre_from_images(cat, obj_images, basis_images):
             per_deg[n] = Matrix(fl, hs.complex.dim(n), h.dim(n), cols)
         if per_deg:
             mor_images[(a, b)] = per_deg
-    data.mor_images = mor_images
-    return data
+    return serre_data(cat, obj_images, mor_images)
 
 
 def tensor_object_order(t):

@@ -12,9 +12,9 @@ from .pretr import (
     Term,
     TwistedComplex,
     TwistedMorphism,
+    _canon,
     _cone,
     compose,
-    differential,
     embed,
     identity_morphism,
     is_closed,
@@ -184,39 +184,30 @@ def check_quasi_equiv(cert):
 def hull_subcategory(cat, named_objects):
     """The full DG subcategory of the pretriangulated hull on the given
     twisted complexes, as a plain DGCategory (with entry-indexed bases)."""
-    labels = [lbl for lbl, _ in named_objects]
-    complexes = [tc for _, tc in named_objects]
-    objs = tuple(ObjId(lbl, i) for i, lbl in enumerate(labels))
-    spaces = {}
-    for i, x in enumerate(complexes):
-        for j, y in enumerate(complexes):
-            spaces[(objs[i], objs[j])] = HomSpace(x, y)
+    objs = tuple(ObjId(lbl, i) for i, (lbl, _) in enumerate(named_objects))
+    ends = {}  # content -> its first complex, whose memo then serves every equal one
+    xs = [ends.setdefault(_canon(x), x) for _, x in named_objects]
+    spaces = {(objs[i], objs[j]): HomSpace(x, y) for i, x in enumerate(xs) for j, y in enumerate(xs)}
+    one = cat.field.one()
     homs = {}
+    basis = {}  # (o1, o2) -> [(degree, index, basis twisted morphism)]
     for key, hs in spaces.items():
-        names = {n: tuple(f"m{t}" for t in range(len(lst))) for n, lst in hs.basis.items()}
         if hs.complex.dims:
-            homs[key] = Hom(hs.complex, names)
+            homs[key] = Hom(hs.complex, {n: tuple(f"m{t}" for t in range(len(lst))) for n, lst in hs.basis.items()})
+        basis[key] = [(p, i, hs.from_vector(p, {i: one})) for p in hs.complex.degrees() for i in range(hs.complex.dim(p))]
     comp = {}
-    for (o1, o2), hs12 in spaces.items():
+    for (o1, o2), fs in basis.items():
         for o3 in objs:
-            hs23 = spaces[(o2, o3)]
             hs13 = spaces[(o1, o3)]
             table = {}
-            for p in hs12.complex.degrees():
-                for i in range(hs12.complex.dim(p)):
-                    f = hs12.from_vector(p, {i: cat.field.one()})
-                    for q in hs23.complex.degrees():
-                        for j in range(hs23.complex.dim(q)):
-                            g = hs23.from_vector(q, {j: cat.field.one()})
-                            vec = hs13.to_vector(compose(f, g))
-                            if vec:
-                                table[(p, i, q, j)] = vec
+            for p, i, f in fs:
+                for q, j, g in basis[(o2, o3)]:
+                    vec = hs13.to_vector(compose(f, g))
+                    if vec:
+                        table[(p, i, q, j)] = vec
             if table:
                 comp[(o1, o2, o3)] = table
-    ids = {}
-    for i, o in enumerate(objs):
-        hs = spaces[(o, o)]
-        ids[o] = Morphism(o, o, 0, hs.to_vector(identity_morphism(complexes[i])))
+    ids = {o: Morphism(o, o, 0, spaces[(o, o)].to_vector(identity_morphism(x))) for o, x in zip(objs, xs)}
     return DGCategory(cat.field, objs, homs, comp, ids, name="hull-sub")
 
 
@@ -225,104 +216,67 @@ def hull_subcategory(cat, named_objects):
 
 @dataclass
 class SerreData:
-    """A functor from the base category into its own pretriangulated hull.
+    """A Serre bundle over a category as two DG functors from it into one
+    full subcategory H of its pretriangulated hull: embedding sends a to
+    embed(a), functor sends a to S(a).  Both have src the base category and
+    dst H."""
 
-    obj_images[A] is a twisted complex; mor_images[(A,B)][n] maps the base
-    Hom^n(A,B) coordinates to degree-n coordinates of
-    HomSpace(obj_images[A], obj_images[B]).
-    """
+    embedding: DGFunctor
+    functor: DGFunctor
 
-    cat: DGCategory
-    obj_images: dict
-    mor_images: dict
-    name: str = "S"
 
-    def space(self, a, b):
-        return HomSpace(self.obj_images[a], self.obj_images[b])
+def serre_data(cat, obj_images, mor_images, name="S"):
+    """The bundle a -> obj_images[a], a twisted complex over cat, where
+    mor_images[(a, b)][n] maps base Hom^n(a, b) coordinates to degree-n
+    coordinates in the HomSpace basis from obj_images[a] to obj_images[b].
 
-    def apply(self, f):
-        hs = self.space(f.src, f.dst)
-        m = self.mor_images.get((f.src, f.dst), {}).get(f.degree)
-        if m is None:
-            return hs.from_vector(f.degree, {})
-        return hs.from_vector(f.degree, m.apply(f.coords))
+    H is hull_subcategory on embed(a), then S(a), for every object a.  Its
+    Hom bases are the HomSpace bases, so S's maps are mor_images and E's
+    are identity matrices (two embedded objects have the base basis)."""
+    n = len(cat.objects)
+    hull = hull_subcategory(cat, [(a.label, embed(cat, a)) for a in cat.objects] + [(f"S{a.label}", obj_images[a]) for a in cat.objects])
+    embedding = DGFunctor(cat, hull, dict(zip(cat.objects, hull.objects)), identity_functor(cat).mor_maps, name="embed")
+    return SerreData(embedding, DGFunctor(cat, hull, dict(zip(cat.objects, hull.objects[n:])), mor_images, name))
 
 
 def functor_as_serre_data(fun):
-    """Wrap an endo DGFunctor as hull-valued Serre data (embed images)."""
+    """An endo DGFunctor F as Serre data with S(a) = embed(F a): the HomSpace
+    basis between embedded objects is the base basis, so S's maps are F's."""
     cat = fun.src
-    obj_images = {a: embed(cat, fun.obj_map[a]) for a in cat.objects}
-    data = SerreData(cat, obj_images, {}, name=fun.name or "S")
-    mor_images = {}
-    for (a, b), per_deg in fun.mor_maps.items():
-        hs = data.space(a, b)
-        out = {}
-        for n, m in per_deg.items():
-            m_cols = m.columns()
-            images = []
-            for col in range(m.cols):
-                img = m_cols.get(col, {})
-                mor = Morphism(fun.obj_map[a], fun.obj_map[b], n, img)
-                tm = TwistedMorphism(obj_images[a], obj_images[b], n, {(0, 0): mor} if img else {})
-                images.append(hs.to_vector(tm))
-            out[n] = Matrix.from_columns(cat.field, hs.complex.dim(n), images)
-        mor_images[(a, b)] = out
-    data.mor_images = mor_images
-    return data
+    return serre_data(cat, {a: embed(cat, fun.obj_map[a]) for a in cat.objects}, fun.mor_maps, fun.name or "S")
 
 
-def validate_serre_data(data):
-    """Chain-map, composition and identity checks for hull-valued functors."""
-    cat = data.cat
-    report = []
-    for a in cat.objects:
-        if data.apply(cat.identity(a)) != identity_morphism(data.obj_images[a]):
-            report.append(Violation("identity", (a.label,), "S(id) != id"))
-    for (a, b), h in sorted(cat.homs.items()):
-        for n in h.complex.degrees():
-            for i in range(h.dim(n)):
-                f = cat.basis_morphism(a, b, n, i)
-                if data.apply(cat.d(f)) != differential(data.apply(f)):
-                    report.append(Violation("chain_map", (a.label, b.label, n, i), "S(df) != d(Sf)"))
-    for a in cat.objects:
-        for b in cat.objects:
-            hab = cat.hom(a, b)
-            for c in cat.objects:
-                hbc = cat.hom(b, c)
-                for p in hab.complex.degrees():
-                    for q in hbc.complex.degrees():
-                        for i in range(hab.dim(p)):
-                            f = cat.basis_morphism(a, b, p, i)
-                            for j in range(hbc.dim(q)):
-                                g = cat.basis_morphism(b, c, q, j)
-                                if data.apply(cat.mul(f, g)) != compose(data.apply(f), data.apply(g)):
-                                    report.append(Violation("composition", (a.label, b.label, c.label, (p, i), (q, j)), ""))
-    return report
+def _classes(cat, x, y, n):
+    """Representative cycles of the cohomology basis of H^n Hom(x, y)."""
+    return [Morphism(x, y, n, dict(rep)) for rep in cat.hom(x, y).complex.cohomology(n).reps]
+
+
+def _class(cat, f):
+    """Class coordinates of a cycle f in the cohomology basis."""
+    return cat.hom(f.src, f.dst).complex.cohomology(f.degree).project(f.coords)
 
 
 def verify_serre(data, pairings):
     """Verify Serre duality data: perfect pairings
-    H^n Hom(A,B) x H^{-n} Hom(embed B, S A) -> k, natural in both arguments.
+    H^n Hom(A,B) x H^{-n} Hom(E B, S A) -> k, natural in both arguments,
+    with every Hom, composite and functor image taken in data's H.
 
     pairings[(a, b, n)] is a matrix P with P[r, c] = <x_c, y_r> over the
     deterministic cohomology bases.  The dimension symmetry
-    dim H^n Hom(A,B) = dim H^{-n} Hom(B, SA) is checked first.
+    dim H^n Hom(A,B) = dim H^{-n} Hom(E B, S A) is checked first.
     """
-    cat = data.cat
+    emb, fun = data.embedding, data.functor
+    cat, hull = fun.src, fun.dst
     fl = cat.field
     failures = []
-    bad = validate_serre_data(data)
+    bad = validate_functor(fun)
     if bad:
         return Verdict(False, [("functor", v) for v in bad])
-    pair_spaces = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            pair_spaces[(a, b)] = HomSpace(embed(cat, b), data.obj_images[a])
     degrees = {}
     for a in cat.objects:
         for b in cat.objects:
             h = cat.hom(a, b).complex
-            hs = pair_spaces[(a, b)].complex
+            hs = hull.hom(emb.obj_map[b], fun.obj_map[a]).complex
             degs = sorted(set(h.degrees()) | {-n for n in hs.degrees()})
             degrees[(a, b)] = degs
             for n in degs:
@@ -332,7 +286,7 @@ def verify_serre(data, pairings):
                     failures.append(("dimension_symmetry", (a.label, b.label, n, d1, d2)))
     if failures:
         return Verdict(False, failures)
-    for (a, b) in sorted(pair_spaces, key=lambda k: (k[0].index, k[1].index)):
+    for (a, b) in sorted(degrees, key=lambda k: (k[0].index, k[1].index)):
         h = cat.hom(a, b).complex
         for n in degrees[(a, b)]:
             d = h.cohomology_dim(n)
@@ -355,96 +309,72 @@ def verify_serre(data, pairings):
                 s = fl.add(s, fl.mul(fl.mul(vx, vy), p.get(r, c)))
         return s
 
-    def hom_classes(a, b, n):
-        h = cat.hom(a, b).complex
-        co = h.cohomology(n)
-        return [Morphism(a, b, n, dict(rep)) for rep in co.reps]
-
-    # naturality in the second argument: <mul(x,g), y> = <x, mul(g,y)>
+    # naturality in the second argument: <mul(x,g), y> = <x, mul(E g, y)>
     for a in cat.objects:
         for b in cat.objects:
             for b2 in cat.objects:
-                hg = cat.hom(b, b2).complex
-                for s in hg.degrees():
-                    for g in hom_classes(b, b2, s):
-                        g_tm = base_to_tm(cat, g)
+                for s in cat.hom(b, b2).complex.degrees():
+                    for g in _classes(cat, b, b2, s):
+                        eg = emb.apply(g)
                         for n in degrees[(a, b)]:
                             if cat.hom(a, b).complex.cohomology_dim(n) == 0:
                                 continue
-                            hs2 = pair_spaces[(a, b2)]
-                            for y in hs2.cohomology_classes(-n - s):
-                                gy = compose(g_tm, y)
-                                hs1 = pair_spaces[(a, b)]
-                                gy_coords = hs1.project(gy)
-                                for x in hom_classes(a, b, n):
-                                    xg = cat.mul(x, g)
-                                    xg_cls = cat.hom(a, b2).complex.cohomology(n + s).project(xg.coords)
-                                    y_cls = hs2.project(y)
-                                    lhs = pair_value(a, b2, n + s, xg_cls, y_cls)
-                                    x_cls = cat.hom(a, b).complex.cohomology(n).project(x.coords)
-                                    rhs = pair_value(a, b, n, x_cls, gy_coords)
-                                    if lhs != rhs:
+                            for y in _classes(hull, emb.obj_map[b2], fun.obj_map[a], -n - s):
+                                gy_cls = _class(hull, hull.mul(eg, y))
+                                y_cls = _class(hull, y)
+                                for x in _classes(cat, a, b, n):
+                                    lhs = pair_value(a, b2, n + s, _class(cat, cat.mul(x, g)), y_cls)
+                                    if lhs != pair_value(a, b, n, _class(cat, x), gy_cls):
                                         failures.append(("naturality_target", (a.label, b.label, b2.label, s, n)))
-    # naturality in the first argument: <mul(f,x), y> = <x, mul(y, Sf)>
+    # naturality in the first argument: <mul(f,x), y> = <x, mul(y, S f)>
     for a2 in cat.objects:
         for a in cat.objects:
-            hf = cat.hom(a2, a).complex
-            for p in hf.degrees():
-                for f in hom_classes(a2, a, p):
-                    sf = data.apply(f)
+            for p in cat.hom(a2, a).complex.degrees():
+                for f in _classes(cat, a2, a, p):
+                    sf = fun.apply(f)
                     for b in cat.objects:
                         for n in degrees[(a, b)]:
                             if cat.hom(a, b).complex.cohomology_dim(n) == 0:
                                 continue
-                            hs2 = pair_spaces[(a2, b)]
-                            for y in hs2.cohomology_classes(-n - p):
-                                ysf = compose(y, sf)
-                                hs1 = pair_spaces[(a, b)]
-                                ysf_coords = hs1.project(ysf)
-                                y_cls = hs2.project(y)
-                                for x in hom_classes(a, b, n):
-                                    fx = cat.mul(f, x)
-                                    fx_cls = cat.hom(a2, b).complex.cohomology(n + p).project(fx.coords)
-                                    lhs = pair_value(a2, b, n + p, fx_cls, y_cls)
-                                    x_cls = cat.hom(a, b).complex.cohomology(n).project(x.coords)
-                                    rhs = pair_value(a, b, n, x_cls, ysf_coords)
-                                    if lhs != rhs:
+                            for y in _classes(hull, emb.obj_map[b], fun.obj_map[a2], -n - p):
+                                ysf_cls = _class(hull, hull.mul(y, sf))
+                                y_cls = _class(hull, y)
+                                for x in _classes(cat, a, b, n):
+                                    lhs = pair_value(a2, b, n + p, _class(cat, cat.mul(f, x)), y_cls)
+                                    if lhs != pair_value(a, b, n, _class(cat, x), ysf_cls):
                                         failures.append(("naturality_source", (a2.label, a.label, b.label, p, n)))
     return Verdict(not failures, failures)
 
 
 def composition_trace_pairings(data, traces):
-    """Pairings P[(a,b,n)][r,c] = tr_a(class of compose(x_c, y_r)).
+    """Pairings P[(a,b,n)][r,c] = tr_a(class of mul(E x_c, y_r)) in H.
 
     traces[a] is a coordinate functional (dict index -> scalar) on the H^0
-    basis of HomSpace(embed a, S a).
+    basis of Hom(E a, S a).
     """
-    cat = data.cat
+    emb, fun = data.embedding, data.functor
+    cat, hull = fun.src, fun.dst
     fl = cat.field
     pairings = {}
     for a in cat.objects:
-        end_space = HomSpace(embed(cat, a), data.obj_images[a])
         tr = traces[a]
         for b in cat.objects:
             h = cat.hom(a, b).complex
-            hs = HomSpace(embed(cat, b), data.obj_images[a])
-            degs = sorted(set(h.degrees()) | {-n for n in hs.complex.degrees()})
+            hs = hull.hom(emb.obj_map[b], fun.obj_map[a]).complex
+            degs = sorted(set(h.degrees()) | {-n for n in hs.degrees()})
             for n in degs:
                 d = h.cohomology_dim(n)
-                if d == 0 or hs.complex.cohomology_dim(-n) != d:
+                if d == 0 or hs.cohomology_dim(-n) != d:
                     continue
-                xs = [Morphism(a, b, n, dict(rep)) for rep in h.cohomology(n).reps]
-                ys = hs.cohomology_classes(-n)
+                ys = _classes(hull, emb.obj_map[b], fun.obj_map[a], -n)
                 ent = {}
-                for c, x in enumerate(xs):
-                    x_tm = base_to_tm(cat, x)
+                for c, x in enumerate(_classes(cat, a, b, n)):
+                    ex = emb.apply(x)
                     for r, y in enumerate(ys):
-                        comp_cls = end_space.project(compose(x_tm, y))
                         val = fl.zero()
-                        for idx, v in comp_cls.items():
+                        for idx, v in _class(hull, hull.mul(ex, y)).items():
                             val = fl.add(val, fl.mul(v, tr.get(idx, fl.zero())))
                         if not fl.is_zero(val):
                             ent[(r, c)] = val
                 pairings[(a, b, n)] = Matrix(fl, d, d, ent)
     return pairings
-

@@ -49,11 +49,28 @@ def _index(x, n, what):
     return x
 
 
-def _obj(cat, label):
+def _obj(cat, label, where):
+    """The object of cat with this label; a label that is not a string or
+    names no object is a DocumentError naming where the document wrote it.
+    Every label of a parse comes through here or _key_objs, so both read
+    the category's label table directly and format messages only on
+    failure."""
     try:
-        return cat.obj(_node(label, str, "an object label"))
-    except KeyError:
-        raise DocumentError(f"unknown object label {label!r}") from None
+        return cat._by_label[label]
+    except (KeyError, TypeError):
+        _node(label, str, f"an object label in {where}")
+        raise DocumentError(f"unknown object label {label!r} in {where}") from None
+
+
+def _key_objs(cat, key, arity, what):
+    """The objects of a key "a|b" (arity 2) or "a|b|c" (arity 3)."""
+    labels = key.split("|")
+    if len(labels) != arity:
+        raise DocumentError(f"{what} key {key!r} must be {arity} object labels joined by '|'")
+    try:
+        return tuple([cat._by_label[x] for x in labels])
+    except KeyError as e:
+        raise DocumentError(f"unknown object label {e.args[0]!r} in {what} key {key!r}") from None
 
 
 def dumps(doc):
@@ -165,20 +182,21 @@ def category_to_json(cat):
 
 def category_from_json(field, body):
     _node(body, dict, "a category")
-    objects = tuple(ObjId(_node(lbl, str, "an object label"), i) for i, lbl in enumerate(_node(body["objects"], list, "objects")))
-    by_label = {o.label: o for o in objects}
-    homs = {}
+    labels = [_node(lbl, str, "an object label") for lbl in _node(body["objects"], list, "objects")]
+    if len(set(labels)) != len(labels):
+        raise DocumentError(f"objects: label {next(x for x in labels if labels.count(x) > 1)!r} is listed twice")
+    homs, comp, ids = {}, {}, {}  # filled below; cat resolves their keys' labels
+    cat = DGCategory(field, (ObjId(lbl, i) for i, lbl in enumerate(labels)), homs, comp, ids, name=_node(body.get("name", ""), str, "a category name"))
     for key, data in _node(body["homs"], dict, "homs").items():
-        a, b = key.split("|")
+        a, b = _key_objs(cat, key, 2, "Hom")
         _node(data, dict, "a Hom")
         names = {int(n): tuple(_node(x, str, "a basis name") for x in _node(v, list, "basis names")) for n, v in _node(data["names"], dict, "names").items()}
         cx = complex_from_json(field, data["complex"])
         if any(len(names.get(n, ())) != cx.dims.get(n, 0) for n in {*names, *cx.dims}):
             raise DocumentError(f"Hom {key}: each degree needs one basis name per dimension")
-        homs[(by_label[a], by_label[b])] = Hom(cx, names)
-    comp = {}
+        homs[(a, b)] = Hom(cx, names)
     for key, rows in _node(body["comp"], dict, "comp").items():
-        a, b, c = (by_label[x] for x in key.split("|"))
+        a, b, c = _key_objs(cat, key, 3, "comp")
         dims_ab, dims_bc, dims_ac = (homs[h].complex.dims if h in homs else {} for h in ((a, b), (b, c), (a, c)))
         table = {}
         for row in _node(rows, list, "a comp table"):
@@ -191,11 +209,10 @@ def category_from_json(field, body):
                 raise DocumentError(f"comp row {key} {row!r}: an index lies outside the basis of its Hom and degree")
             table[(p, i, q, j)] = coords
         comp[(a, b, c)] = table
-    ids = {}
     for lbl, data in _node(body["ids"], dict, "ids").items():
-        o = by_label[lbl]
+        o = _obj(cat, lbl, "ids")
         ids[o] = _morphism_from_json(field, homs, o, o, data)
-    return DGCategory(field, objects, homs, comp, ids, name=_node(body.get("name", ""), str, "a category name"))
+    return cat
 
 
 # -- twisted complexes ----------------------------------------------------------
@@ -216,7 +233,7 @@ def tc_from_json(cat, data):
     terms = []
     for term in _node(data["terms"], list, "terms"):
         lbl, s = _node(term, list, "a term")
-        terms.append(Term(_obj(cat, lbl), _node(s, int, "a shift")))
+        terms.append(Term(_obj(cat, lbl, "a term"), _node(s, int, "a shift")))
     q = {}
     for entry in _node(data["q"], list, "q"):
         i, j, m = _node(entry, list, "a q entry")
@@ -298,11 +315,10 @@ def functor_to_json(fun):
 def functor_from_json(field, body):
     src = category_from_json(field, _node(body, dict, "a functor")["src_category"])
     dst = category_from_json(field, body["dst_category"])
-    obj_map = {src.obj(a): _obj(dst, b) for a, b in _node(body["obj_map"], dict, "obj_map").items()}
+    obj_map = {_obj(src, a, "obj_map"): _obj(dst, b, "obj_map") for a, b in _node(body["obj_map"], dict, "obj_map").items()}
     mor_maps = {}
     for key, per in _node(body["mor_maps"], dict, "mor_maps").items():
-        a, b = key.split("|")
-        mor_maps[(src.obj(a), src.obj(b))] = {int(n): matrix_from_json(field, m) for n, m in _node(per, dict, "a morphism map").items()}
+        mor_maps[_key_objs(src, key, 2, "mor_maps")] = {int(n): matrix_from_json(field, m) for n, m in _node(per, dict, "a morphism map").items()}
     return DGFunctor(src, dst, obj_map, mor_maps, name=_node(body.get("name", ""), str, "a functor name"))
 
 
@@ -319,7 +335,7 @@ def equiv_cert_from_json(field, body):
     fun = functor_from_json(field, body)
     witnesses = {}
     for lbl, data in _node(body["witnesses"], dict, "witnesses").items():
-        o = fun.dst.obj(lbl)
+        o = _obj(fun.dst, lbl, "witnesses")
         _node(data, dict, "a witness")
         witnesses[o] = (tc_from_json(fun.dst, data["complex"]), tm_from_json(fun.dst, data["morphism"]))
     return EquivCertificate(fun, witnesses)
@@ -343,7 +359,7 @@ def _step_to_json(cat, step):
 def _step_from_json(cat, data):
     kind = _node(data, dict, "a step")["kind"]
     if kind == "leaf":
-        return Leaf(_obj(cat, data["gen"]), _node(data["shift"], int, "a shift"))
+        return Leaf(_obj(cat, data["gen"], "a leaf"), _node(data["shift"], int, "a shift"))
     if kind == "sum":
         return Sum(tuple(_node(r, int, "a step reference") for r in _node(data["refs"], list, "refs")))
     if kind == "cone":
@@ -368,7 +384,7 @@ def gencert_to_json(cat, cert, with_category=True):
 def gencert_from_json(cat, body):
     _node(body, dict, "a generation certificate")
     return GenerationCertificate(
-        tuple(_obj(cat, lbl) for lbl in _node(body["generators"], list, "generators")),
+        tuple(_obj(cat, lbl, "generators") for lbl in _node(body["generators"], list, "generators")),
         tuple(_step_from_json(cat, s) for s in _node(body["steps"], list, "steps")),
         tc_from_json(cat, body["target"]),
         tm_from_json(cat, body["final_iso"]) if body["final_iso"] is not None else None,
@@ -406,8 +422,8 @@ def sod_claim_from_json(cat, body):
             gencert_from_json(cat, item["early_cert"]),
         )
     return SODClaim(
-        tuple(_obj(cat, lbl) for lbl in _node(body["ambient_generators"], list, "ambient_generators")),
-        tuple(tuple(_obj(cat, lbl) for lbl in _node(b, list, "a block")) for b in _node(body["blocks"], list, "blocks")),
+        tuple(_obj(cat, lbl, "ambient_generators") for lbl in _node(body["ambient_generators"], list, "ambient_generators")),
+        tuple(tuple(_obj(cat, lbl, "a block") for lbl in _node(b, list, "a block")) for b in _node(body["blocks"], list, "blocks")),
         admissibility,
     )
 

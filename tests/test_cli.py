@@ -232,6 +232,18 @@ def test_serre_command(capsys):
     assert code == 0
 
 
+def test_serre_builds_one_hull_subcategory(capsys, monkeypatch):
+    """serre --fixture a2 builds its hull subcategory once: the trace
+    pairings and the verification share it."""
+    from dgcat import functors
+
+    calls = []
+    build = functors.hull_subcategory
+    monkeypatch.setattr(functors, "hull_subcategory", lambda *a: calls.append(a) or build(*a))
+    code, _, _ = run_cli(capsys, "serre", "--fixture", "a2")
+    assert code == 0 and len(calls) == 1
+
+
 def test_tensor_command(fixture_dir, tmp_path, capsys):
     out_path = str(tmp_path / "t.category.json")
     code, out, _ = run_cli(
@@ -289,9 +301,10 @@ def test_ring_fact_subcommand(fixture_dir, tmp_path, capsys):
 
 def test_ring_relate_and_fact_without_their_expression_are_input_errors(fixture_dir, tmp_path, capsys):
     """ring relate with neither --expr nor --claim, and ring fact without
-    --value, exit 2 with a JSON error and write nothing, in place or to
-    --out; a blank expression counts as missing.  A missing expression is
-    not read as the zero class, so [P2]*[P2] stays unknown."""
+    --value, --a or --b, exit 2 with a JSON error and write nothing, in
+    place or to --out; a blank value counts as missing.  A missing
+    expression is not read as the zero class, so [P2]*[P2] stays unknown,
+    and a missing factor is not a generator '' whose fact fails to ingest."""
     text = (fixture_dir / "motivic.ledger.json").read_text()
     ledger = tmp_path / "motivic.ledger.json"
     ledger.write_text(text)
@@ -300,6 +313,9 @@ def test_ring_relate_and_fact_without_their_expression_are_input_errors(fixture_
         (["relate", "--expr", " ", "--citation", "x"], "relate needs --expr or --claim"),
         (["fact", "--a", "P2", "--b", "P2", "--citation", "x"], "fact needs --value"),
         (["fact", "--a", "P2", "--b", "P2", "--value", " ", "--citation", "x"], "fact needs --value"),
+        (["fact", "--value", "4*[pt]", "--citation", "x"], "fact needs --a and --b"),
+        (["fact", "--b", "P1", "--value", "4*[pt]", "--citation", "x"], "fact needs --a"),
+        (["fact", "--a", "P1", "--b", " ", "--value", "4*[pt]", "--citation", "x"], "fact needs --b"),
     ):
         for out in ([], ["--out", str(tmp_path / "out.ledger.json")]):
             code, stdout, err = run_cli(capsys, "ring", str(ledger), *argv, *out)

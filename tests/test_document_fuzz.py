@@ -177,6 +177,54 @@ def test_a_claim_object_outside_its_category_is_named_with_the_claim(tmp_path):
         assert not out.getvalue() and "claim of generator P1xP2: unknown object label '(e1,v1)'" in json.loads(err.getvalue())["error"], (argv, err.getvalue())
 
 
+KEY_LABEL_CASES = (
+    # (document, path to a dict in its body, key, replacement key, message)
+    ("kronecker.category.json", ("homs",), "e1|e2", "e9|e2", "unknown object label 'e9' in Hom key 'e9|e2'"),
+    ("kronecker.category.json", ("comp",), "e1|e2|e2", "e1|e9|e2", "unknown object label 'e9' in comp key 'e1|e9|e2'"),
+    ("kronecker.category.json", ("ids",), "e2", "e9", "unknown object label 'e9' in ids"),
+    ("kronecker.category.json", ("homs",), "e1|e2", "e1|e2|e3", "Hom key 'e1|e2|e3' must be 2 object labels"),
+    ("kronecker.category.json", ("comp",), "e1|e2|e2", "e1|e2", "comp key 'e1|e2' must be 3 object labels"),
+    ("kronecker_identity.functor.json", ("obj_map",), "e2", "e9", "unknown object label 'e9' in obj_map"),
+    ("kronecker_identity.functor.json", ("mor_maps",), "e1|e2", "e1|e9", "unknown object label 'e9' in mor_maps key 'e1|e9'"),
+    ("kronecker_identity.functor.json", ("mor_maps",), "e1|e2", "e1", "mor_maps key 'e1' must be 2 object labels"),
+    ("kronecker_identity.functor.json", ("src_category", "homs"), "e1|e2", "e9|e2", "unknown object label 'e9' in Hom key 'e9|e2'"),
+    ("kronecker_block_e1_point.equiv-certificate.json", ("witnesses",), "e1", "e9", "unknown object label 'e9' in witnesses"),
+)
+
+
+def test_object_labels_in_keys_are_named_with_their_key(tmp_path):
+    """An unknown label in a homs, comp or ids key of a category, in an
+    obj_map or mor_maps key of a functor or in a witnesses key of an
+    equiv-certificate, and a key with the wrong number of labels, exit 2
+    under validate with a JSON error naming the key, not a bare KeyError or
+    unpacking error."""
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    for n, (name, path, key, new_key, message) in enumerate(KEY_LABEL_CASES):
+        doc = json.loads((docs / name).read_text())
+        node = doc["body"]
+        for k in path:
+            node = node[k]
+        node[new_key] = node.pop(key)
+        bad = tmp_path / f"key{n}.{name}"
+        bad.write_text(json.dumps(doc))
+        code, out, err = _run(["validate", str(bad)])
+        assert code == 2 and not out and message in json.loads(err)["error"], (name, new_key, err)
+
+
+def test_a_repeated_object_label_is_an_input_error(tmp_path):
+    """A category whose objects list repeats a label exits 2 naming the
+    label; it is not read as a category that breaks the unit law."""
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    doc = json.loads((docs / "kronecker.category.json").read_text())
+    doc["body"]["objects"] = ["e1", "e1"]
+    bad = tmp_path / "twice.category.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(["validate", str(bad)])
+    assert code == 2 and not out and "objects: label 'e1' is listed twice" in json.loads(err)["error"], err
+
+
 def test_an_unknown_generator_in_a_relation_payload_is_named(tmp_path):
     """A verified-sod payload whose label names no generator ("P9") exits 2
     under validate and ring with a JSON error naming the label and the

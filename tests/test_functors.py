@@ -20,12 +20,13 @@ from dgcat.functors import (
     functor_as_serre_data,
     hull_subcategory,
     identity_functor,
+    serre_data,
     validate_functor,
-    validate_serre_data,
     verify_serre,
 )
 from dgcat.pretr import HomSpace, cone, embed, ho_hom, identity_morphism, is_ho_iso, shift
 
+import serre_reference as ref
 from gens import random_category, random_twisted_complex
 
 
@@ -147,7 +148,7 @@ def test_hull_subcategory_is_valid_dg_category():
 
 def test_serre_a2_nakayama_passes():
     data, pairings = a2_serre_data()
-    assert validate_serre_data(data) == []
+    assert validate_functor(data.functor) == []
     verdict = verify_serre(data, pairings)
     assert verdict.ok, verdict.failures
 
@@ -219,3 +220,91 @@ def test_hull_subcategory_valid_over_categories_with_differentials():
               ("B", random_twisted_complex(cat, rng, max_terms=3))]
         sub = hull_subcategory(cat, xs)
         assert sub.validate() == []
+
+
+def _same_verdict(old, new, where):
+    """ok agrees, and so does every failure not of kind "functor"; one side
+    has "functor" failures only if the other has."""
+    assert old.ok == new.ok, where
+    assert any(f[0] == "functor" for f in old.failures) == any(f[0] == "functor" for f in new.failures), where
+    assert [f for f in old.failures if f[0] != "functor"] == [f for f in new.failures if f[0] != "functor"], where
+
+
+def _scaled(pairings, key):
+    """pairings with the first nonzero entry of pairings[key] doubled."""
+    m = pairings[key]
+    (r, c), x = min(m.entries.items())
+    fl = m.field
+    return {**pairings, key: Matrix(fl, m.rows, m.cols, {**m.entries, (r, c): fl.add(x, x)})}
+
+
+def _compare_serre(cat, obj_images, mor_images, traces, where, pairings=None):
+    """Both implementations on one (obj_images, mor_images) input: trace
+    pairings agree, and so do the verdicts on them and on `pairings`.
+    Returns the reference verdict's ok on the first of these and the trace
+    pairings."""
+    old = ref.SerreData(cat, obj_images, mor_images)
+    new = serre_data(cat, obj_images, mor_images)
+    runs = [pairings] if pairings is not None else []
+    if traces is not None:
+        old_p, new_p = ref.composition_trace_pairings(old, traces), composition_trace_pairings(new, traces)
+        assert old_p == new_p, where
+        runs.append(new_p)
+    for p in runs:
+        _same_verdict(ref.verify_serre(old, p), verify_serre(new, p), where)
+    return ref.verify_serre(old, runs[0]).ok, runs[-1]
+
+
+def test_serre_checks_match_the_reference():
+    """The checks on two DG functors into one hull subcategory decide as the
+    old twisted-morphism calculus (tests/serre_reference.py) on the shipped
+    bundles, the epsilon Frobenius bundle, identity functors of random
+    categories with random traces, and mutated inputs: a scaled pairing
+    entry, each perturbed mor_images entry and a wrong trace."""
+    rng = random.Random(20261019)
+    old_a2, old_pairings = ref.a2_serre_data()
+    new_a2, new_pairings = a2_serre_data()
+    assert old_pairings == new_pairings
+    assert new_a2.functor.mor_maps == old_a2.mor_images
+    cat, images, mors = old_a2.cat, old_a2.obj_images, old_a2.mor_images
+    u, v = cat.obj("u"), cat.obj("v")
+    one = QQ.one()
+    traces = {u: {0: one}, v: {0: one}}
+    assert _compare_serre(cat, images, mors, traces, "a2")[0]
+    for key in new_pairings:
+        assert not _compare_serre(cat, images, mors, None, ("a2 scaled pairing", key), _scaled(new_pairings, key))[0]
+    for key, per in mors.items():
+        for n, m in per.items():
+            for r in range(m.rows):
+                for c in range(m.cols):
+                    bad = {k: dict(p) for k, p in mors.items()}
+                    bad[key][n] = Matrix(QQ, m.rows, m.cols, {**m.entries, (r, c): QQ.add(m.get(r, c), one)})
+                    assert not _compare_serre(cat, images, bad, traces, ("a2 perturbed", key, n, r, c), new_pairings)[0]
+    assert not _compare_serre(cat, images, mors, {u: {0: one}, v: {}}, "a2 wrong trace")[0]
+    pt = point_category()
+    o = pt.objects[0]
+    for fun, pairings in ((identity_functor(pt), {(o, o, 0): Matrix.identity(QQ, 1)}), (identity_functor(kronecker_category()), {})):
+        old = ref.functor_as_serre_data(fun)
+        _compare_serre(fun.src, old.obj_images, old.mor_images, None, fun.src.name, pairings)
+    eps = epsilon_category(degree=0)
+    e = eps.objects[0]
+    names = list(eps.hom(e, e).names[0])
+    old = ref.functor_as_serre_data(identity_functor(eps))
+    eps_pairings = {}
+    for name in ("e", "e_*"):
+        ok, eps_pairings[name] = _compare_serre(eps, old.obj_images, old.mor_images, {e: {names.index(name): one}}, ("epsilon", name))
+        assert ok == (name == "e")
+    for key in eps_pairings["e"]:
+        _compare_serre(eps, old.obj_images, old.mor_images, None, ("epsilon scaled", key), _scaled(eps_pairings["e"], key))
+    passed = 0
+    for n in range(30):
+        rc = random_category(rng)
+        old = ref.functor_as_serre_data(identity_functor(rc))
+        fl = rc.field
+        traces = {a: {i: fl.from_int(rng.randrange(-3, 4)) for i in range(rc.hom(a, a).complex.cohomology_dim(0))} for a in rc.objects}
+        traces = {a: {i: c for i, c in tr.items() if not fl.is_zero(c)} for a, tr in traces.items()}
+        ok, pairings = _compare_serre(rc, old.obj_images, old.mor_images, traces, ("random", n))
+        passed += ok
+        for key in pairings if ok else ():
+            _compare_serre(rc, old.obj_images, old.mor_images, None, ("random scaled", n, key), _scaled(pairings, key))
+    assert passed >= 5, "too few random draws reach the naturality checks"
