@@ -2,16 +2,20 @@
 
 All arithmetic is exact: rationals are `fractions.Fraction`, prime-field
 elements are ints in [0, p).  A field object is fixed per session and mixing
-fields raises `FieldMismatch`.  Elimination has one code path per field and
-always takes the lowest remaining column as the next pivot column.  Over Q
-rows are scaled to integers and reduced fraction-free (one-step Bareiss) to
-control coefficient growth; over F_p rows stay ints mod p, with one inverse
-per pivot.  `solve` and `nullspace` read their answers off the reduced
-row-echelon form, which depends only on the row space, so no answer depends
-on which row the elimination takes as pivot.  An integer row lattice has
-one Hermite normal form basis: membership reduces a vector against it, and
-its invariant factors come from gcd steps on that basis modulo twice the
-product of its pivots.
+fields raises `FieldMismatch`.  One elimination driver serves both fields:
+rows wait in buckets by leading column, the lowest bucket gives the next
+pivot column and its shortest row the pivot row, and the reduction clears
+each pivot column above its pivot, last pivot first.  Only the step that
+clears a column of rows with the pivot row knows the field.  Over F_p it
+subtracts a multiple of the pivot row scaled to 1.  Over Q the rows are
+scaled to integers, and the step keeps the primitive part of an integer
+combination, so entries stay small without fractions until the final
+division by the pivot.  `solve` and `nullspace` read their answers off the
+reduced row-echelon form, which depends only on the row space, so no answer
+depends on which row the elimination takes as pivot.  An integer row
+lattice has one Hermite normal form basis: membership reduces a vector
+against it, and its invariant factors come from gcd steps on that basis
+modulo twice the product of its pivots.
 """
 
 from __future__ import annotations
@@ -106,7 +110,14 @@ class RationalField(Field):
 
     def parse(self, s):
         # the shared instances, so `dgcore.contract` skips products by a parsed "1"
-        return _ONE if s == "1" else _ZERO if s == "0" else Fraction(s)
+        if s == "1":
+            return _ONE
+        if s == "0":
+            return _ZERO
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {s!r} has a zero denominator") from None
 
     def format(self, a):
         return str(a)
@@ -345,17 +356,15 @@ class Matrix:
 
         b is an optional extra column, a sparse dict {row: scalar}.  Pivot
         columns increase, and each row dict holds its pivot and columns to
-        the right of it only.  Over Q the rows hold integers (Bareiss on the
-        rows scaled to integers); over F_p they hold ints mod p, scaled so
-        the pivot is 1.
+        the right of it only.  Over Q the rows hold integers (each row of
+        [self | b] scaled by the lcm of its denominators); over F_p they hold
+        ints mod p.  The pivot entries are not yet divided out.
         """
         f = self.field
-        ncols = self.cols
         rows = [{} for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         if b is not None:
-            ncols += 1
             for i, v in b.items():
                 if not 0 <= i < self.rows:
                     raise ShapeMismatch(f"right-hand side row {i} out of bounds for {self.rows} rows")
@@ -368,18 +377,27 @@ class Matrix:
                     for v in r.values():
                         denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
                     rows[i] = {j: v.numerator * (denom_lcm // v.denominator) for j, v in r.items()}
-            return _echelon_int(rows, ncols)
-        return _echelon_mod(rows, f.p)
+        return _eliminate(rows, _clear_step(f))
 
     def _reduced(self, b=None):
         """Reduced row-echelon form of [self | b]: (col, row) pivots whose
         rows hold field elements, 1 at their pivot and 0 at every other pivot
         column.  It depends only on the row space, not on the pivot rows the
         elimination happened to choose."""
+        f = self.field
+        clear = _clear_step(f)
         pivots = self._echelon(b)
-        if isinstance(self.field, RationalField):
-            return _reduce_int(pivots)
-        return _reduce_mod(pivots, self.field.p)
+        cols, rows = [c for c, _ in pivots], [row for _, row in pivots]
+        for k, above in reversed(list(enumerate(_above(pivots)))):
+            if above:
+                for i, row in zip(above, clear([rows[i] for i in above], rows[k], cols[k])):
+                    rows[i] = row
+        if isinstance(f, RationalField):
+            return [(c, {j: Fraction(v, row[c]) for j, v in row.items()}) for c, row in zip(cols, rows)]
+        for c, row in zip(cols, rows):
+            if row[c] != 1:
+                _to_unit_pivot(row, c, f.p)
+        return list(zip(cols, rows))
 
     def rank(self):
         return len(self._echelon())
@@ -435,45 +453,35 @@ class Matrix:
         return cls(field, rows, len(columns), {(i, j): v for j, col in enumerate(columns) for i, v in col.items()})
 
 
-def _echelon_int(rows, ncols):
-    """In-place fraction-free (Bareiss) echelon on integer row dicts.
+def _eliminate(rows, clear):
+    """Echelon of row dicts, consuming the rows; returns the (col, row) pivots.
 
-    Every remaining row is updated at every step (required for the exact
-    division by the previous pivot), including rows with a zero in the
-    pivot column.  Returns the (col, row) pivots.
+    Rows wait in buckets by their leading column; the lowest bucket gives
+    the next pivot column, its shortest row the pivot row.  `clear` clears
+    that column in every other row of the bucket, and each row moves to the
+    bucket of its new lead.
     """
+    lead = {}
+    for row in rows:
+        if row:
+            lead.setdefault(min(row), []).append(row)
+    heap = list(lead)
+    heapify(heap)
     pivots = []
-    r = 0
-    prev = 1
-    nrows = len(rows)
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i].get(c):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            a = rows[i].get(c, 0)
-            new = {}
-            if a:
-                for j in set(rows[i]) | set(rows[r]):
-                    v = rows[i].get(j, 0) * piv - rows[r].get(j, 0) * a
-                    if v:
-                        new[j] = v // prev
-                new.pop(c, None)
-            else:
-                for j, v in rows[i].items():
-                    new[j] = v * piv // prev
-            rows[i] = new
-        pivots.append((c, rows[r]))
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
+    while heap:
+        c = heappop(heap)
+        group = lead.pop(c)
+        prow = min(group, key=len)
+        if len(group) > 1:
+            for row in clear([row for row in group if row is not prow], prow, c):
+                if row:
+                    j = min(row)
+                    if j in lead:
+                        lead[j].append(row)
+                    else:
+                        lead[j] = [row]
+                        heappush(heap, j)
+        pivots.append((c, prow))
     return pivots
 
 
@@ -493,97 +501,62 @@ def _above(pivots):
     return above
 
 
-def _reduce_int(pivots):
-    """Reduced form of integer echelon pivots, as rows of Fractions.
+def _clear_step(field):
+    """The one field-specific step of elimination: clear(rows, prow, c) is
+    the rows with column c cleared by the pivot row prow, which pivots at c."""
+    if isinstance(field, RationalField):
+        return _clear_int
+    p = field.p
 
-    Clears each pivot column above its pivot, last pivot first, by integer
-    row combinations that keep every cleared row primitive; then divides
-    each row by its pivot.
-    """
-    for k, rows in reversed(list(enumerate(_above(pivots)))):
-        ck, rk = pivots[k]
-        pk = rk[ck]
-        for i in rows:
-            ci, ri = pivots[i]
-            a = ri[ck]
-            g = gcd(a, pk)
-            s, t = pk // g, a // g
-            new = {j: v * s for j, v in ri.items()} if s != 1 else ri
-            for j, v in rk.items():
-                w = new.get(j, 0) - t * v
-                if w:
-                    new[j] = w
+    def clear(rows, prow, c):
+        # row - row[c] * prow mod p, in place, with prow scaled to 1 at c
+        if prow[c] != 1:
+            _to_unit_pivot(prow, c, p)
+        items = [(j, v) for j, v in prow.items() if j != c]
+        for row in rows:
+            m = p - row.pop(c)
+            for j, v in items:
+                x = row.get(j)
+                if x is None:
+                    row[j] = m * v % p
                 else:
-                    del new[j]
-            g = gcd(*new.values())
-            pivots[i] = (ci, {j: v // g for j, v in new.items()} if g != 1 else new)
-    return [(c, {j: Fraction(v, row[c]) for j, v in row.items()}) for c, row in pivots]
+                    x = (x + m * v) % p
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        return rows
+
+    return clear
 
 
-def _addmul_mod(row, items, m, p):
-    """row += m * items over F_p, in place; items are (col, value) pairs."""
-    for j, v in items:
-        x = row.get(j)
-        if x is None:
-            row[j] = m * v % p
-        else:
-            x = (x + m * v) % p
-            if x:
-                row[j] = x
-            else:
-                del row[j]
-
-
-def _echelon_mod(rows, p):
-    """Echelon of F_p row dicts (ints mod p), consuming the rows.
-
-    Rows wait in buckets by their leading column; the lowest bucket gives
-    the next pivot column, its shortest row the pivot row.  That row is
-    scaled by the pivot's one inverse, and every other row of the bucket
-    loses its leading entry and moves to the bucket of its new lead.
-    Returns the (col, row) pivots, each row with 1 at its pivot.
-    """
-    lead = {}
+def _clear_int(rows, prow, c):
+    """Each row's primitive part of prow[c] * row - row[c] * prow, on integer
+    rows: integers stay integers, and dividing out the content keeps them
+    small."""
+    pc = prow[c]
+    out = []
     for row in rows:
-        if row:
-            lead.setdefault(min(row), []).append(row)
-    heap = list(lead)
-    heapify(heap)
-    pivots = []
-    while heap:
-        c = heappop(heap)
-        group = lead.pop(c)
-        prow = min(group, key=len)
-        inv = pow(prow.pop(c), p - 2, p)
-        items = [(j, v * inv % p) for j, v in prow.items()]
-        for row in group:
-            if row is prow:
-                continue
-            _addmul_mod(row, items, p - row.pop(c), p)
-            if row:
-                j = min(row)
-                if j in lead:
-                    lead[j].append(row)
-                else:
-                    lead[j] = [row]
-                    heappush(heap, j)
-        prow.clear()
-        prow[c] = 1
-        prow.update(items)
-        pivots.append((c, prow))
-    return pivots
+        a = row[c]
+        g = gcd(a, pc)
+        s, t = pc // g, a // g
+        new = {j: v * s for j, v in row.items()} if s != 1 else row
+        for j, v in prow.items():
+            w = new.get(j, 0) - t * v
+            if w:
+                new[j] = w
+            else:
+                del new[j]
+        g = gcd(*new.values())
+        out.append({j: v // g for j, v in new.items()} if g > 1 else new)
+    return out
 
 
-def _reduce_mod(pivots, p):
-    """Reduced form of F_p echelon pivots, in place: clears each pivot
-    column above its pivot, last pivot first."""
-    for k, rows in reversed(list(enumerate(_above(pivots)))):
-        ck, rk = pivots[k]
-        items = [(j, v) for j, v in rk.items() if j != ck]
-        for i in rows:
-            ri = pivots[i][1]
-            _addmul_mod(ri, items, p - ri.pop(ck), p)
-    return pivots
+def _to_unit_pivot(row, c, p):
+    """Scale an F_p row in place so its entry at column c is 1."""
+    inv = pow(row[c], p - 2, p)
+    for j, v in row.items():
+        row[j] = v * inv % p
 
 
 class ChainComplex:

@@ -114,7 +114,7 @@ def matrix_from_json(field, data):
     try:
         ent = {(i, j): field.parse(s) for i, j, s in _node(data["entries"], list, "matrix entries")}
         return Matrix(field, rows, cols, ent)
-    except (TypeError, AttributeError, FieldMismatch, ShapeMismatch) as e:  # an entry that is not [row, col, scalar] in range
+    except (TypeError, AttributeError, ValueError, FieldMismatch, ShapeMismatch) as e:  # an entry that is not [row, col, scalar] in range
         raise DocumentError(f"malformed matrix entry: {e}") from e
 
 
@@ -142,7 +142,7 @@ def _coords_to_json(field, coords):
 def _coords_from_json(field, data):
     try:
         return {int(i): field.parse(s) for i, s in data.items()}
-    except (TypeError, AttributeError, FieldMismatch) as e:  # not an object of scalar strings of the field
+    except (TypeError, AttributeError, ValueError, FieldMismatch) as e:  # not an object of scalar strings of the field
         raise DocumentError(f"malformed coordinates: {e}") from e
 
 
@@ -150,7 +150,10 @@ def _morphism_from_json(field, homs, src, dst, data):
     """A morphism src -> dst whose coordinates index the basis of homs[(src, dst)] in its degree."""
     _node(data, dict, "a morphism")
     degree = _node(data["degree"], int, "a degree")
-    coords = _coords_from_json(field, data["coords"])
+    try:
+        coords = _coords_from_json(field, data["coords"])
+    except DocumentError as e:
+        raise DocumentError(f"morphism {src.label} -> {dst.label}: {e}") from None
     dim = homs[(src, dst)].complex.dims.get(degree, 0) if (src, dst) in homs else 0
     if any(not 0 <= k < dim for k in coords):
         raise DocumentError(f"morphism {src.label} -> {dst.label}: a coordinate lies outside the basis of its Hom in degree {degree}")
@@ -191,7 +194,10 @@ def category_from_json(field, body):
         a, b = _key_objs(cat, key, 2, "Hom")
         _node(data, dict, "a Hom")
         names = {int(n): tuple(_node(x, str, "a basis name") for x in _node(v, list, "basis names")) for n, v in _node(data["names"], dict, "names").items()}
-        cx = complex_from_json(field, data["complex"])
+        try:
+            cx = complex_from_json(field, data["complex"])
+        except DocumentError as e:
+            raise DocumentError(f"Hom {key}: {e}") from None
         if any(len(names.get(n, ())) != cx.dims.get(n, 0) for n in {*names, *cx.dims}):
             raise DocumentError(f"Hom {key}: each degree needs one basis name per dimension")
         homs[(a, b)] = Hom(cx, names)
@@ -203,7 +209,10 @@ def category_from_json(field, body):
             p, i, q, j, cons = _node(row, list, "a comp row")
             if not type(p) is type(i) is type(q) is type(j) is int:
                 raise DocumentError(f"comp row {key} {row!r}: degrees and indices must be integers")
-            coords = _coords_from_json(field, cons)
+            try:
+                coords = _coords_from_json(field, cons)
+            except DocumentError as e:
+                raise DocumentError(f"comp row {key} {row!r}: {e}") from None
             dim_ac = dims_ac.get(p + q, 0)
             if not (0 <= i < dims_ab.get(p, 0) and 0 <= j < dims_bc.get(q, 0)) or any(not 0 <= k < dim_ac for k in coords):
                 raise DocumentError(f"comp row {key} {row!r}: an index lies outside the basis of its Hom and degree")
@@ -318,7 +327,11 @@ def functor_from_json(field, body):
     obj_map = {_obj(src, a, "obj_map"): _obj(dst, b, "obj_map") for a, b in _node(body["obj_map"], dict, "obj_map").items()}
     mor_maps = {}
     for key, per in _node(body["mor_maps"], dict, "mor_maps").items():
-        mor_maps[_key_objs(src, key, 2, "mor_maps")] = {int(n): matrix_from_json(field, m) for n, m in _node(per, dict, "a morphism map").items()}
+        ends = _key_objs(src, key, 2, "mor_maps")
+        try:
+            mor_maps[ends] = {int(n): matrix_from_json(field, m) for n, m in _node(per, dict, "a morphism map").items()}
+        except DocumentError as e:
+            raise DocumentError(f"mor_maps {key}: {e}") from None
     return DGFunctor(src, dst, obj_map, mor_maps, name=_node(body.get("name", ""), str, "a functor name"))
 
 

@@ -127,6 +127,17 @@ def test_beilinson_p5(field):
     assert cat.validate() == []
 
 
+def test_skew_quivers_have_the_same_hom_dimensions_over_q_and_fp():
+    """from_quiver over Q and over F_32003 finds Hom complexes of the same
+    dimensions on the same seeded skew Beilinson quivers, up to P^5."""
+    for m, k, seed in ((2, 4, 1), (3, 3, 2), (4, 3, 11), (3, 4, 12), (5, 4, 13), (6, 5, 13)):
+        dims = []
+        for field in (QQ, GF(32003)):
+            cat = skew_beilinson_quiver(field, m, k, seed)
+            dims.append({(a.label, b.label): h.complex.dims for (a, b), h in cat.homs.items()})
+        assert dims[0] == dims[1], (m, k, seed)
+
+
 def _quiver_parts(cat):
     """A quiver category as plain data, in its dicts' order, with every
     scalar paired with its type."""

@@ -225,6 +225,33 @@ def test_a_repeated_object_label_is_an_input_error(tmp_path):
     assert code == 2 and not out and "objects: label 'e1' is listed twice" in json.loads(err)["error"], err
 
 
+ZERO_DENOMINATOR_CASES = (
+    # (document, path to the scalar's parent in its body, key, node named in the message)
+    ("kronecker.category.json", ("ids", "e1", "coords"), "0", "morphism e1 -> e1"),
+    ("kronecker.category.json", ("comp", "e1|e1|e2", 1, 4), "1", "comp row e1|e1|e2"),
+    ("kronecker_identity.functor.json", ("mor_maps", "e1|e2", "0", "entries", 1), 2, "mor_maps e1|e2"),
+)
+
+
+def test_a_zero_denominator_is_an_input_error(tmp_path):
+    """The Q scalar "1/0" as a coordinate, a comp row constant or a matrix
+    entry exits 2 under validate with a JSON error naming the node, not a
+    ZeroDivisionError traceback."""
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    for n, (name, path, key, where) in enumerate(ZERO_DENOMINATOR_CASES):
+        doc = json.loads((docs / name).read_text())
+        node = doc["body"]
+        for k in path:
+            node = node[k]
+        node[key] = "1/0"
+        bad = tmp_path / f"zero{n}.{name}"
+        bad.write_text(json.dumps(doc))
+        code, out, err = _run(["validate", str(bad)])
+        error = json.loads(err)["error"]
+        assert code == 2 and not out and where in error and "'1/0' has a zero denominator" in error, (name, err)
+
+
 def test_an_unknown_generator_in_a_relation_payload_is_named(tmp_path):
     """A verified-sod payload whose label names no generator ("P9") exits 2
     under validate and ring with a JSON error naming the label and the

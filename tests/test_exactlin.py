@@ -19,7 +19,7 @@ from dgcat.exactlin import (
     smith_normal_form,
 )
 
-from gens import random_complex
+from gens import random_complex, skew_beilinson_quiver
 from quiver_reference import basis_extension
 from ring_reference import smith_normal_form as reference_snf, snf_in_rowspan
 
@@ -79,6 +79,25 @@ def test_rank_fp():
     m = Matrix.from_rows(p, [[1, 2], [2, 4]])
     assert m.rank() == 1
     assert Matrix.identity(p, 3).rank() == 3
+
+
+def test_rank_over_fp_never_exceeds_rank_over_q():
+    """An integer matrix has rank over F_32003 at most its rank over Q (a
+    minor that vanishes over Z vanishes mod p).  Seeded low-rank products
+    plus p-multiples make the F_p rank drop below the Q rank in many cases."""
+    p = 32003
+    rng = random.Random(32003)
+    drops = 0
+    for _ in range(80):
+        r, c = rng.randrange(1, 13), rng.randrange(1, 13)
+        k = rng.randrange(0, min(r, c) + 1)
+        b = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(r)]
+        d = [[rng.randrange(-9, 10) for _ in range(c)] for _ in range(k)]
+        a = [[sum(b[i][t] * d[t][j] for t in range(k)) + p * rng.choice((0, 0, 1, -2)) for j in range(c)] for i in range(r)]
+        rank_q, rank_p = Matrix.from_rows(QQ, a).rank(), Matrix.from_rows(GF(p), a).rank()
+        assert rank_p <= rank_q == dense_rank_oracle(a)
+        drops += rank_p < rank_q
+    assert drops > 10
 
 
 def test_field_mixing_rejected():
@@ -669,7 +688,9 @@ def items_of(vec):
 
 def kernel_cases(field, rng):
     """Seeded matrices: sparse and dense, empty shapes, zero, identity,
-    rank-deficient products, and right-hand sides in and out of the span."""
+    rank-deficient products, over Q also wide-entry inputs of 20-40 rows,
+    over Q and F_32003 the relation matrices of skew quivers, and
+    right-hand sides in and out of the span."""
     vals = (1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5))
 
     def scalar():
@@ -691,6 +712,10 @@ def kernel_cases(field, rng):
         r, c = rng.randrange(2, 13), rng.randrange(2, 13)
         k = rng.randrange(0, min(r, c))
         cases.append(rand(r, k, 0.6).matmul(rand(k, c, 0.6)))
+    if field == QQ:
+        cases += wide_rational_cases(rng)
+    if field in (QQ, GF(32003)):  # the skew scalars 2, 3, 1/2, -1/3 vanish or blow up in F_2, F_3
+        cases += skew_relation_matrices(field)
     out = []
     def vec(n, density):
         return {i: v for (i, _), v in rand(n, 1, density).entries.items()}
@@ -700,6 +725,45 @@ def kernel_cases(field, rng):
         off_span = vec(m.rows, 0.5)
         out.append((m, [in_span, off_span]))
     return out
+
+
+def wide_rational_cases(rng):
+    """Q matrices of 20-40 rows, sparse and dense, full rank and rank
+    deficient, with numerators of 20-24 bits over mixed denominators: the
+    inputs where integer-row elimination grows its entries most."""
+    def scalar():
+        while True:
+            num, den = rng.choice((-1, 1)) * rng.randrange(1 << 20, 1 << 24), rng.choice((1, 2, 3, 12, 101, 65537))
+            if gcd(num, den) == 1:
+                return Fraction(num, den)
+
+    def rand(r, c, density):
+        return Matrix(QQ, r, c, {(i, j): scalar() for i in range(r) for j in range(c) if rng.random() < density})
+
+    cases = []
+    for density in (0.1, 0.25, 1.0):
+        for _ in range(3):
+            cases.append(rand(rng.randrange(20, 41), rng.randrange(20, 41), density))
+    for _ in range(3):
+        r, c = rng.randrange(20, 41), rng.randrange(20, 41)
+        cases.append(rand(r, 12, 0.5).matmul(rand(12, c, 0.5)))
+    return cases
+
+
+def skew_relation_matrices(field):
+    """The relation matrices `from_quiver` reduces while it builds seeded
+    skew Beilinson quivers, up to P^4 with 150 x 175."""
+    seen, real = [], Matrix._reduced
+
+    def spy(self, b=None):
+        seen.append(Matrix(self.field, self.rows, self.cols, self.entries))
+        return real(self, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Matrix, "_reduced", spy)
+        for m, k, seed in ((4, 3, 11), (3, 4, 12), (5, 4, 13)):
+            skew_beilinson_quiver(field, m, k, seed)
+    return seen
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(32003)], ids=["Q", "F2", "F3", "F32003"])

@@ -20,7 +20,8 @@ from gens import skew_beilinson_quiver
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "quiver_digests.json")
 FIELDS = ("Q", "Fp:32003")
 # (m, k, seed): O..O(k) on P^{m-1}; the seeds give q_ij that are never +-1.
-SKEW_QUIVERS = ((4, 3, 11), (3, 4, 12))
+# P^5 is the size where integer-row elimination over Q grows its entries most.
+SKEW_QUIVERS = ((4, 3, 11), (3, 4, 12), (6, 5, 13))
 
 
 def _sha256(text):
