@@ -144,18 +144,26 @@ class DGCategory:
         j); associativity over (a, b, c, e, p, q, r, i, j, k).  Products are
         `contract`s of coordinate dicts against the structure-constant
         tables.  Object chains run over nonzero Homs in `objects` order,
-        which lists violations as a walk over all object tuples would.  Two
+        which lists violations as a walk over all object tuples would.  Three
         skips leave out only work whose answer is "no violation":
         * a Leibniz block (a, b, c, p, q) where d(p) on Hom(a,b), d(q) on
           Hom(b,c) and d(p+q) on Hom(a,c) are all zero, since then d(fg),
           (df)g and f(dg) are zero for all basis f, g;
         * an associativity triple (i, j, k) whose table has no entry for fg
-          nor for gh, since then (fg)h = 0 = f(gh).
+          nor for gh, since then (fg)h = 0 = f(gh);
+        * in the generating-set pass below, a triple whose f or g is the
+          basis element e_x of End(x) in degree 0 with id_x = c·e_x
+          (`identity_basis`).  That pass runs only on an empty report, so
+          the unit laws hold on every basis element, and by bilinearity on
+          every product, which lies in the span of the basis there:
+          e_x·y = c⁻¹y and y·e_x = c⁻¹y.  Then (e_x g)h = c⁻¹(gh) =
+          e_x(gh), and (f e_x)h = c⁻¹(fh) = f(e_x h).
 
         When every other axiom holds and the tables stay inside the basis,
         associativity is first checked for h in `generating_set()` only; if
-        that finds no violation, none exists (see there).  If it finds one, the walk over every h runs, so a
-        category that is not a DG category gets the full report, in order.
+        that finds no violation, none exists (see there).  If it finds one,
+        the walk over every f, g and h runs, so a category that is not a DG
+        category gets the full report, in order.
         """
         fl, homs, comp, ids = self.field, self.homs, self.comp, self.ids
         one, sign = fl.one(), fl.neg(fl.one())
@@ -203,32 +211,37 @@ class DGCategory:
                             axpy(fl, rhs, contract(fl, t, p, f, q + 1, dg[j]), sign if p % 2 else None)
                             if (m_ac.apply(fg) if m_ac else {}) != rhs:
                                 report.append(Violation("leibniz", (a.label, b.label, c.label, p, i, q, j), "d(fg) != (df)g ± f(dg)"))
-        if not report and (gens := self.generating_set()) is not None and not self._associativity(targets, chains, gens):
+        if not report and (gens := self.generating_set()) is not None and not self._associativity(targets, chains, gens, self.identity_basis()):
             return report
         every = {key: {r: range(h.dim(r)) for r in h.complex.degrees()} for key, h in homs.items()}
-        return report + self._associativity(targets, chains, every)
+        return report + self._associativity(targets, chains, every, {})
 
-    def _associativity(self, targets, chains, hs):
+    def _associativity(self, targets, chains, hs, unit):
         """Violations of (fg)h = f(gh) for all basis f, g and, in Hom(c, e)
-        at degree r, the basis indices hs[(c, e)][r] (increasing) of h."""
+        at degree r, the basis indices hs[(c, e)][r] (increasing) of h.
+        f and g run over every basis element but the unit[(x, x)] of End(x)
+        in degree 0 (`identity_basis`); pass {} for all of them."""
         fl, homs, comp = self.field, self.homs, self.comp
         one = fl.one()
         report = []
         for a, b, c in chains:
             hab, hbc, t_abc = homs[(a, b)].complex, homs[(b, c)].complex, comp.get((a, b, c), {})
+            ia, ib = unit.get((a, b)), unit.get((b, c))
+            fs = {p: [i for i in range(hab.dim(p)) if p or i != ia] for p in hab.degrees()}
+            gs = {q: [j for j in range(hbc.dim(q)) if q or j != ib] for q in hbc.degrees()}
             for e in targets[c]:
                 h_range = hs.get((c, e))
                 if not h_range:
                     continue
                 t_bce, t_ace, t_abe = comp.get((b, c, e), {}), comp.get((a, c, e), {}), comp.get((a, b, e), {})
-                for p in hab.degrees():
-                    for q in hbc.degrees():
+                for p, is_ in fs.items():
+                    for q, js in gs.items():
                         for r, ks in h_range.items():
-                            # gh[j]: the table's nonempty entries for g·h, in increasing k
-                            gh = [{k: cons for k in ks if (cons := t_bce.get((q, j, r, k)))} for j in range(hbc.dim(q))]
-                            for i in range(hab.dim(p)):
+                            # gh: (j, the table's nonempty entries for g·h, in increasing k)
+                            gh = [(j, {k: cons for k in ks if (cons := t_bce.get((q, j, r, k)))}) for j in js]
+                            for i in is_:
                                 f = {i: one}
-                                for j, ghj in enumerate(gh):
+                                for j, ghj in gh:
                                     fg = t_abc.get((p, i, q, j))
                                     for k in ks if fg else ghj:
                                         if contract(fl, t_ace, p + q, fg or {}, r, {k: one}) != contract(fl, t_abe, p, f, q + r, ghj.get(k, {})):
@@ -281,8 +294,7 @@ class DGCategory:
             for (p, i, q, j), cons in table.items():
                 if not cons.keys() <= within.get(p + q, none):
                     return None
-                k = single(cons)
-                if k is not None and not (p == 0 and i == ia) and not (q == 0 and j == ib):
+                if (p or i != ia) and (q or j != ib) and (k := single(cons)) is not None:
                     out.add((p + q, k))
         seeds, by_src = [], {}
         for (a, b), h in homs.items():
@@ -370,7 +382,8 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
     decreasing path order, has the ideal's leading terms as pivots and
     their normal forms as rows.  The other candidates are the basis paths
     of length L.  Structure constants come from right multiplication by
-    one arrow at a time.
+    one arrow at a time, except the rows of a trivial path e_u, which are
+    written directly: e_u·q = q and p·e_v = p, with the shared one().
     """
     arrows = [a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]
     arrow_by_name = {a.name: a for a in arrows}
@@ -521,7 +534,7 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
             for p, (np_, ip) in idx_uv.items():
                 for q, (nq, iq) in idx_vw.items():
                     entry = {}
-                    for b, c in product(p, q).items():
+                    for b, c in (product(p, q) if p and q else {p + q: one}).items():
                         nr, ir = idx_uw[b]
                         if nr != np_ + nq:
                             raise RuntimeError("degree bookkeeping error in quiver composition")

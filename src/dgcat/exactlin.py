@@ -20,6 +20,7 @@ modulo twice the product of its pivots.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, prod
@@ -75,6 +76,7 @@ class Field:
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_Q_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # the forms `RationalField.format` writes, or with a leading +
 
 
 class RationalField(Field):
@@ -109,11 +111,16 @@ class RationalField(Field):
         return 1 / a
 
     def parse(self, s):
+        """An integer or a fraction n/d in decimal digits, with an optional
+        sign; any other form (exponents, decimals, spaces, underscores, a
+        JSON number) raises ValueError naming the scalar."""
         # the shared instances, so `dgcore.contract` skips products by a parsed "1"
         if s == "1":
             return _ONE
         if s == "0":
             return _ZERO
+        if not isinstance(s, str) or not _Q_SCALAR.fullmatch(s):
+            raise ValueError(f"scalar {s!r} is not an integer or a fraction n/d")
         try:
             return Fraction(s)
         except ZeroDivisionError:
@@ -651,9 +658,30 @@ class Cohomology:
         ent.update(((i, off + k), v) for k, z in enumerate(cycles) for i, v in z.items())
         pivots = Matrix(f, dim, off + len(cycles), ent)._echelon()
         self.reps = [cycles[c - off] for c, _ in pivots if c >= off]
-        ent = {(i, t): v for t, z in enumerate(self.reps) for i, v in z.items()}
-        ent.update(((i, len(self.reps) + j), v) for (i, j), v in img.entries.items())
-        self._solver = Matrix(f, dim, len(self.reps) + off, ent)
+        self._dual = None
+
+    def dual(self):
+        """The k = dim functionals y_t on C^n, as the rows of a k x dim(n)
+        matrix, with y_t·d(n-1) = 0 and y_t·rep_s = 1 if s = t else 0: a
+        certificate that dim H^n >= k, checked by sparse products.  Made on
+        first use, by one elimination.
+
+        Row t is the identity part of the row pivoting at column t in the
+        reduced form of [reps | d(n-1) | 1].  The reps are independent
+        modulo the image, so columns 0..k-1 all pivot, and that row's
+        identity part maps every z = [reps | d(n-1)]·x to x_t, which is the
+        same for every such x: it sends rep_s to 1 if s = t else 0 and each
+        column of d(n-1) to 0."""
+        if self._dual is None:
+            cx, k = self.complex, len(self.reps)
+            f, dim, img = cx.field, cx.dim(self.n), cx.d(self.n - 1)
+            off = k + img.cols
+            ent = {(i, t): v for t, z in enumerate(self.reps) for i, v in z.items()}
+            ent.update(((i, k + j), v) for (i, j), v in img.entries.items())
+            ent.update(((i, off + i), f.one()) for i in range(dim))
+            pivots = Matrix(f, dim, off + dim, ent)._reduced()
+            self._dual = Matrix(f, k, dim, {(t, j - off): v for t, row in pivots[:k] for j, v in row.items() if j >= off})
+        return self._dual
 
     @property
     def dim(self):
@@ -668,16 +696,20 @@ class Cohomology:
         return out
 
     def project(self, cycle):
-        """Cycle (sparse dict) -> coordinates of its class in this basis.
+        """Cycle (sparse dict) -> coordinates of its class in this basis:
+        {t: y_t·z} for the functionals y_t of `dual`.  Class coordinates
+        are unique, so they are those of any solution of
+        [reps | d(n-1)]·x = z.
 
-        Raises ValueError when the vector is not a cycle.
+        Raises ValueError when the vector is not a cycle, and ShapeMismatch
+        when an index lies outside C^n.
         """
-        if not self.reps:
-            return {}
-        x = self._solver.solve(cycle)
-        if x is None:
+        dim, d = self.complex.dim(self.n), self.complex.diff.get(self.n)
+        if any(not 0 <= i < dim for i in cycle):
+            raise ShapeMismatch(f"cycle index out of bounds for dimension {dim}")
+        if d is not None and d.apply(cycle):
             raise ValueError("vector is not a cycle modulo boundaries of this complex")
-        return {t: v for t, v in x.items() if t < len(self.reps)}
+        return self.dual().apply(cycle) if self.reps else {}
 
 
 # -- integer lattices: Hermite basis and invariant factors --------------------

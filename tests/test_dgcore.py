@@ -500,6 +500,8 @@ def test_validate_matches_reference():
     cats = [random_category(rng, field=QQ if s % 2 else GF(101)) for s in range(84)]
     cats += [plain(tensor(kronecker_category(), kronecker_category())), plain(tensor(beilinson3_category(), kronecker_category()))]
     cats += [beilinson3_category(GF(3)), skew_beilinson_quiver(QQ, 3, 3, seed=4), cyclic_group_category(QQ, 3), cyclic_group_category(GF(5), 4)]
+    skew = skew_beilinson_quiver(GF(101), 3, 2, seed=5)
+    cats += [rescaled_identity(skew, skew.obj("v1"), GF(101).from_int(2)), one_object(beilinson3_category())]
     planted, axioms = set(), set()
     for cat in cats:
         for kind in (None,) + FAULTS:
@@ -514,6 +516,97 @@ def test_validate_matches_reference():
             axioms.update(v[0] for v in report)
     assert planted == {None, *FAULTS}
     assert axioms == {"d_squared", "unit", "unit_cycle", "left_unit", "right_unit", "leibniz", "associativity"}
+
+
+def rescaled_identity(cat, a, c):
+    """cat in another basis of End(a): the basis element e_k with id_a =
+    u·e_k becomes e = (u/c)·e_k, so that id_a = c·e.  Table constants are
+    multiplied by u/c for each factor e and divided by it for e in the
+    product.  End(a) must have no differential."""
+    assert not cat.hom(a, a).complex.diff
+    fl = cat.field
+    ((k, u),) = cat.ids[a].coords.items()
+    lam = fl.div(u, c)
+
+    def is_e(x, y, n, i):
+        return x == y == a and n == 0 and i == k
+
+    comp = {}
+    for (x, y, z), table in cat.comp.items():
+        comp[(x, y, z)] = new = {}
+        for (p, i, q, j), cons in table.items():
+            s = fl.mul(lam if is_e(x, y, p, i) else fl.one(), lam if is_e(y, z, q, j) else fl.one())
+            new[(p, i, q, j)] = {r: fl.div(fl.mul(s, v), lam) if is_e(x, z, p + q, r) else fl.mul(s, v) for r, v in cons.items()}
+    ids = dict(cat.ids)
+    ids[a] = Morphism(a, a, 0, {k: c})
+    return DGCategory(fl, cat.objects, cat.homs, comp, ids, name=f"{cat.name}|{a.label}:id={c}e")
+
+
+def one_object(cat):
+    """cat as one object *, whose End is the sum of all the Homs of cat in
+    the order of cat.homs, with the products of cat and 0 for pairs that do
+    not compose.  Its identity is the sum of the identities of cat, which is
+    a single basis element only when cat has one object."""
+    o, fl = ObjId("*", 0), cat.field
+    dims, names, off = {}, {}, {}
+    for (a, b), h in cat.homs.items():
+        for n in h.complex.degrees():
+            off[(a, b, n)] = dims.get(n, 0)
+            dims[n] = off[(a, b, n)] + h.dim(n)
+            names.setdefault(n, []).extend(f"{a.label}|{b.label}:{h.name(n, i)}" for i in range(h.dim(n)))
+    diff = {}
+    for (a, b), h in cat.homs.items():
+        for n, m in h.complex.diff.items():
+            diff.setdefault(n, {}).update(((off[(a, b, n + 1)] + r, off[(a, b, n)] + col), v) for (r, col), v in m.entries.items())
+    cx = ChainComplex(fl, dims, {n: Matrix(fl, dims.get(n + 1, 0), dims[n], ent) for n, ent in diff.items()})
+    table = {}
+    for (a, b, c), t in cat.comp.items():
+        for (p, i, q, j), cons in t.items():
+            table[(p, off[(a, b, p)] + i, q, off[(b, c, q)] + j)] = {off[(a, c, p + q)] + r: v for r, v in cons.items()}
+    ident = {}
+    for a, m in cat.ids.items():
+        ident.update((off[(a, a, 0)] + i, v) for i, v in m.coords.items())
+    hom = Hom(cx, {n: tuple(ns) for n, ns in names.items()})
+    return DGCategory(fl, (o,), {(o, o): hom}, {(o, o, o): table}, {o: Morphism(o, o, 0, ident)}, name=f"{cat.name}|one object")
+
+
+def test_validate_skips_the_triples_the_unit_laws_decide(monkeypatch):
+    """Timing-free guard: validate makes 240 `contract` calls on skew
+    Beilinson (4,3), seed 13, over Q and over F_32003, and 30 on
+    beilinson3_category: the generating-set pass checks no triple whose f
+    or g is an identity (552 and 78 calls with those triples)."""
+    import dgcat.dgcore
+
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return contract(*args)
+
+    cats = [skew_beilinson_quiver(field, 4, 3, seed=13) for field in (QQ, GF(32003))] + [beilinson3_category()]
+    monkeypatch.setattr(dgcat.dgcore, "contract", counted)
+    for cat, expected in zip(cats, (240, 240, 30)):
+        calls.clear()
+        assert cat.validate() == []
+        assert len(calls) == expected, (cat.field, len(calls))
+
+
+def test_only_the_identity_is_skipped_as_a_factor():
+    """End(*) with basis id, x, u in degrees 0, 1, -1, each the first basis
+    element of its degree, x·u = id and u·x = 0: (xu)x = x but x(ux) = 0.
+    The unit laws hold, and the pass over the generating set {x, u} skips a
+    factor only when it is id, not every first basis element, so it finds
+    the violations and validate reports what the reference does."""
+    for field in (QQ, GF(7)):
+        o, one = ObjId("*", 0), field.one()
+        table = {(n, 0, 0, 0): {0: one} for n in (-1, 0, 1)} | {(0, 0, n, 0): {0: one} for n in (-1, 1)}
+        table[(1, 0, -1, 0)] = {0: one}
+        hom = Hom(ChainComplex(field, {-1: 1, 0: 1, 1: 1}), {-1: ("u",), 0: ("id",), 1: ("x",)})
+        cat = DGCategory(field, (o,), {(o, o): hom}, {(o, o, o): table}, {o: Morphism(o, o, 0, {0: one})})
+        assert cat.generating_set() == {(o, o): {-1: [0], 1: [0]}}
+        report = [(v.axiom, v.where) for v in cat.validate()]
+        assert report == [(v.axiom, v.where) for v in _reference_validate(cat)]
+        assert ("associativity", ("*", "*", "*", "*", (1, 0), (-1, 0), (1, 0))) in report
 
 
 def cyclic_group_category(field, n):

@@ -252,6 +252,27 @@ def test_a_zero_denominator_is_an_input_error(tmp_path):
         assert code == 2 and not out and where in error and "'1/0' has a zero denominator" in error, (name, err)
 
 
+def test_a_q_scalar_outside_the_written_grammar_is_an_input_error(tmp_path):
+    """A Q scalar is read only in the forms `format` writes, an integer or
+    n/d with an optional sign: "1e5000" (which `Fraction` reads as a
+    5001-digit integer that cannot be written back) and "0.5" as a comp
+    row constant exit 2 naming the row under validate and tensor, with no
+    traceback and no output file."""
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    doc = json.loads((docs / "kronecker.category.json").read_text())
+    for scalar in ("1e5000", "0.5"):
+        doc["body"]["comp"]["e1|e1|e2"][1][4]["1"] = scalar
+        bad = tmp_path / f"scalar.{scalar}.category.json"
+        bad.write_text(json.dumps(doc))
+        out_path = tmp_path / f"t.{scalar}.category.json"
+        for argv in (["validate", str(bad)], ["tensor", str(bad), str(docs / "point.category.json"), "--out", str(out_path)]):
+            code, out, err = _run(argv)
+            error = json.loads(err)["error"]
+            assert code == 2 and not out and "comp row e1|e1|e2" in error and repr(scalar) in error, (argv, err)
+        assert not out_path.exists()
+
+
 def test_an_unknown_generator_in_a_relation_payload_is_named(tmp_path):
     """A verified-sod payload whose label names no generator ("P9") exits 2
     under validate and ring with a JSON error naming the label and the
