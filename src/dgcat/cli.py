@@ -140,6 +140,8 @@ def cmd_ext(args, started):
         objs = [cat.obj(lbl) for lbl in labels]
     except KeyError as e:
         raise CliError(f"unknown object label {e}")
+    if not _category_ok(cat, ["ext", args.path], args, started):
+        return FAIL
     table = sodgen.ext_table(cat, objs)
     rows = [[""] + labels]
     for lbl, row in zip(labels, table):
@@ -154,6 +156,16 @@ def _axioms_entry(cat, where=()):
     claim or certificate replayed on it proves nothing outside DG categories."""
     bad = cat.validate()
     return sodgen.AuditEntry("category_axioms", where, not bad, f"{len(bad)} violations" if bad else "")
+
+
+def _category_ok(cat, command, args, started):
+    """The category_axioms check of a command that computes on a document's
+    category: on a violation it emits the failing verdict alone, since
+    nothing computed on a category that is not a DG category means anything."""
+    axioms = _axioms_entry(cat)
+    if not axioms.ok:
+        emit({"command": command, "verdicts": [_audit_verdict(axioms)]}, args, started)
+    return axioms.ok
 
 
 def _functor_axioms(fun):
@@ -315,6 +327,8 @@ def cmd_cone(args, started):
     f = morphisms.get(args.morphism)
     if f is None:
         raise CliError(f"no morphism named {args.morphism!r} in {args.path}")
+    if not _category_ok(cat, ["cone", args.path, args.morphism], args, started):
+        return FAIL
     try:
         c = pretr.cone(f)
     except ValueError as e:
@@ -341,6 +355,8 @@ def cmd_reduce(args, started):
     x = complexes.get(args.complex)
     if x is None:
         raise CliError(f"no complex named {args.complex!r} in {args.path}")
+    if not _category_ok(cat, ["reduce", args.path, args.complex], args, started):
+        return FAIL
     y, f = reduce_tc(x)
     body = schema.tc_bundle_to_json(cat, {"reduced": y}, {"projection": f})
     doc = schema.document("twisted-complex", field, body)
@@ -367,6 +383,8 @@ def cmd_karoubi(args, started):
         lo, hi = (int(s) for s in args.degrees.split(".."))
     except ValueError:
         raise CliError(f"--degrees must be <lo>..<hi> with integer ends, found {args.degrees!r}")
+    if not _category_ok(cat, ["karoubi", args.path], args, started):
+        return FAIL
     rows = [["degree", "dim"]]
     for n in range(lo, hi + 1):
         try:

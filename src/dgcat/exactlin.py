@@ -644,6 +644,9 @@ class Cohomology:
     each cycle independent modulo the image and the cycles before it, the
     ones a greedy "keep it when the rank grows" pass keeps.  Class
     coordinates, and every report that prints them, depend on this rule.
+    One elimination, of [d(n-1) | cycles | 1] to reduced form, finds them
+    and the dual: the pivots of a column prefix do not depend on the
+    columns after it.
     """
 
     def __init__(self, complex_, n):
@@ -653,34 +656,24 @@ class Cohomology:
         dim = complex_.dim(n)
         img = complex_.d(n - 1)
         cycles = complex_.d(n).nullspace()
-        off = img.cols
+        off, end = img.cols, img.cols + len(cycles)
         ent = dict(img.entries)
         ent.update(((i, off + k), v) for k, z in enumerate(cycles) for i, v in z.items())
-        pivots = Matrix(f, dim, off + len(cycles), ent)._echelon()
-        self.reps = [cycles[c - off] for c, _ in pivots if c >= off]
-        self._dual = None
+        ent.update(((i, end + i), f.one()) for i in range(dim))
+        pivots = [(c, row) for c, row in Matrix(f, dim, end + dim, ent)._reduced() if off <= c < end]
+        self.reps = [cycles[c - off] for c, _ in pivots]
+        self._dual = Matrix(f, len(pivots), dim, {(t, j - end): v for t, (_, row) in enumerate(pivots) for j, v in row.items() if j >= end})
 
     def dual(self):
         """The k = dim functionals y_t on C^n, as the rows of a k x dim(n)
         matrix, with y_t·d(n-1) = 0 and y_t·rep_s = 1 if s = t else 0: a
-        certificate that dim H^n >= k, checked by sparse products.  Made on
-        first use, by one elimination.
+        certificate that dim H^n >= k, checked by sparse products.
 
-        Row t is the identity part of the row pivoting at column t in the
-        reduced form of [reps | d(n-1) | 1].  The reps are independent
-        modulo the image, so columns 0..k-1 all pivot, and that row's
-        identity part maps every z = [reps | d(n-1)]·x to x_t, which is the
-        same for every such x: it sends rep_s to 1 if s = t else 0 and each
-        column of d(n-1) to 0."""
-        if self._dual is None:
-            cx, k = self.complex, len(self.reps)
-            f, dim, img = cx.field, cx.dim(self.n), cx.d(self.n - 1)
-            off = k + img.cols
-            ent = {(i, t): v for t, z in enumerate(self.reps) for i, v in z.items()}
-            ent.update(((i, k + j), v) for (i, j), v in img.entries.items())
-            ent.update(((i, off + i), f.one()) for i in range(dim))
-            pivots = Matrix(f, dim, off + dim, ent)._reduced()
-            self._dual = Matrix(f, k, dim, {(t, j - off): v for t, row in pivots[:k] for j, v in row.items() if j >= off})
+        Row t is the identity part y of the reduced row r pivoting at rep t,
+        so r = y·[d(n-1) | cycles].  r is zero left of its pivot, which is
+        right of every column of d(n-1), and in the reduced form it is 1 at
+        its own pivot and 0 at every other pivot, the other reps' columns
+        among them."""
         return self._dual
 
     @property

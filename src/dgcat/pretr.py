@@ -6,8 +6,10 @@ Sign conventions (the only place signs are produced):
   morphism of *underlying* degree u(x) = total_degree + shift_i - shift_j.
 * Entry-level products convert the base category's composition (which is a
   chain map from the tensor product, Koszul sign on the first argument) to
-  the classical one:  o_compose(x, y) = (-1)^{u(x) u(y)} mul(x, y)  for x
-  applied first.  With this, matrix products carry no further shift signs.
+  the classical one:  (-1)^{u(x) u(y)} mul(x, y)  for x applied first.
+  _add_product is the one function that applies this sign; every other
+  sign below enters the sums as a scalar.  With this, matrix products
+  carry no further shift signs.
 * The entrywise differential of an entry with target term shift s is
   (-1)^s d(x), and a twisted morphism f of total degree l differentiates as
   df = (d f_{ij}) + q' f - (-1)^l f q.
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dgcore import Morphism, ObjId, contract
-from .exactlin import ChainComplex, Matrix
+from .exactlin import ChainComplex, Matrix, axpy
 
 
 @dataclass(frozen=True)
@@ -116,69 +118,54 @@ class TwistedMorphism:
         return f"TwMor(deg {self.degree}, {len(self.entries)} entries)"
 
 
-def _o_compose(cat, x, y):
-    """Classical composite "x then y" with the Koszul conversion sign."""
-    m = cat.mul(x, y)
-    if (x.degree * y.degree) % 2:
-        return cat.neg(m)
-    return m
-
-
-def _entry_add(cat, acc, key, m):
-    if m.is_zero():
-        return
-    cur = acc.get(key)
+def _add_into(fl, out, key, m, c=None):
+    """out[key] += c·m (c = None means 1) on a Morphism that out owns: the
+    first summand at key is copied, so m is never changed.  An entry whose
+    sum cancels is dropped."""
+    cur = out.get(key)
     if cur is None:
-        acc[key] = m
-    else:
-        s = cat.add(cur, m)
-        if s.is_zero():
-            del acc[key]
-        else:
-            acc[key] = s
+        if m.coords:
+            out[key] = Morphism(m.src, m.dst, m.degree, axpy(fl, {}, m.coords, c))
+    elif not axpy(fl, cur.coords, m.coords, c):
+        del out[key]
 
 
-def _matrix_product(cat, left_entries, right_entries):
-    """Entries of "right after left": paths k --left--> j --right--> i."""
-    out = {}
+def _add_product(cat, out, left, right, c=None):
+    """out += c·(right after left) on entry dicts: for each path
+    k --x--> j --y--> i, adds (-1)^{u(x)u(y)} c·mul(x, y) at (i, k).  This
+    is the one place that applies the Koszul conversion sign.  Returns out."""
+    fl = cat.field
+    minus = fl.neg(fl.one() if c is None else c)
     by_mid = {}
-    for (j, k), m in left_entries.items():
-        by_mid.setdefault(j, []).append((k, m))
-    for (i, j), g in right_entries.items():
-        for k, f in by_mid.get(j, ()):
-            _entry_add(cat, out, (i, k), _o_compose(cat, f, g))
+    for (j, k), x in left.items():
+        by_mid.setdefault(j, []).append((k, x))
+    for (i, j), y in right.items():
+        for k, x in by_mid.get(j, ()):
+            _add_into(fl, out, (i, k), cat.mul(x, y), minus if x.degree * y.degree % 2 else c)
+    return out
+
+
+def _d_entries(cat, entries, terms):
+    """Entrywise differential: (-1)^s d(x) at (i, j), s the shift of target term i."""
+    fl = cat.field
+    minus = fl.from_int(-1)
+    out = {}
+    for (i, j), m in entries.items():
+        _add_into(fl, out, (i, j), cat.d(m), minus if terms[i].shift % 2 else None)
     return out
 
 
 def differential(f):
     """Hom differential of twisted morphisms: df = (d f_{ij}) + q' f - (-1)^l f q."""
     cat = f.src.cat
-    out = {}
-    for (i, j), m in f.entries.items():
-        dm = cat.d(m)
-        if f.dst.terms[i].shift % 2:
-            dm = cat.neg(dm)
-        _entry_add(cat, out, (i, j), dm)
-    for key, m in _matrix_product(cat, f.entries, f.dst.q).items():
-        _entry_add(cat, out, key, m)
-    sign = -1 if f.degree % 2 else 1
-    for key, m in _matrix_product(cat, f.src.q, f.entries).items():
-        _entry_add(cat, out, key, m if sign < 0 else cat.neg(m))
+    out = _add_product(cat, _d_entries(cat, f.entries, f.dst.terms), f.entries, f.dst.q)
+    _add_product(cat, out, f.src.q, f.entries, None if f.degree % 2 else cat.field.from_int(-1))
     return TwistedMorphism(f.src, f.dst, f.degree + 1, out)
 
 
 def maurer_cartan_defect(x):
     """Entries where dq + q² fails to vanish (empty dict = valid)."""
-    cat = x.cat
-    out = {}
-    for (i, j), m in x.q.items():
-        dm = cat.d(m)
-        if x.terms[i].shift % 2:
-            dm = cat.neg(dm)
-        _entry_add(cat, out, (i, j), dm)
-    for key, m in _matrix_product(cat, x.q, x.q).items():
-        _entry_add(cat, out, key, m)
-    return out
+    return _add_product(x.cat, _d_entries(x.cat, x.q, x.terms), x.q, x.q)
 
 
 def is_closed(f):
@@ -219,17 +206,15 @@ def zero_morphism(x, y, degree=0):
 def tm_add(f, g):
     if (f.src, f.dst, f.degree) != (g.src, g.dst, g.degree):
         raise ValueError("tm_add: morphisms differ in source, target or degree")
-    cat = f.src.cat
-    out = dict(f.entries)
-    for key, m in g.entries.items():
-        _entry_add(cat, out, key, m)
+    fl = f.src.cat.field
+    out = {}
+    for key, m in (*f.entries.items(), *g.entries.items()):
+        _add_into(fl, out, key, m)
     return TwistedMorphism(f.src, f.dst, f.degree, out)
 
 
 def tm_scale(c, f):
     cat = f.src.cat
-    if cat.field.is_zero(c):
-        return TwistedMorphism(f.src, f.dst, f.degree, {})
     return TwistedMorphism(f.src, f.dst, f.degree, {k: cat.scale(c, m) for k, m in f.entries.items()})
 
 
@@ -243,11 +228,8 @@ def compose(f, g):
     if f.dst != g.src:
         raise ValueError("compose: middle objects differ")
     cat = f.src.cat
-    out = _matrix_product(cat, f.entries, g.entries)
-    result = TwistedMorphism(f.src, g.dst, f.degree + g.degree, out)
-    if (f.degree * g.degree) % 2:
-        result = tm_neg(result)
-    return result
+    out = _add_product(cat, {}, f.entries, g.entries, cat.field.from_int(-1) if f.degree * g.degree % 2 else None)
+    return TwistedMorphism(f.src, g.dst, f.degree + g.degree, out)
 
 
 def _canon(x):
@@ -273,7 +255,7 @@ class HomSpace:
     of y).  A build stores (basis, pos, complex) in both.  The memo holds
     neither the HomSpace nor its ends, so it is freed with them.  The
     complex is shared with the ranks and cohomology bases it caches; nothing
-    verified is stored (see is_contractible).
+    verified is stored (see null_homotopy).
 
     Block layout: the basis of degree n lists, for each target term i, each
     source term j and each degree u of Hom(x_j, y_i) with
@@ -461,8 +443,8 @@ def verify_cone_axioms(c, f, maps=None):
     return all(checks)
 
 
-def is_contractible(x, with_witness=False):
-    """True iff d(h) = 1_x is solvable in End^{-1}(x).
+def null_homotopy(x):
+    """The h in End^{-1}(x) with d(h) = 1_x, or None when there is none.
 
     Such an h also makes x right-orthogonal to every object: each cycle
     f: E -> x of degree n satisfies d(f·h) = (-1)^n f, so H^n Hom(E, x) = 0.
@@ -470,16 +452,21 @@ def is_contractible(x, with_witness=False):
     Every call solves d(-1)·h = 1 and, when there is a solution, builds h on
     the caller's own x and checks differential(h) == 1_x, raising on
     failure.  Nothing is stored: the memo shares the Hom complex, not the
-    verdict.  with_witness=True also returns h (None when there is none).
+    verdict.
     """
     hs = HomSpace(x, x)
     sol = hs.complex.d(-1).solve(hs.to_vector(identity_morphism(x)))
-    h = None
-    if sol is not None:
-        h = hs.from_vector(-1, sol)
-        if differential(h) != identity_morphism(x):
-            raise AssertionError("contractibility witness failed re-verification")
-    return (h is not None, h) if with_witness else h is not None
+    if sol is None:
+        return None
+    h = hs.from_vector(-1, sol)
+    if differential(h) != identity_morphism(x):
+        raise AssertionError("contractibility witness failed re-verification")
+    return h
+
+
+def is_contractible(x):
+    """True iff x has a verified null-homotopy (see null_homotopy)."""
+    return null_homotopy(x) is not None
 
 
 def is_ho_iso(f):
@@ -494,13 +481,8 @@ def reduce(x):
     invertible in the base category (when eliminable while keeping the
     complex one-sided), and f: x -> y a verified homotopy isomorphism.
     """
-    cat = x.cat
-    cur = x
-    total = identity_morphism(x)
-    while True:
-        step = _reduce_step(cur)
-        if step is None:
-            break
+    cur, total = x, identity_morphism(x)
+    while (step := _reduce_step(cur)) is not None:
         cur, proj = step
         total = compose(total, proj)
     if cur is not x and not is_ho_iso(total):
@@ -528,7 +510,12 @@ def _invert(cat, phi):
 
 
 def _reduce_step(x):
+    """Eliminate one invertible degree-0 entry phi = q_ij, ψ its inverse:
+    the kept terms get the twist q_kl - q_kj·ψ·q_il and the projection
+    x -> y the entries 1 at (k, k) and -q_kj·ψ at (k, i).  None when no
+    entry can be eliminated with the twist staying strictly upper triangular."""
     cat = x.cat
+    fl, minus = cat.field, cat.field.from_int(-1)
     for (i, j) in sorted(x.q, key=lambda k: (k[1] - k[0], k[0])):
         phi = x.q[(i, j)]
         if phi.degree != 0:
@@ -537,36 +524,23 @@ def _reduce_step(x):
         if psi is None:
             continue
         keep = [t for t in range(len(x.terms)) if t not in (i, j)]
-        new_index = {t: a for a, t in enumerate(keep)}
-        q = {}
-        ok = True
-        for k in keep:
-            for l in keep:
-                entry = x.q.get((k, l))
-                qkj = x.q.get((k, j))
-                qil = x.q.get((i, l))
-                if qkj is not None and qil is not None:
-                    corr = _o_compose(cat, _o_compose(cat, qil, psi), qkj)
-                    entry = cat.neg(corr) if entry is None else cat.add(entry, cat.neg(corr))
-                if entry is not None and not entry.is_zero():
-                    a, b = new_index[k], new_index[l]
-                    if a >= b:
-                        ok = False
-                        break
-                    q[(a, b)] = entry
-            if not ok:
-                break
-        if not ok:
+        new = {t: a for a, t in enumerate(keep)}
+        q, into_j, from_i = {}, {}, {}
+        for (k, l), m in x.q.items():
+            if k in new and l in new:
+                _add_into(fl, q, (new[k], new[l]), m)
+            elif l == j and k != i:
+                into_j[(new[k], j)] = m
+            elif k == i and l != j:
+                from_i[(i, new[l])] = m
+        _add_product(cat, q, _add_product(cat, {}, from_i, {(j, i): psi}), into_j, minus)
+        if any(a >= b for a, b in q):
             continue
         y = TwistedComplex(cat, [x.terms[t] for t in keep], q, check=False)
         if maurer_cartan_defect(y):
             continue
-        entries = {}
-        for k in keep:
-            entries[(new_index[k], k)] = cat.identity(x.terms[k].obj)
-            qkj = x.q.get((k, j))
-            if qkj is not None:
-                entries[(new_index[k], i)] = cat.neg(_o_compose(cat, psi, qkj))
+        entries = {(a, t): cat.identity(x.terms[t].obj) for t, a in new.items()}
+        entries.update(_add_product(cat, {}, {(j, i): psi}, into_j, minus))
         proj = TwistedMorphism(x, y, 0, entries)
         if not is_closed(proj):
             continue

@@ -15,6 +15,7 @@ surface as "unknown", not as wrong answers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
@@ -34,6 +35,10 @@ def monomial(*labels):
 
 
 UNIT = ()
+
+# ClassExpr.parse splits on these and reads [pt] as the unit, so a generator
+# label holds none of them, and "pt" is a unit alias (register_generator).
+_UNWRITABLE_LABEL = re.compile(r"[\s\[\]*+-]")
 
 
 class ClassExpr:
@@ -219,6 +224,8 @@ class Ledger:
     def register_generator(self, label, payload=None, unit_alias=False, geometric=True):
         if label in self.generators:
             raise ValueError(f"generator {label!r} already registered")
+        if _UNWRITABLE_LABEL.search(label) or label == "pt" and not unit_alias:
+            raise ValueError(f"generator label {label!r} does not read back from a class expression: no whitespace, '[', ']', '*', '+' or '-', and pt only as the unit alias")
         if self.flavor == "Gamma" and not geometric:
             raise ValueError("Gamma-flavored ledger admits only geometric generators")
         l = self._copy()

@@ -746,3 +746,75 @@ def test_ring_eq_takes_exactly_two_expressions(fixture_dir, capsys):
         code, out, err = run_cli(capsys, "ring", ledger, "eq", *exprs)
         assert code == 2 and not out, exprs
         assert f"eq takes exactly two class expressions, found {len(exprs)}" in json.loads(err)["error"], exprs
+
+
+def _d_squared_point_document():
+    """One object whose End has dims 1, 1, 1 in degrees 0, 1, 2 with
+    d(0) = d(1) = [1], so d² ≠ 0; e is a two-sided unit of t and s."""
+    comp = [[0, 0, q, 0, {"0": "1"}] for q in (0, 1, 2)] + [[p, 0, 0, 0, {"0": "1"}] for p in (1, 2)]
+    one = {"rows": 1, "cols": 1, "entries": [[0, 0, "1"]]}
+    body = {
+        "comp": {"pt|pt|pt": comp},
+        "homs": {"pt|pt": {"complex": {"diff": {"0": one, "1": one}, "dims": {"0": 1, "1": 1, "2": 1}}, "names": {"0": ["e"], "1": ["t"], "2": ["s"]}}},
+        "ids": {"pt": {"coords": {"0": "1"}, "degree": 0}},
+        "name": "d_squared",
+        "objects": ["pt"],
+    }
+    return schema.dumps(schema.document("category", "Q", body))
+
+
+def test_commands_that_compute_on_a_category_check_its_axioms_first(fixture_dir, tmp_path, capsys):
+    """ext on a category with d² ≠ 0 printed {"1": -1} with exit 0.  ext,
+    cone, reduce and karoubi now exit 1 with the failing category_axioms
+    verdict alone, and no table or document, when the document's category
+    is not a DG category: here d² ≠ 0, and the Kronecker category with its
+    identities scaled by 2.  validate fails both categories too."""
+    bad = tmp_path / "d_squared.category.json"
+    bad.write_text(_d_squared_point_document())
+    code, out, _ = run_cli(capsys, "validate", str(bad))
+    assert code == 1 and {v["name"].split("@")[0] for v in strip_timing(out)["verdicts"] if not v["ok"]} == {"d_squared", "unit_cycle", "leibniz", "category axioms"}
+    from dgcat import pretr
+    from dgcat.fixtures import kronecker_category, kronecker_ev_morphism
+
+    k2 = kronecker_category()
+    ev = kronecker_ev_morphism(k2)
+    e1 = pretr.embed(k2, k2.obj("e1"))
+    doc = json.loads(schema.dumps(schema.document("twisted-complex", "Q", schema.tc_bundle_to_json(
+        k2, {"cone_id_e1": pretr.cone(pretr.identity_morphism(e1))}, {"ev": ev}, {"one": pretr.karoubi_identity(e1)}))))
+    for ident in doc["body"]["category"]["ids"].values():
+        ident["coords"] = {k: str(2 * int(v)) for k, v in ident["coords"].items()}
+    scaled = tmp_path / "scaled.twisted-complex.json"
+    scaled.write_text(schema.dumps(doc))
+    assert run_cli(capsys, "validate", str(scaled))[0] == 1
+    for argv in (
+        ["ext", str(bad)],
+        ["cone", str(scaled), "--morphism", "ev"],
+        ["reduce", str(scaled), "--complex", "cone_id_e1"],
+        ["karoubi", str(scaled), "--a", "one", "--degrees", "0..0"],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        rep = strip_timing(out)
+        assert code == 1 and set(rep) == {"command", "verdicts"}, argv
+        (verdict,) = rep["verdicts"]
+        assert verdict["name"] == "category_axioms@()" and not verdict["ok"], argv
+
+
+def test_ledger_labels_a_class_expression_cannot_read_back_are_input_errors(fixture_dir, tmp_path, capsys):
+    """ClassExpr.parse reads [pt] as the unit and splits on whitespace, "[",
+    "]", "*", "+" and "-".  With "pt" an ordinary generator of the shipped
+    ledger, ring invariants counted free rank 2 and `ring relate --claim
+    ... --label pt` wrote "-[pt] + [pt]", which read back exited 1.  That
+    ledger, and the shipped one with BlP2pt renamed Bl-P2, exit 2."""
+    text = (fixture_dir / "motivic.ledger.json").read_text()
+    doc = json.loads(text)
+    (pt,) = [g for g in doc["body"]["generators"] if g["label"] == "pt"]
+    pt["unit_alias"] = False
+    non_alias = tmp_path / "pt.ledger.json"
+    non_alias.write_text(schema.dumps(doc))
+    hyphen = tmp_path / "hyphen.ledger.json"
+    hyphen.write_text(text.replace('"BlP2pt"', '"Bl-P2"'))
+    for path in (non_alias, hyphen):
+        for argv in (["validate", str(path)], ["ring", str(path), "invariants"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and not out, argv
+            assert "generator label" in json.loads(err)["error"], argv

@@ -472,16 +472,30 @@ def test_ledger_documents_name_products_of_registered_payloads_as_references():
     k2, pt = kronecker_category(), point_category()
     kp = tensor(k2, pt)
     led = Ledger()
-    for label, payload in (("L", k2), ("K", k2), ("pt", pt), ("KxP", kp), ("AAA", tensor(kp, k2)), ("M", tensor(kronecker_category(), pt))):
+    for label, payload in (("L", k2), ("K", k2), ("point", pt), ("KxP", kp), ("AAA", tensor(kp, k2)), ("M", tensor(kronecker_category(), pt))):
         led = led.register_generator(label, payload)
     body = schema.ledger_to_json(led, k2.field)
     cats = {g["label"]: g["category"] for g in body["generators"]}
-    assert cats["KxP"] == {"tensor": ["K", "pt"]} and cats["AAA"] == {"tensor": ["KxP", "K"]}
+    assert cats["KxP"] == {"tensor": ["K", "point"]} and cats["AAA"] == {"tensor": ["KxP", "K"]}
     assert cats["M"] == schema.category_to_json(led.generators["M"].payload)
     assert cats["K"] == cats["L"] == schema.category_to_json(k2)
     text = schema.dumps(schema.document("ledger", k2.field, body))
     kind, field, led2 = schema.parse_document(text)
     assert schema.dumps(schema.document(kind, field, schema.ledger_to_json(led2, field))) == text
     g = {label: info.payload for label, info in led2.generators.items()}
-    assert g["AAA"].factors[0] is g["KxP"] and g["AAA"].factors[1] is g["K"] and g["KxP"].factors == (g["K"], g["pt"])
+    assert g["AAA"].factors[0] is g["KxP"] and g["AAA"].factors[1] is g["K"] and g["KxP"].factors == (g["K"], g["point"])
     assert g["K"] is not g["L"] and ptring.categories_structurally_equal(g["AAA"], tensor(kp, k2))
+
+
+def test_registered_labels_are_the_ones_a_class_expression_reads_back():
+    """register_generator refuses "pt" unless it is a unit alias, and any
+    label holding whitespace, "[", "]", "*", "+" or "-"; every label it
+    takes round-trips through ClassExpr.format and ClassExpr.parse."""
+    for label in ("Bl-P2", "P 1", "x\ty", "[X]", "a]", "P1*P1", "A+B", "pt"):
+        with pytest.raises(ValueError):
+            Ledger().register_generator(label)
+    led = Ledger().register_generator("pt", unit_alias=True)
+    for label in ("P1", "BlP2pt", "P1xP2", "u_0", "Pt", "pts"):
+        led = led.register_generator(label)
+        expr = ClassExpr.gen(label, 2).sub(ClassExpr.unit(3))
+        assert ClassExpr.parse(expr.format()) == expr
