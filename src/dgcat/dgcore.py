@@ -12,7 +12,6 @@ stored sparsely and every operation is deterministic in the basis order.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,18 +71,42 @@ class InfiniteDimensionalHom(Exception):
     pass
 
 
+class Tables(dict):
+    """The composition tables of a DGCategory, {(A, B, C): table}.
+
+    A triple not yet read is built by `build(triple)` on its first read and
+    kept, an empty table included.  Without a `build` (a category given
+    every table at once) a missing triple reads as {}, and nothing is
+    stored.  So read one table by subscript: `get`, iteration and `in` see
+    only the tables built so far.  `DGCategory.every_table` reads them all.
+    """
+
+    __slots__ = ("build",)
+
+    def __init__(self, tables=(), build=None):
+        super().__init__(tables)
+        self.build = build
+
+    def __missing__(self, key):
+        if self.build is None:
+            return {}
+        table = self[key] = self.build(key)
+        return table
+
+
 class DGCategory:
     """Finite DG category with chosen bases and sparse structure constants.
 
     comp[(A,B,C)][(p, i, q, j)] is a dict {k: scalar} expressing
     mul(basis_i^p(A,B), basis_j^q(B,C)) = sum_k scalar * basis_k^{p+q}(A,C).
+    comp is a `Tables`; a plain dict of tables is copied into one.
     """
 
     def __init__(self, field, objects, homs, comp, ids, name=""):
         self.field = field
         self.objects = tuple(objects)
         self.homs = homs
-        self.comp = comp
+        self.comp = comp if isinstance(comp, Tables) else Tables(comp)
         self.ids = ids
         self.name = name
         self._by_label = {o.label: o for o in self.objects}
@@ -126,7 +149,7 @@ class DGCategory:
         """Composite of f: A->B then g: B->C."""
         if f.dst != g.src:
             raise ValueError(f"mul: {f.dst} != {g.src}")
-        table = self.comp.get((f.src, f.dst, g.dst), {})
+        table = self.comp[(f.src, f.dst, g.dst)]
         return Morphism(f.src, g.dst, f.degree + g.degree, contract(self.field, table, f.degree, f.coords, g.degree, g.coords))
 
     def d(self, f):
@@ -183,7 +206,7 @@ class DGCategory:
             ida, idb = ids.get(a), ids.get(b)
             if h.complex.dims and ((ida is not None and ida.dst != a) or (idb is not None and idb.src != b)):
                 raise ValueError(f"an identity does not compose with Hom({a.label},{b.label})")
-            left, right = comp.get((a, a, b), {}), comp.get((a, b, b), {})
+            left, right = comp[(a, a, b)], comp[(a, b, b)]
             for n in h.complex.degrees():
                 for i in range(h.dim(n)):
                     f = {i: one}
@@ -194,7 +217,7 @@ class DGCategory:
         targets = {a: [b for b in self.objects if (a, b) in homs and homs[(a, b)].complex.dims] for a in self.objects}
         chains = [(a, b, c) for a in self.objects for b in targets[a] for c in targets[b]]
         for a, b, c in chains:
-            hab, hbc, t = homs[(a, b)].complex, homs[(b, c)].complex, comp.get((a, b, c), {})
+            hab, hbc, t = homs[(a, b)].complex, homs[(b, c)].complex, comp[(a, b, c)]
             dac = homs[(a, c)].complex.diff if (a, c) in homs else {}
             for p in hab.degrees():
                 for q in hbc.degrees():
@@ -225,7 +248,7 @@ class DGCategory:
         one = fl.one()
         report = []
         for a, b, c in chains:
-            hab, hbc, t_abc = homs[(a, b)].complex, homs[(b, c)].complex, comp.get((a, b, c), {})
+            hab, hbc, t_abc = homs[(a, b)].complex, homs[(b, c)].complex, comp[(a, b, c)]
             ia, ib = unit.get((a, b)), unit.get((b, c))
             fs = {p: [i for i in range(hab.dim(p)) if p or i != ia] for p in hab.degrees()}
             gs = {q: [j for j in range(hbc.dim(q)) if q or j != ib] for q in hbc.degrees()}
@@ -233,7 +256,7 @@ class DGCategory:
                 h_range = hs.get((c, e))
                 if not h_range:
                     continue
-                t_bce, t_ace, t_abe = comp.get((b, c, e), {}), comp.get((a, c, e), {}), comp.get((a, b, e), {})
+                t_bce, t_ace, t_abe = comp[(b, c, e)], comp[(a, c, e)], comp[(a, b, e)]
                 for p, is_ in fs.items():
                     for q, js in gs.items():
                         for r, ks in h_range.items():
@@ -274,7 +297,7 @@ class DGCategory:
         lies in the span of the basis: hence None otherwise.  (This is
         the reduction to generators behind Bergman's diamond lemma, 1978.)
         """
-        fl, homs, comp = self.field, self.homs, self.comp
+        fl, homs, tables = self.field, self.homs, self.every_table()
         unit = self.identity_basis()
 
         def single(cons):  # k when a product is c·e_k with c != 0, else None
@@ -288,7 +311,7 @@ class DGCategory:
         basis = {key: {n: frozenset(range(d)) for n, d in h.complex.dims.items()} for key, h in homs.items()}
         none = frozenset()
         made = {}
-        for (a, b, c), table in comp.items():
+        for (a, b, c), table in tables.items():
             ia, ib = unit.get((a, b)), unit.get((b, c))
             out, within = made.setdefault((a, c), set()), basis.get((a, c), {})
             for (p, i, q, j), cons in table.items():
@@ -307,7 +330,7 @@ class DGCategory:
         s0, seen, queue = set(seeds), set(seeds), seeds
         for a, b, p, i in queue:  # grows while it runs: a breadth-first closure
             for c, q, j in by_src.get(b, ()):
-                k = single(comp.get((a, b, c), {}).get((p, i, q, j), {}))
+                k = single(tables.get((a, b, c), {}).get((p, i, q, j), {}))
                 if k is not None and (x := (a, c, p + q, k)) not in seen:
                     seen.add(x)
                     queue.append(x)
@@ -319,6 +342,15 @@ class DGCategory:
                 if ks:
                     gens.setdefault((a, b), {})[n] = ks
         return gens
+
+    def every_table(self):
+        """{(A, B, C): table} for the readers that need every table: the
+        stored tables of a category given them all at once, else the
+        nonempty tables of all triples, each built if it was not."""
+        comp, objs = self.comp, self.objects
+        if comp.build is None:
+            return comp
+        return {key: t for a in objs for b in objs for c in objs if (t := comp[key := (a, b, c)])}
 
     def identity_basis(self):
         """{(a, a): k} for each object a whose identity is a multiple of one
@@ -524,7 +556,7 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
         homs[(by_label[u], by_label[v])] = Hom(ChainComplex(field, dims), names)
         basis_index[(u, v)] = {p: (n, i) for n, ps in by_deg.items() for i, p in enumerate(ps)}
 
-    comp = {}
+    comp = Tables()
     for (u, v), idx_uv in basis_index.items():
         for (v2, w), idx_vw in basis_index.items():
             if v2 != v:
@@ -552,33 +584,34 @@ def from_quiver(field, vertices, arrows, relations=(), max_path_length=32, max_p
 
 
 def full_subcategory(cat, objs):
-    """Full DG subcategory on the given objects (same bases)."""
+    """Full DG subcategory on the given objects (same bases); it reads
+    cat's table of a triple when its own is first read."""
     objs = tuple(objs)
     keep = set(objs)
     homs = {k: v for k, v in cat.homs.items() if k[0] in keep and k[1] in keep}
-    comp = {k: v for k, v in cat.comp.items() if set(k) <= keep}
     ids = {o: cat.ids[o] for o in objs}
-    return DGCategory(cat.field, objs, homs, comp, ids, name=f"{cat.name}|sub")
+    return DGCategory(cat.field, objs, homs, Tables(build=lambda key: cat.comp[key]), ids, name=f"{cat.name}|sub")
 
 
 def opposite(cat):
     """Opposite DG category: Hom_op(A,B) = Hom(B,A), with the Koszul sign
-    mul_op(f, g) = (-1)^{deg f deg g} mul(g, f)."""
+    mul_op(f, g) = (-1)^{deg f deg g} mul(g, f).  Each table is cat's
+    table of the reversed triple, transposed, on its first read."""
     fl = cat.field
+    one, minus = fl.one(), fl.neg(fl.one())
     homs = {(a, b): cat.hom(b, a) for (b, a) in cat.homs}
-    comp = {}
-    for (a, b, c) in {(z, y, x) for (x, y, z) in cat.comp}:
-        # mul_op over A->B->C uses cat.mul over C->B->A
+
+    def build(key):
+        # mul_op over A->B->C uses cat.mul over C->B->A:
+        # mul(g: C->B at (q, j), f: B->A at (p, i)) -> Hom(C, A)
+        a, b, c = key
         table = {}
-        src_table = cat.comp.get((c, b, a), {})
-        for (q, j, p, i), cons in src_table.items():
-            # original: mul(g: C->B at (q,j), f: B->A at (p,i)) -> Hom(C,A)
-            sign = fl.one() if (p * q) % 2 == 0 else fl.neg(fl.one())
+        for (q, j, p, i), cons in cat.comp[(c, b, a)].items():
+            sign = minus if p * q % 2 else one
             table[(p, i, q, j)] = {k: fl.mul(sign, v) for k, v in cons.items()}
-        if table:
-            comp[(a, b, c)] = table
-    ids = dict(cat.ids)
-    return DGCategory(fl, cat.objects, homs, comp, ids, name=f"{cat.name}^op")
+        return table
+
+    return DGCategory(fl, cat.objects, homs, Tables(build=build), dict(cat.ids), name=f"{cat.name}^op")
 
 
 class TensorIndex:
@@ -612,8 +645,8 @@ def tensor(c, d):
 
     Builds the objects (a, b), the Hom complexes Hom_c(a1, a2) (x)
     Hom_d(b1, b2) with d(x (x) y) = dx (x) y + (-1)^p x (x) dy, and the
-    identities id_a (x) id_b.  The structure constants are derived from the
-    factors' when `comp` is first used (see _DerivedTables)."""
+    identities id_a (x) id_b.  The table of a triple is derived from the
+    factors' tables when it is first read (`_tensor_tables`)."""
     check_same_field(c.field, d.field)
     fl = c.field
     one, mul = fl.one(), fl.mul
@@ -639,7 +672,7 @@ def tensor(c, d):
             for j, vb in idb.coords.items():
                 coords[pos[(0, 0, i, j)][1]] = vb if va is one else va if vb is one else mul(va, vb)
         ids[o] = Morphism(o, o, 0, coords)
-    return TensorCategory(c, d, pair, homs, ids)
+    return TensorCategory(c, d, pair, homs, indices, ids)
 
 
 def _tensor_hom(fl, hc, hd, idx):
@@ -676,14 +709,15 @@ def _tensor_hom(fl, hc, hd, idx):
 
 class TensorCategory(DGCategory):
     """c(x)d as `tensor` builds it: it keeps its factors, `pair_map` (object
-    -> (a, b)) and `pair_rev`.  Its `comp` starts as a `_DerivedTables`,
-    which puts the plain dict of tables in its own place on first use."""
+    -> (a, b)), `pair_rev` and `indices` ((o1, o2) -> the TensorIndex of
+    Hom(o1, o2)), from which `comp` builds each table on its first read."""
 
-    def __init__(self, c, d, pair_map, homs, ids):
-        super().__init__(c.field, pair_map, homs, _DerivedTables(self), ids, name=f"{c.name}(x){d.name}")
+    def __init__(self, c, d, pair_map, homs, indices, ids):
+        super().__init__(c.field, pair_map, homs, Tables(build=_tensor_tables(c, d, pair_map, indices)), ids, name=f"{c.name}(x){d.name}")
         self.factors = (c, d)
         self.pair_map = pair_map
         self.pair_rev = {v: o for o, v in pair_map.items()}
+        self.indices = indices
 
     def validate(self):
         """[] when both factors validate: the tensor product of two DG
@@ -696,87 +730,41 @@ class TensorCategory(DGCategory):
         return super().validate()
 
 
-class _DerivedTables(Mapping):
-    """The `comp` of a TensorCategory before its first use.  Any read
-    derives every table from the factors' (`_tensor_comp`) and sets the
-    category's `comp` to that plain dict, so later `cat.comp.get` calls are
-    an ordinary attribute read and a C-level lookup.  A caller still holding
-    this object reads the same dict through it.
-
-    The category stays a plain instance: a `__getattr__` or a descriptor
-    for `comp` on its class would keep CPython 3.11 from specialising
-    attribute reads on every tensor category."""
-
-    __slots__ = ("cat", "comp")
-
-    def __init__(self, cat):
-        self.cat, self.comp = cat, None
-
-    def _comp(self):
-        if self.comp is None:
-            self.comp = self.cat.comp = _tensor_comp(self.cat)
-            self.cat = None
-        return self.comp
-
-    def get(self, key, default=None):
-        return self._comp().get(key, default)
-
-    def __getitem__(self, key):
-        return self._comp()[key]
-
-    def __iter__(self):
-        return iter(self._comp())
-
-    def __len__(self):
-        return len(self._comp())
-
-
-def _tensor_comp(t):
-    """Structure constants of t = c(x)d from the factors' tables: the
+def _tensor_tables(c, d, pair, indices):
+    """The builder of one table of c(x)d from the factors' tables: the
     product of basis elements x1 (x) y1 and x2 (x) y2 is
     (-1)^{deg y1 deg x2} (x1 x2) (x) (y1 y2).  Table entries that name an
     index outside a factor's basis are dropped."""
-    c, d = t.factors
-    fl, pair = t.field, t.pair_map
+    fl = c.field
     one, minus, mul = fl.one(), fl.neg(fl.one()), fl.mul
-    indices = {}
-    for o1, o2 in t.homs:
-        (a1, b1), (a2, b2) = pair[o1], pair[o2]
-        indices[(o1, o2)] = TensorIndex(c.hom(a1, a2), d.hom(b1, b2))
-    comp = {}
-    for o1 in t.objects:
-        a1, b1 = pair[o1]
-        for o2 in t.objects:
-            if (o1, o2) not in indices:
-                continue
-            a2, b2 = pair[o2]
-            pos12 = indices[(o1, o2)].pos
-            for o3 in t.objects:
-                if (o2, o3) not in indices or (o1, o3) not in indices:
+
+    def build(key):
+        o1, o2, o3 = key
+        idx12, idx23, idx13 = indices.get((o1, o2)), indices.get((o2, o3)), indices.get((o1, o3))
+        if idx12 is None or idx23 is None or idx13 is None:
+            return {}
+        (a1, b1), (a2, b2), (a3, b3) = pair[o1], pair[o2], pair[o3]
+        pos12, pos23, pos13 = idx12.pos, idx23.pos, idx13.pos
+        td = d.comp[(b1, b2, b3)]
+        table = {}
+        for (p1, i1, p2, i2), cons_c in c.comp[(a1, a2, a3)].items():
+            for (q1, j1, q2, j2), cons_d in td.items():
+                key1 = pos12.get((p1, q1, i1, j1))
+                key2 = pos23.get((p2, q2, i2, j2))
+                if key1 is None or key2 is None:
                     continue
-                a3, b3 = pair[o3]
-                pos23, pos13 = indices[(o2, o3)].pos, indices[(o1, o3)].pos
-                tc = c.comp.get((a1, a2, a3), {})
-                td = d.comp.get((b1, b2, b3), {})
-                table = {}
-                for (p1, i1, p2, i2), cons_c in tc.items():
-                    for (q1, j1, q2, j2), cons_d in td.items():
-                        key1 = pos12.get((p1, q1, i1, j1))
-                        key2 = pos23.get((p2, q2, i2, j2))
-                        if key1 is None or key2 is None:
-                            continue
-                        entry = {}
-                        for ic, vc in cons_c.items():
-                            for jd, vd in cons_d.items():
-                                tgt = pos13.get((p1 + p2, q1 + q2, ic, jd))
-                                if tgt is not None:
-                                    # products by the shared one keep it, so `contract` skips them later
-                                    entry[tgt[1]] = vd if vc is one else vc if vd is one else mul(vc, vd)
-                        if entry:
-                            axpy(fl, table.setdefault((key1[0], key1[1], key2[0], key2[1]), {}), entry, minus if (q1 * p2) % 2 else None)
-                if table:
-                    comp[(o1, o2, o3)] = table
-    return comp
+                entry = {}
+                for ic, vc in cons_c.items():
+                    for jd, vd in cons_d.items():
+                        tgt = pos13.get((p1 + p2, q1 + q2, ic, jd))
+                        if tgt is not None:
+                            # products by the shared one keep it, so `contract` skips them later
+                            entry[tgt[1]] = vd if vc is one else vc if vd is one else mul(vc, vd)
+                if entry:
+                    axpy(fl, table.setdefault((key1[0], key1[1], key2[0], key2[1]), {}), entry, minus if (q1 * p2) % 2 else None)
+        return table
+
+    return build
 
 
 def swap_iso(c, d):
@@ -791,11 +779,8 @@ def swap_iso(c, d):
         a, b = t1.pair_map[o]
         obj_map[o] = t2.pair_rev[(b, a)]
     mor_maps = {}
-    for (o1, o2), h in t1.homs.items():
-        a1, b1 = t1.pair_map[o1]
-        a2, b2 = t1.pair_map[o2]
-        idx1 = TensorIndex(c.hom(a1, a2), d.hom(b1, b2))
-        idx2 = TensorIndex(d.hom(b1, b2), c.hom(a1, a2))
+    for o1, o2 in t1.homs:
+        idx1, idx2 = t1.indices[(o1, o2)], t2.indices[(obj_map[o1], obj_map[o2])]
         per_degree = {}
         for n, lst in idx1.by_degree.items():
             rows = len(idx2.by_degree.get(n, []))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dgcore import DGCategory, Hom, Morphism, ObjId, Violation
+from .dgcore import DGCategory, Hom, Morphism, ObjId, Tables, Violation
 from .exactlin import Matrix
 from .pretr import (
     HomSpace,
@@ -183,7 +183,9 @@ def check_quasi_equiv(cert):
 
 def hull_subcategory(cat, named_objects):
     """The full DG subcategory of the pretriangulated hull on the given
-    twisted complexes, as a plain DGCategory (with entry-indexed bases)."""
+    twisted complexes, as a plain DGCategory (with entry-indexed bases).
+    The table of a triple is worked out from the composites of its basis
+    twisted morphisms when it is first read."""
     objs = tuple(ObjId(lbl, i) for i, (lbl, _) in enumerate(named_objects))
     ends = {}  # content -> its first complex, whose memo then serves every equal one
     xs = [ends.setdefault(_canon(x), x) for _, x in named_objects]
@@ -195,20 +197,19 @@ def hull_subcategory(cat, named_objects):
         if hs.complex.dims:
             homs[key] = Hom(hs.complex, {n: tuple(f"m{t}" for t in range(len(lst))) for n, lst in hs.basis.items()})
         basis[key] = [(p, i, hs.from_vector(p, {i: one})) for p in hs.complex.degrees() for i in range(hs.complex.dim(p))]
-    comp = {}
-    for (o1, o2), fs in basis.items():
-        for o3 in objs:
-            hs13 = spaces[(o1, o3)]
-            table = {}
-            for p, i, f in fs:
-                for q, j, g in basis[(o2, o3)]:
-                    vec = hs13.to_vector(compose(f, g))
-                    if vec:
-                        table[(p, i, q, j)] = vec
-            if table:
-                comp[(o1, o2, o3)] = table
+
+    def build(key):
+        o1, o2, o3 = key
+        hs13, table = spaces[(o1, o3)], {}
+        for p, i, f in basis[(o1, o2)]:
+            for q, j, g in basis[(o2, o3)]:
+                vec = hs13.to_vector(compose(f, g))
+                if vec:
+                    table[(p, i, q, j)] = vec
+        return table
+
     ids = {o: Morphism(o, o, 0, spaces[(o, o)].to_vector(identity_morphism(x))) for o, x in zip(objs, xs)}
-    return DGCategory(cat.field, objs, homs, comp, ids, name="hull-sub")
+    return DGCategory(cat.field, objs, homs, Tables(build=build), ids, name="hull-sub")
 
 
 # -- Serre data ----------------------------------------------------------------

@@ -323,14 +323,14 @@ class HomSpace:
                     for (r, t), v in base.entries.items():
                         out[(pos[(i, j, u + 1, r)][1], pos[(i, j, u, t)][1])] = fl.neg(v) if ty.shift % 2 else v
                 for i2, q in q_into.get(i, ()):
-                    table = cat.comp.get((tx.obj, ty.obj, y.terms[i2].obj), {})
+                    table = cat.comp[(tx.obj, ty.obj, y.terms[i2].obj)]
                     odd = u * q.degree % 2
                     for t in range(h.dim(u)):
                         col = pos[(i, j, u, t)][1]
                         for k, v in contract(fl, table, u, {t: one}, q.degree, q.coords).items():
                             out[(pos[(i2, j, u + q.degree, k)][1], col)] = fl.neg(v) if odd else v
                 for j2, q in q_from.get(j, ()):
-                    table = cat.comp.get((x.terms[j2].obj, tx.obj, ty.obj), {})
+                    table = cat.comp[(x.terms[j2].obj, tx.obj, ty.obj)]
                     odd = (q.degree * u + n + 1) % 2
                     for t in range(h.dim(u)):
                         col = pos[(i, j, u, t)][1]

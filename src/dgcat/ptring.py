@@ -263,19 +263,27 @@ class Ledger:
     # -- relations and facts ----------------------------------------------
 
     def add_relation(self, expr, provenance):
+        """A new ledger with the relation expr = 0 (unit aliases resolved).
+        A relation that reads 0 once they are resolved says nothing, and is
+        refused whatever its provenance."""
         self._check_registered(expr)
+        resolved = self._resolve_aliases(expr)
+        if resolved.is_zero():
+            raise ProvenanceError(f"relation {expr.format()} reads 0 once unit aliases are resolved: it says nothing")
         if provenance.kind == "verified-sod":
-            self._verify_sod_provenance(expr, provenance)
+            self._verify_sod_provenance(resolved, provenance)
         elif provenance.kind == "external-paper-fact":
             if not provenance.citation:
                 raise ProvenanceError("external facts require a citation")
         else:
             raise ProvenanceError(f"unsupported relation provenance {provenance.kind!r}")
         l = self._copy()
-        l.relations.append(Relation(self._resolve_aliases(expr), provenance))
+        l.relations.append(Relation(resolved, provenance))
         return l
 
     def _verify_sod_provenance(self, expr, provenance):
+        """expr, its unit aliases resolved, is [label] less one unit per
+        point block of the verified claim."""
         p = provenance.payload
         if not isinstance(p, SODProvenance):
             raise ProvenanceError("verified-sod provenance requires an SODProvenance payload")
@@ -303,7 +311,7 @@ class Ledger:
         claimed = self.expr_gen(p.label)
         for value in p.block_values:
             claimed = claimed.sub(value)
-        if self._resolve_aliases(expr) != claimed:
+        if expr != claimed:
             raise ProvenanceError("relation does not match the verified decomposition")
 
     def add_product_fact(self, a, b, value, provenance):
@@ -552,8 +560,8 @@ def categories_structurally_equal(c1, c2):
     for k in h1:
         if h1[k].complex != h2[k].complex:
             return False
-    t1 = {(a.label, b.label, c.label): t for (a, b, c), t in c1.comp.items()}
-    t2 = {(a.label, b.label, c.label): t for (a, b, c), t in c2.comp.items()}
+    t1 = {(a.label, b.label, c.label): t for (a, b, c), t in c1.every_table().items()}
+    t2 = {(a.label, b.label, c.label): t for (a, b, c), t in c2.every_table().items()}
     if t1 != t2:
         return False
     return {o.label: m.coords for o, m in c1.ids.items()} == {o.label: m.coords for o, m in c2.ids.items()}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from .dgcore import DGCategory, Hom, Morphism, ObjId, tensor
+from .dgcore import DGCategory, Hom, Morphism, ObjId, Tables, tensor
 from .exactlin import ChainComplex, FieldMismatch, Matrix, ShapeMismatch, field_from_spec
 from .functors import DGFunctor, EquivCertificate
 from .pretr import KaroubiObject, Term, TwistedComplex, TwistedMorphism
@@ -173,7 +173,7 @@ def category_to_json(cat):
             "complex": complex_to_json(h.complex),
             "names": {str(n): list(names) for n, names in sorted(h.names.items())},
         }
-    for (a, b, c), table in sorted(cat.comp.items(), key=lambda kv: (kv[0][0].index, kv[0][1].index, kv[0][2].index)):
+    for (a, b, c), table in sorted(cat.every_table().items(), key=lambda kv: (kv[0][0].index, kv[0][1].index, kv[0][2].index)):
         rows = []
         for (p, i, q, j), cons in sorted(table.items()):
             rows.append([p, i, q, j, _coords_to_json(cat.field, cons)])
@@ -188,7 +188,7 @@ def category_from_json(field, body):
     labels = [_node(lbl, str, "an object label") for lbl in _node(body["objects"], list, "objects")]
     if len(set(labels)) != len(labels):
         raise DocumentError(f"objects: label {next(x for x in labels if labels.count(x) > 1)!r} is listed twice")
-    homs, comp, ids = {}, {}, {}  # filled below; cat resolves their keys' labels
+    homs, comp, ids = {}, Tables(), {}  # filled below; cat resolves their keys' labels
     cat = DGCategory(field, (ObjId(lbl, i) for i, lbl in enumerate(labels)), homs, comp, ids, name=_node(body.get("name", ""), str, "a category name"))
     for key, data in _node(body["homs"], dict, "homs").items():
         a, b = _key_objs(cat, key, 2, "Hom")

@@ -1,12 +1,15 @@
 """Reference tensor construction for tests: the materialising `tensor` that
-`dgcat.dgcore.tensor` replaced, kept verbatim.
+`dgcat.dgcore.tensor` replaced, kept verbatim but for its two reads of a
+factor's table.
 
 It writes every structure constant of c(x)d into `comp` at construction
 and returns a plain `DGCategory`, so `validate` on it runs the full walk.
-Tests compare the category `dgcat.dgcore.tensor` builds (Hom complexes and
-identities at once, `comp` derived from the factors on first use) against
-it on Homs, names, identities, tables, Ext tables, SOD verdicts and
-documents.
+It reads each factor table by subscript, so a factor whose tables are
+built on first read (a product, an opposite) gives them all.  Tests
+compare the category `dgcat.dgcore.tensor` builds (Hom complexes and
+identities at once, the table of a triple derived from the factors on its
+first read) against it on Homs, names, identities, tables, Ext tables, SOD
+verdicts and documents.
 """
 
 from dgcat.dgcore import DGCategory, Hom, Morphism, ObjId, TensorIndex
@@ -83,8 +86,8 @@ def tensor(c, d):
                 a3, b3 = pair[o3]
                 idx23 = indices[(o2, o3)]
                 idx13 = indices[(o1, o3)]
-                tc = c.comp.get((a1, a2, a3), {})
-                td = d.comp.get((b1, b2, b3), {})
+                tc = c.comp[(a1, a2, a3)]
+                td = d.comp[(b1, b2, b3)]
                 table = {}
                 for (p1, i1, p2, i2), cons_c in tc.items():
                     for (q1, j1, q2, j2), cons_d in td.items():

@@ -159,6 +159,29 @@ def test_ring_relate_writes_new_version(fixture_dir, tmp_path, capsys):
     assert led2.eq(ClassExpr.gen("BlP2pt"), ClassExpr.unit(4)) == "equal"
 
 
+@pytest.mark.parametrize("path", ("verified-sod", "external-paper-fact"))
+def test_ring_relate_refuses_a_relation_that_reads_zero(path, fixture_dir, tmp_path, capsys):
+    """A relation that reads 0 once the unit alias pt is resolved says
+    nothing: the verified decomposition of pt into its one point block, or
+    an external [P1] - [P1], exits 1 with a failed "relation ingestion"
+    verdict and writes no ledger."""
+    from dgcat.fixtures import point_category
+    from dgcat.sodgen import exceptional_sod_claim
+
+    if path == "verified-sod":
+        pt = point_category()
+        claim = tmp_path / "point.sod-claim.json"
+        claim.write_text(schema.dumps(schema.document("sod-claim", "Q", schema.sod_claim_to_json(pt, exceptional_sod_claim(pt, list(pt.objects))))))
+        how = ["--claim", str(claim), "--label", "pt"]
+    else:
+        how = ["--expr", "[P1] - [P1]", "--provenance", "external-paper-fact", "--citation", "x"]
+    out_path = tmp_path / "never.ledger.json"
+    code, out, _ = run_cli(capsys, "ring", str(fixture_dir / "motivic.ledger.json"), "relate", *how, "--out", str(out_path))
+    (verdict,) = strip_timing(out)["verdicts"]
+    assert code == 1 and verdict["name"] == "relation ingestion" and not verdict["ok"]
+    assert "says nothing" in verdict["detail"] and not out_path.exists()
+
+
 def test_ring_degree_bound_is_not_written(fixture_dir, tmp_path, capsys):
     ledger = str(fixture_dir / "motivic.ledger.json")
     stored = json.load(open(ledger))["body"]["degree_bound"]
@@ -234,14 +257,31 @@ def test_serre_command(capsys):
 
 def test_serre_builds_one_hull_subcategory(capsys, monkeypatch):
     """serre --fixture a2 builds its hull subcategory once: the trace
-    pairings and the verification share it."""
+    pairings and the verification share it.  Count guard: it builds the
+    tables of the 12 triples it reads, of 64."""
     from dgcat import functors
+    from dgcat.dgcore import Tables
 
-    calls = []
+    calls, reads = [], set()
     build = functors.hull_subcategory
-    monkeypatch.setattr(functors, "hull_subcategory", lambda *a: calls.append(a) or build(*a))
+
+    class Reads(Tables):  # records each triple read by subscript
+        __slots__ = ()
+
+        def __getitem__(self, key):
+            reads.add(key)
+            return super().__getitem__(key)
+
+    def hull(*a):
+        h = build(*a)
+        h.comp = Reads(build=h.comp.build)
+        calls.append(h)
+        return h
+
+    monkeypatch.setattr(functors, "hull_subcategory", hull)
     code, _, _ = run_cli(capsys, "serre", "--fixture", "a2")
     assert code == 0 and len(calls) == 1
+    assert set(calls[0].comp) == reads and len(reads) == 12 and len(calls[0].objects) ** 3 == 64
 
 
 def test_tensor_command(fixture_dir, tmp_path, capsys):

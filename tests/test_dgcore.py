@@ -74,7 +74,7 @@ def test_broken_composition_detected():
     u, v = cat.obj("u"), cat.obj("v")
     from dgcat.dgcore import DGCategory
 
-    comp = dict(cat.comp)
+    comp = dict(cat.every_table())
     comp[(u, u, v)] = {}  # drop id·a structure constants
     bad = DGCategory(cat.field, cat.objects, cat.homs, comp, cat.ids)
     report = bad.validate()
@@ -145,7 +145,7 @@ def _quiver_parts(cat):
         return [(i, v, type(v)) for i, v in coords.items()]
 
     homs = [((a.label, b.label), h.complex.dims, h.names) for (a, b), h in cat.homs.items()]
-    comp = [(tuple(o.label for o in key), [(k, sorted(scalars(cons))) for k, cons in table.items()]) for key, table in cat.comp.items()]
+    comp = [(tuple(o.label for o in key), [(k, sorted(scalars(cons))) for k, cons in table.items()]) for key, table in cat.every_table().items()]
     ids = [(o.label, m.degree, scalars(m.coords)) for o, m in cat.ids.items()]
     return cat.objects, homs, comp, ids
 
@@ -153,7 +153,7 @@ def _quiver_parts(cat):
 def _assert_same_quiver_category(cat, ref):
     assert _quiver_parts(cat) == _quiver_parts(ref)
     one = cat.field.one()
-    ones = [v for table in cat.comp.values() for cons in table.values() for v in cons.values() if v == one]
+    ones = [v for table in cat.every_table().values() for cons in table.values() for v in cons.values() if v == one]
     assert all(v is one for v in ones) and all(v is one for m in cat.ids.values() for v in m.coords.values())
 
 
@@ -207,7 +207,7 @@ def test_opposite_involution_and_validity():
     assert op.validate() == []
     opop = opposite(op)
     assert opop.homs.keys() == cat.homs.keys()
-    for key in cat.comp:
+    for key in cat.every_table():
         assert opop.comp[key] == cat.comp[key]
     e1, e2 = cat.obj("e1"), cat.obj("e2")
     assert op.hom(e2, e1).dim(0) == 2
@@ -419,7 +419,7 @@ def _products(cat):
     unit = cat.identity_basis()
     return [
         ((a, b, c), (p, i, q, j))
-        for (a, b, c), table in sorted(cat.comp.items())
+        for (a, b, c), table in sorted(cat.every_table().items())
         for (p, i, q, j) in sorted(table)
         if not (p == 0 and i == unit.get((a, b))) and not (q == 0 and j == unit.get((b, c)))
     ]
@@ -437,7 +437,7 @@ def plant_fault(cat, kind, rng):
     * zero_constant stores a single-term product's constant as a zero
       scalar, an entry the closure must not follow."""
     fl = cat.field
-    homs, comp, ids = dict(cat.homs), {key: dict(t) for key, t in cat.comp.items()}, dict(cat.ids)
+    homs, comp, ids = dict(cat.homs), {key: dict(t) for key, t in cat.every_table().items()}, dict(cat.ids)
     a = rng.choice(cat.objects)
     if kind in ("outside_generators", "split_product", "zero_constant"):
         gens = _generators(cat)
@@ -532,7 +532,7 @@ def rescaled_identity(cat, a, c):
         return x == y == a and n == 0 and i == k
 
     comp = {}
-    for (x, y, z), table in cat.comp.items():
+    for (x, y, z), table in cat.every_table().items():
         comp[(x, y, z)] = new = {}
         for (p, i, q, j), cons in table.items():
             s = fl.mul(lam if is_e(x, y, p, i) else fl.one(), lam if is_e(y, z, q, j) else fl.one())
@@ -560,7 +560,7 @@ def one_object(cat):
             diff.setdefault(n, {}).update(((off[(a, b, n + 1)] + r, off[(a, b, n)] + col), v) for (r, col), v in m.entries.items())
     cx = ChainComplex(fl, dims, {n: Matrix(fl, dims.get(n + 1, 0), dims[n], ent) for n, ent in diff.items()})
     table = {}
-    for (a, b, c), t in cat.comp.items():
+    for (a, b, c), t in cat.every_table().items():
         for (p, i, q, j), cons in t.items():
             table[(p, off[(a, b, p)] + i, q, off[(b, c, q)] + j)] = {off[(a, c, p + q)] + r: v for r, v in cons.items()}
     ident = {}
@@ -685,7 +685,7 @@ def test_generating_set_grows_by_what_the_closure_misses():
         assert cat.validate() == []
         o = cat.objects[0]
         assert _generators(cat) == {(o, o, 0, 1), (o, o, 0, 2)}
-        comp = {key: dict(table) for key, table in cat.comp.items()}
+        comp = {key: dict(table) for key, table in cat.every_table().items()}
         comp[(o, o, o)][(0, 2, 0, 2)] = {1: field.from_int(2)}  # x^2·x^2 = 2x
         bad = DGCategory(field, cat.objects, cat.homs, comp, cat.ids)
         report = bad.validate()
@@ -750,6 +750,6 @@ def test_parsed_and_tensored_ones_are_the_shared_one():
     parsed = schema.category_from_json(QQ, schema.category_to_json(tensor(beilinson3_category(), k)))
     quivers = (beilinson3_category(QQ), skew_beilinson_quiver(QQ, 3, 3, seed=4))
     for cat in (tensor(k, a2_category()), parsed, *quivers):
-        ones = [v for table in cat.comp.values() for cons in table.values() for v in cons.values() if v == 1]
+        ones = [v for table in cat.every_table().values() for cons in table.values() for v in cons.values() if v == 1]
         ones += [v for m in cat.ids.values() for v in m.coords.values()]
         assert ones and all(v is QQ.one() for v in ones)

@@ -36,3 +36,67 @@ def test_src_has_no_mutable_default_arguments():
                     if isinstance(d, mutable) or call:
                         found.append(f"{path.name}:{d.lineno}")
     assert not found, found
+
+
+ITERATING_CALLS = {"all", "any", "dict", "enumerate", "filter", "iter", "len", "list", "map", "max", "min", "set", "sorted", "sum", "tuple", "zip"}
+
+
+def _comp_reads_off_subscript(tree, walker="every_table"):
+    """Line numbers where a `comp` (an attribute `.comp`, the name `comp`,
+    or a name bound from `.comp`) is read other than by subscript: through
+    an attribute such as `.get` or `.items`, by iteration, by `in`, or by
+    a builtin that iterates.  Reads inside the function `walker` are
+    exempt."""
+    names = {"comp"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple) else [(target, node.value)]
+                names |= {t.id for t, v in pairs if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr == "comp"}
+    parent, exempt = {}, set()
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            parent[child] = node
+        if isinstance(node, ast.FunctionDef) and node.name == walker:
+            exempt |= set(ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        is_comp = isinstance(node, ast.Attribute) and node.attr == "comp" or isinstance(node, ast.Name) and node.id in names
+        if not is_comp or not isinstance(node.ctx, ast.Load) or node in exempt:
+            continue
+        up = parent[node]
+        if (
+            isinstance(up, ast.Attribute)
+            or isinstance(up, (ast.For, ast.comprehension)) and up.iter is node
+            or isinstance(up, (ast.Starred, ast.YieldFrom))
+            or isinstance(up, ast.Dict) and None in up.keys and node in up.values
+            or isinstance(up, ast.Compare) and node in up.comparators and any(isinstance(op, (ast.In, ast.NotIn)) for op in up.ops)
+            or isinstance(up, ast.Call) and node in up.args and isinstance(up.func, ast.Name) and up.func.id in ITERATING_CALLS
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_src_reads_comp_only_by_subscript():
+    """`DGCategory.comp` builds a missing table in `__missing__`, which only
+    a subscript calls: `get`, `items`, iteration and `in` see only the
+    tables built so far, so on a category whose tables are built on first
+    read they silently see none.  In src/dgcat every read of `comp` is a
+    subscript, except in `DGCategory.every_table`, the one reader of all
+    the tables."""
+    bad = """
+def f(cat, key):
+    comp, x = cat.comp, 1
+    t = cat.comp.get(key, {})
+    for k in comp:
+        pass
+    n = len(cat.comp) + (key in comp)
+    return [v for v in cat.comp.values()], comp[key], cat.comp[key]
+"""
+    assert _comp_reads_off_subscript(ast.parse(bad)) == [4, 5, 7, 7, 8]
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _comp_reads_off_subscript(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, found

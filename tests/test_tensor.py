@@ -1,6 +1,6 @@
 """`dgcore.tensor` against the materialising reference in tensor_reference.py:
 the same Homs, identities, tables, Ext tables, SOD verdicts and documents,
-with `comp` derived from the factors only when it is used."""
+with the table of each triple derived from the factors on its first read."""
 
 import random
 
@@ -8,7 +8,7 @@ import pytest
 
 from dgcat import ptring, schema
 from dgcat.cli import write_fixture_documents
-from dgcat.dgcore import DGCategory, TensorCategory, tensor
+from dgcat.dgcore import DGCategory, TensorCategory, full_subcategory, tensor
 from dgcat.exactlin import GF, QQ
 from dgcat.fixtures import beilinson3_category, kronecker_category
 from dgcat.sodgen import check_sod, exceptional_sod_claim, ext_table
@@ -41,7 +41,8 @@ def _models(field, rng):
 
 
 def _is_built_lazily(t):
-    return type(t) is TensorCategory and type(t.comp) is not dict
+    """A tensor category none of whose tables has been read yet."""
+    return type(t) is TensorCategory and not t.comp
 
 
 def _same_homs_and_ids(t, r):
@@ -54,18 +55,17 @@ def _same_homs_and_ids(t, r):
 
 def _same_tables(t, r):
     """The same table on every triple a caller can look up, with the shared
-    one() at the same places, then the same dict."""
+    one() at the same places, then the same nonempty tables."""
     one = t.field.one()
     for x in t.objects:
         for y in t.objects:
             for z in t.objects:
-                got, want = t.comp.get((x, y, z)), r.comp.get((x, y, z))
+                got, want = t.comp[(x, y, z)], r.comp[(x, y, z)]
                 assert got == want, (x, y, z)
-                if want is not None:
-                    assert {e: {k for k, v in cons.items() if v is one} for e, cons in got.items()} == {
-                        e: {k for k, v in cons.items() if v is one} for e, cons in want.items()
-                    }
-    assert t.comp == r.comp
+                assert {e: {k for k, v in cons.items() if v is one} for e, cons in got.items()} == {
+                    e: {k for k, v in cons.items() if v is one} for e, cons in want.items()
+                }
+    assert t.every_table() == r.comp
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -86,7 +86,7 @@ def test_tensor_matches_the_materialising_reference(field):
             witnessed = check_sod(t, witnessed_exceptional_claim(t, t.objects))
             assert witnessed == check_sod(r, witnessed_exceptional_claim(r, r.objects)), name
         _same_tables(t, r)
-        assert type(t.comp) is dict
+        assert len(t.comp) == len(t.objects) ** 3  # every triple read once is kept
         doc = schema.dumps(schema.document("category", field, schema.category_to_json(t)))
         assert doc == schema.dumps(schema.document("category", field, schema.category_to_json(r))), name
 
@@ -171,16 +171,48 @@ def test_ledger_ingestion_calls_tensor_twice_and_builds_nothing_for_a_fact(tmp_p
     }
 
 
-def test_a_tensor_category_puts_a_plain_dict_in_place_of_its_tables_on_first_use():
-    """The first read through `comp` fills it; the category then holds a
-    plain dict, and an earlier reference to `comp` reads the same tables."""
+def test_a_tensor_category_builds_a_table_on_its_first_read_and_keeps_it():
+    """`comp` starts empty.  A read builds the table of its triple alone and
+    keeps it, the empty table of a triple with no products too, and a later
+    read returns the same object; `every_table` then builds the rest."""
     t = tensor(kronecker_category(), kronecker_category())
     r = tensor_reference.tensor(kronecker_category(), kronecker_category())
     assert isinstance(t, DGCategory) and [len(f.objects) for f in t.factors] == [2, 2]
-    held = t.comp
-    assert type(held) is not dict and type(t.comp) is not dict
-    key = (t.objects[0], t.objects[1], t.objects[3])
-    assert held.get(key) == r.comp[key] and type(t.comp) is dict
-    assert held[key] is t.comp[key] and len(held) == len(t.comp) and list(held) == list(t.comp)
-    assert held == r.comp and dict(held.items()) == t.comp and key in held
+    assert not t.comp
+    key, back = (t.objects[0], t.objects[1], t.objects[3]), (t.objects[3], t.objects[1], t.objects[0])
+    table = t.comp[key]
+    assert table == r.comp[key] and list(t.comp) == [key] and t.comp[key] is table
+    assert t.comp[back] == {} and list(t.comp) == [key, back]
+    assert t.every_table() == r.comp and len(t.comp) == 4**3
     assert t.validate() == []
+
+
+def test_one_product_on_a_fresh_product_of_sixteen_objects_builds_one_table():
+    """Count guard: one `mul` on a fresh (P^1)^4 builds the table of its own
+    triple and, in each nested factor, the one table that triple reads."""
+    k2 = kronecker_category()
+    levels = [tensor(k2, k2)]
+    for _ in range(2):
+        levels.append(tensor(levels[-1], k2))
+    t = levels[-1]
+    assert len(t.objects) == 16
+    f = t.basis_morphism(t.objects[0], t.objects[1], 0, 0)
+    g = t.basis_morphism(t.objects[1], t.objects[15], 0, 0)
+    assert not t.mul(f, g).is_zero()
+    assert [len(c.comp) for c in levels] == [1, 1, 1]
+    r = tensor_reference.tensor(tensor_reference.tensor(tensor_reference.tensor(k2, k2), k2), k2)
+    assert t.mul(f, g) == r.mul(f, g)
+
+
+def test_a_full_subcategory_on_one_object_of_a_product_builds_one_table():
+    """Count guard: every table of the full subcategory on one object of
+    P^2 (x) P^2 is read (as its document and a structural comparison read
+    them), and the product builds the one table of that object's triple."""
+    b3 = beilinson3_category()
+    t = tensor(b3, b3)
+    o = t.objects[4]
+    sub = full_subcategory(t, [o])
+    doc = schema.category_to_json(sub)
+    assert list(t.comp) == [(o, o, o)] and list(sub.comp) == [(o, o, o)]
+    assert list(doc["comp"]) == [f"{o.label}|{o.label}|{o.label}"]
+    assert ptring.categories_structurally_equal(sub, full_subcategory(tensor_reference.tensor(b3, b3), [o]))
