@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 = pass, 1 = verified failure, 2 = input error.  Reports are
-canonical JSON (default) or markdown; the timing_ms field is excluded from
-determinism guarantees.  Mutating ring commands write the new ledger version
-atomically (write-temp-then-rename).
+Exit codes: 0 = pass, 1 = verified failure, 2 = input error.  Each command
+returns its report; main prints it through emit, which gives exit code 0 iff
+every verdict holds, and an input error is a JSON error on stderr.  Reports
+are canonical JSON (default) or markdown; the timing_ms field is excluded
+from determinism guarantees.  Mutating ring commands write the new ledger
+version atomically (write-temp-then-rename).
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import time
 
 from . import fixtures, pretr, schema, sodgen
 from .dgcore import tensor
-from .exactlin import field_from_spec
+from .exactlin import Matrix, field_from_spec
 from .functors import check_quasi_equiv, functor_as_serre_data, identity_functor, validate_functor, verify_serre
 from .pretr import karoubi_hom, reduce as reduce_tc
-from .ptring import ClassExpr, ProvenanceError, Provenance, SODProvenance
+from .ptring import ClassExpr, ProvenanceError, Provenance, SODProvenance, point_equivalence_certificate
 from .schema import DocumentError
 
 
@@ -34,7 +36,8 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_document(path):
+def _parse(path):
+    """(kind, field, payload) of the document at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -49,9 +52,12 @@ def _read_document(path):
         raise CliError(f"cannot parse {path}: {e}")
 
 
-def _expect(kind, got, path):
+def _read(path, kind):
+    """(field, payload) of the document at path, which must be a kind document."""
+    got, field, payload = _parse(path)
     if got != kind:
         raise CliError(f"{path}: expected a {kind} document, found {got}")
+    return field, payload
 
 
 def _write_atomic(path, text):
@@ -67,6 +73,8 @@ def _write_atomic(path, text):
 
 
 def emit(report, args, started):
+    """Print a command's report with its timing_ms; the exit code is PASS
+    iff every verdict holds."""
     report["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
     if args.output == "json":
         print(json.dumps(report, sort_keys=True, separators=(",", ": "), ensure_ascii=True))
@@ -83,26 +91,23 @@ def emit(report, args, started):
             for p in report["provenance"]:
                 print(f"- {p}")
         print(f"\n_timing: {report['timing_ms']} ms_")
-
-
-def verdicts_ok(report):
-    return all(v["ok"] for v in report["verdicts"])
+    return PASS if all(v["ok"] for v in report["verdicts"]) else FAIL
 
 
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_validate(args, started):
-    kind, field, payload = _read_document(args.path)
+def cmd_validate(args):
+    kind, _, payload = _parse(args.path)
     verdicts = []
     if kind == "category":
-        report = payload.validate()
-        for v in report[:20]:
+        bad = payload.validate()
+        for v in bad[:20]:
             verdicts.append({"name": f"{v.axiom}@{v.where}", "ok": False, "detail": v.detail})
-        verdicts.append({"name": "category axioms", "ok": not report, "detail": f"{len(report)} violations"})
+        verdicts.append({"name": "category axioms", "ok": not bad, "detail": f"{len(bad)} violations"})
     elif kind == "functor":
-        report = validate_functor(payload)
-        verdicts.append({"name": "functor axioms", "ok": not report, "detail": f"{len(report)} violations"})
+        bad = validate_functor(payload)
+        verdicts.append({"name": "functor axioms", "ok": not bad, "detail": f"{len(bad)} violations"})
     elif kind == "twisted-complex":
         cat, complexes, morphisms, idempotents = payload
         bad = cat.validate()
@@ -127,28 +132,23 @@ def cmd_validate(args, started):
         verdicts += [_audit_verdict(a) for a in _functor_axioms(payload.functor)]
     elif kind == "ledger":
         verdicts.append({"name": "ledger replay", "ok": True, "detail": "all provenance re-verified on parse"})
-    report = {"command": ["validate", args.path], "verdicts": verdicts}
-    emit(report, args, started)
-    return PASS if verdicts_ok(report) else FAIL
+    return {"command": ["validate", args.path], "verdicts": verdicts}
 
 
-def cmd_ext(args, started):
-    kind, field, cat = _read_document(args.path)
-    _expect("category", kind, args.path)
+def cmd_ext(args):
+    _, cat = _read(args.path, "category")
     labels = args.objects.split(",") if args.objects else [o.label for o in cat.objects]
     try:
         objs = [cat.obj(lbl) for lbl in labels]
     except KeyError as e:
         raise CliError(f"unknown object label {e}")
-    if not _category_ok(cat, ["ext", args.path], args, started):
-        return FAIL
+    if bad := _axioms_failure(cat, ["ext", args.path]):
+        return bad
     table = sodgen.ext_table(cat, objs)
     rows = [[""] + labels]
     for lbl, row in zip(labels, table):
         rows.append([lbl] + [json.dumps(cell, sort_keys=True) for cell in row])
-    report = {"command": ["ext", args.path], "verdicts": [{"name": "ext table", "ok": True}], "tables": {"ext": rows}}
-    emit(report, args, started)
-    return PASS
+    return {"command": ["ext", args.path], "verdicts": [{"name": "ext table", "ok": True}], "tables": {"ext": rows}}
 
 
 def _axioms_entry(cat, where=()):
@@ -158,14 +158,13 @@ def _axioms_entry(cat, where=()):
     return sodgen.AuditEntry("category_axioms", where, not bad, f"{len(bad)} violations" if bad else "")
 
 
-def _category_ok(cat, command, args, started):
+def _axioms_failure(cat, command):
     """The category_axioms check of a command that computes on a document's
-    category: on a violation it emits the failing verdict alone, since
-    nothing computed on a category that is not a DG category means anything."""
+    category: on a violation, the report of the failing verdict alone, since
+    nothing computed on a category that is not a DG category means anything;
+    None otherwise."""
     axioms = _axioms_entry(cat)
-    if not axioms.ok:
-        emit({"command": command, "verdicts": [_audit_verdict(axioms)]}, args, started)
-    return axioms.ok
+    return None if axioms.ok else {"command": command, "verdicts": [_audit_verdict(axioms)]}
 
 
 def _functor_axioms(fun):
@@ -189,17 +188,14 @@ def _audit_table(entries):
     return [["obligation", "where", "ok", "detail"]] + [[a.obligation, str(a.where), "ok" if a.ok else "FAIL", a.detail] for a in entries]
 
 
-def cmd_check_sod(args, started):
-    kind, field, payload = _read_document(args.path)
-    _expect("sod-claim", kind, args.path)
+def cmd_check_sod(args):
+    _, payload = _read(args.path, "sod-claim")
     verdict = _check_claim_document(*payload)
-    report = {
+    return {
         "command": ["check-sod", args.path],
         "verdicts": [{"name": "sod claim", "ok": verdict.ok}],
         "tables": {"audit": _audit_table(verdict.audit)},
     }
-    emit(report, args, started)
-    return PASS if verdict.ok else FAIL
 
 
 def _provenance_from_args(args):
@@ -210,9 +206,8 @@ def _provenance_from_args(args):
     return Provenance("external-paper-fact", citation=args.citation)
 
 
-def cmd_ring(args, started):
-    kind, field, ledger = _read_document(args.path)
-    _expect("ledger", kind, args.path)
+def cmd_ring(args):
+    field, ledger = _read(args.path, "ledger")
     stored_bound = ledger.degree_bound
     if args.degree_bound is not None:
         if args.degree_bound < 0:
@@ -249,9 +244,7 @@ def cmd_ring(args, started):
     elif sub == "relate":
         if args.claim:
             # machine-verified SOD relation: [label] = sum of point blocks
-            ckind, cfield, cpayload = _read_document(args.claim)
-            _expect("sod-claim", ckind, args.claim)
-            ccat, claim = cpayload
+            _, (ccat, claim) = _read(args.claim, "sod-claim")
             if not args.label:
                 raise CliError("relate --claim requires --label naming the decomposed generator")
             n = len(claim.blocks)
@@ -269,13 +262,10 @@ def cmd_ring(args, started):
                 raise CliError(str(e))
             prov = _provenance_from_args(args)
         try:
-            ledger = ledger.add_relation(expr, prov)
+            mutated = ledger.add_relation(expr, prov)
         except (ProvenanceError, KeyError) as e:
-            report = {"command": ["ring", sub], "verdicts": [{"name": "relation ingestion", "ok": False, "detail": str(e)}]}
-            emit(report, args, started)
-            return FAIL
+            return {"command": ["ring", sub], "verdicts": [{"name": "relation ingestion", "ok": False, "detail": str(e)}]}
         verdicts.append({"name": "relation ingested", "ok": True, "detail": expr.format()})
-        mutated = ledger
     else:  # fact: argparse choices admit no other subcommand
         missing = [f"--{k}" for k in ("a", "b", "value") if not getattr(args, k).strip()]
         if missing:
@@ -285,13 +275,10 @@ def cmd_ring(args, started):
         except ValueError as e:
             raise CliError(str(e))
         try:
-            ledger = ledger.add_product_fact(args.a, args.b, value, _provenance_from_args(args))
+            mutated = ledger.add_product_fact(args.a, args.b, value, _provenance_from_args(args))
         except (ProvenanceError, KeyError) as e:
-            report = {"command": ["ring", sub], "verdicts": [{"name": "fact ingestion", "ok": False, "detail": str(e)}]}
-            emit(report, args, started)
-            return FAIL
+            return {"command": ["ring", sub], "verdicts": [{"name": "fact ingestion", "ok": False, "detail": str(e)}]}
         verdicts.append({"name": "fact ingested", "ok": True})
-        mutated = ledger
     if mutated is not None:
         # --degree-bound bounds this run's queries; the new version keeps the stored bound
         mutated.degree_bound = stored_bound
@@ -301,80 +288,63 @@ def cmd_ring(args, started):
     report = {"command": ["ring", sub, args.path], "verdicts": verdicts}
     if provenance:
         report["provenance"] = provenance
-    emit(report, args, started)
-    return PASS if verdicts_ok(report) else FAIL
+    return report
 
 
-def cmd_tensor(args, started):
-    k1, f1, c1 = _read_document(args.path)
-    k2, f2, c2 = _read_document(args.path2)
-    _expect("category", k1, args.path)
-    _expect("category", k2, args.path2)
+def cmd_tensor(args):
+    f1, c1 = _read(args.path, "category")
+    f2, c2 = _read(args.path2, "category")
     if f1 != f2:
         raise CliError("field mismatch between the two categories")
     t = tensor(c1, c2)
     doc = schema.document("category", f1, schema.category_to_json(t))
     _write_atomic(args.out, schema.dumps(doc))
-    report = {"command": ["tensor", args.path, args.path2], "verdicts": [{"name": "tensor written", "ok": True, "detail": args.out}]}
-    emit(report, args, started)
-    return PASS
+    return {"command": ["tensor", args.path, args.path2], "verdicts": [{"name": "tensor written", "ok": True, "detail": args.out}]}
 
 
-def cmd_cone(args, started):
-    kind, field, payload = _read_document(args.path)
-    _expect("twisted-complex", kind, args.path)
-    cat, complexes, morphisms, idempotents = payload
+def cmd_cone(args):
+    field, (cat, complexes, morphisms, idempotents) = _read(args.path, "twisted-complex")
     f = morphisms.get(args.morphism)
     if f is None:
         raise CliError(f"no morphism named {args.morphism!r} in {args.path}")
-    if not _category_ok(cat, ["cone", args.path, args.morphism], args, started):
-        return FAIL
+    if bad := _axioms_failure(cat, ["cone", args.path, args.morphism]):
+        return bad
     try:
         c = pretr.cone(f)
     except ValueError as e:
-        report = {"command": ["cone", args.path, args.morphism], "verdicts": [{"name": "cone", "ok": False, "detail": str(e)}]}
-        emit(report, args, started)
-        return FAIL
+        return {"command": ["cone", args.path, args.morphism], "verdicts": [{"name": "cone", "ok": False, "detail": str(e)}]}
     body = schema.tc_bundle_to_json(cat, {"cone": c})
     doc = schema.document("twisted-complex", field, body)
     if args.out:
         _write_atomic(args.out, schema.dumps(doc))
-    report = {
+    return {
         "command": ["cone", args.path, args.morphism],
         "verdicts": [{"name": "cone computed", "ok": True}],
         "document": doc,
     }
-    emit(report, args, started)
-    return PASS
 
 
-def cmd_reduce(args, started):
-    kind, field, payload = _read_document(args.path)
-    _expect("twisted-complex", kind, args.path)
-    cat, complexes, morphisms, idempotents = payload
+def cmd_reduce(args):
+    field, (cat, complexes, morphisms, idempotents) = _read(args.path, "twisted-complex")
     x = complexes.get(args.complex)
     if x is None:
         raise CliError(f"no complex named {args.complex!r} in {args.path}")
-    if not _category_ok(cat, ["reduce", args.path, args.complex], args, started):
-        return FAIL
+    if bad := _axioms_failure(cat, ["reduce", args.path, args.complex]):
+        return bad
     y, f = reduce_tc(x)
     body = schema.tc_bundle_to_json(cat, {"reduced": y}, {"projection": f})
     doc = schema.document("twisted-complex", field, body)
     if args.out:
         _write_atomic(args.out, schema.dumps(doc))
-    report = {
+    return {
         "command": ["reduce", args.path, args.complex],
         "verdicts": [{"name": "reduce", "ok": True, "detail": f"{len(x.terms)} -> {len(y.terms)} terms"}],
         "document": doc,
     }
-    emit(report, args, started)
-    return PASS
 
 
-def cmd_karoubi(args, started):
-    kind, field, payload = _read_document(args.path)
-    _expect("twisted-complex", kind, args.path)
-    cat, complexes, morphisms, idempotents = payload
+def cmd_karoubi(args):
+    _, (cat, complexes, morphisms, idempotents) = _read(args.path, "twisted-complex")
     ka = idempotents.get(args.a)
     kb = idempotents.get(args.b or args.a)
     if ka is None or kb is None:
@@ -383,34 +353,27 @@ def cmd_karoubi(args, started):
         lo, hi = (int(s) for s in args.degrees.split(".."))
     except ValueError:
         raise CliError(f"--degrees must be <lo>..<hi> with integer ends, found {args.degrees!r}")
-    if not _category_ok(cat, ["karoubi", args.path], args, started):
-        return FAIL
+    if bad := _axioms_failure(cat, ["karoubi", args.path]):
+        return bad
     rows = [["degree", "dim"]]
     for n in range(lo, hi + 1):
         try:
             rows.append([n, karoubi_hom(ka, kb, n)])
         except ValueError as e:
-            report = {"command": ["karoubi", args.path], "verdicts": [{"name": "karoubi", "ok": False, "detail": str(e)}]}
-            emit(report, args, started)
-            return FAIL
-    report = {"command": ["karoubi", args.path], "verdicts": [{"name": "karoubi dims", "ok": True}], "tables": {"karoubi_hom": rows}}
-    emit(report, args, started)
-    return PASS
+            return {"command": ["karoubi", args.path], "verdicts": [{"name": "karoubi", "ok": False, "detail": str(e)}]}
+    return {"command": ["karoubi", args.path], "verdicts": [{"name": "karoubi dims", "ok": True}], "tables": {"karoubi_hom": rows}}
 
 
-def cmd_check_qe(args, started):
-    kind, field, cert = _read_document(args.path)
-    _expect("equiv-certificate", kind, args.path)
+def cmd_check_qe(args):
+    _, cert = _read(args.path, "equiv-certificate")
     verdict = check_quasi_equiv(cert)
     axioms = _functor_axioms(cert.functor)
     ok = verdict.ok and all(a.ok for a in axioms)
-    report = {
+    return {
         "command": ["check-qe", args.path],
         "verdicts": [{"name": "quasi-equivalence", "ok": ok, "detail": str(verdict.failures[:5]) if verdict.failures else ""}],
         "tables": {"audit": _audit_table(axioms)},
     }
-    emit(report, args, started)
-    return PASS if ok else FAIL
 
 
 def _field(spec):
@@ -420,7 +383,7 @@ def _field(spec):
         raise CliError(f"bad --field {spec!r}: {e}")
 
 
-def cmd_serre(args, started):
+def cmd_serre(args):
     field = _field(args.field)
     if args.fixture == "a2":
         data, pairings = fixtures.a2_serre_data(field)
@@ -428,8 +391,6 @@ def cmd_serre(args, started):
         cat = fixtures.point_category(field)
         data = functor_as_serre_data(identity_functor(cat))
         o = cat.objects[0]
-        from .exactlin import Matrix
-
         pairings = {(o, o, 0): Matrix.identity(field, 1)}
     elif args.fixture == "kronecker-identity":
         data = functor_as_serre_data(identity_functor(fixtures.kronecker_category(field)))
@@ -437,12 +398,10 @@ def cmd_serre(args, started):
     else:
         raise CliError(f"unknown serre fixture {args.fixture!r}")
     verdict = verify_serre(data, pairings)
-    report = {
+    return {
         "command": ["serre", args.fixture],
         "verdicts": [{"name": f"serre {args.fixture}", "ok": verdict.ok, "detail": str(verdict.failures[:3]) if verdict.failures else ""}],
     }
-    emit(report, args, started)
-    return PASS if verdict.ok else FAIL
 
 
 def write_fixture_documents(out_dir, field_spec="Q"):
@@ -502,23 +461,18 @@ def write_fixture_documents(out_dir, field_spec="Q"):
 
     led = fixtures.motivic_ledger(field)
     put("motivic.ledger.json", schema.document("ledger", field, schema.ledger_to_json(led, field)))
-
-    from .ptring import point_equivalence_certificate
-
     cert = point_equivalence_certificate(k2, k2.obj("e1"), cats["point"])
     put("kronecker_block_e1_point.equiv-certificate.json", schema.document("equiv-certificate", field, schema.equiv_cert_to_json(cert)))
     return paths
 
 
-def cmd_fixtures(args, started):
+def cmd_fixtures(args):
     _field(args.field)
     paths = write_fixture_documents(args.out, args.field)
-    report = {
+    return {
         "command": ["fixtures", args.out],
         "verdicts": [{"name": "fixtures written", "ok": True, "detail": f"{len(paths)} documents"}],
     }
-    emit(report, args, started)
-    return PASS
 
 
 def build_parser():
@@ -607,13 +561,11 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
-        return args.fn(args, started)
-    except CliError as e:
+        report = args.fn(args)
+    except (CliError, DocumentError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
-        return e.code
-    except DocumentError as e:
-        print(json.dumps({"error": str(e)}), file=sys.stderr)
-        return INPUT_ERROR
+        return getattr(e, "code", INPUT_ERROR)
+    return emit(report, args, started)
 
 
 if __name__ == "__main__":

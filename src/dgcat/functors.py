@@ -3,6 +3,7 @@ pretriangulated hull and Serre data."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .dgcore import DGCategory, Hom, Morphism, ObjId, Tables, Violation
@@ -59,6 +60,8 @@ def validate_functor(fun):
     for o in src.objects:
         if o not in fun.obj_map:
             report.append(Violation("object_map", (o.label,), "unmapped object"))
+        elif o not in src.ids or fun.obj_map[o] not in dst.ids:
+            report.append(Violation("identity", (o.label,), "no identity on a or F(a)"))
     if report:
         return report
     for (a, b), h in sorted(src.homs.items()):
@@ -192,17 +195,22 @@ def hull_subcategory(cat, named_objects):
     spaces = {(objs[i], objs[j]): HomSpace(x, y) for i, x in enumerate(xs) for j, y in enumerate(xs)}
     one = cat.field.one()
     homs = {}
-    basis = {}  # (o1, o2) -> [(degree, index, basis twisted morphism)]
     for key, hs in spaces.items():
         if hs.complex.dims:
             homs[key] = Hom(hs.complex, {n: tuple(f"m{t}" for t in range(len(lst))) for n, lst in hs.basis.items()})
-        basis[key] = [(p, i, hs.from_vector(p, {i: one})) for p in hs.complex.degrees() for i in range(hs.complex.dim(p))]
+
+    @functools.cache
+    def basis(key):
+        """[(degree, index, basis twisted morphism)] of the Hom at key,
+        made when the first table build reads it."""
+        hs = spaces[key]
+        return [(p, i, hs.from_vector(p, {i: one})) for p in hs.complex.degrees() for i in range(hs.complex.dim(p))]
 
     def build(key):
         o1, o2, o3 = key
         hs13, table = spaces[(o1, o3)], {}
-        for p, i, f in basis[(o1, o2)]:
-            for q, j, g in basis[(o2, o3)]:
+        for p, i, f in basis((o1, o2)):
+            for q, j, g in basis((o2, o3)):
                 vec = hs13.to_vector(compose(f, g))
                 if vec:
                     table[(p, i, q, j)] = vec

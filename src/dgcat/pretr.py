@@ -561,7 +561,10 @@ class KaroubiObject:
     h: TwistedMorphism
 
     def verify(self):
-        if self.e.degree != 0 or self.h.degree != -1:
+        """e and h are endomorphisms of the carrier of degrees 0 and -1, e is
+        closed, and e∘e - e = d(h)."""
+        x = self.carrier
+        if (self.e.src, self.e.dst, self.e.degree, self.h.src, self.h.dst, self.h.degree) != (x, x, 0, x, x, -1):
             return False
         if not is_closed(self.e):
             return False

@@ -129,7 +129,10 @@ def complex_from_json(field, data):
     _node(data, dict, "a complex")
     dims = {int(n): _node(d, int, "a dimension") for n, d in _node(data["dims"], dict, "dims").items()}
     diff = {int(n): matrix_from_json(field, m) for n, m in _node(data["diff"], dict, "diff").items()}
-    return ChainComplex(field, dims, diff)
+    try:
+        return ChainComplex(field, dims, diff)
+    except ShapeMismatch as e:  # a differential that does not fit the dims
+        raise DocumentError(str(e)) from None
 
 
 # -- categories ----------------------------------------------------------------

@@ -284,6 +284,24 @@ def test_serre_builds_one_hull_subcategory(capsys, monkeypatch):
     assert set(calls[0].comp) == reads and len(reads) == 12 and len(calls[0].objects) ** 3 == 64
 
 
+def test_serre_makes_only_the_basis_morphisms_its_tables_read(capsys, monkeypatch):
+    """The hull subcategory of serre --fixture a2 makes the basis twisted
+    morphisms of a Hom when a table build first reads it: 11, the elements
+    of the Homs its 12 tables compose, of the 19 of all its Homs."""
+    from dgcat import pretr
+
+    calls = []
+    from_vector = pretr.HomSpace.from_vector
+
+    def counted(self, *a):
+        calls.append(a)
+        return from_vector(self, *a)
+
+    monkeypatch.setattr(pretr.HomSpace, "from_vector", counted)
+    code, _, _ = run_cli(capsys, "serre", "--fixture", "a2")
+    assert code == 0 and len(calls) == 11
+
+
 def test_tensor_command(fixture_dir, tmp_path, capsys):
     out_path = str(tmp_path / "t.category.json")
     code, out, _ = run_cli(

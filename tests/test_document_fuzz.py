@@ -391,3 +391,81 @@ def test_mutated_certificates_never_raise_and_pass_only_over_dg_categories(tmp_p
                             code, out, _ = _run([command, str(path)])
                             assert code == 1 and f"category_axioms@{where}" in _failed(json.loads(out)), (name, key, table, r, command)
     assert codes.get(2, 0) > CERTIFICATE_MUTATIONS, codes
+
+
+def test_a_hom_differential_of_the_wrong_shape_is_an_input_error(tmp_path):
+    """A nonzero Hom differential whose shape does not fit the Hom's dims
+    exits 2 with an error that names the Hom, under validate and ext."""
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    doc = json.loads((docs / "kronecker.category.json").read_text())
+    key = next(iter(doc["body"]["homs"]))
+    doc["body"]["homs"][key]["complex"]["diff"] = {"0": {"rows": 3, "cols": 1, "entries": [[0, 0, "1"]]}}
+    path = tmp_path / "shape.category.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "ext"):
+        code, out, err = _run([command, str(path)])
+        assert (code, out) == (2, ""), command
+        assert f"Hom {key}: diff(0) has shape 3x1" in json.loads(err)["error"], command
+
+
+def _idempotent_on_the_wrong_carrier():
+    """The Kronecker category and the pair (e1², ev) as a KaroubiObject:
+    ev goes from the carrier e1² to e2, so it is no endomorphism."""
+    from dgcat import pretr
+    from dgcat.fixtures import kronecker_category, kronecker_ev_morphism
+
+    k2 = kronecker_category()
+    ev = kronecker_ev_morphism(k2)
+    return k2, pretr.KaroubiObject(ev.src, ev, pretr.zero_morphism(ev.src, ev.src, -1))
+
+
+def test_an_idempotent_with_the_wrong_endpoints_fails_its_verdict(tmp_path):
+    """A twisted-complex document whose idempotent e does not map its
+    carrier to itself fails the `idempotent <name>` verdict of validate and
+    the karoubi command, exit 1, with no traceback."""
+    k2, k = _idempotent_on_the_wrong_carrier()
+    assert not k.verify()
+    path = tmp_path / "wrong.twisted-complex.json"
+    path.write_text(schema.dumps(schema.document("twisted-complex", "Q", schema.tc_bundle_to_json(k2, {"e1_squared": k.carrier}, idempotents={"ev": k}))))
+    code, out, _ = _run(["validate", str(path)])
+    assert code == 1 and _failed(json.loads(out)) == ["idempotent ev"]
+    code, out, _ = _run(["karoubi", str(path), "--a", "ev", "--degrees", "0..0"])
+    assert code == 1 and json.loads(out)["verdicts"] == [{"name": "karoubi", "ok": False, "detail": "source idempotent witness fails verification"}]
+
+
+def test_a_summand_step_with_the_wrong_endpoints_fails_the_certificate(tmp_path):
+    """A generation certificate whose Summand step holds an e that does not
+    map the step's carrier to itself fails verify_generation at that step,
+    and validate of its document exits 1 with no traceback."""
+    from dgcat import pretr, sodgen
+
+    k2, k = _idempotent_on_the_wrong_carrier()
+    e1 = k2.obj("e1")
+    steps = (sodgen.Leaf(e1, 0), sodgen.Leaf(e1, 0), sodgen.Sum((0, 1)), sodgen.Summand(2, k.e, k.h))
+    fin = pretr.TwistedMorphism(k.carrier, pretr.embed(k2, e1), 0, {(0, 0): k2.identity(e1)})
+    cert = sodgen.GenerationCertificate((e1,), steps, pretr.embed(k2, e1), fin)
+    res = sodgen.verify_generation(k2, cert)
+    assert not res.ok and res.failures == [(3, "idempotent witness fails verification")]
+    path = tmp_path / "wrong.gen-certificate.json"
+    path.write_text(schema.dumps(schema.document("gen-certificate", "Q", schema.gencert_to_json(k2, cert))))
+    code, out, _ = _run(["validate", str(path)])
+    assert code == 1 and _failed(json.loads(out)) == ["generation certificate"]
+
+
+def test_a_functor_on_a_category_without_an_identity_fails_its_check(tmp_path):
+    """An equivalence certificate whose source category lists no identity
+    for an object fails the functor's identity check and that category's
+    axioms under validate and check-qe, exit 1, with no traceback."""
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    name = "kronecker_block_e1_point.equiv-certificate.json"
+    doc = json.loads((docs / name).read_text())
+    doc["body"]["src_category"]["ids"] = {}
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "check-qe"):
+        code, out, _ = _run([command, str(path)])
+        assert code == 1, command
+        assert set(_failed(json.loads(out))) == {"quasi-equivalence", "category_axioms@source"}, command
+        assert "no identity on a or F(a)" in json.loads(out)["verdicts"][0]["detail"], command

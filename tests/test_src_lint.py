@@ -100,3 +100,39 @@ def f(cat, key):
         for line in _comp_reads_off_subscript(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not found, found
+
+
+def _callers(tree, name):
+    """The module-level functions and classes of tree whose bodies call the
+    name, and "<module>" for a call outside them."""
+    return {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    }
+
+
+def test_the_cli_has_one_report_path():
+    """Each `cmd_*` of the CLI takes `args` alone and returns its report;
+    `main` hands it to `emit`, which prints it and gives the exit code.  So
+    in src/dgcat only `cli.emit` (the report) and `cli.main` (an input
+    error) call `print`, and only `main` calls `emit`."""
+    bad = """
+def cmd_x(args, started):
+    emit({}, args, started)
+class C:
+    def f(self):
+        print(1)
+print(2)
+"""
+    assert _callers(ast.parse(bad), "print") == {"C", "<module>"} and _callers(ast.parse(bad), "emit") == {"cmd_x"}
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    assert {f"{stem}.{f}" for stem, tree in trees.items() for f in _callers(tree, "print")} == {"cli.emit", "cli.main"}
+    assert _callers(trees["cli"], "emit") == {"main"}
+    commands = [f for f in trees["cli"].body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    assert len(commands) == 11
+    for f in commands:
+        a = f.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]]
+        assert params == ["args"], (f.name, params)
