@@ -533,7 +533,7 @@ def build_parser():
     s.add_argument("path")
     s.add_argument("--a", required=True)
     s.add_argument("--b", default="")
-    s.add_argument("--degrees", default="-2..2")
+    s.add_argument("--degrees", default="-2..2", help="LO..HI; a range that starts with '-' needs the --degrees=LO..HI form")
     s.set_defaults(fn=cmd_karoubi)
 
     s = sub.add_parser("check-qe", help="verify a quasi-equivalence certificate")

@@ -12,6 +12,7 @@ stored sparsely and every operation is deterministic in the basis order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -614,29 +615,38 @@ def opposite(cat):
     return DGCategory(fl, cat.objects, homs, Tables(build=build), dict(cat.ids), name=f"{cat.name}^op")
 
 
-class TensorIndex:
-    """Deterministic basis order for Hom_c (x) Hom_d at each total degree.
+class Blocks:
+    """The basis order of a graded direct sum, kept per block: built from
+    (key, degree, size) triples in basis order, each block following the
+    earlier blocks of its degree.  `at[key]` is the block's (degree, offset,
+    size), so its vector t is column offset + t, and `dims` is {degree:
+    dimension}.  Block (p, q) of Hom^p (x) Hom^q has x_i (x) y_j at
+    t = i dim(Hom^q) + j."""
 
-    Entries are keyed (p, q, i, j): degrees in the two factors and basis
-    indices within those degrees.
-    """
+    __slots__ = ("at", "dims", "_starts")
 
-    def __init__(self, hc, hd):
-        self.by_degree = {}
-        self.pos = {}
-        degs_c = hc.complex.degrees()
-        degs_d = hd.complex.degrees()
-        for p in degs_c:
-            for q in degs_d:
-                n = p + q
-                lst = self.by_degree.setdefault(n, [])
-                for i in range(hc.dim(p)):
-                    for j in range(hd.dim(q)):
-                        self.pos[(p, q, i, j)] = (n, len(lst))
-                        lst.append((p, q, i, j))
+    def __init__(self, blocks):
+        self.at, self.dims, self._starts = {}, {}, {}
+        for key, n, size in blocks:
+            off = self.dims.get(n, 0)
+            self.at[key] = n, off, size
+            self.dims[n] = off + size
+            self._starts.setdefault(n, []).append((off, key))
 
-    def dims(self):
-        return {n: len(lst) for n, lst in self.by_degree.items()}
+    def column(self, key, t):
+        """The column of vector t of block key."""
+        _, off, size = self.at[key]
+        if not 0 <= t < size:
+            raise IndexError(f"index {t} outside block {key} of size {size}")
+        return off + t
+
+    def locate(self, n, col):
+        """(key, t) of column col of degree n: its block is the last one of
+        the degree to start at or before col, before (col + 1,) in order."""
+        if not 0 <= col < self.dims.get(n, 0):
+            raise IndexError(f"column {col} outside degree {n} of dimension {self.dims.get(n, 0)}")
+        off, key = self._starts[n][bisect_left(self._starts[n], (col + 1,)) - 1]
+        return key, col - off
 
 
 def tensor(c, d):
@@ -655,69 +665,65 @@ def tensor(c, d):
         for b in d.objects:
             pair[ObjId(f"({a.label},{b.label})", len(pair))] = (a, b)
 
-    homs, indices = {}, {}
+    homs, layouts = {}, {}
     for o1, (a1, b1) in pair.items():
         for o2, (a2, b2) in pair.items():
             hc, hd = c.hom(a1, a2), d.hom(b1, b2)
             if hc.complex.dims and hd.complex.dims:
-                idx = indices[(o1, o2)] = TensorIndex(hc, hd)
-                homs[(o1, o2)] = _tensor_hom(fl, hc, hd, idx)
+                layout = layouts[(o1, o2)] = Blocks(((p, q), p + q, m * k) for p, m in sorted(hc.complex.dims.items()) for q, k in sorted(hd.complex.dims.items()))
+                homs[(o1, o2)] = _tensor_hom(fl, hc, hd, layout)
 
     ids = {}
     for o, (a, b) in pair.items():
         ida, idb = c.ids[a], d.ids[b]
-        pos = indices[(o, o)].pos
-        coords = {}
-        for i, va in ida.coords.items():
-            for j, vb in idb.coords.items():
-                coords[pos[(0, 0, i, j)][1]] = vb if va is one else va if vb is one else mul(va, vb)
+        column, dim_b = layouts[(o, o)].column, d.hom(b, b).dim(0)
+        if not all(0 <= j < dim_b for j in idb.coords):
+            raise IndexError(f"the identity of {b.label} names an index outside its End in degree 0")
+        coords = {column((0, 0), i * dim_b + j): vb if va is one else va if vb is one else mul(va, vb) for i, va in ida.coords.items() for j, vb in idb.coords.items()}
         ids[o] = Morphism(o, o, 0, coords)
-    return TensorCategory(c, d, pair, homs, indices, ids)
+    return TensorCategory(c, d, pair, homs, layouts, ids)
 
 
-def _tensor_hom(fl, hc, hd, idx):
-    """Hom_c (x) Hom_d in the basis order of idx, names "x(x)y".  Each
+def _tensor_hom(fl, hc, hd, layout):
+    """Hom_c (x) Hom_d in the basis order of layout, names "x(x)y".  Each
     factor differential is read once per degree; a column's image is worked
     out only when a factor has a differential."""
     minus = fl.neg(fl.one())
-
-    def columns(cx):  # {p: {i: [(row, scalar), ...]}} of the differential d(p)
-        out = {}
-        for p, m in cx.diff.items():
-            cols = out[p] = {}
-            for (r, i), v in m.entries.items():
-                cols.setdefault(i, []).append((r, v))
-        return out
-
-    dc, dd = columns(hc.complex), columns(hd.complex)
+    dc = {p: m.columns() for p, m in hc.complex.diff.items()}
+    dd = {q: m.columns() for q, m in hd.complex.diff.items()}
     name_c = {p: [hc.name(p, i) for i in range(hc.dim(p))] for p in hc.complex.dims}
     name_d = {q: [hd.name(q, j) for j in range(hd.dim(q))] for q in hd.complex.dims}
-    pos, diff, names = idx.pos, {}, {}
-    for n, lst in idx.by_degree.items():
-        if dc or dd:
-            ent = {}
-            for col, (p, q, i, j) in enumerate(lst):
-                dx = {pos[(p + 1, q, r, j)][1]: v for r, v in dc.get(p, {}).get(i, ())}
-                dy = {pos[(p, q + 1, i, r)][1]: v for r, v in dd.get(q, {}).get(j, ())}
+    at, dim_d = layout.at, hd.complex.dims
+    ent, names = {}, {}
+    for (p, q), (n, off, _) in at.items():
+        names[n] = names.get(n, ()) + tuple([f"{x}(x){y}" for x in name_c[p] for y in name_d[q]])
+        if not (dc or dd):
+            continue
+        # a factor differential out of degree p (q) makes block (p + 1, q) ((p, q + 1)) nonempty
+        cols_c, cols_d, w, out = dc.get(p, {}), dd.get(q, {}), dim_d[q], ent.setdefault(n, {})
+        off_x = at[(p + 1, q)][1] if cols_c else 0
+        off_y, w_y = (at[(p, q + 1)][1], dim_d[q + 1]) if cols_d else (0, 0)
+        for i in range(len(name_c[p])):
+            for j in range(w):
+                dx = {off_x + r * w + j: v for r, v in cols_c.get(i, {}).items()}
+                dy = {off_y + i * w_y + r: v for r, v in cols_d.get(j, {}).items()}
                 for row, v in axpy(fl, dx, dy, minus if p % 2 else None).items():
-                    ent[(row, col)] = v
-            if ent:
-                diff[n] = Matrix(fl, len(idx.by_degree.get(n + 1, ())), len(lst), ent)
-        names[n] = tuple(f"{name_c[p][i]}(x){name_d[q][j]}" for (p, q, i, j) in lst)
-    return Hom(ChainComplex(fl, idx.dims(), diff), names)
+                    out[(row, off + i * w + j)] = v
+    diff = {n: Matrix(fl, layout.dims.get(n + 1, 0), layout.dims[n], e) for n, e in ent.items() if e}
+    return Hom(ChainComplex(fl, layout.dims, diff), names)
 
 
 class TensorCategory(DGCategory):
     """c(x)d as `tensor` builds it: it keeps its factors, `pair_map` (object
-    -> (a, b)), `pair_rev` and `indices` ((o1, o2) -> the TensorIndex of
+    -> (a, b)), `pair_rev` and `layouts` ((o1, o2) -> the `Blocks` of
     Hom(o1, o2)), from which `comp` builds each table on its first read."""
 
-    def __init__(self, c, d, pair_map, homs, indices, ids):
-        super().__init__(c.field, pair_map, homs, Tables(build=_tensor_tables(c, d, pair_map, indices)), ids, name=f"{c.name}(x){d.name}")
+    def __init__(self, c, d, pair_map, homs, layouts, ids):
+        super().__init__(c.field, pair_map, homs, Tables(build=_tensor_tables(c, d, pair_map, layouts)), ids, name=f"{c.name}(x){d.name}")
         self.factors = (c, d)
         self.pair_map = pair_map
         self.pair_rev = {v: o for o, v in pair_map.items()}
-        self.indices = indices
+        self.layouts = layouts
 
     def validate(self):
         """[] when both factors validate: the tensor product of two DG
@@ -730,7 +736,7 @@ class TensorCategory(DGCategory):
         return super().validate()
 
 
-def _tensor_tables(c, d, pair, indices):
+def _tensor_tables(c, d, pair, layouts):
     """The builder of one table of c(x)d from the factors' tables: the
     product of basis elements x1 (x) y1 and x2 (x) y2 is
     (-1)^{deg y1 deg x2} (x1 x2) (x) (y1 y2).  Table entries that name an
@@ -740,28 +746,33 @@ def _tensor_tables(c, d, pair, indices):
 
     def build(key):
         o1, o2, o3 = key
-        idx12, idx23, idx13 = indices.get((o1, o2)), indices.get((o2, o3)), indices.get((o1, o3))
-        if idx12 is None or idx23 is None or idx13 is None:
+        at12, at23, at13 = (layouts[k].at if k in layouts else None for k in ((o1, o2), (o2, o3), (o1, o3)))
+        if at12 is None or at23 is None or at13 is None:
             return {}
         (a1, b1), (a2, b2), (a3, b3) = pair[o1], pair[o2], pair[o3]
-        pos12, pos23, pos13 = idx12.pos, idx23.pos, idx13.pos
-        td = d.comp[(b1, b2, b3)]
+        c12, c23, c13 = (c.hom(a, b).complex.dims for a, b in ((a1, a2), (a2, a3), (a1, a3)))
+        d12, d23, d13 = (d.hom(a, b).complex.dims for a, b in ((b1, b2), (b2, b3), (b1, b3)))
+        # the entries whose indices, and whose products' terms, lie inside the factor bases
+        ents_d = []
+        for (q1, j1, q2, j2), cons in d.comp[(b1, b2, b3)].items():
+            cons = [(jd, vd) for jd, vd in cons.items() if 0 <= jd < d13.get(q1 + q2, 0)]
+            if cons and 0 <= j1 < d12.get(q1, 0) and 0 <= j2 < d23.get(q2, 0):
+                ents_d.append((q1, j1, q2, j2, cons))
         table = {}
-        for (p1, i1, p2, i2), cons_c in c.comp[(a1, a2, a3)].items():
-            for (q1, j1, q2, j2), cons_d in td.items():
-                key1 = pos12.get((p1, q1, i1, j1))
-                key2 = pos23.get((p2, q2, i2, j2))
-                if key1 is None or key2 is None:
-                    continue
+        for (p1, i1, p2, i2), cons in c.comp[(a1, a2, a3)].items():
+            cons_c = [(ic, vc) for ic, vc in cons.items() if 0 <= ic < c13.get(p1 + p2, 0)]
+            if not (cons_c and 0 <= i1 < c12.get(p1, 0) and 0 <= i2 < c23.get(p2, 0)):
+                continue
+            for q1, j1, q2, j2, cons_d in ents_d:
+                (n1, off1, _), (n2, off2, _) = at12[(p1, q1)], at23[(p2, q2)]
+                off13, w = at13[(p1 + p2, q1 + q2)][1], d13[q1 + q2]
                 entry = {}
-                for ic, vc in cons_c.items():
-                    for jd, vd in cons_d.items():
-                        tgt = pos13.get((p1 + p2, q1 + q2, ic, jd))
-                        if tgt is not None:
-                            # products by the shared one keep it, so `contract` skips them later
-                            entry[tgt[1]] = vd if vc is one else vc if vd is one else mul(vc, vd)
-                if entry:
-                    axpy(fl, table.setdefault((key1[0], key1[1], key2[0], key2[1]), {}), entry, minus if (q1 * p2) % 2 else None)
+                for ic, vc in cons_c:
+                    for jd, vd in cons_d:
+                        # products by the shared one keep it, so `contract` skips them later
+                        entry[off13 + ic * w + jd] = vd if vc is one else vc if vd is one else mul(vc, vd)
+                key = (n1, off1 + i1 * d12[q1] + j1, n2, off2 + i2 * d23[q2] + j2)
+                axpy(fl, table.setdefault(key, {}), entry, minus if (q1 * p2) % 2 else None)
         return table
 
     return build
@@ -774,21 +785,16 @@ def swap_iso(c, d):
     fl = c.field
     t1 = tensor(c, d)
     t2 = tensor(d, c)
-    obj_map = {}
-    for o in t1.objects:
-        a, b = t1.pair_map[o]
-        obj_map[o] = t2.pair_rev[(b, a)]
+    obj_map = {o: t2.pair_rev[(b, a)] for o, (a, b) in t1.pair_map.items()}
     mor_maps = {}
     for o1, o2 in t1.homs:
-        idx1, idx2 = t1.indices[(o1, o2)], t2.indices[(obj_map[o1], obj_map[o2])]
-        per_degree = {}
-        for n, lst in idx1.by_degree.items():
-            rows = len(idx2.by_degree.get(n, []))
-            ent = {}
-            for col, (p, q, i, j) in enumerate(lst):
-                _, row = idx2.pos[(q, p, j, i)]
-                sgn = fl.one() if (p * q) % 2 == 0 else fl.neg(fl.one())
-                ent[(row, col)] = sgn
-            per_degree[n] = Matrix(fl, rows, len(lst), ent)
-        mor_maps[(o1, o2)] = per_degree
+        lay1, lay2 = t1.layouts[(o1, o2)], t2.layouts[(obj_map[o1], obj_map[o2])]
+        (a1, b1), (a2, b2) = t1.pair_map[o1], t1.pair_map[o2]
+        dim_c, dim_d = c.hom(a1, a2).complex.dims, d.hom(b1, b2).complex.dims
+        ent = {n: {} for n in lay1.dims}
+        for (p, q), (n, off1, _) in lay1.at.items():
+            off2 = lay2.at[(q, p)][1]
+            sgn = fl.one() if (p * q) % 2 == 0 else fl.neg(fl.one())
+            ent[n].update(((off2 + j * dim_c[p] + i, off1 + i * dim_d[q] + j), sgn) for i in range(dim_c[p]) for j in range(dim_d[q]))
+        mor_maps[(o1, o2)] = {n: Matrix(fl, lay2.dims.get(n, 0), cols, ent[n]) for n, cols in lay1.dims.items()}
     return DGFunctor(t1, t2, obj_map, mor_maps, name="swap")

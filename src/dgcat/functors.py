@@ -197,7 +197,7 @@ def hull_subcategory(cat, named_objects):
     homs = {}
     for key, hs in spaces.items():
         if hs.complex.dims:
-            homs[key] = Hom(hs.complex, {n: tuple(f"m{t}" for t in range(len(lst))) for n, lst in hs.basis.items()})
+            homs[key] = Hom(hs.complex, {n: tuple(f"m{t}" for t in range(dim)) for n, dim in hs.complex.dims.items()})
 
     @functools.cache
     def basis(key):

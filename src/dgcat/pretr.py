@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dgcore import Morphism, ObjId, contract
+from .dgcore import Blocks, Morphism, ObjId, contract
 from .exactlin import ChainComplex, Matrix, axpy
 
 
@@ -49,7 +49,7 @@ class TwistedComplex:
     def __init__(self, cat, terms, q=None, check=True):
         self.cat = cat
         self._key = None
-        self._homs = {}  # (cat, content of x, content of y) -> (basis, pos, complex)
+        self._homs = {}  # (cat, content of x, content of y) -> (layout, complex)
         self.terms = tuple(t if isinstance(t, Term) else Term(*t) for t in terms)
         self.q = {}
         for (i, j), m in (q or {}).items():
@@ -245,22 +245,24 @@ def _canon(x):
 
 
 class HomSpace:
-    """The Hom chain complex between two twisted complexes, with the
-    entry-indexed basis and conversions morphism <-> coordinate vector.
+    """The Hom chain complex between two twisted complexes over one
+    category, with the entry-indexed basis and conversions morphism <->
+    coordinate vector.
 
     A HomSpace whose ends already have one in content (same category, terms
-    and twists) takes its basis and complex instead of building them; x and
-    y are always the caller's own.  The one lookup is the memo on the ends:
-    x._homs, then y._homs, both keyed by (category, content of x, content
-    of y).  A build stores (basis, pos, complex) in both.  The memo holds
+    and twists) takes its layout and complex instead of building them; x
+    and y are always the caller's own.  The one lookup is the memo on the
+    ends: x._homs, then y._homs, both keyed by (category, content of x,
+    content of y).  A build stores (layout, complex) in both.  The memo holds
     neither the HomSpace nor its ends, so it is freed with them.  The
     complex is shared with the ranks and cohomology bases it caches; nothing
     verified is stored (see null_homotopy).
 
-    Block layout: the basis of degree n lists, for each target term i, each
-    source term j and each degree u of Hom(x_j, y_i) with
+    Block layout (a `Blocks`): the basis of degree n lists, for each target
+    term i, each source term j and each degree u of Hom(x_j, y_i) with
     n = u - r_i + s_j (r, s the shifts of y and x), the basis vectors t of
-    Hom^u(x_j, y_i) in order; pos[(i, j, u, t)] = (n, column).
+    Hom^u(x_j, y_i) in order; layout.at[(i, j, u)] = (n, offset, size), and
+    vector t is column offset + t.
 
     The differential is assembled block by block from
     df = (-1)^{r_i} d f_ij + q_Y f - (-1)^n f q_X.  For basis vector t of
@@ -279,6 +281,8 @@ class HomSpace:
     """
 
     def __init__(self, x, y):
+        if x.cat is not y.cat:
+            raise ValueError("HomSpace: different base categories")
         self.x = x
         self.y = y
         self.cat = x.cat
@@ -287,24 +291,15 @@ class HomSpace:
         hit = x._homs.get(key) or y._homs.get(key)
         if hit is None:
             self._build()
-            x._homs[key] = y._homs[key] = self.basis, self.pos, self.complex
+            x._homs[key] = y._homs[key] = self.layout, self.complex
         else:
-            self.basis, self.pos, self.complex = hit
+            self.layout, self.complex = hit
 
     def _build(self):
         x, y, cat = self.x, self.y, self.cat
         blocks = [(i, ty, j, tx, cat.hom(tx.obj, ty.obj)) for i, ty in enumerate(y.terms) for j, tx in enumerate(x.terms)]
-        basis = {}
-        pos = {}
-        for i, ty, j, tx, h in blocks:
-            for u in h.complex.degrees():
-                n = u - ty.shift + tx.shift
-                lst = basis.setdefault(n, [])
-                for t in range(h.dim(u)):
-                    pos[(i, j, u, t)] = (n, len(lst))
-                    lst.append((i, j, u, t))
-        self.basis = basis
-        self.pos = pos
+        self.layout = Blocks(((i, j, u), u - ty.shift + tx.shift, h.dim(u)) for i, ty, j, tx, h in blocks for u in h.complex.degrees())
+        at, dims = self.layout.at, self.layout.dims
         fl = cat.field
         one = fl.one()
         q_into = {}  # i -> [(i2, q_Y[(i2, i)])]
@@ -313,47 +308,44 @@ class HomSpace:
         q_from = {}  # j -> [(j2, q_X[(j, j2)])]
         for (j, j2), m in x.q.items():
             q_from.setdefault(j, []).append((j2, m))
-        ent = {n: {} for n in basis}
+        ent = {n: {} for n in dims}
         for i, ty, j, tx, h in blocks:
             for u in h.complex.degrees():
-                n = u - ty.shift + tx.shift
+                n, off, size = at[(i, j, u)]
                 out = ent[n]
                 base = h.complex.diff.get(u)
                 if base is not None:
+                    row = at[(i, j, u + 1)][1]
                     for (r, t), v in base.entries.items():
-                        out[(pos[(i, j, u + 1, r)][1], pos[(i, j, u, t)][1])] = fl.neg(v) if ty.shift % 2 else v
-                for i2, q in q_into.get(i, ()):
-                    table = cat.comp[(tx.obj, ty.obj, y.terms[i2].obj)]
-                    odd = u * q.degree % 2
-                    for t in range(h.dim(u)):
-                        col = pos[(i, j, u, t)][1]
-                        for k, v in contract(fl, table, u, {t: one}, q.degree, q.coords).items():
-                            out[(pos[(i2, j, u + q.degree, k)][1], col)] = fl.neg(v) if odd else v
-                for j2, q in q_from.get(j, ()):
-                    table = cat.comp[(x.terms[j2].obj, tx.obj, ty.obj)]
-                    odd = (q.degree * u + n + 1) % 2
-                    for t in range(h.dim(u)):
-                        col = pos[(i, j, u, t)][1]
-                        for k, v in contract(fl, table, q.degree, q.coords, u, {t: one}).items():
-                            out[(pos[(i, j2, u + q.degree, k)][1], col)] = fl.neg(v) if odd else v
-        dims = {n: len(lst) for n, lst in basis.items()}
+                        out[(row + r, off + t)] = fl.neg(v) if ty.shift % 2 else v
+                # the left parts into blocks (i2, j), then the right parts into blocks (i, j2)
+                parts = [(True, (i2, j, u + q.degree), cat.comp[(tx.obj, ty.obj, y.terms[i2].obj)], q, u * q.degree % 2) for i2, q in q_into.get(i, ())]
+                parts += [(False, (i, j2, u + q.degree), cat.comp[(x.terms[j2].obj, tx.obj, ty.obj)], q, (q.degree * u + n + 1) % 2) for j2, q in q_from.get(j, ())]
+                for left, target, table, q, odd in parts:
+                    _, row, rows = at.get(target, (None, 0, 0))
+                    for t in range(size):
+                        product = contract(fl, table, u, {t: one}, q.degree, q.coords) if left else contract(fl, table, q.degree, q.coords, u, {t: one})
+                        for k, v in product.items():
+                            if not 0 <= k < rows:
+                                raise IndexError(f"product index {k} outside block {target}")
+                            out[(row + k, off + t)] = fl.neg(v) if odd else v
         diff = {n: Matrix(fl, dims.get(n + 1, 0), dims[n], e) for n, e in ent.items() if e}
         self.complex = ChainComplex(fl, dims, diff)
 
     def to_vector(self, f):
-        vec = {}
+        column, vec = self.layout.column, {}
         for (i, j), m in f.entries.items():
             for t, v in m.coords.items():
-                vec[self.pos[(i, j, m.degree, t)][1]] = v
+                vec[column((i, j, m.degree), t)] = v
         return vec
 
     def from_vector(self, degree, vec):
-        fl = self.cat.field
+        fl, locate = self.cat.field, self.layout.locate
         ent = {}
         for col, v in vec.items():
             if fl.is_zero(v):
                 continue
-            i, j, u, t = self.basis[degree][col]
+            (i, j, u), t = locate(degree, col)
             m = ent.get((i, j))
             if m is None:
                 m = ent[(i, j)] = Morphism(self.x.terms[j].obj, self.y.terms[i].obj, u, {})

@@ -1,6 +1,7 @@
 """Reference tensor construction for tests: the materialising `tensor` that
 `dgcat.dgcore.tensor` replaced, kept verbatim but for its two reads of a
-factor's table.
+factor's table, and the per-element `TensorIndex` basis order it used,
+which `dgcore.Blocks` replaced.
 
 It writes every structure constant of c(x)d into `comp` at construction
 and returns a plain `DGCategory`, so `validate` on it runs the full walk.
@@ -12,8 +13,33 @@ first read) against it on Homs, names, identities, tables, Ext tables, SOD
 verdicts and documents.
 """
 
-from dgcat.dgcore import DGCategory, Hom, Morphism, ObjId, TensorIndex
+from dgcat.dgcore import DGCategory, Hom, Morphism, ObjId
 from dgcat.exactlin import ChainComplex, Matrix, axpy, check_same_field
+
+
+class TensorIndex:
+    """Deterministic basis order for Hom_c (x) Hom_d at each total degree.
+
+    Entries are keyed (p, q, i, j): degrees in the two factors and basis
+    indices within those degrees.
+    """
+
+    def __init__(self, hc, hd):
+        self.by_degree = {}
+        self.pos = {}
+        degs_c = hc.complex.degrees()
+        degs_d = hd.complex.degrees()
+        for p in degs_c:
+            for q in degs_d:
+                n = p + q
+                lst = self.by_degree.setdefault(n, [])
+                for i in range(hc.dim(p)):
+                    for j in range(hd.dim(q)):
+                        self.pos[(p, q, i, j)] = (n, len(lst))
+                        lst.append((p, q, i, j))
+
+    def dims(self):
+        return {n: len(lst) for n, lst in self.by_degree.items()}
 
 
 def plain(cat):

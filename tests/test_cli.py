@@ -751,7 +751,8 @@ def test_a_generator_block_ident_is_an_input_error(fixture_dir, tmp_path, capsys
 
 def test_malformed_karoubi_degrees_are_input_errors(tmp_path, capsys):
     """--degrees takes <lo>..<hi>: abc, 1..2..3 and 2 exit 2 with a JSON
-    error, and 0..0 still runs."""
+    error, and 0..0 still runs, as does --degrees=-1..1, the form for a
+    range that starts with '-'."""
     from dgcat.fixtures import kronecker_category
     from dgcat import pretr
 
@@ -761,6 +762,8 @@ def test_malformed_karoubi_degrees_are_input_errors(tmp_path, capsys):
     p = tmp_path / "one.twisted-complex.json"
     p.write_text(schema.dumps(schema.document("twisted-complex", "Q", body)))
     assert run_cli(capsys, "karoubi", str(p), "--a", "one", "--degrees", "0..0")[0] == 0
+    code, out, _ = run_cli(capsys, "karoubi", str(p), "--a", "one", "--degrees=-1..1")
+    assert code == 0 and json.loads(out)["tables"]["karoubi_hom"] == [["degree", "dim"], [-1, 0], [0, 1], [1, 0]]
     for degrees in ("abc", "1..2..3", "2"):
         code, out, err = run_cli(capsys, "karoubi", str(p), "--a", "one", "--degrees", degrees)
         assert code == 2 and not out, degrees

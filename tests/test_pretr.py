@@ -220,6 +220,20 @@ def test_direct_sum_properties():
     assert maurer_cartan_defect(s) == {}
 
 
+def test_a_hom_between_complexes_over_different_categories_is_refused():
+    """HomSpace, as direct_sum, needs one base category: ends over the
+    Kronecker quiver and Beilinson P^2, or over two Kronecker instances,
+    raise instead of reading the Homs of the first end's category."""
+    k2, b3, other = kronecker_category(), beilinson3_category(), kronecker_category()
+    e1 = embed(k2, k2.obj("e1"))
+    for y in (embed(b3, b3.obj("v3")), embed(other, other.obj("e2"))):
+        for a, b in ((e1, y), (y, e1)):
+            with pytest.raises(ValueError, match="different base categories"):
+                HomSpace(a, b)
+            with pytest.raises(ValueError, match="different base categories"):
+                ho_hom(a, b, 0)
+
+
 def _random_tm(hs, rng, degree):
     fl = hs.cat.field
     vec = {}
@@ -233,16 +247,17 @@ def _random_tm(hs, rng, degree):
 def _per_vector_differential(hs):
     """Reference for the Hom differential: differentiate each basis vector
     as a one-entry TwistedMorphism and read the column off to_vector."""
-    fl = hs.cat.field
+    fl, dims = hs.cat.field, hs.layout.dims
     diff = {}
-    for n, lst in hs.basis.items():
+    for n, dim in dims.items():
         ent = {}
-        for col, (i, j, u, t) in enumerate(lst):
+        for col in range(dim):
+            (i, j, u), t = hs.layout.locate(n, col)
             m = Morphism(hs.x.terms[j].obj, hs.y.terms[i].obj, u, {t: fl.one()})
             df = differential(TwistedMorphism(hs.x, hs.y, n, {(i, j): m}))
             for row, v in hs.to_vector(df).items():
                 ent[(row, col)] = v
-        mat = Matrix(fl, len(hs.basis.get(n + 1, [])), len(lst), ent)
+        mat = Matrix(fl, dims.get(n + 1, 0), dim, ent)
         if not mat.is_zero():
             diff[n] = mat
     return diff
@@ -482,7 +497,8 @@ def test_memoized_homspace_equals_fresh_build():
             reordered += any(len(m.coords) > 1 for m in b.q.values())
             half = HomSpace(a, _content_copy(b))
             assert half.complex is first.complex and half.y is not b
-            assert (hs.basis, hs.pos, hs.complex.diff) == (fresh.basis, fresh.pos, fresh.complex.diff)
+            assert hs.layout is first.layout and fresh.layout is not first.layout
+            assert (hs.layout.at, hs.layout.dims, hs.complex.diff) == (fresh.layout.at, fresh.layout.dims, fresh.complex.diff)
             for n in range(min(fresh.complex.degrees(), default=0) - 1, max(fresh.complex.degrees(), default=0) + 2):
                 assert ho_hom(a, b, n) == ho_hom(_content_copy(a), _content_copy(b), n) == fresh.complex.cohomology_dim(n)
                 assert [f.entries for f in hs.cohomology_classes(n)] == [f.entries for f in fresh.cohomology_classes(n)]

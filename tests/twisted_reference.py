@@ -5,9 +5,29 @@ before its sums went through `axpy` on coordinates, kept verbatim.
 
 Here every summand is a new Morphism made by `DGCategory.add`, and every
 sign is a negated copy (`cat.neg`, `tm_neg`) taken before the sum.
+
+`homspace_layout` is the per-element basis order that `HomSpace._build`
+kept before `dgcore.Blocks` replaced it, its layout loop kept verbatim.
 """
 
 from dgcat.pretr import TwistedComplex, TwistedMorphism, _invert, tm_neg
+
+
+def homspace_layout(x, y):
+    """(basis, pos) of Hom(x, y): basis[n] lists the (i, j, u, t) of degree
+    n in column order, and pos[(i, j, u, t)] = (n, column)."""
+    cat = x.cat
+    blocks = [(i, ty, j, tx, cat.hom(tx.obj, ty.obj)) for i, ty in enumerate(y.terms) for j, tx in enumerate(x.terms)]
+    basis = {}
+    pos = {}
+    for i, ty, j, tx, h in blocks:
+        for u in h.complex.degrees():
+            n = u - ty.shift + tx.shift
+            lst = basis.setdefault(n, [])
+            for t in range(h.dim(u)):
+                pos[(i, j, u, t)] = (n, len(lst))
+                lst.append((i, j, u, t))
+    return basis, pos
 
 
 def _o_compose(cat, x, y):
