@@ -214,6 +214,7 @@ def cmd_ring(args):
             raise CliError(f"--degree-bound must be a non-negative integer, found {args.degree_bound}")
         ledger.degree_bound = args.degree_bound
     sub = args.subcommand
+    command = ["ring", sub, args.path]
     verdicts = []
     provenance = []
     mutated = None
@@ -264,7 +265,7 @@ def cmd_ring(args):
         try:
             mutated = ledger.add_relation(expr, prov)
         except (ProvenanceError, KeyError) as e:
-            return {"command": ["ring", sub], "verdicts": [{"name": "relation ingestion", "ok": False, "detail": str(e)}]}
+            return {"command": command, "verdicts": [{"name": "relation ingestion", "ok": False, "detail": str(e)}]}
         verdicts.append({"name": "relation ingested", "ok": True, "detail": expr.format()})
     else:  # fact: argparse choices admit no other subcommand
         missing = [f"--{k}" for k in ("a", "b", "value") if not getattr(args, k).strip()]
@@ -277,7 +278,7 @@ def cmd_ring(args):
         try:
             mutated = ledger.add_product_fact(args.a, args.b, value, _provenance_from_args(args))
         except (ProvenanceError, KeyError) as e:
-            return {"command": ["ring", sub], "verdicts": [{"name": "fact ingestion", "ok": False, "detail": str(e)}]}
+            return {"command": command, "verdicts": [{"name": "fact ingestion", "ok": False, "detail": str(e)}]}
         verdicts.append({"name": "fact ingested", "ok": True})
     if mutated is not None:
         # --degree-bound bounds this run's queries; the new version keeps the stored bound
@@ -285,7 +286,7 @@ def cmd_ring(args):
         out_path = args.out or args.path
         doc = schema.document("ledger", field, schema.ledger_to_json(mutated, field))
         _write_atomic(out_path, schema.dumps(doc))
-    report = {"command": ["ring", sub, args.path], "verdicts": verdicts}
+    report = {"command": command, "verdicts": verdicts}
     if provenance:
         report["provenance"] = provenance
     return report
@@ -296,6 +297,9 @@ def cmd_tensor(args):
     f2, c2 = _read(args.path2, "category")
     if f1 != f2:
         raise CliError("field mismatch between the two categories")
+    for cat in (c1, c2):
+        if bad := _axioms_failure(cat, ["tensor", args.path, args.path2]):
+            return bad
     t = tensor(c1, c2)
     doc = schema.document("category", f1, schema.category_to_json(t))
     _write_atomic(args.out, schema.dumps(doc))

@@ -35,31 +35,8 @@ class ShapeMismatch(Exception):
 
 
 class Field:
-    """Abstract exact field."""
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
+    """Exact field: a subclass defines zero, one, from_int, add, sub, mul,
+    neg, inv, parse and format."""
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -67,12 +44,6 @@ class Field:
     def is_zero(self, a):
         # elements are Python numbers (Fraction, or int mod p): only zero is falsy
         return not a
-
-    def parse(self, s):
-        raise NotImplementedError
-
-    def format(self, a):
-        raise NotImplementedError
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -408,9 +379,6 @@ class Matrix:
 
     def rank(self):
         return len(self._echelon())
-
-    def nullity(self):
-        return self.cols - self.rank()
 
     def solve(self, b):
         """Some x with self @ x = b, or None if inconsistent.

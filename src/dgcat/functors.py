@@ -10,6 +10,7 @@ from .dgcore import DGCategory, Hom, Morphism, ObjId, Tables, Violation
 from .exactlin import Matrix
 from .pretr import (
     HomSpace,
+    Refusal,
     Term,
     TwistedComplex,
     TwistedMorphism,
@@ -161,24 +162,27 @@ def check_quasi_equiv(cert):
                     failures.append(("hom_iso_rank", (a.label, b.label, n)))
     image = set(fun.obj_map.values())
     for dobj in dst.objects:
-        w = cert.witnesses.get(dobj)
-        if w is None:
-            failures.append(("essential_surjectivity", (dobj.label, "missing witness")))
-            continue
-        tc, f = w
-        if any(t.obj not in image for t in tc.terms):
-            failures.append(("essential_surjectivity", (dobj.label, "witness not over the image")))
-            continue
-        if f.degree != 0 or not is_closed(f):
-            failures.append(("essential_surjectivity", (dobj.label, "witness morphism not closed degree 0")))
-            continue
-        if f.dst != embed(dst, dobj) or f.src != tc:
-            failures.append(("essential_surjectivity", (dobj.label, "witness endpoints wrong")))
-            continue
-        # f was checked closed of degree 0 above: is_ho_iso would check it again
-        if not is_contractible(_cone(f)):
-            failures.append(("essential_surjectivity", (dobj.label, "witness is not a homotopy isomorphism")))
+        try:
+            _replay_witness(dst, image, dobj, cert.witnesses.get(dobj))
+        except Refusal as e:
+            failures.append(("essential_surjectivity", (dobj.label, str(e))))
     return Verdict(not failures, failures)
+
+
+def _replay_witness(dst, image, dobj, w):
+    """Refusal at the first failed obligation of w: dobj ≅ a twisted complex over the image."""
+    if w is None:
+        raise Refusal("missing witness")
+    tc, f = w
+    if any(t.obj not in image for t in tc.terms):
+        raise Refusal("witness not over the image")
+    if f.degree != 0 or not is_closed(f):
+        raise Refusal("witness morphism not closed degree 0")
+    if f.dst != embed(dst, dobj) or f.src != tc:
+        raise Refusal("witness endpoints wrong")
+    # f was checked closed of degree 0 above: is_ho_iso would check it again
+    if not is_contractible(_cone(f)):
+        raise Refusal("witness is not a homotopy isomorphism")
 
 
 # -- full subcategories of the hull -------------------------------------------

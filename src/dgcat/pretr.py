@@ -32,6 +32,11 @@ from .dgcore import Blocks, Morphism, ObjId, contract
 from .exactlin import ChainComplex, Matrix, axpy
 
 
+class Refusal(Exception):
+    """A failed obligation of a replayed certificate; the message names it.
+    Not a ValueError, which `cli._parse` reads as a malformed document."""
+
+
 @dataclass(frozen=True)
 class Term:
     obj: ObjId

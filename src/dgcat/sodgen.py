@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .dgcore import ObjId
 from .pretr import (
     KaroubiObject,
+    Refusal,
     TwistedComplex,
     TwistedMorphism,
     _cone,
@@ -84,116 +85,80 @@ def verify_generation(cat, cert):
     """Replay a build script; returns (ok, layer count, failures).
 
     The layer count witnesses target ∈ <generators>_s: cone-nesting depth
-    plus the number of summand steps used.
+    plus the number of summand steps used.  Replay stops at the first failed
+    obligation, listed with its step index (-1 for the final checks).
     """
-    failures = []
-    objects = []
-    layers = []
+    objects, layers = [], []
     genset = set(cert.generators)
-    for idx, step in enumerate(cert.steps):
-        if isinstance(step, Leaf):
-            if step.gen not in genset:
-                failures.append((idx, f"leaf generator {step.gen.label} not among declared generators"))
-                break
-            if step.gen not in cat.objects:
-                failures.append((idx, f"unknown object {step.gen.label}"))
-                break
-            objects.append(shift(embed(cat, step.gen), step.shift))
-            layers.append(1)
-        elif isinstance(step, Sum):
-            parts = []
-            bad = False
-            for r in step.refs:
-                if not (0 <= r < idx):
-                    failures.append((idx, f"dangling step reference {r}"))
-                    bad = True
-                    break
-                if isinstance(objects[r], KaroubiObject):
-                    failures.append((idx, "summand outputs cannot be combined further at desk scale"))
-                    bad = True
-                    break
-                parts.append(objects[r])
-            if bad:
-                break
-            acc = TwistedComplex(cat, [], {}, check=False)
-            for p in parts:
-                acc = direct_sum(acc, p)
-            objects.append(acc)
-            layers.append(max((layers[r] for r in step.refs), default=1))
-        elif isinstance(step, ConeStep):
-            ok = True
-            for r in (step.c_ref, step.d_ref):
-                if not (0 <= r < idx):
-                    failures.append((idx, f"dangling step reference {r}"))
-                    ok = False
-                elif isinstance(objects[r], KaroubiObject):
-                    failures.append((idx, "summand outputs cannot be combined further at desk scale"))
-                    ok = False
-            if not ok:
-                break
-            f = step.morphism
-            if f.degree != 0:
-                failures.append((idx, "cone morphism must have degree 0"))
-                break
-            if f.src != shift(objects[step.d_ref], -1) or f.dst != objects[step.c_ref]:
-                failures.append((idx, "cone morphism endpoints do not match the referenced steps"))
-                break
-            if not is_closed(f):
-                failures.append((idx, "cone morphism is not closed"))
-                break
-            objects.append(_cone(f))
-            layers.append(layers[step.c_ref] + layers[step.d_ref])
-        elif isinstance(step, Summand):
-            if not (0 <= step.ref < idx):
-                failures.append((idx, f"dangling step reference {step.ref}"))
-                break
-            carrier = objects[step.ref]
-            if isinstance(carrier, KaroubiObject):
-                failures.append((idx, "nested summand steps are not supported"))
-                break
-            k = KaroubiObject(carrier, step.e, step.h)
-            if not k.verify():
-                failures.append((idx, "idempotent witness fails verification"))
-                break
-            objects.append(k)
-            layers.append(layers[step.ref] + 1)
+
+    def ref(idx, r, summand="summand outputs cannot be combined further at desk scale"):
+        if not 0 <= r < idx:
+            raise Refusal(f"dangling step reference {r}")
+        if isinstance(objects[r], KaroubiObject):
+            raise Refusal(summand)
+        return objects[r]
+
+    try:
+        for where, step in enumerate(cert.steps):
+            if isinstance(step, Leaf):
+                if step.gen not in genset:
+                    raise Refusal(f"leaf generator {step.gen.label} not among declared generators")
+                if step.gen not in cat.objects:
+                    raise Refusal(f"unknown object {step.gen.label}")
+                obj, layer = shift(embed(cat, step.gen), step.shift), 1
+            elif isinstance(step, Sum):
+                obj = TwistedComplex(cat, [], {}, check=False)
+                for p in [ref(where, r) for r in step.refs]:
+                    obj = direct_sum(obj, p)
+                layer = max((layers[r] for r in step.refs), default=1)
+            elif isinstance(step, ConeStep):
+                c, d, f = ref(where, step.c_ref), ref(where, step.d_ref), step.morphism
+                if f.degree != 0:
+                    raise Refusal("cone morphism must have degree 0")
+                if f.src != shift(d, -1) or f.dst != c:
+                    raise Refusal("cone morphism endpoints do not match the referenced steps")
+                if not is_closed(f):
+                    raise Refusal("cone morphism is not closed")
+                obj, layer = _cone(f), layers[step.c_ref] + layers[step.d_ref]
+            elif isinstance(step, Summand):
+                obj = KaroubiObject(ref(where, step.ref, "nested summand steps are not supported"), step.e, step.h)
+                if not obj.verify():
+                    raise Refusal("idempotent witness fails verification")
+                layer = layers[step.ref] + 1
+            else:
+                raise Refusal(f"unknown step kind {type(step).__name__}")
+            objects.append(obj)
+            layers.append(layer)
+        where, fin = -1, cert.final_iso
+        if not objects:
+            raise Refusal("empty certificate")
+        if isinstance(objects[-1], KaroubiObject):
+            where = len(cert.steps) - 1  # a summand target fails at its step
+            _karoubi_final_check(cat, objects[-1], fin, cert.target)
         else:
-            failures.append((idx, f"unknown step kind {type(step).__name__}"))
-            break
-    if failures:
-        return GenResult(False, 0, failures)
-    if not objects:
-        return GenResult(False, 0, [(-1, "empty certificate")])
-    last = objects[-1]
-    fin = cert.final_iso
-    if isinstance(last, KaroubiObject):
-        ok, why = _karoubi_final_check(cat, last, fin, cert.target)
-        if not ok:
-            return GenResult(False, 0, [(len(cert.steps) - 1, why)])
-    else:
-        if fin is None:
-            return GenResult(False, 0, [(-1, "final_iso is missing")])
-        if fin.src != last or fin.dst != cert.target:
-            return GenResult(False, 0, [(-1, "final_iso endpoints do not match (last step object, target)")])
-        if fin.degree != 0 or not is_closed(fin):
-            return GenResult(False, 0, [(-1, "final_iso is not a closed degree-0 morphism")])
-        if not is_contractible(_cone(fin)):
-            return GenResult(False, 0, [(-1, "final_iso is not a homotopy isomorphism")])
+            if fin is None:
+                raise Refusal("final_iso is missing")
+            if fin.src != objects[-1] or fin.dst != cert.target:
+                raise Refusal("final_iso endpoints do not match (last step object, target)")
+            if fin.degree != 0 or not is_closed(fin):
+                raise Refusal("final_iso is not a closed degree-0 morphism")
+            if not is_contractible(_cone(fin)):
+                raise Refusal("final_iso is not a homotopy isomorphism")
+    except Refusal as e:
+        return GenResult(False, 0, [(where, str(e))])
     return GenResult(True, layers[-1], [])
 
 
 def _karoubi_final_check(cat, k, u, target):
-    """(X, e) ≅ target: find v with [compose(u, v)] = [e], [compose(v, u)] = [1]."""
+    """(X, e) ≅ target: some v has [compose(u, v)] = [e] and [compose(v, u)] = [1], or Refusal."""
     if u.src != k.carrier or u.dst != target:
-        return False, "final_iso endpoints do not match (carrier, target)"
+        raise Refusal("final_iso endpoints do not match (carrier, target)")
     if u.degree != 0 or not is_closed(u):
-        return False, "final_iso is not a closed degree-0 morphism"
-    hs_tx = HomSpace(target, k.carrier)
-    hs_xx = HomSpace(k.carrier, k.carrier)
-    hs_tt = HomSpace(target, target)
-    vs = hs_tx.cohomology_classes(0)
+        raise Refusal("final_iso is not a closed degree-0 morphism")
+    vs = HomSpace(target, k.carrier).cohomology_classes(0)
     if not vs:
-        return False, "no candidate inverse classes"
+        raise Refusal("no candidate inverse classes")
+    hs_xx, hs_tt = HomSpace(k.carrier, k.carrier), HomSpace(target, target)
     n_xx = hs_xx.cohomology(0).dim
 
     def stacked(xx, tt):
@@ -203,10 +168,8 @@ def _karoubi_final_check(cat, k, u, target):
         return col
 
     m = Matrix.from_columns(cat.field, n_xx + hs_tt.cohomology(0).dim, [stacked(compose(u, v), compose(v, u)) for v in vs])
-    sol = m.solve(stacked(k.e, identity_morphism(target)))
-    if sol is None:
-        return False, "no inverse class: target is not the claimed summand"
-    return True, ""
+    if m.solve(stacked(k.e, identity_morphism(target))) is None:
+        raise Refusal("no inverse class: target is not the claimed summand")
 
 
 def right_orthogonal_check(cat, gens, x):

@@ -1,4 +1,5 @@
-"""Reference SOD claims that carry every cut witness.
+"""Reference SOD claims that carry every cut witness, and the reference
+replay of generation certificates.
 
 check_sod decides a claim whose blocks partition the ambient generators
 from semiorthogonality alone, so dgcat's claim builders leave the cut
@@ -6,10 +7,30 @@ witnesses out.  This module keeps the builder that wrote them: for each cut
 and each ambient generator E, the trivial triangle E -> E -> 0 when E is
 late and 0 -> E -> E when E is early.  Tests replay these witnesses and
 compare the verdicts with the witness-free claims.
+
+verify_generation and _karoubi_final_check below are the replay as it was
+written before each obligation raised pretr.Refusal: every step kind
+appends to a failures list and breaks, and a ConeStep lists each of its
+bad references.  Tests compare sodgen.verify_generation with it.
 """
 
-from dgcat.pretr import TwistedComplex, cone, embed, identity_morphism, zero_morphism
-from dgcat.sodgen import CutWitness, GenerationCertificate, SODClaim, Sum, leaf_certificate, zero_certificate
+from dgcat.exactlin import Matrix
+from dgcat.pretr import (
+    HomSpace,
+    KaroubiObject,
+    TwistedComplex,
+    _cone,
+    compose,
+    cone,
+    direct_sum,
+    embed,
+    identity_morphism,
+    is_closed,
+    is_contractible,
+    shift,
+    zero_morphism,
+)
+from dgcat.sodgen import ConeStep, CutWitness, GenerationCertificate, GenResult, Leaf, SODClaim, Sum, Summand, leaf_certificate, zero_certificate
 
 
 def witnessed_claim(cat, blocks):
@@ -38,3 +59,132 @@ def witnessed_claim(cat, blocks):
 def witnessed_exceptional_claim(cat, order):
     """exceptional_sod_claim with every trivial cut witness."""
     return witnessed_claim(cat, [(e,) for e in order])
+
+
+def verify_generation(cat, cert):
+    """Replay a build script; returns (ok, layer count, failures).
+
+    The layer count witnesses target ∈ <generators>_s: cone-nesting depth
+    plus the number of summand steps used.
+    """
+    failures = []
+    objects = []
+    layers = []
+    genset = set(cert.generators)
+    for idx, step in enumerate(cert.steps):
+        if isinstance(step, Leaf):
+            if step.gen not in genset:
+                failures.append((idx, f"leaf generator {step.gen.label} not among declared generators"))
+                break
+            if step.gen not in cat.objects:
+                failures.append((idx, f"unknown object {step.gen.label}"))
+                break
+            objects.append(shift(embed(cat, step.gen), step.shift))
+            layers.append(1)
+        elif isinstance(step, Sum):
+            parts = []
+            bad = False
+            for r in step.refs:
+                if not (0 <= r < idx):
+                    failures.append((idx, f"dangling step reference {r}"))
+                    bad = True
+                    break
+                if isinstance(objects[r], KaroubiObject):
+                    failures.append((idx, "summand outputs cannot be combined further at desk scale"))
+                    bad = True
+                    break
+                parts.append(objects[r])
+            if bad:
+                break
+            acc = TwistedComplex(cat, [], {}, check=False)
+            for p in parts:
+                acc = direct_sum(acc, p)
+            objects.append(acc)
+            layers.append(max((layers[r] for r in step.refs), default=1))
+        elif isinstance(step, ConeStep):
+            ok = True
+            for r in (step.c_ref, step.d_ref):
+                if not (0 <= r < idx):
+                    failures.append((idx, f"dangling step reference {r}"))
+                    ok = False
+                elif isinstance(objects[r], KaroubiObject):
+                    failures.append((idx, "summand outputs cannot be combined further at desk scale"))
+                    ok = False
+            if not ok:
+                break
+            f = step.morphism
+            if f.degree != 0:
+                failures.append((idx, "cone morphism must have degree 0"))
+                break
+            if f.src != shift(objects[step.d_ref], -1) or f.dst != objects[step.c_ref]:
+                failures.append((idx, "cone morphism endpoints do not match the referenced steps"))
+                break
+            if not is_closed(f):
+                failures.append((idx, "cone morphism is not closed"))
+                break
+            objects.append(_cone(f))
+            layers.append(layers[step.c_ref] + layers[step.d_ref])
+        elif isinstance(step, Summand):
+            if not (0 <= step.ref < idx):
+                failures.append((idx, f"dangling step reference {step.ref}"))
+                break
+            carrier = objects[step.ref]
+            if isinstance(carrier, KaroubiObject):
+                failures.append((idx, "nested summand steps are not supported"))
+                break
+            k = KaroubiObject(carrier, step.e, step.h)
+            if not k.verify():
+                failures.append((idx, "idempotent witness fails verification"))
+                break
+            objects.append(k)
+            layers.append(layers[step.ref] + 1)
+        else:
+            failures.append((idx, f"unknown step kind {type(step).__name__}"))
+            break
+    if failures:
+        return GenResult(False, 0, failures)
+    if not objects:
+        return GenResult(False, 0, [(-1, "empty certificate")])
+    last = objects[-1]
+    fin = cert.final_iso
+    if isinstance(last, KaroubiObject):
+        ok, why = _karoubi_final_check(cat, last, fin, cert.target)
+        if not ok:
+            return GenResult(False, 0, [(len(cert.steps) - 1, why)])
+    else:
+        if fin is None:
+            return GenResult(False, 0, [(-1, "final_iso is missing")])
+        if fin.src != last or fin.dst != cert.target:
+            return GenResult(False, 0, [(-1, "final_iso endpoints do not match (last step object, target)")])
+        if fin.degree != 0 or not is_closed(fin):
+            return GenResult(False, 0, [(-1, "final_iso is not a closed degree-0 morphism")])
+        if not is_contractible(_cone(fin)):
+            return GenResult(False, 0, [(-1, "final_iso is not a homotopy isomorphism")])
+    return GenResult(True, layers[-1], [])
+
+
+def _karoubi_final_check(cat, k, u, target):
+    """(X, e) ≅ target: find v with [compose(u, v)] = [e], [compose(v, u)] = [1]."""
+    if u.src != k.carrier or u.dst != target:
+        return False, "final_iso endpoints do not match (carrier, target)"
+    if u.degree != 0 or not is_closed(u):
+        return False, "final_iso is not a closed degree-0 morphism"
+    hs_tx = HomSpace(target, k.carrier)
+    hs_xx = HomSpace(k.carrier, k.carrier)
+    hs_tt = HomSpace(target, target)
+    vs = hs_tx.cohomology_classes(0)
+    if not vs:
+        return False, "no candidate inverse classes"
+    n_xx = hs_xx.cohomology(0).dim
+
+    def stacked(xx, tt):
+        """Class coordinates of xx in H^0 End(X) over those of tt in H^0 End(target)."""
+        col = hs_xx.project(xx)
+        col.update((n_xx + r, val) for r, val in hs_tt.project(tt).items())
+        return col
+
+    m = Matrix.from_columns(cat.field, n_xx + hs_tt.cohomology(0).dim, [stacked(compose(u, v), compose(v, u)) for v in vs])
+    sol = m.solve(stacked(k.e, identity_morphism(target)))
+    if sol is None:
+        return False, "no inverse class: target is not the claimed summand"
+    return True, ""

@@ -312,6 +312,60 @@ def test_tensor_command(fixture_dir, tmp_path, capsys):
     assert len(cat.objects) == 2
 
 
+def _degree_one_identity_document(coords):
+    """One object with two degree-1 loops a, b whose length-2 paths are
+    killed, its identity rewritten to degree 1 with the given coordinates:
+    not a DG category, and with {"1": "1"} an identity that names an index
+    outside End in degree 0."""
+    from dgcat.dgcore import from_quiver
+    from dgcat.exactlin import QQ
+
+    cat = from_quiver(QQ, ["v"], [("a", "v", "v", 1), ("b", "v", "v", 1)], [[(1, [x, y])] for x in "ab" for y in "ab"])
+    doc = json.loads(schema.dumps(schema.document("category", QQ, schema.category_to_json(cat))))
+    doc["body"]["ids"]["v"] = {"coords": coords, "degree": 1}
+    return schema.dumps(doc)
+
+
+@pytest.mark.parametrize("coords", ({"0": "1"}, {"1": "1"}), ids=("unit_coordinate", "outside_end0"))
+def test_tensor_checks_the_axioms_of_its_categories_first(coords, tmp_path, capsys):
+    """tensor of a category whose identity has degree 1 wrote the product of
+    a non-DG category with exit 0 (identity coordinates {"0": "1"}) or ended
+    in an IndexError traceback ({"1": "1"}).  Like ext, cone, reduce and
+    karoubi, it now exits 1 with the failing category_axioms verdict alone
+    and writes nothing, with the bad category first or second."""
+    bad = tmp_path / "bad.category.json"
+    bad.write_text(_degree_one_identity_document(coords))
+    point = tmp_path / "point.category.json"
+    from dgcat.fixtures import point_category
+
+    point.write_text(schema.dumps(schema.document("category", "Q", schema.category_to_json(point_category()))))
+    out_path = tmp_path / "t.category.json"
+    for pair in ((bad, bad), (bad, point), (point, bad)):
+        code, out, _ = run_cli(capsys, "tensor", *map(str, pair), "--out", str(out_path))
+        rep = strip_timing(out)
+        assert code == 1 and rep["command"] == ["tensor", *map(str, pair)], pair
+        (verdict,) = rep["verdicts"]
+        assert verdict["name"] == "category_axioms@()" and not verdict["ok"], pair
+        assert not out_path.exists()
+    assert run_cli(capsys, "tensor", str(point), str(point), "--out", str(out_path))[0] == 0 and out_path.exists()
+
+
+@pytest.mark.parametrize("sub", ("relate", "fact"))
+def test_refused_ring_reports_name_the_ledger(sub, fixture_dir, tmp_path, capsys):
+    """A refused relate or fact reported "command": ["ring", sub] without
+    the ledger path that every other ring report carries; it now says
+    ["ring", sub, path], exits 1 and writes no ledger."""
+    ledger = str(fixture_dir / "motivic.ledger.json")
+    how = ["--expr", "[P1] - [P1]"] if sub == "relate" else ["--a", "P1", "--b", "P1", "--value", "3*[pt]"]
+    out_path = tmp_path / "never.ledger.json"
+    code, out, _ = run_cli(capsys, "ring", ledger, sub, *how, "--citation", "x", "--out", str(out_path))
+    rep = strip_timing(out)
+    assert code == 1 and rep["command"] == ["ring", sub, ledger]
+    (verdict,) = rep["verdicts"]
+    assert verdict["name"] == ("relation ingestion" if sub == "relate" else "fact ingestion") and not verdict["ok"]
+    assert not out_path.exists()
+
+
 def test_markdown_output(fixture_dir, capsys):
     code, out, _ = run_cli(capsys, "--output", "md", "check-sod", str(fixture_dir / "kronecker.sod-claim.json"))
     assert code == 0
@@ -476,18 +530,33 @@ def test_ring_relate_verified_sod_from_documents(fixture_dir, tmp_path, capsys):
 
 def _qe_certificate_variants(fixture_dir, tmp_path):
     """The fixture certificate plus copies whose witness for e1 is not closed
-    (the cone of id_e1 projected onto e1) or closed but not invertible (zero)."""
+    (the cone of id_e1 projected onto e1), closed but not invertible (zero),
+    missing, or closed of degree 0 with the wrong endpoints (the identity of
+    e1[1]); and the functor pt -> Kronecker onto e1, whose witness for e2
+    lies over e2, outside the image."""
     from dgcat import pretr
-    from dgcat.functors import EquivCertificate
+    from dgcat.exactlin import Matrix
+    from dgcat.fixtures import kronecker_category
+    from dgcat.functors import DGFunctor, EquivCertificate
 
     path = fixture_dir / "kronecker_block_e1_point.equiv-certificate.json"
     kind, field, cert = schema.parse_document(path.read_text())
     ((obj, (tc, _)),) = cert.witnesses.items()
     not_closed = pretr.cone_maps(pretr.identity_morphism(tc))[3]
-    zero = pretr.zero_morphism(tc, tc)
+    shifted = pretr.shift(tc, 1)
+    k2, pt = kronecker_category(field), cert.functor.src
+    (p,) = pt.objects
+    e1 = k2.obj("e1")
+    onto_e1 = DGFunctor(pt, k2, {p: e1}, {(p, p): {0: Matrix.from_columns(field, k2.hom(e1, e1).dim(0), [k2.identity(e1).coords])}})
+    copies = {
+        "not_closed": EquivCertificate(cert.functor, {obj: (not_closed.src, not_closed)}),
+        "not_invertible": EquivCertificate(cert.functor, {obj: (tc, pretr.zero_morphism(tc, tc))}),
+        "missing": EquivCertificate(cert.functor, {}),
+        "endpoints_wrong": EquivCertificate(cert.functor, {obj: (shifted, pretr.identity_morphism(shifted))}),
+        "not_over_image": EquivCertificate(onto_e1, {e: (pretr.embed(k2, e), pretr.identity_morphism(pretr.embed(k2, e))) for e in k2.objects}),
+    }
     out = {"fixture": path}
-    for name, witness in (("not_closed", (not_closed.src, not_closed)), ("not_invertible", (tc, zero))):
-        copy = EquivCertificate(cert.functor, {obj: witness})
+    for name, copy in copies.items():
         out[name] = tmp_path / f"{name}.equiv-certificate.json"
         out[name].write_text(schema.dumps(schema.document(kind, field, schema.equiv_cert_to_json(copy))))
     return out
@@ -498,8 +567,13 @@ def test_check_qe_verdicts_on_bad_witnesses(fixture_dir, tmp_path, capsys):
         "fixture": (0, True, ""),
         "not_closed": (1, False, "[('essential_surjectivity', ('e1', 'witness morphism not closed degree 0'))]"),
         "not_invertible": (1, False, "[('essential_surjectivity', ('e1', 'witness is not a homotopy isomorphism'))]"),
+        "missing": (1, False, "[('essential_surjectivity', ('e1', 'missing witness'))]"),
+        "endpoints_wrong": (1, False, "[('essential_surjectivity', ('e1', 'witness endpoints wrong'))]"),
+        "not_over_image": (1, False, "[('essential_surjectivity', ('e2', 'witness not over the image'))]"),
     }
-    for name, path in _qe_certificate_variants(fixture_dir, tmp_path).items():
+    variants = _qe_certificate_variants(fixture_dir, tmp_path)
+    assert set(variants) == set(expected)
+    for name, path in variants.items():
         code, out, _ = run_cli(capsys, "check-qe", str(path))
         (verdict,) = strip_timing(out)["verdicts"]
         assert (code, verdict["ok"], verdict["detail"]) == expected[name], name

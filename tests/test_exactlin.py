@@ -72,7 +72,7 @@ def test_rank_matches_oracle_random():
         rows = [[Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(c)] for _ in range(r)]
         m = Matrix.from_rows(QQ, rows)
         assert m.rank() == dense_rank_oracle(rows)
-        assert m.rank() + m.nullity() == c
+        assert len(m.nullspace()) == c - m.rank()
 
 
 def test_rank_fp():
@@ -146,7 +146,7 @@ def test_nullspace_exact():
         r, c = rng.randrange(1, 5), rng.randrange(1, 6)
         a = Matrix.from_rows(QQ, [[rng.randrange(-2, 3) for _ in range(c)] for _ in range(r)])
         basis = a.nullspace()
-        assert len(basis) == a.nullity()
+        assert len(basis) == a.cols - a.rank()
         for v in basis:
             assert a.apply(v) == {}
 

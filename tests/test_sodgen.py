@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -22,6 +23,7 @@ from dgcat import pretr, sodgen
 from dgcat.pretr import (
     HomSpace,
     cone,
+    cone_maps,
     direct_sum,
     embed,
     hom_complex,
@@ -51,7 +53,7 @@ from dgcat.sodgen import (
 )
 
 from gens import complex_from_atoms, random_category, random_closed_degree0, random_twisted_complex
-from sod_reference import witnessed_claim, witnessed_exceptional_claim
+from sod_reference import verify_generation as reference_verify_generation, witnessed_claim, witnessed_exceptional_claim
 
 
 def test_single_leaf_certificate():
@@ -108,6 +110,208 @@ def test_broken_idempotent_witness_fails_with_step_index():
     res_bad = verify_generation(cat, GenerationCertificate((e1,), steps_bad, embed(cat, e1), fin))
     assert not res_bad.ok
     assert res_bad.failures[0][0] == 3
+
+
+def idempotent_certificate(cat):
+    """The first summand of e1 ⊕ e1, identified with e1, as in
+    test_broken_idempotent_witness_fails_with_step_index."""
+    e1 = cat.obj("e1")
+    x = direct_sum(embed(cat, e1), embed(cat, e1))
+    e = pretr.TwistedMorphism(x, x, 0, {(0, 0): cat.identity(e1)})
+    steps = (Leaf(e1, 0), Leaf(e1, 0), Sum((0, 1)), Summand(2, e, pretr.TwistedMorphism(x, x, -1, {})))
+    return GenerationCertificate((e1,), steps, embed(cat, e1), pretr.TwistedMorphism(x, embed(cat, e1), 0, {(0, 0): cat.identity(e1)}))
+
+
+def _with_steps(cert, *steps):
+    return dataclasses.replace(cert, steps=cert.steps + steps)
+
+
+def _replace_step(cert, i, new):
+    return dataclasses.replace(cert, steps=cert.steps[:i] + (new,) + cert.steps[i + 1 :])
+
+
+def _leaf_objects(cat, cert):
+    return [(i, shift(embed(cat, s.gen), s.shift)) for i, s in enumerate(cert.steps) if isinstance(s, Leaf)]
+
+
+def _mut_dangling(rng, cat, cert):
+    """One reference out of range: forward, to itself, or negative."""
+    at = [i for i, s in enumerate(cert.steps) if isinstance(s, (ConeStep, Summand)) or isinstance(s, Sum) and s.refs]
+    if not at:
+        return _with_steps(cert, Sum((len(cert.steps) + rng.randrange(0, 3),)))
+    i = rng.choice(at)
+    step, bad = cert.steps[i], rng.choice([i, i + rng.randrange(1, 4), -rng.randrange(1, 3)])
+    if isinstance(step, Sum):
+        refs = list(step.refs)
+        refs[rng.randrange(len(refs))] = bad
+        new = Sum(tuple(refs))
+    elif isinstance(step, ConeStep):
+        new = dataclasses.replace(step, **{rng.choice(["c_ref", "d_ref"]): bad})
+    else:
+        new = dataclasses.replace(step, ref=bad)
+    return _replace_step(cert, i, new)
+
+
+def _mut_summand_ref(rng, cat, cert):
+    """A later step refers to a Summand output: a Sum, either end of a
+    ConeStep, or a nested Summand."""
+    s = next((i for i, st in enumerate(cert.steps) if isinstance(st, Summand)), None)
+    leaves = _leaf_objects(cat, cert)
+    if not leaves:
+        return None
+    r, x = rng.choice(leaves)
+    if s is None:
+        cert, s = _with_steps(cert, Summand(r, identity_morphism(x), zero_morphism(x, x, -1))), len(cert.steps)
+    f = identity_morphism(x)
+    return _with_steps(cert, rng.choice([Sum((s,)), Sum((r, s)), ConeStep(s, r, f), ConeStep(r, s, f), Summand(s, f, zero_morphism(x, x, -1))]))
+
+
+def _cone_index(cert):
+    return next((i for i, st in enumerate(cert.steps) if isinstance(st, ConeStep)), None)
+
+
+def _mut_cone_degree(rng, cat, cert):
+    i = _cone_index(cert)
+    if i is None:
+        return None
+    f = cert.steps[i].morphism
+    return _replace_step(cert, i, dataclasses.replace(cert.steps[i], morphism=zero_morphism(f.src, f.dst, rng.choice([-1, 1]))))
+
+
+def _mut_cone_endpoints(rng, cat, cert):
+    i = _cone_index(cert)
+    if i is None:
+        return None
+    step = cert.steps[i]
+    f = step.morphism
+    return _replace_step(cert, i, rng.choice([ConeStep(step.d_ref, step.c_ref, f), dataclasses.replace(step, morphism=identity_morphism(f.src)), dataclasses.replace(step, morphism=zero_morphism(f.dst, f.src))]))
+
+
+def _mut_cone_not_closed(rng, cat, cert):
+    """Append cone(id_g) for a generator g, then a cone on the structural
+    map g[1] -> cone(id_g), which is degree 0 with the right endpoints but
+    not closed."""
+    if not cert.generators:
+        return None
+    g = rng.choice(cert.generators)
+    idg = identity_morphism(embed(cat, g))
+    n = len(cert.steps)
+    return _with_steps(cert, Leaf(g, 0), Leaf(g, 1), ConeStep(n, n + 1, idg), Leaf(g, 2), ConeStep(n + 2, n + 3, cone_maps(idg)[0]))
+
+
+def _mut_scaled_idempotent(rng, cat, cert):
+    i = next((i for i, st in enumerate(cert.steps) if isinstance(st, Summand)), None)
+    if i is None:
+        return None
+    step = cert.steps[i]
+    return _replace_step(cert, i, dataclasses.replace(step, e=tm_scale(cat.field.from_int(rng.choice([0, 2, 3])), step.e)))
+
+
+def _mut_final_iso(rng, cat, cert):
+    """A missing final_iso (not on a summand target, where both replays
+    read final_iso.src of None), or one with wrong endpoints, wrong degree,
+    or one that is no homotopy isomorphism (zero)."""
+    fin = cert.final_iso
+    choices = [zero_morphism(fin.src, fin.dst), zero_morphism(fin.src, fin.dst, 1), identity_morphism(fin.dst), identity_morphism(fin.src), zero_morphism(fin.dst, fin.src)]
+    if not isinstance(cert.steps[-1], Summand):
+        choices.append(None)
+    return dataclasses.replace(cert, final_iso=rng.choice(choices))
+
+
+def _mut_karoubi_target(rng, cat, cert):
+    """A summand target with no inverse class: the claimed summand e1 with
+    a zero final_iso, or e2, with no degree-0 maps back to the carrier."""
+    if not isinstance(cert.steps[-1], Summand):
+        return None
+    x = cert.steps[-1].e.src
+    target = rng.choice([embed(cat, cat.obj("e1")), embed(cat, cat.obj("e2"))])
+    return dataclasses.replace(cert, target=target, final_iso=zero_morphism(x, target))
+
+
+def _mut_unknown_kind(rng, cat, cert):
+    i = rng.randrange(len(cert.steps) + 1)
+    return dataclasses.replace(cert, steps=cert.steps[:i] + (rng.choice([object(), (0, 1), "leaf"]),) + cert.steps[i:])
+
+
+MUTATIONS = (
+    _mut_dangling,
+    _mut_summand_ref,
+    _mut_cone_degree,
+    _mut_cone_endpoints,
+    _mut_cone_not_closed,
+    _mut_scaled_idempotent,
+    _mut_final_iso,
+    _mut_karoubi_target,
+    _mut_unknown_kind,
+)
+
+
+def test_verify_generation_equals_the_reference_replay_on_mutated_certificates():
+    """verify_generation gives the (ok, layer_count, failures) of the
+    reference replay, which threads a failures list, on the Kronecker
+    ev-cone and idempotent certificates and the cut-witness certificates of
+    Beilinson P^2, over Q and F_32003, each unmutated and under seeded
+    mutations; every failure message of the replay is met."""
+    rng = random.Random(2909)
+    seen = Counter()
+    for field in (QQ, GF(32003)):
+        k2, b3 = kronecker_category(field), beilinson3_category(field)
+        v1, v2, v3 = b3.objects
+        base = [(k2, ev_cone_certificate(k2)[0]), (k2, idempotent_certificate(k2))]
+        for blocks in ([(v1,), (v2,), (v3,)], [(v1, v2), (v3,)]):
+            for w in witnessed_claim(b3, blocks).admissibility.values():
+                base += [(b3, w.late_cert), (b3, w.early_cert)]
+        for cat, cert in base:
+            certs = [cert]
+            for mutate in MUTATIONS:
+                for _ in range(3):
+                    if (m := mutate(rng, cat, cert)) is not None:
+                        certs.append(m)
+            for c in certs:
+                got, want = verify_generation(cat, c), reference_verify_generation(cat, c)
+                assert (got.ok, got.layer_count, got.failures) == (want.ok, want.layer_count, want.failures), c
+                why = got.failures[0][1] if got.failures else "ok"
+                seen["dangling" if why.startswith("dangling step reference") else why] += 1
+    messages = {
+        "ok",
+        "dangling",
+        "summand outputs cannot be combined further at desk scale",
+        "nested summand steps are not supported",
+        "cone morphism must have degree 0",
+        "cone morphism endpoints do not match the referenced steps",
+        "cone morphism is not closed",
+        "idempotent witness fails verification",
+        "final_iso is missing",
+        "final_iso endpoints do not match (last step object, target)",
+        "final_iso is not a closed degree-0 morphism",
+        "final_iso is not a homotopy isomorphism",
+        "final_iso endpoints do not match (carrier, target)",
+        "no candidate inverse classes",
+        "no inverse class: target is not the claimed summand",
+    }
+    unknown = {m for m in seen if m.startswith("unknown step kind")}
+    assert unknown and messages <= set(seen), messages - set(seen)
+
+
+def test_a_cone_step_with_two_bad_references_reports_the_first():
+    """The one intended difference from the reference replay: a ConeStep
+    whose references both fail is refused at the first, where the
+    reference listed one failure per bad reference."""
+    cat = kronecker_category()
+    e1 = cat.obj("e1")
+    x = embed(cat, e1)
+    f = identity_morphism(x)
+    k = (Leaf(e1, 0), Summand(0, f, zero_morphism(x, x, -1)))
+    for steps, first, second in (
+        ((Leaf(e1, 0), ConeStep(5, 7, f)), "dangling step reference 5", "dangling step reference 7"),
+        (k + (ConeStep(1, 9, f),), "summand outputs cannot be combined further at desk scale", "dangling step reference 9"),
+        (k + (ConeStep(-1, 1, f),), "dangling step reference -1", "summand outputs cannot be combined further at desk scale"),
+    ):
+        cert = GenerationCertificate((e1,), steps, x, f)
+        where = len(steps) - 1
+        assert reference_verify_generation(cat, cert).failures == [(where, first), (where, second)]
+        got = verify_generation(cat, cert)
+        assert (got.ok, got.layer_count, got.failures) == (False, 0, [(where, first)])
 
 
 def test_dangling_reference_reported():

@@ -136,3 +136,52 @@ print(2)
         a = f.args
         params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]]
         assert params == ["args"], (f.name, params)
+
+
+CATEGORY_KINDS = {"category", "equiv-certificate", "functor", "gen-certificate", "sod-claim", "twisted-complex"}
+AXIOM_CHECKS = {"_axioms_failure", "_check_claim_document", "_functor_axioms"}
+
+
+def _unchecked_category_reads(tree, exempt=("cmd_ring",)):
+    """The `cmd_*` functions of tree, other than those exempt, that call
+    `_read` with a kind in CATEGORY_KINDS (or a kind that is not a string
+    constant) and call no function of AXIOM_CHECKS."""
+    found = []
+    for f in tree.body:
+        if not isinstance(f, ast.FunctionDef) or not f.name.startswith("cmd_") or f.name in exempt:
+            continue
+        calls = [node for node in ast.walk(f) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        kinds = [c.args[1].value if isinstance(c.args[1], ast.Constant) else None for c in calls if c.func.id == "_read" and len(c.args) > 1]
+        if any(k is None or k in CATEGORY_KINDS for k in kinds) and not {c.func.id for c in calls} & AXIOM_CHECKS:
+            found.append(f.name)
+    return found
+
+
+def test_cli_commands_check_the_categories_they_read():
+    """A command that computes on a document's category checks its axioms
+    first (`tensor` of a category whose identity has degree 1 wrote a
+    product of a non-DG category, or ended in a traceback): each `cmd_*`
+    that reads a kind of document carrying a category also calls
+    `_axioms_failure`, `_check_claim_document` or `_functor_axioms`.
+    `cmd_ring` is exempt: the category of its `--claim` document must equal
+    structurally the category that the ledger already validated on parse,
+    or the relation is refused."""
+    bad = """
+def cmd_a(args):
+    _, cat = _read(args.path, "category")
+    return tensor(cat, cat)
+def cmd_b(args):
+    _, cat = _read(args.path, "twisted-complex")
+    if bad := _axioms_failure(cat, []):
+        return bad
+def cmd_c(args):
+    _, ledger = _read(args.path, "ledger")
+def cmd_d(args, kind):
+    _, payload = _read(args.path, kind)
+def helper(args):
+    _, cat = _read(args.path, "category")
+"""
+    assert _unchecked_category_reads(ast.parse(bad)) == ["cmd_a", "cmd_d"]
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    assert _unchecked_category_reads(tree, exempt=()) == ["cmd_ring"]
+    assert _unchecked_category_reads(tree) == []
