@@ -589,6 +589,12 @@ class ChainComplex:
     def cohomology_dim(self, n):
         return self.dim(n) - self.rank(n) - self.rank(n - 1)
 
+    def cohomology_dims(self):
+        """{n: dim H^n} in increasing n over the degrees where H^n != 0; {} when acyclic."""
+        if not self.dims:
+            return {}
+        return {n: k for n, d in sorted(self.dims.items()) if (k := d - self.rank(n) - self.rank(n - 1))}
+
     def cohomology(self, n):
         h = self._cohomology.get(n)
         if h is None:

@@ -147,15 +147,12 @@ def check_quasi_equiv(cert):
         for b in src.objects:
             h = src.hom(a, b)
             h2 = dst.hom(fun.obj_map[a], fun.obj_map[b])
-            degrees = sorted(set(h.complex.degrees()) | set(h2.complex.degrees()))
-            for n in degrees:
-                ca = h.complex.cohomology(n)
-                cb = h2.complex.cohomology(n)
-                if ca.dim != cb.dim:
-                    failures.append(("hom_iso_dim", (a.label, b.label, n, ca.dim, cb.dim)))
+            da, db = h.complex.cohomology_dims(), h2.complex.cohomology_dims()
+            for n in sorted(da.keys() | db.keys()):
+                if da.get(n, 0) != db.get(n, 0):
+                    failures.append(("hom_iso_dim", (a.label, b.label, n, da.get(n, 0), db.get(n, 0))))
                     continue
-                if ca.dim == 0:
-                    continue
+                ca, cb = h.complex.cohomology(n), h2.complex.cohomology(n)
                 mn = fun.mor_maps.get((a, b), {}).get(n, Matrix.zero(src.field, h2.dim(n), h.dim(n)))
                 images = [cb.project(mn.apply(rep)) for rep in ca.reps]
                 if Matrix.from_columns(src.field, cb.dim, images).rank() != ca.dim:
@@ -269,6 +266,12 @@ def _class(cat, f):
     return cat.hom(f.src, f.dst).complex.cohomology(f.degree).project(f.coords)
 
 
+def _pairing_dims(data, a, b):
+    """({n: dim H^n Hom(a, b)}, {n: dim H^{-n} Hom(E b, S a)}) in H, over nonzero dims."""
+    hs = data.functor.dst.hom(data.embedding.obj_map[b], data.functor.obj_map[a]).complex
+    return data.functor.src.hom(a, b).complex.cohomology_dims(), {-n: k for n, k in hs.cohomology_dims().items()}
+
+
 def verify_serre(data, pairings):
     """Verify Serre duality data: perfect pairings
     H^n Hom(A,B) x H^{-n} Hom(E B, S A) -> k, natural in both arguments,
@@ -285,26 +288,19 @@ def verify_serre(data, pairings):
     bad = validate_functor(fun)
     if bad:
         return Verdict(False, [("functor", v) for v in bad])
-    degrees = {}
+    dims = {}
     for a in cat.objects:
         for b in cat.objects:
-            h = cat.hom(a, b).complex
-            hs = hull.hom(emb.obj_map[b], fun.obj_map[a]).complex
-            degs = sorted(set(h.degrees()) | {-n for n in hs.degrees()})
-            degrees[(a, b)] = degs
-            for n in degs:
-                d1 = h.cohomology_dim(n)
-                d2 = hs.cohomology_dim(-n)
+            da, ds = _pairing_dims(data, a, b)
+            dims[(a, b)] = da
+            for n in sorted(da.keys() | ds.keys()):
+                d1, d2 = da.get(n, 0), ds.get(n, 0)
                 if d1 != d2:
                     failures.append(("dimension_symmetry", (a.label, b.label, n, d1, d2)))
     if failures:
         return Verdict(False, failures)
-    for (a, b) in sorted(degrees, key=lambda k: (k[0].index, k[1].index)):
-        h = cat.hom(a, b).complex
-        for n in degrees[(a, b)]:
-            d = h.cohomology_dim(n)
-            if d == 0:
-                continue
+    for (a, b) in sorted(dims, key=lambda k: (k[0].index, k[1].index)):
+        for n, d in dims[(a, b)].items():
             p = pairings.get((a, b, n))
             if p is None or p.rows != d or p.cols != d:
                 failures.append(("pairing_missing", (a.label, b.label, n)))
@@ -326,12 +322,10 @@ def verify_serre(data, pairings):
     for a in cat.objects:
         for b in cat.objects:
             for b2 in cat.objects:
-                for s in cat.hom(b, b2).complex.degrees():
+                for s in cat.hom(b, b2).complex.cohomology_dims():
                     for g in _classes(cat, b, b2, s):
                         eg = emb.apply(g)
-                        for n in degrees[(a, b)]:
-                            if cat.hom(a, b).complex.cohomology_dim(n) == 0:
-                                continue
+                        for n in dims[(a, b)]:
                             for y in _classes(hull, emb.obj_map[b2], fun.obj_map[a], -n - s):
                                 gy_cls = _class(hull, hull.mul(eg, y))
                                 y_cls = _class(hull, y)
@@ -342,13 +336,11 @@ def verify_serre(data, pairings):
     # naturality in the first argument: <mul(f,x), y> = <x, mul(y, S f)>
     for a2 in cat.objects:
         for a in cat.objects:
-            for p in cat.hom(a2, a).complex.degrees():
+            for p in cat.hom(a2, a).complex.cohomology_dims():
                 for f in _classes(cat, a2, a, p):
                     sf = fun.apply(f)
                     for b in cat.objects:
-                        for n in degrees[(a, b)]:
-                            if cat.hom(a, b).complex.cohomology_dim(n) == 0:
-                                continue
+                        for n in dims[(a, b)]:
                             for y in _classes(hull, emb.obj_map[b], fun.obj_map[a2], -n - p):
                                 ysf_cls = _class(hull, hull.mul(y, sf))
                                 y_cls = _class(hull, y)
@@ -372,12 +364,9 @@ def composition_trace_pairings(data, traces):
     for a in cat.objects:
         tr = traces[a]
         for b in cat.objects:
-            h = cat.hom(a, b).complex
-            hs = hull.hom(emb.obj_map[b], fun.obj_map[a]).complex
-            degs = sorted(set(h.degrees()) | {-n for n in hs.degrees()})
-            for n in degs:
-                d = h.cohomology_dim(n)
-                if d == 0 or hs.cohomology_dim(-n) != d:
+            da, ds = _pairing_dims(data, a, b)
+            for n, d in da.items():
+                if ds.get(n) != d:
                     continue
                 ys = _classes(hull, emb.obj_map[b], fun.obj_map[a], -n)
                 ent = {}

@@ -132,12 +132,12 @@ def verify_generation(cat, cert):
         where, fin = -1, cert.final_iso
         if not objects:
             raise Refusal("empty certificate")
+        if fin is None:
+            raise Refusal("final_iso is missing")
         if isinstance(objects[-1], KaroubiObject):
             where = len(cert.steps) - 1  # a summand target fails at its step
             _karoubi_final_check(cat, objects[-1], fin, cert.target)
         else:
-            if fin is None:
-                raise Refusal("final_iso is missing")
             if fin.src != objects[-1] or fin.dst != cert.target:
                 raise Refusal("final_iso endpoints do not match (last step object, target)")
             if fin.degree != 0 or not is_closed(fin):
@@ -182,12 +182,7 @@ def right_orthogonal_check(cat, gens, x):
     """
     if gens and is_contractible(x):
         return True
-    for e in gens:
-        h = hom_complex(embed(cat, e), x)
-        for n in h.degrees():
-            if h.cohomology_dim(n):
-                return False
-    return True
+    return not any(hom_complex(embed(cat, e), x).cohomology_dims() for e in gens)
 
 
 def check_semiorthogonality(cat, blocks):
@@ -196,10 +191,8 @@ def check_semiorthogonality(cat, blocks):
         for i in range(j):
             for late in blocks[j]:
                 for early in blocks[i]:
-                    h = cat.hom(late, early).complex
-                    for n in h.degrees():
-                        if h.cohomology_dim(n):
-                            return False
+                    if cat.hom(late, early).complex.cohomology_dims():
+                        return False
     return True
 
 
@@ -214,17 +207,15 @@ def check_exceptional_collection(cat, objs):
     """
     for e in objs:
         h = cat.hom(e, e).complex
-        for n in h.degrees():
-            expected = 1 if n == 0 else 0
-            if h.cohomology_dim(n) != expected:
-                return False
+        if h.cohomology_dims() != {0: 1}:
+            return False
         ident = cat.identity(e).coords
         d_in, d_out = h.diff.get(-1), h.diff.get(0)
         if d_in is not None:
             boundary = d_in.solve(ident) is not None
         else:
             boundary = not any(ident.values())
-        if not h.dim(0) or boundary:
+        if boundary:
             return False
         if d_out is not None and d_out.apply(ident):
             raise ValueError("vector is not a cycle modulo boundaries of this complex")
@@ -358,14 +349,7 @@ def check_sod(cat, claim):
 
 def ext_table(cat, objs):
     """Matrix of graded dimension vectors dim H^n Hom(e_i, e_j)."""
-    table = []
-    for a in objs:
-        row = []
-        for b in objs:
-            h = cat.hom(a, b).complex
-            row.append({n: k for n in h.degrees() if (k := h.cohomology_dim(n))})
-        table.append(row)
-    return table
+    return [[cat.hom(a, b).complex.cohomology_dims() for b in objs] for a in objs]
 
 
 # -- canonical claim builders ---------------------------------------------------

@@ -8,6 +8,13 @@ Here a Serre bundle is its own calculus on twisted morphisms: `apply` maps a
 base morphism to a `HomSpace` vector read back as a twisted morphism, the
 functor checks compare twisted-morphism composites and differentials, and
 every pairing space is a `HomSpace(embed(b), S(a))` built on demand.
+
+`check_quasi_equiv`, `hull_verify_serre` and `hull_composition_trace_pairings`
+below are `dgcat.functors`' `check_quasi_equiv`, `verify_serre` and
+`composition_trace_pairings` on today's `SerreData` (two DG functors into
+one hull subcategory) as they were before every graded-dimension decision
+read `ChainComplex.cohomology_dims`: each scans the chain degrees of its Hom
+complexes, calling `cohomology_dim` or building a `Cohomology` in each.
 """
 
 from dataclasses import dataclass
@@ -15,8 +22,8 @@ from dataclasses import dataclass
 from dgcat.dgcore import DGCategory, Morphism, Violation
 from dgcat.exactlin import QQ, Matrix
 from dgcat.fixtures import a2_category
-from dgcat.functors import Verdict, base_to_tm
-from dgcat.pretr import HomSpace, TwistedMorphism, compose, cone, differential, embed, identity_morphism
+from dgcat.functors import Verdict, _class, _classes, _replay_witness, base_to_tm, validate_functor
+from dgcat.pretr import HomSpace, Refusal, TwistedMorphism, compose, cone, differential, embed, identity_morphism
 
 
 @dataclass
@@ -289,3 +296,161 @@ def a2_serre_data(field=QQ):
     traces = {u: {0: field.one()}, v: {0: field.one()}}
     pairings = composition_trace_pairings(data, traces)
     return data, pairings
+
+
+def check_quasi_equiv(cert):
+    """Exhaustive H-level full-faithfulness plus witnessed essential surjectivity."""
+    failures = []
+    fun = cert.functor
+    bad = validate_functor(fun)
+    if bad:
+        return Verdict(False, [("functor", v) for v in bad])
+    src, dst = fun.src, fun.dst
+    for a in src.objects:
+        for b in src.objects:
+            h = src.hom(a, b)
+            h2 = dst.hom(fun.obj_map[a], fun.obj_map[b])
+            degrees = sorted(set(h.complex.degrees()) | set(h2.complex.degrees()))
+            for n in degrees:
+                ca = h.complex.cohomology(n)
+                cb = h2.complex.cohomology(n)
+                if ca.dim != cb.dim:
+                    failures.append(("hom_iso_dim", (a.label, b.label, n, ca.dim, cb.dim)))
+                    continue
+                if ca.dim == 0:
+                    continue
+                mn = fun.mor_maps.get((a, b), {}).get(n, Matrix.zero(src.field, h2.dim(n), h.dim(n)))
+                images = [cb.project(mn.apply(rep)) for rep in ca.reps]
+                if Matrix.from_columns(src.field, cb.dim, images).rank() != ca.dim:
+                    failures.append(("hom_iso_rank", (a.label, b.label, n)))
+    image = set(fun.obj_map.values())
+    for dobj in dst.objects:
+        try:
+            _replay_witness(dst, image, dobj, cert.witnesses.get(dobj))
+        except Refusal as e:
+            failures.append(("essential_surjectivity", (dobj.label, str(e))))
+    return Verdict(not failures, failures)
+
+
+def hull_verify_serre(data, pairings):
+    """Verify Serre duality data: perfect pairings
+    H^n Hom(A,B) x H^{-n} Hom(E B, S A) -> k, natural in both arguments,
+    with every Hom, composite and functor image taken in data's H.
+
+    pairings[(a, b, n)] is a matrix P with P[r, c] = <x_c, y_r> over the
+    deterministic cohomology bases.  The dimension symmetry
+    dim H^n Hom(A,B) = dim H^{-n} Hom(E B, S A) is checked first.
+    """
+    emb, fun = data.embedding, data.functor
+    cat, hull = fun.src, fun.dst
+    fl = cat.field
+    failures = []
+    bad = validate_functor(fun)
+    if bad:
+        return Verdict(False, [("functor", v) for v in bad])
+    degrees = {}
+    for a in cat.objects:
+        for b in cat.objects:
+            h = cat.hom(a, b).complex
+            hs = hull.hom(emb.obj_map[b], fun.obj_map[a]).complex
+            degs = sorted(set(h.degrees()) | {-n for n in hs.degrees()})
+            degrees[(a, b)] = degs
+            for n in degs:
+                d1 = h.cohomology_dim(n)
+                d2 = hs.cohomology_dim(-n)
+                if d1 != d2:
+                    failures.append(("dimension_symmetry", (a.label, b.label, n, d1, d2)))
+    if failures:
+        return Verdict(False, failures)
+    for (a, b) in sorted(degrees, key=lambda k: (k[0].index, k[1].index)):
+        h = cat.hom(a, b).complex
+        for n in degrees[(a, b)]:
+            d = h.cohomology_dim(n)
+            if d == 0:
+                continue
+            p = pairings.get((a, b, n))
+            if p is None or p.rows != d or p.cols != d:
+                failures.append(("pairing_missing", (a.label, b.label, n)))
+                continue
+            if p.rank() != d:
+                failures.append(("pairing_not_perfect", (a.label, b.label, n)))
+    if failures:
+        return Verdict(False, failures)
+
+    def pair_value(a, b, n, x_coords, y_coords):
+        p = pairings[(a, b, n)]
+        s = fl.zero()
+        for c, vx in x_coords.items():
+            for r, vy in y_coords.items():
+                s = fl.add(s, fl.mul(fl.mul(vx, vy), p.get(r, c)))
+        return s
+
+    # naturality in the second argument: <mul(x,g), y> = <x, mul(E g, y)>
+    for a in cat.objects:
+        for b in cat.objects:
+            for b2 in cat.objects:
+                for s in cat.hom(b, b2).complex.degrees():
+                    for g in _classes(cat, b, b2, s):
+                        eg = emb.apply(g)
+                        for n in degrees[(a, b)]:
+                            if cat.hom(a, b).complex.cohomology_dim(n) == 0:
+                                continue
+                            for y in _classes(hull, emb.obj_map[b2], fun.obj_map[a], -n - s):
+                                gy_cls = _class(hull, hull.mul(eg, y))
+                                y_cls = _class(hull, y)
+                                for x in _classes(cat, a, b, n):
+                                    lhs = pair_value(a, b2, n + s, _class(cat, cat.mul(x, g)), y_cls)
+                                    if lhs != pair_value(a, b, n, _class(cat, x), gy_cls):
+                                        failures.append(("naturality_target", (a.label, b.label, b2.label, s, n)))
+    # naturality in the first argument: <mul(f,x), y> = <x, mul(y, S f)>
+    for a2 in cat.objects:
+        for a in cat.objects:
+            for p in cat.hom(a2, a).complex.degrees():
+                for f in _classes(cat, a2, a, p):
+                    sf = fun.apply(f)
+                    for b in cat.objects:
+                        for n in degrees[(a, b)]:
+                            if cat.hom(a, b).complex.cohomology_dim(n) == 0:
+                                continue
+                            for y in _classes(hull, emb.obj_map[b], fun.obj_map[a2], -n - p):
+                                ysf_cls = _class(hull, hull.mul(y, sf))
+                                y_cls = _class(hull, y)
+                                for x in _classes(cat, a, b, n):
+                                    lhs = pair_value(a2, b, n + p, _class(cat, cat.mul(f, x)), y_cls)
+                                    if lhs != pair_value(a, b, n, _class(cat, x), ysf_cls):
+                                        failures.append(("naturality_source", (a2.label, a.label, b.label, p, n)))
+    return Verdict(not failures, failures)
+
+
+def hull_composition_trace_pairings(data, traces):
+    """Pairings P[(a,b,n)][r,c] = tr_a(class of mul(E x_c, y_r)) in H.
+
+    traces[a] is a coordinate functional (dict index -> scalar) on the H^0
+    basis of Hom(E a, S a).
+    """
+    emb, fun = data.embedding, data.functor
+    cat, hull = fun.src, fun.dst
+    fl = cat.field
+    pairings = {}
+    for a in cat.objects:
+        tr = traces[a]
+        for b in cat.objects:
+            h = cat.hom(a, b).complex
+            hs = hull.hom(emb.obj_map[b], fun.obj_map[a]).complex
+            degs = sorted(set(h.degrees()) | {-n for n in hs.degrees()})
+            for n in degs:
+                d = h.cohomology_dim(n)
+                if d == 0 or hs.cohomology_dim(-n) != d:
+                    continue
+                ys = _classes(hull, emb.obj_map[b], fun.obj_map[a], -n)
+                ent = {}
+                for c, x in enumerate(_classes(cat, a, b, n)):
+                    ex = emb.apply(x)
+                    for r, y in enumerate(ys):
+                        val = fl.zero()
+                        for idx, v in _class(hull, hull.mul(ex, y)).items():
+                            val = fl.add(val, fl.mul(v, tr.get(idx, fl.zero())))
+                        if not fl.is_zero(val):
+                            ent[(r, c)] = val
+                pairings[(a, b, n)] = Matrix(fl, d, d, ent)
+    return pairings

@@ -1,5 +1,6 @@
 """Reference SOD claims that carry every cut witness, and the reference
-replay of generation certificates.
+replay of generation certificates, and the graded-cohomology checks as they
+were written with one degree loop each.
 
 check_sod decides a claim whose blocks partition the ambient generators
 from semiorthogonality alone, so dgcat's claim builders leave the cut
@@ -12,6 +13,12 @@ verify_generation and _karoubi_final_check below are the replay as it was
 written before each obligation raised pretr.Refusal: every step kind
 appends to a failures list and breaks, and a ConeStep lists each of its
 bad references.  Tests compare sodgen.verify_generation with it.
+
+right_orthogonal_check, check_semiorthogonality,
+check_exceptional_collection and ext_table below are sodgen's as they were
+before every graded-dimension decision read ChainComplex.cohomology_dims:
+each scans the degrees of its Hom complexes and calls cohomology_dim on
+each.  Tests compare sodgen's with them.
 """
 
 from dgcat.exactlin import Matrix
@@ -24,6 +31,7 @@ from dgcat.pretr import (
     cone,
     direct_sum,
     embed,
+    hom_complex,
     identity_morphism,
     is_closed,
     is_contractible,
@@ -188,3 +196,74 @@ def _karoubi_final_check(cat, k, u, target):
     if sol is None:
         return False, "no inverse class: target is not the claimed summand"
     return True, ""
+
+
+def right_orthogonal_check(cat, gens, x):
+    """True iff H^n Hom(embed(e), x) = 0 for all e in gens and all n.
+
+    A contractible x is right-orthogonal to every object (Bondal-Kapranov):
+    once d(h) = 1_x is verified, every cycle f: E -> x of degree n equals
+    (-1)^n d(f·h), so every H^n Hom(E, x) is 0.  Otherwise each Hom complex
+    is decided exhaustively.
+    """
+    if gens and is_contractible(x):
+        return True
+    for e in gens:
+        h = hom_complex(embed(cat, e), x)
+        for n in h.degrees():
+            if h.cohomology_dim(n):
+                return False
+    return True
+
+
+def check_semiorthogonality(cat, blocks):
+    """H^n Hom(b_j, b_i) = 0 for all generators with j > i, exhaustively."""
+    for j in range(len(blocks)):
+        for i in range(j):
+            for late in blocks[j]:
+                for early in blocks[i]:
+                    h = cat.hom(late, early).complex
+                    for n in h.degrees():
+                        if h.cohomology_dim(n):
+                            return False
+    return True
+
+
+def check_exceptional_collection(cat, objs):
+    """Each End is k concentrated in degree 0 (spanned by the identity) and
+    the singleton blocks are semiorthogonal.
+
+    Once dim H^0 End(e) = 1, the identity spans H^0 exactly when its class is
+    nonzero, that is when it is a cycle outside the image of d(-1); no
+    cohomology basis is built, and without a d(-1) nothing is eliminated.
+    An identity that is not a cycle raises ValueError.
+    """
+    for e in objs:
+        h = cat.hom(e, e).complex
+        for n in h.degrees():
+            expected = 1 if n == 0 else 0
+            if h.cohomology_dim(n) != expected:
+                return False
+        ident = cat.identity(e).coords
+        d_in, d_out = h.diff.get(-1), h.diff.get(0)
+        if d_in is not None:
+            boundary = d_in.solve(ident) is not None
+        else:
+            boundary = not any(ident.values())
+        if not h.dim(0) or boundary:
+            return False
+        if d_out is not None and d_out.apply(ident):
+            raise ValueError("vector is not a cycle modulo boundaries of this complex")
+    return check_semiorthogonality(cat, [(e,) for e in objs])
+
+
+def ext_table(cat, objs):
+    """Matrix of graded dimension vectors dim H^n Hom(e_i, e_j)."""
+    table = []
+    for a in objs:
+        row = []
+        for b in objs:
+            h = cat.hom(a, b).complex
+            row.append({n: k for n in h.degrees() if (k := h.cohomology_dim(n))})
+        table.append(row)
+    return table

@@ -475,6 +475,25 @@ def test_summand_step_serialization_roundtrip(tmp_path):
     assert schema.dumps(schema.document("gen-certificate", field, schema.gencert_to_json(cat2, cert2))) == doc
 
 
+def test_validate_refuses_a_summand_certificate_without_final_iso(tmp_path, capsys):
+    """A gen-certificate whose last step is a Summand and whose final_iso
+    is null fails its verdict (exit 1) with the one "final_iso is missing"
+    failure at step -1, in place of a traceback."""
+    import dataclasses
+
+    from dgcat.fixtures import kronecker_category
+    from test_sodgen import idempotent_certificate
+
+    k2 = kronecker_category()
+    cert = dataclasses.replace(idempotent_certificate(k2), final_iso=None)
+    path = tmp_path / "no_final_iso.gen-certificate.json"
+    path.write_text(schema.dumps(schema.document("gen-certificate", "Q", schema.gencert_to_json(k2, cert))))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1 and not err
+    verdict = strip_timing(out)["verdicts"][0]
+    assert verdict == {"name": "generation certificate", "ok": False, "detail": str([(-1, "final_iso is missing")])}
+
+
 def test_random_category_schema_roundtrip():
     import random as _r
     import sys as _s, os as _o

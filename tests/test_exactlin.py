@@ -638,15 +638,24 @@ def test_spec_named_conveniences():
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "Fp"])
 def test_chain_complex_rank_cache_matches_elimination(field):
+    """Cached ranks and H^n dimensions match a fresh elimination, and
+    cohomology_dims lists {n: dim H^n} over the nonzero degrees in
+    increasing n, the empty complex ({}) included."""
     rng = random.Random(77)
-    for _ in range(40):
-        c = random_complex(field, rng, max_atoms=5)
-        degs = c.degrees()
+    complexes = [ChainComplex(field, {}), ChainComplex(field, {0: 0, 1: 0})]
+    complexes += [random_complex(field, rng, max_atoms=5) for _ in range(40)]
+    for c in complexes:
+        degs = c.degrees() or [0]
         for n in range(degs[0] - 1, degs[-1] + 2):
             dn, dprev = c.d(n), c.d(n - 1)
             assert c.rank(n) == dn.rank()
             assert c.cohomology_dim(n) == dn.cols - dn.rank() - dprev.rank()
             assert c.cohomology_dim(n) == c.cohomology(n).dim
+        dims = c.cohomology_dims()
+        assert dims == {n: c.cohomology(n).dim for n in degs if c.cohomology(n).dim}
+        assert list(dims) == sorted(dims)
+    assert complexes[0].cohomology_dims() == complexes[1].cohomology_dims() == {}
+    assert any(len(c.cohomology_dims()) > 1 for c in complexes)
 
 
 # -- reference kernels: the elimination before reduced row-echelon read-off ------

@@ -1,7 +1,7 @@
 import random
 
 from dgcat.dgcore import DGCategory, Hom, Morphism, ObjId, full_subcategory, swap_iso
-from dgcat.exactlin import QQ, ChainComplex, Matrix
+from dgcat.exactlin import QQ, ChainComplex, Cohomology, Matrix
 from dgcat.fixtures import (
     a2_serre_data,
     epsilon_category,
@@ -111,6 +111,31 @@ def iso_pair_category(field=QQ):
     }
     ids = {x: Morphism(x, x, 0, {0: one}), y: Morphism(y, y, 0, {0: one})}
     return DGCategory(field, (x, y), homs, comp, ids, name="isopair")
+
+
+def test_check_quasi_equiv_builds_cohomology_only_where_it_is_nonzero(monkeypatch):
+    """The identity functor of the Kronecker hull subcategory on
+    cone(1_{e1}) and e2: the Homs c -> c and c -> e2 have chains in several
+    degrees and no cohomology, so the one Cohomology the check builds is
+    H^0 End(e2).  The degree-loop reference builds one per chain degree."""
+    built = []
+    init = Cohomology.__init__
+
+    def counted(self, complex_, n):
+        built.append(n)
+        init(self, complex_, n)
+
+    monkeypatch.setattr(Cohomology, "__init__", counted)
+    counts = []
+    for check in (check_quasi_equiv, ref.check_quasi_equiv):
+        k2 = kronecker_category()
+        e1, e2 = k2.obj("e1"), k2.obj("e2")
+        sub = hull_subcategory(k2, [("c", cone(identity_morphism(embed(k2, e1)))), ("e2", embed(k2, e2))])
+        witnesses = {o: (embed(sub, o), identity_morphism(embed(sub, o))) for o in sub.objects}
+        built.clear()
+        assert check(EquivCertificate(identity_functor(sub), witnesses)).ok
+        counts.append(len(built))
+    assert counts == [1, 6]
 
 
 def test_check_quasi_equiv_subcategory_inclusion_passes():

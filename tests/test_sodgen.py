@@ -208,9 +208,11 @@ def _mut_scaled_idempotent(rng, cat, cert):
 
 
 def _mut_final_iso(rng, cat, cert):
-    """A missing final_iso (not on a summand target, where both replays
-    read final_iso.src of None), or one with wrong endpoints, wrong degree,
-    or one that is no homotopy isomorphism (zero)."""
+    """A missing final_iso (not on a summand target, where the reference
+    replay reads final_iso.src of None; see
+    test_a_missing_final_iso_is_refused_on_both_target_kinds), or one with
+    wrong endpoints, wrong degree, or one that is no homotopy isomorphism
+    (zero)."""
     fin = cert.final_iso
     choices = [zero_morphism(fin.src, fin.dst), zero_morphism(fin.src, fin.dst, 1), identity_morphism(fin.dst), identity_morphism(fin.src), zero_morphism(fin.dst, fin.src)]
     if not isinstance(cert.steps[-1], Summand):
@@ -312,6 +314,18 @@ def test_a_cone_step_with_two_bad_references_reports_the_first():
         assert reference_verify_generation(cat, cert).failures == [(where, first), (where, second)]
         got = verify_generation(cat, cert)
         assert (got.ok, got.layer_count, got.failures) == (False, 0, [(where, first)])
+
+
+def test_a_missing_final_iso_is_refused_on_both_target_kinds():
+    """final_iso None is refused before the target kind is read, so a
+    summand target fails as a plain one does.  The reference replay ends in
+    AttributeError on the summand target, so the failure is pinned here."""
+    cat = kronecker_category()
+    for cert in (ev_cone_certificate(cat)[0], idempotent_certificate(cat)):
+        res = verify_generation(cat, dataclasses.replace(cert, final_iso=None))
+        assert (res.ok, res.layer_count, res.failures) == (False, 0, [(-1, "final_iso is missing")])
+    with pytest.raises(AttributeError):
+        reference_verify_generation(cat, dataclasses.replace(idempotent_certificate(cat), final_iso=None))
 
 
 def test_dangling_reference_reported():

@@ -104,12 +104,13 @@ def f(cat, key):
 
 def _callers(tree, name):
     """The module-level functions and classes of tree whose bodies call the
-    name, and "<module>" for a call outside them."""
+    name, as a function or as a method, and "<module>" for a call outside
+    them."""
     return {
         getattr(top, "name", "<module>")
         for top in tree.body
         for node in ast.walk(top)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
 
 
@@ -136,6 +137,28 @@ print(2)
         a = f.args
         params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]]
         assert params == ["args"], (f.name, params)
+
+
+def test_graded_dimensions_are_read_through_cohomology_dims():
+    """Every "which H^n are nonzero" decision reads
+    `ChainComplex.cohomology_dims`, the one graded-cohomology query; a loop
+    over degrees calling `cohomology_dim` in each is a second copy of it.
+    So in src/dgcat only `exactlin`, which defines both, and `pretr.ho_hom`,
+    which answers for the one degree its caller names, call
+    `cohomology_dim`."""
+    bad = """
+def ext_table(cat, objs):
+    return [{n: h.cohomology_dim(n) for n in h.degrees()} for h in objs]
+class C:
+    def f(self, h):
+        return cohomology_dim(h, 0)
+def g(h):
+    return h.cohomology_dims()
+"""
+    assert _callers(ast.parse(bad), "cohomology_dim") == {"ext_table", "C"}
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    found = {f"{stem}.{f}" for stem, tree in trees.items() if stem != "exactlin" for f in _callers(tree, "cohomology_dim")}
+    assert found == {"pretr.ho_hom"}, found
 
 
 CATEGORY_KINDS = {"category", "equiv-certificate", "functor", "gen-certificate", "sod-claim", "twisted-complex"}
