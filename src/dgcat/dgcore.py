@@ -80,19 +80,40 @@ class Tables(dict):
     every table at once) a missing triple reads as {}, and nothing is
     stored.  So read one table by subscript: `get`, iteration and `in` see
     only the tables built so far.  `DGCategory.every_table` reads them all.
+
+    A table is not changed once read, so `operator` keeps what it derives
+    from one in this Tables, and it is freed with its category.
     """
 
-    __slots__ = ("build",)
+    __slots__ = ("build", "_operators")
 
     def __init__(self, tables=(), build=None):
         super().__init__(tables)
         self.build = build
+        self._operators = {}  # (key, fixed) -> {(p, q): operator}
 
     def __missing__(self, key):
         if self.build is None:
             return {}
         table = self[key] = self.build(key)
         return table
+
+    def operator(self, key, fixed, p, q):
+        """Multiplication by each basis element e_s under the table of key,
+        for first factors of degree p and second factors of degree q:
+        {s: [(t, k, v), ...]}, where the product has coordinate v at basis
+        element k.  fixed is the factor e_s is: 0 for e_s·e_t (s of degree
+        p, t of degree q), 1 for e_t·e_s (t of degree p, s of degree q).
+
+        Every degree pair of one table and side is built on the first
+        request and kept; a pair without products reads as {}."""
+        ops = self._operators.get((key, fixed))
+        if ops is None:
+            ops = self._operators[(key, fixed)] = {}
+            for (a, i, b, j), cons in self[key].items():
+                s, t = (j, i) if fixed else (i, j)
+                ops.setdefault((a, b), {}).setdefault(s, []).extend((t, k, v) for k, v in cons.items())
+        return ops.get((p, q), {})
 
 
 class DGCategory:

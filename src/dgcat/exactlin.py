@@ -348,14 +348,7 @@ class Matrix:
                     raise ShapeMismatch(f"right-hand side row {i} out of bounds for {self.rows} rows")
                 if not f.is_zero(v):
                     rows[i][self.cols] = v
-        if isinstance(f, RationalField):
-            for i, r in enumerate(rows):
-                if r:
-                    denom_lcm = 1
-                    for v in r.values():
-                        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-                    rows[i] = {j: v.numerator * (denom_lcm // v.denominator) for j, v in r.items()}
-        return _eliminate(rows, _clear_step(f))
+        return _eliminate(_integral(f, rows), _clear_step(f))
 
     def _reduced(self, b=None):
         """Reduced row-echelon form of [self | b]: (col, row) pivots whose
@@ -378,7 +371,15 @@ class Matrix:
         return list(zip(cols, rows))
 
     def rank(self):
-        return len(self._echelon())
+        """The number of pivots of an echelon form of the shorter side: of
+        the rows, or of the columns when there are more rows than columns
+        (a matrix and its transpose have one rank)."""
+        if self.rows <= self.cols:
+            return len(self._echelon())
+        cols = [{} for _ in range(self.cols)]
+        for (i, j), v in self.entries.items():
+            cols[j][i] = v
+        return len(_eliminate(_integral(self.field, cols), _clear_step(self.field)))
 
     def solve(self, b):
         """Some x with self @ x = b, or None if inconsistent.
@@ -426,6 +427,19 @@ class Matrix:
     def from_columns(cls, field, rows, columns):
         """The rows x len(columns) matrix whose column j is the sparse dict columns[j]."""
         return cls(field, rows, len(columns), {(i, j): v for j, col in enumerate(columns) for i, v in col.items()})
+
+
+def _integral(field, rows):
+    """The row dicts as elimination takes them: over Q each row is scaled by
+    the lcm of its denominators to integers, in place; over F_p unchanged."""
+    if isinstance(field, RationalField):
+        for i, r in enumerate(rows):
+            if r:
+                denom_lcm = 1
+                for v in r.values():
+                    denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
+                rows[i] = {j: v.numerator * (denom_lcm // v.denominator) for j, v in r.items()}
+    return rows
 
 
 def _eliminate(rows, clear):

@@ -4,7 +4,7 @@ pretriangulated hull and Serre data."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dgcore import DGCategory, Hom, Morphism, ObjId, Tables, Violation
 from .exactlin import Matrix
@@ -229,10 +229,15 @@ class SerreData:
     """A Serre bundle over a category as two DG functors from it into one
     full subcategory H of its pretriangulated hull: embedding sends a to
     embed(a), functor sends a to S(a).  Both have src the base category and
-    dst H."""
+    dst H.
+
+    classes keeps the class coordinates that `verify_serre` and
+    `composition_trace_pairings` project, keyed by (cohomology basis,
+    cycle), so each distinct pair is projected once (see `_class`)."""
 
     embedding: DGFunctor
     functor: DGFunctor
+    classes: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def serre_data(cat, obj_images, mor_images, name="S"):
@@ -261,9 +266,22 @@ def _classes(cat, x, y, n):
     return [Morphism(x, y, n, dict(rep)) for rep in cat.hom(x, y).complex.cohomology(n).reps]
 
 
-def _class(cat, f):
-    """Class coordinates of a cycle f in the cohomology basis."""
-    return cat.hom(f.src, f.dst).complex.cohomology(f.degree).project(f.coords)
+def _class(data, cat, f):
+    """Class coordinates of a cycle f of cat (data's base category or its
+    H) in the cohomology basis, projected on the first request and kept in
+    data.classes.  A Hom complex is not changed after construction, so one
+    basis and one cycle have one class."""
+    h = cat.hom(f.src, f.dst).complex.cohomology(f.degree)
+    key = h, frozenset(f.coords.items())
+    coords = data.classes.get(key)
+    if coords is None:
+        coords = data.classes[key] = h.project(f.coords)
+    return coords
+
+
+def _classes_with_coords(data, cat, x, y, n):
+    """(cycle, class coordinates) of each representative of H^n Hom(x, y)."""
+    return [(z, _class(data, cat, z)) for z in _classes(cat, x, y, n)]
 
 
 def _pairing_dims(data, a, b):
@@ -318,6 +336,8 @@ def verify_serre(data, pairings):
                 s = fl.add(s, fl.mul(fl.mul(vx, vy), p.get(r, c)))
         return s
 
+    # the basis cycles of H^n Hom(a, b), with their classes, before the loops
+    xs = {(a, b, n): _classes_with_coords(data, cat, a, b, n) for (a, b), ns in dims.items() for n in ns}
     # naturality in the second argument: <mul(x,g), y> = <x, mul(E g, y)>
     for a in cat.objects:
         for b in cat.objects:
@@ -326,12 +346,11 @@ def verify_serre(data, pairings):
                     for g in _classes(cat, b, b2, s):
                         eg = emb.apply(g)
                         for n in dims[(a, b)]:
-                            for y in _classes(hull, emb.obj_map[b2], fun.obj_map[a], -n - s):
-                                gy_cls = _class(hull, hull.mul(eg, y))
-                                y_cls = _class(hull, y)
-                                for x in _classes(cat, a, b, n):
-                                    lhs = pair_value(a, b2, n + s, _class(cat, cat.mul(x, g)), y_cls)
-                                    if lhs != pair_value(a, b, n, _class(cat, x), gy_cls):
+                            for y, y_cls in _classes_with_coords(data, hull, emb.obj_map[b2], fun.obj_map[a], -n - s):
+                                gy_cls = _class(data, hull, hull.mul(eg, y))
+                                for x, x_cls in xs[(a, b, n)]:
+                                    lhs = pair_value(a, b2, n + s, _class(data, cat, cat.mul(x, g)), y_cls)
+                                    if lhs != pair_value(a, b, n, x_cls, gy_cls):
                                         failures.append(("naturality_target", (a.label, b.label, b2.label, s, n)))
     # naturality in the first argument: <mul(f,x), y> = <x, mul(y, S f)>
     for a2 in cat.objects:
@@ -341,12 +360,11 @@ def verify_serre(data, pairings):
                     sf = fun.apply(f)
                     for b in cat.objects:
                         for n in dims[(a, b)]:
-                            for y in _classes(hull, emb.obj_map[b], fun.obj_map[a2], -n - p):
-                                ysf_cls = _class(hull, hull.mul(y, sf))
-                                y_cls = _class(hull, y)
-                                for x in _classes(cat, a, b, n):
-                                    lhs = pair_value(a2, b, n + p, _class(cat, cat.mul(f, x)), y_cls)
-                                    if lhs != pair_value(a, b, n, _class(cat, x), ysf_cls):
+                            for y, y_cls in _classes_with_coords(data, hull, emb.obj_map[b], fun.obj_map[a2], -n - p):
+                                ysf_cls = _class(data, hull, hull.mul(y, sf))
+                                for x, x_cls in xs[(a, b, n)]:
+                                    lhs = pair_value(a2, b, n + p, _class(data, cat, cat.mul(f, x)), y_cls)
+                                    if lhs != pair_value(a, b, n, x_cls, ysf_cls):
                                         failures.append(("naturality_source", (a2.label, a.label, b.label, p, n)))
     return Verdict(not failures, failures)
 
@@ -374,7 +392,7 @@ def composition_trace_pairings(data, traces):
                     ex = emb.apply(x)
                     for r, y in enumerate(ys):
                         val = fl.zero()
-                        for idx, v in _class(hull, hull.mul(ex, y)).items():
+                        for idx, v in _class(data, hull, hull.mul(ex, y)).items():
                             val = fl.add(val, fl.mul(v, tr.get(idx, fl.zero())))
                         if not fl.is_zero(val):
                             ent[(r, c)] = val

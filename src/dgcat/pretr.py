@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dgcore import Blocks, Morphism, ObjId, contract
+from .dgcore import Blocks, Morphism, ObjId
 from .exactlin import ChainComplex, Matrix, axpy
 
 
@@ -270,18 +270,22 @@ class HomSpace:
     vector t is column offset + t.
 
     The differential is assembled block by block from
-    df = (-1)^{r_i} d f_ij + q_Y f - (-1)^n f q_X.  For basis vector t of
-    block (i, j) in degree u:
+    df = (-1)^{r_i} d f_ij + q_Y f - (-1)^n f q_X.  From block (i, j) in
+    degree u:
 
-    * internal part, into block (i, j): column t of the base differential
-      of Hom(x_j, y_i) in degree u, negated when r_i is odd;
-    * left part, for each q_Y[(i2, i)], into block (i2, j): (-1)^{u|q|}
-      times the product t·q under cat.comp[(x_j, y_i, y_i2)];
-    * right part, for each q_X[(j, j2)], into block (i, j2):
-      (-1)^{|q| u} (-1)^{n+1} times the product q·t under
-      cat.comp[(x_j2, x_j, y_i)].
+    * internal part, into block (i, j): the base differential of
+      Hom(x_j, y_i) in degree u, negated when r_i is odd;
+    * left part, for each q = q_Y[(i2, i)], into block (i2, j): the
+      operator t ↦ ±(t·q) under cat.comp[(x_j, y_i, y_i2)], sign
+      (-1)^{u|q|};
+    * right part, for each q = q_X[(j, j2)], into block (i, j2): the
+      operator t ↦ ±(q·t) under cat.comp[(x_j2, x_j, y_i)], sign
+      (-1)^{|q| u} (-1)^{n+1}.
 
-    q is strictly upper triangular, so the three parts land in pairwise
+    A twist block is Σ_s (±q_s)·R_s over the coordinates q_s of q, R_s the
+    matrix of multiplication by basis element e_s that `Tables.operator`
+    keeps with the tables, and the sign is folded into each q_s.  q is
+    strictly upper triangular, so the three parts land in pairwise
     different blocks and every matrix entry is written once.
     """
 
@@ -305,8 +309,8 @@ class HomSpace:
         blocks = [(i, ty, j, tx, cat.hom(tx.obj, ty.obj)) for i, ty in enumerate(y.terms) for j, tx in enumerate(x.terms)]
         self.layout = Blocks(((i, j, u), u - ty.shift + tx.shift, h.dim(u)) for i, ty, j, tx, h in blocks for u in h.complex.degrees())
         at, dims = self.layout.at, self.layout.dims
-        fl = cat.field
-        one = fl.one()
+        fl, comp = cat.field, cat.comp
+        neg, mul, add = fl.neg, fl.mul, fl.add
         q_into = {}  # i -> [(i2, q_Y[(i2, i)])]
         for (i2, i), m in y.q.items():
             q_into.setdefault(i, []).append((i2, m))
@@ -322,18 +326,27 @@ class HomSpace:
                 if base is not None:
                     row = at[(i, j, u + 1)][1]
                     for (r, t), v in base.entries.items():
-                        out[(row + r, off + t)] = fl.neg(v) if ty.shift % 2 else v
+                        out[(row + r, off + t)] = neg(v) if ty.shift % 2 else v
                 # the left parts into blocks (i2, j), then the right parts into blocks (i, j2)
-                parts = [(True, (i2, j, u + q.degree), cat.comp[(tx.obj, ty.obj, y.terms[i2].obj)], q, u * q.degree % 2) for i2, q in q_into.get(i, ())]
-                parts += [(False, (i, j2, u + q.degree), cat.comp[(x.terms[j2].obj, tx.obj, ty.obj)], q, (q.degree * u + n + 1) % 2) for j2, q in q_from.get(j, ())]
-                for left, target, table, q, odd in parts:
+                parts = [((i2, j, u + q.degree), comp.operator((tx.obj, ty.obj, y.terms[i2].obj), 1, u, q.degree), q, u * q.degree % 2) for i2, q in q_into.get(i, ())]
+                parts += [((i, j2, u + q.degree), comp.operator((x.terms[j2].obj, tx.obj, ty.obj), 0, q.degree, u), q, (q.degree * u + n + 1) % 2) for j2, q in q_from.get(j, ())]
+                for target, op, q, odd in parts:
+                    block = {}  # (k, t) -> sum over s of (±q_s)·R_s[k, t]
+                    for s, c in q.coords.items():
+                        if odd:
+                            c = neg(c)
+                        for t, k, v in op.get(s, ()):
+                            v = mul(c, v)
+                            w = block.get((k, t))
+                            block[(k, t)] = v if w is None else add(w, v)
                     _, row, rows = at.get(target, (None, 0, 0))
-                    for t in range(size):
-                        product = contract(fl, table, u, {t: one}, q.degree, q.coords) if left else contract(fl, table, q.degree, q.coords, u, {t: one})
-                        for k, v in product.items():
+                    for (k, t), v in block.items():
+                        if v:
                             if not 0 <= k < rows:
                                 raise IndexError(f"product index {k} outside block {target}")
-                            out[(row + k, off + t)] = fl.neg(v) if odd else v
+                            if not 0 <= t < size:
+                                raise IndexError(f"factor index {t} outside block {(i, j, u)}")
+                            out[(row + k, off + t)] = v
         diff = {n: Matrix(fl, dims.get(n + 1, 0), dims[n], e) for n, e in ent.items() if e}
         self.complex = ChainComplex(fl, dims, diff)
 

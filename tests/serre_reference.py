@@ -15,6 +15,8 @@ below are `dgcat.functors`' `check_quasi_equiv`, `verify_serre` and
 one hull subcategory) as they were before every graded-dimension decision
 read `ChainComplex.cohomology_dims`: each scans the chain degrees of its Hom
 complexes, calling `cohomology_dim` or building a `Cohomology` in each.
+Their `_class` projects every cycle it is given, as `dgcat.functors` did
+before its classes were kept on the `SerreData`.
 """
 
 from dataclasses import dataclass
@@ -22,8 +24,13 @@ from dataclasses import dataclass
 from dgcat.dgcore import DGCategory, Morphism, Violation
 from dgcat.exactlin import QQ, Matrix
 from dgcat.fixtures import a2_category
-from dgcat.functors import Verdict, _class, _classes, _replay_witness, base_to_tm, validate_functor
+from dgcat.functors import Verdict, _classes, _replay_witness, base_to_tm, validate_functor
 from dgcat.pretr import HomSpace, Refusal, TwistedMorphism, compose, cone, differential, embed, identity_morphism
+
+
+def _class(cat, f):
+    """Class coordinates of a cycle f in the cohomology basis."""
+    return cat.hom(f.src, f.dst).complex.cohomology(f.degree).project(f.coords)
 
 
 @dataclass

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from dgcat.dgcore import Arrow, DGCategory, Hom, InfiniteDimensionalHom, Morphism, ObjId, Violation, contract, from_quiver, opposite, tensor, swap_iso
+from dgcat.dgcore import Arrow, DGCategory, Hom, InfiniteDimensionalHom, Morphism, ObjId, Tables, Violation, contract, from_quiver, full_subcategory, opposite, tensor, swap_iso
 from dgcat.exactlin import GF, QQ, ChainComplex, Matrix, axpy
 from dgcat.fixtures import (
     a2_category,
@@ -736,6 +736,54 @@ def test_contract_matches_the_multiplying_reference():
             got = contract(fl, table, 0, x, 1, y)
             assert got == _reference_contract(fl, table, 0, x, 1, y)
             assert not any(fl.is_zero(v) for v in got.values())
+
+
+def _operator_products(fl, op, fixed):
+    """{(i, j): product of basis elements i then j} read off an operator."""
+    out = {}
+    for s, entries in op.items():
+        for t, k, v in entries:
+            axpy(fl, out.setdefault((s, t) if fixed == 0 else (t, s), {}), {k: v})
+    return {key: prod for key, prod in out.items() if prod}
+
+
+def test_tables_operator_matches_contract():
+    """Seeded, over Q, F_2 and F_32003: every entry of `Tables.operator`,
+    with either factor fixed, is the product of two basis elements under
+    `contract`, on every triple and degree pair of quiver, epsilon,
+    bimodule (d != 0), tensor, opposite and full-subcategory tables; the
+    last three build their tables on the operator's first read.  An
+    operator is built once per table and side, and a degree pair without
+    products reads as {}."""
+    rng = random.Random(3132)
+    seen = 0
+    for fl in (QQ, GF(2), GF(32003)):
+        one = fl.one()
+        k2, eps = kronecker_category(fl), epsilon_category(fl, degree=rng.choice((1, 2)))
+        cats = [eps, epsilon_category(fl, degree=0), beilinson3_category(fl), tensor(k2, eps), opposite(gens.bimodule_category(fl, rng))]
+        cats += [random_category(rng, field=fl) for _ in range(6)]
+        cats.append(full_subcategory(cats[-1], cats[-1].objects[::-1]))
+        for cat in cats:
+            comp, objs = cat.comp, cat.objects
+            for key in [(a, b, c) for a in objs for b in objs for c in objs]:
+                h1, h2 = cat.hom(key[0], key[1]), cat.hom(key[1], key[2])
+                for p in h1.complex.degrees():
+                    for q in h2.complex.degrees():
+                        ops = [comp.operator(key, fixed, p, q) for fixed in (0, 1)]
+                        table = comp[key]
+                        want = {}
+                        for i in range(h1.dim(p)):
+                            for j in range(h2.dim(q)):
+                                if prod := contract(fl, table, p, {i: one}, q, {j: one}):
+                                    want[(i, j)] = prod
+                        for fixed, op in enumerate(ops):
+                            assert _operator_products(fl, op, fixed) == want
+                            if op:
+                                assert comp.operator(key, fixed, p, q) is op
+                        seen += len(want)
+                    assert comp.operator(key, 0, p, max(h2.complex.degrees(), default=0) + 1) == {}
+    assert seen > 300
+    assert Tables().operator(("a", "b", "c"), 1, 0, 0) == {}
 
 
 def test_parsed_and_tensored_ones_are_the_shared_one():

@@ -398,16 +398,18 @@ def test_project_by_functionals_matches_the_solve(field):
 
 
 def test_serre_on_a2_eliminates_once_per_cohomology_basis(monkeypatch):
-    """Timing-free guard: `dgcat serre --fixture a2` projects 35 cycles onto
+    """Timing-free guard: `dgcat serre --fixture a2` projects 6 cycles onto
     6 cohomology bases with 16 eliminations in all: 22 when the dual of a
-    basis took a second elimination, 51 when each projection was a solve."""
+    basis took a second elimination, 51 when each projection was a solve.
+    Each distinct (basis, cycle) pair is projected once; before the Serre
+    checks kept their classes, the same 6 pairs took 35 projections."""
     import contextlib
     import io
 
     from dgcat import exactlin
     from dgcat.cli import main
 
-    counts = {}
+    counts, pairs = {}, set()
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -416,12 +418,65 @@ def test_serre_on_a2_eliminates_once_per_cohomology_basis(monkeypatch):
 
         return wrapper
 
+    def project(self, cycle):
+        pairs.add((id(self), frozenset(cycle.items())))
+        return original(self, cycle)
+
+    original = exactlin.Cohomology.project
     monkeypatch.setattr(exactlin.Matrix, "_echelon", counted("_echelon", exactlin.Matrix._echelon))
-    monkeypatch.setattr(exactlin.Cohomology, "project", counted("project", exactlin.Cohomology.project))
+    monkeypatch.setattr(exactlin.Cohomology, "project", counted("project", project))
     monkeypatch.setattr(exactlin.Cohomology, "__init__", counted("cohomology", exactlin.Cohomology.__init__))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["serre", "--fixture", "a2"]) == 0
-    assert counts == {"cohomology": 6, "project": 35, "_echelon": 16}
+    assert counts == {"cohomology": 6, "project": 6, "_echelon": 16}
+    assert len(pairs) == 6
+
+
+def _random_entry(field, rng):
+    if field is QQ:
+        return Fraction(rng.randrange(-3, 4), rng.choice((1, 1, 2, 3)))
+    return field.from_int(rng.randrange(-3, 4))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(32003)], ids=lambda f: f.name)
+def test_rank_matches_the_untransposed_echelon(field, monkeypatch):
+    """Seeded: `Matrix.rank` eliminates the columns of a matrix with more
+    rows than columns; its rank is the pivot count of `_echelon` on the
+    matrix as given, on tall, wide, square, zero and rank-deficient
+    matrices (products through fewer columns than either side).  A tall
+    matrix's rank calls no `_echelon`, a wide or square one calls it once."""
+    rng = random.Random(3131)
+    shapes = {"tall": 0, "wide": 0, "square": 0, "zero": 0, "deficient": 0}
+    calls = []
+    echelon = Matrix._echelon
+    monkeypatch.setattr(Matrix, "_echelon", lambda self, b=None: calls.append(self) or echelon(self, b))
+    for trial in range(150):
+        kind = list(shapes)[trial % len(shapes)]
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        if kind == "tall":
+            rows, cols = max(rows, cols) + rng.randrange(1, 4), min(rows, cols)
+        elif kind == "wide":
+            rows, cols = min(rows, cols), max(rows, cols) + rng.randrange(1, 4)
+        elif kind == "square":
+            cols = rows
+        if kind == "zero":
+            m = Matrix(field, rng.randrange(0, 6), rng.randrange(0, 6))
+        elif kind == "deficient":
+            inner = rng.randrange(0, min(rows, cols))
+            left = Matrix(field, rows, inner, {(i, k): _random_entry(field, rng) for i in range(rows) for k in range(inner)})
+            right = Matrix(field, inner, cols, {(k, j): _random_entry(field, rng) for k in range(inner) for j in range(cols)})
+            m = left.matmul(right)
+        else:
+            density = rng.choice((0.3, 0.6, 1.0))
+            m = Matrix(field, rows, cols, {(i, j): _random_entry(field, rng) for i in range(rows) for j in range(cols) if rng.random() < density})
+        calls.clear()
+        r = m.rank()
+        assert len(calls) == (0 if m.rows > m.cols else 1)
+        assert r == len(echelon(m)) == len(echelon(Matrix(field, m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()})))
+        if kind == "deficient":
+            assert r <= inner
+        shapes[kind] += r > 0 or kind == "zero"
+    assert all(shapes.values()), shapes
 
 
 def test_euler_characteristic_invariance():

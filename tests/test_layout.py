@@ -118,13 +118,16 @@ def test_a_layout_holds_one_entry_per_nonempty_block():
 
 def test_a_product_outside_the_basis_raises_in_the_hom_differential():
     """A twist whose product with a Hom vector names an index outside the
-    target block is an error, not a column of some other block."""
+    target block is an error, not a column of some other block; so is a
+    table product whose other factor (P = 9, with P·e = e) lies outside
+    the source block."""
     for field in FIELDS:
         cat = product_outside_basis_category(field)
         o = cat.objects[0]
-        g = TwistedMorphism(embed(cat, o), embed(cat, o), 0, {(0, 0): Morphism(o, o, 0, {2: field.one()})})
-        with pytest.raises(IndexError, match="outside block"):
-            HomSpace(embed(cat, o), cone(g))
+        for index, message in ((2, "product index 9 outside block"), (5, "factor index 9 outside block")):
+            g = TwistedMorphism(embed(cat, o), embed(cat, o), 0, {(0, 0): Morphism(o, o, 0, {index: field.one()})})
+            with pytest.raises(IndexError, match=message):
+                HomSpace(embed(cat, o), cone(g))
 
 
 def test_an_identity_outside_its_degree_0_basis_raises_in_tensor():

@@ -11,7 +11,8 @@ import pytest
 
 from dgcat.dgcore import Arrow, Morphism, from_quiver, tensor
 from dgcat.exactlin import QQ, GF, Matrix
-from dgcat.fixtures import beilinson3_category, kronecker_category, kronecker_ev_morphism
+from dgcat.dgcore import contract
+from dgcat.fixtures import beilinson3_category, epsilon_category, kronecker_category, kronecker_ev_morphism
 from dgcat import pretr
 from dgcat.pretr import (
     HomSpace,
@@ -775,3 +776,65 @@ def test_twisted_arithmetic_matches_the_reference():
                 _same_reduction(above, seen)
                 seen["corner above"] += len(reduce(above)[0].q)
     assert seen["reduce step"] > 50 and all(seen[k] for k in ("odd shift", "odd twist", "odd composite sign", "corner above")), seen
+
+
+def _twist_branches(x, y, seen):
+    """Count, for Hom(x, y), the internal parts and the twist parts with a
+    nonzero product, by the parity of the sign each takes in `_build`."""
+    cat = x.cat
+    fl = cat.field
+    for i, ty in enumerate(y.terms):
+        for j, tx in enumerate(x.terms):
+            h = cat.hom(tx.obj, ty.obj)
+            for u in h.complex.degrees():
+                n = u - ty.shift + tx.shift
+                if h.complex.diff.get(u) is not None:
+                    seen[f"internal {'odd' if ty.shift % 2 else 'even'}"] += 1
+                unit = [{t: fl.one()} for t in range(h.dim(u))]
+                for (i2, i1), q in y.q.items():
+                    table = cat.comp[(tx.obj, ty.obj, y.terms[i2].obj)]
+                    if i1 == i and any(contract(fl, table, u, e, q.degree, q.coords) for e in unit):
+                        seen[f"left {'odd' if u * q.degree % 2 else 'even'}"] += 1
+                for (j1, j2), q in x.q.items():
+                    table = cat.comp[(x.terms[j2].obj, tx.obj, ty.obj)]
+                    if j1 == j and any(contract(fl, table, q.degree, q.coords, u, e) for e in unit):
+                        seen[f"right {'odd' if (q.degree * u + n + 1) % 2 else 'even'}"] += 1
+
+
+def test_homspace_build_matches_the_reference_build():
+    """Seeded, over Q and F_32003: `HomSpace` gives the layout and every
+    differential that the build with one `contract` per basis vector and
+    twist entry gave (`twisted_reference.ReferenceHomSpace`), exactly, on
+    gens complexes (base categories with d != 0 and Homs in nonzero
+    degrees among them), on the epsilon fixture in degrees 0, 1 and 2 and
+    on a quiver whose odd arrows compose, with twists on both ends and odd
+    shifts.  Every sign branch of the
+    internal, left and right parts runs with a nonzero product."""
+    rng = random.Random(3133)
+    seen = Counter()
+    for trial in range(48):
+        field = (QQ, GF(32003))[trial % 2]
+        if trial % 4 < 2:
+            cat = epsilon_category(field, degree=trial // 4 % 3)
+        elif trial % 4 == 2:
+            cat = random_category(rng, field=field)
+        else:  # two arrows of odd degree with a nonzero composite
+            cat = from_quiver(field, ["p", "q", "r"], [Arrow("a", "p", "q", 1), Arrow("b", "q", "r", rng.choice((-1, 1)))])
+        x = shift(random_twisted_complex(cat, rng, max_terms=4), rng.randrange(-1, 2))
+        y = random_twisted_complex(cat, rng, max_terms=4)
+        pairs = [(x, y), (y, x), (x, x), (y, shift(y, 1))]
+        if trial % 4 == 3:  # the left part of a from embed(p) into (r <-b- q)
+            p, q, r = cat.objects
+            arrow = cat.basis_morphism(q, r, cat.hom(q, r).complex.degrees()[0], 0)
+            z = TwistedComplex(cat, [(r, 0), (q, 1 - arrow.degree)], {(0, 1): arrow})
+            pairs += [(shift(embed(cat, p), rng.randrange(-1, 2)), z), (x, z)]
+        for a, b in pairs:
+            hs, ref = HomSpace(a, b), twisted_reference.ReferenceHomSpace(a, b)
+            assert hs.layout.at == ref.layout.at
+            assert hs.complex.dims == ref.complex.dims
+            assert hs.complex.diff == ref.complex.diff
+            seen["twists on both ends"] += bool(a.q and b.q)
+            seen["odd shift"] += any(t.shift % 2 for t in (*a.terms, *b.terms))
+            _twist_branches(a, b, seen)
+    branches = [f"{part} {parity}" for part in ("internal", "left", "right") for parity in ("odd", "even")]
+    assert all(seen[k] for k in (*branches, "twists on both ends", "odd shift")), seen

@@ -46,7 +46,8 @@ def _comp_reads_off_subscript(tree, walker="every_table"):
     or a name bound from `.comp`) is read other than by subscript: through
     an attribute such as `.get` or `.items`, by iteration, by `in`, or by
     a builtin that iterates.  Reads inside the function `walker` are
-    exempt."""
+    exempt, and so is `Tables.operator`, which reads its table by
+    subscript."""
     names = {"comp"}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
@@ -66,7 +67,7 @@ def _comp_reads_off_subscript(tree, walker="every_table"):
             continue
         up = parent[node]
         if (
-            isinstance(up, ast.Attribute)
+            isinstance(up, ast.Attribute) and up.attr != "operator"
             or isinstance(up, (ast.For, ast.comprehension)) and up.iter is node
             or isinstance(up, (ast.Starred, ast.YieldFrom))
             or isinstance(up, ast.Dict) and None in up.keys and node in up.values
@@ -91,7 +92,7 @@ def f(cat, key):
     for k in comp:
         pass
     n = len(cat.comp) + (key in comp)
-    return [v for v in cat.comp.values()], comp[key], cat.comp[key]
+    return [v for v in cat.comp.values()], comp[key], cat.comp[key], comp.operator(key, 0, 0, 0)
 """
     assert _comp_reads_off_subscript(ast.parse(bad)) == [4, 5, 7, 7, 8]
     found = [
@@ -159,6 +160,26 @@ def g(h):
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
     found = {f"{stem}.{f}" for stem, tree in trees.items() if stem != "exactlin" for f in _callers(tree, "cohomology_dim")}
     assert found == {"pretr.ho_hom"}, found
+
+
+def _imported_names(tree):
+    """The names that tree's import statements bind or import from a module."""
+    return {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+def test_pretr_forms_twist_products_without_contract():
+    """`HomSpace._build` forms each twist block from `Tables.operator`, and
+    entry products go through `DGCategory.mul`: pretr neither imports nor
+    calls `dgcore.contract`, so a twist product has one path."""
+    bad = """
+from .dgcore import Blocks, contract
+def build(fl, table):
+    return dgcore.contract(fl, table, 0, {}, 0, {})
+"""
+    assert "contract" in _imported_names(ast.parse(bad)) and _callers(ast.parse(bad), "contract") == {"build"}
+    tree = ast.parse((SRC / "pretr.py").read_text(), filename="pretr.py")
+    assert "contract" not in _imported_names(tree)
+    assert _callers(tree, "contract") == set()
 
 
 CATEGORY_KINDS = {"category", "equiv-certificate", "functor", "gen-certificate", "sod-claim", "twisted-complex"}

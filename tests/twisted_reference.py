@@ -8,8 +8,14 @@ sign is a negated copy (`cat.neg`, `tm_neg`) taken before the sum.
 
 `homspace_layout` is the per-element basis order that `HomSpace._build`
 kept before `dgcore.Blocks` replaced it, its layout loop kept verbatim.
+
+`ReferenceHomSpace._build` is `HomSpace._build` as it was before the twist
+blocks came from `Tables.operator`, kept verbatim: every twist product is
+one `contract` per basis vector and twist entry.
 """
 
+from dgcat.dgcore import Blocks, contract
+from dgcat.exactlin import ChainComplex, Matrix
 from dgcat.pretr import TwistedComplex, TwistedMorphism, _invert, tm_neg
 
 
@@ -167,3 +173,51 @@ def _reduce_step(x):
             continue
         return y, proj
     return None
+
+
+class ReferenceHomSpace:
+    """The layout and complex of Hom(x, y), built by the old `_build` on
+    every construction (no memo)."""
+
+    def __init__(self, x, y):
+        self.x = x
+        self.y = y
+        self.cat = x.cat
+        self._build()
+
+    def _build(self):
+        x, y, cat = self.x, self.y, self.cat
+        blocks = [(i, ty, j, tx, cat.hom(tx.obj, ty.obj)) for i, ty in enumerate(y.terms) for j, tx in enumerate(x.terms)]
+        self.layout = Blocks(((i, j, u), u - ty.shift + tx.shift, h.dim(u)) for i, ty, j, tx, h in blocks for u in h.complex.degrees())
+        at, dims = self.layout.at, self.layout.dims
+        fl = cat.field
+        one = fl.one()
+        q_into = {}  # i -> [(i2, q_Y[(i2, i)])]
+        for (i2, i), m in y.q.items():
+            q_into.setdefault(i, []).append((i2, m))
+        q_from = {}  # j -> [(j2, q_X[(j, j2)])]
+        for (j, j2), m in x.q.items():
+            q_from.setdefault(j, []).append((j2, m))
+        ent = {n: {} for n in dims}
+        for i, ty, j, tx, h in blocks:
+            for u in h.complex.degrees():
+                n, off, size = at[(i, j, u)]
+                out = ent[n]
+                base = h.complex.diff.get(u)
+                if base is not None:
+                    row = at[(i, j, u + 1)][1]
+                    for (r, t), v in base.entries.items():
+                        out[(row + r, off + t)] = fl.neg(v) if ty.shift % 2 else v
+                # the left parts into blocks (i2, j), then the right parts into blocks (i, j2)
+                parts = [(True, (i2, j, u + q.degree), cat.comp[(tx.obj, ty.obj, y.terms[i2].obj)], q, u * q.degree % 2) for i2, q in q_into.get(i, ())]
+                parts += [(False, (i, j2, u + q.degree), cat.comp[(x.terms[j2].obj, tx.obj, ty.obj)], q, (q.degree * u + n + 1) % 2) for j2, q in q_from.get(j, ())]
+                for left, target, table, q, odd in parts:
+                    _, row, rows = at.get(target, (None, 0, 0))
+                    for t in range(size):
+                        product = contract(fl, table, u, {t: one}, q.degree, q.coords) if left else contract(fl, table, q.degree, q.coords, u, {t: one})
+                        for k, v in product.items():
+                            if not 0 <= k < rows:
+                                raise IndexError(f"product index {k} outside block {target}")
+                            out[(row + k, off + t)] = fl.neg(v) if odd else v
+        diff = {n: Matrix(fl, dims.get(n + 1, 0), dims[n], e) for n, e in ent.items() if e}
+        self.complex = ChainComplex(fl, dims, diff)
