@@ -274,6 +274,8 @@ class DGCategory:
             ia, ib = unit.get((a, b)), unit.get((b, c))
             fs = {p: [i for i in range(hab.dim(p)) if p or i != ia] for p in hab.degrees()}
             gs = {q: [j for j in range(hbc.dim(q)) if q or j != ib] for q in hbc.degrees()}
+            if not any(fs.values()) or not any(gs.values()):
+                continue  # no f or no g to check, e.g. End(a) spanned by the unit
             for e in targets[c]:
                 h_range = hs.get((c, e))
                 if not h_range:

@@ -217,7 +217,13 @@ def axpy(f, acc, vec, c=None):
 
 
 class Matrix:
-    """Sparse exact matrix: entries is a dict (row, col) -> nonzero scalar."""
+    """Sparse exact matrix: entries is a dict (row, col) -> nonzero scalar.
+
+    The constructor checks every entry it is given (in bounds, zeros
+    dropped) and copies them.  `_adopt` checks nothing and takes ownership
+    of the dict: only `pretr.HomSpace._build`, which checks each entry once
+    as it writes it, calls it (a lint in tests/test_src_lint.py keeps it so).
+    """
 
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -232,6 +238,15 @@ class Matrix:
                     raise ShapeMismatch(f"entry ({i},{j}) out of bounds {rows}x{cols}")
                 if not field.is_zero(v):
                     self.entries[(i, j)] = v
+
+    @classmethod
+    def _adopt(cls, field, rows, cols, entries):
+        """The matrix whose entries dict is entries itself, which the caller
+        has checked (every key in bounds, every value nonzero) and no longer
+        writes."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols, m.entries = field, rows, cols, entries
+        return m
 
     @classmethod
     def zero(cls, field, rows, cols):

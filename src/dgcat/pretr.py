@@ -237,15 +237,36 @@ def compose(f, g):
     return TwistedMorphism(f.src, g.dst, f.degree + g.degree, out)
 
 
+class _Content:
+    """The content key of a twisted complex (see _canon): its hash is
+    computed once, from the content, and kept.  Two keys are equal when they
+    are the same object, or else when their hashes and their content are
+    equal, so two complexes that differ in content never share a memo
+    entry, even when their hashes collide."""
+
+    __slots__ = ("content", "hash")
+
+    def __init__(self, content):
+        self.content = content
+        self.hash = hash(content)
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        return self is other or isinstance(other, _Content) and self.hash == other.hash and self.content == other.content
+
+
 def _canon(x):
     """Content key of a twisted complex: terms and twist with sorted coords,
-    as plain tuples so that hashing and comparing them runs in C.  Computed
-    once per complex, which is not changed after construction."""
+    as plain tuples, in a `_Content` that keeps their hash.  Computed once
+    per complex, which is not changed after construction."""
     key = x._key
     if key is None:
-        key = x._key = tuple([(t.obj, t.shift) for t in x.terms]), tuple(
-            sorted((i, j, m.degree, tuple(sorted(m.coords.items()))) for (i, j), m in x.q.items())
-        )
+        key = x._key = _Content((
+            tuple([(t.obj, t.shift) for t in x.terms]),
+            tuple(sorted((i, j, m.degree, tuple(sorted(m.coords.items()))) for (i, j), m in x.q.items())),
+        ))
     return key
 
 
@@ -258,7 +279,9 @@ class HomSpace:
     and twists) takes its layout and complex instead of building them; x
     and y are always the caller's own.  The one lookup is the memo on the
     ends: x._homs, then y._homs, both keyed by (category, content of x,
-    content of y).  A build stores (layout, complex) in both.  The memo holds
+    content of y), the contents being `_canon` keys: each hashes once per
+    complex, and keys whose hashes collide still compare their content.
+    A build stores (layout, complex) in both.  The memo holds
     neither the HomSpace nor its ends, so it is freed with them.  The
     complex is shared with the ranks and cohomology bases it caches; nothing
     verified is stored (see null_homotopy).
@@ -286,7 +309,10 @@ class HomSpace:
     matrix of multiplication by basis element e_s that `Tables.operator`
     keeps with the tables, and the sign is folded into each q_s.  q is
     strictly upper triangular, so the three parts land in pairwise
-    different blocks and every matrix entry is written once.
+    different blocks and every matrix entry is written once.  Each entry is
+    checked once, as it is written (a twist entry outside its block raises
+    `IndexError`), and each differential takes its entry dict through
+    `Matrix._adopt`, with no second check.
     """
 
     def __init__(self, x, y):
@@ -306,8 +332,13 @@ class HomSpace:
 
     def _build(self):
         x, y, cat = self.x, self.y, self.cat
-        blocks = [(i, ty, j, tx, cat.hom(tx.obj, ty.obj)) for i, ty in enumerate(y.terms) for j, tx in enumerate(x.terms)]
-        self.layout = Blocks(((i, j, u), u - ty.shift + tx.shift, h.dim(u)) for i, ty, j, tx, h in blocks for u in h.complex.degrees())
+        blocks = []  # (i, ty, j, tx, complex of Hom(x_j, y_i), its sorted (degree, dim)) for each nonzero Hom
+        for i, ty in enumerate(y.terms):
+            for j, tx in enumerate(x.terms):
+                h = cat.hom(tx.obj, ty.obj).complex
+                if h.dims:
+                    blocks.append((i, ty, j, tx, h, sorted(h.dims.items())))
+        self.layout = Blocks(((i, j, u), u - ty.shift + tx.shift, size) for i, ty, j, tx, _, degrees in blocks for u, size in degrees)
         at, dims = self.layout.at, self.layout.dims
         fl, comp = cat.field, cat.comp
         neg, mul, add = fl.neg, fl.mul, fl.add
@@ -318,11 +349,11 @@ class HomSpace:
         for (j, j2), m in x.q.items():
             q_from.setdefault(j, []).append((j2, m))
         ent = {n: {} for n in dims}
-        for i, ty, j, tx, h in blocks:
-            for u in h.complex.degrees():
-                n, off, size = at[(i, j, u)]
+        for i, ty, j, tx, h, degrees in blocks:
+            for u, size in degrees:
+                n, off, _ = at[(i, j, u)]
                 out = ent[n]
-                base = h.complex.diff.get(u)
+                base = h.diff.get(u)
                 if base is not None:
                     row = at[(i, j, u + 1)][1]
                     for (r, t), v in base.entries.items():
@@ -347,7 +378,9 @@ class HomSpace:
                             if not 0 <= t < size:
                                 raise IndexError(f"factor index {t} outside block {(i, j, u)}")
                             out[(row + k, off + t)] = v
-        diff = {n: Matrix(fl, dims.get(n + 1, 0), dims[n], e) for n, e in ent.items() if e}
+        # each entry is nonzero and in range: internal ones come from a base
+        # differential of checked shape, twist ones passed the checks above
+        diff = {n: Matrix._adopt(fl, dims.get(n + 1, 0), dims[n], e) for n, e in ent.items() if e}
         self.complex = ChainComplex(fl, dims, diff)
 
     def to_vector(self, f):

@@ -13,6 +13,7 @@ from dgcat.dgcore import Arrow, Morphism, from_quiver, tensor
 from dgcat.exactlin import QQ, GF, Matrix
 from dgcat.dgcore import contract
 from dgcat.fixtures import beilinson3_category, epsilon_category, kronecker_category, kronecker_ev_morphism
+from dgcat.functors import hull_subcategory
 from dgcat import pretr
 from dgcat.pretr import (
     HomSpace,
@@ -507,6 +508,71 @@ def test_memoized_homspace_equals_fresh_build():
     assert reordered
 
 
+def test_colliding_content_keys_compare_content_and_share_no_memo_entry():
+    """Two complexes that differ in content, whose keys are given the same
+    cached hash, neither compare equal nor read each other's memo entries,
+    in either slot of the key."""
+    cat = kronecker_category()
+    e1 = embed(cat, cat.obj("e1"))
+    c1, c2 = cone(identity_morphism(e1)), cone(kronecker_ev_morphism(cat))
+    k1, k2 = pretr._canon(c1), pretr._canon(c2)
+    assert k1.content != k2.content
+    k1.hash = k2.hash = 7
+    assert hash(k1) == hash(k2) and k1 != k2 and not k1 == k2 and k1 == k1
+    first, mixed = HomSpace(c1, c1), HomSpace(c1, e1)
+    c2._homs.update(c1._homs)
+    own, other = HomSpace(c2, c2), HomSpace(c2, e1)
+    assert own.complex is not first.complex and other.complex is not mixed.complex
+    assert len(c2._homs) == len(c1._homs) + 2 and len(c1._homs) == 2
+    fresh = HomSpace(_content_copy(c2), _content_copy(c2))
+    assert (own.layout.at, own.complex.dims, own.complex.diff) == (fresh.layout.at, fresh.complex.dims, fresh.complex.diff)
+    assert own.layout.at != first.layout.at
+    assert HomSpace(c1, c1).complex is first.complex and HomSpace(c2, c2).complex is own.complex
+
+
+def test_content_equal_complexes_built_separately_share_one_hom_complex():
+    """Two cones of the same morphism, each built on its own, have distinct
+    but equal keys with equal hashes, and a Hom complex with either as an
+    end reads the one that End(a) stored on a."""
+    cat = kronecker_category()
+    a, b = (cone(kronecker_ev_morphism(cat)) for _ in range(2))
+    assert a is not b and pretr._canon(a) is not pretr._canon(b)
+    assert pretr._canon(a) == pretr._canon(b) and hash(pretr._canon(a)) == hash(pretr._canon(b))
+    first = HomSpace(a, a)
+    for x, y in ((a, b), (b, a)):
+        hs = HomSpace(x, y)
+        assert hs.complex is first.complex and hs.layout is first.layout
+        assert hs.x is x and hs.y is y
+
+
+def test_the_content_key_is_computed_once_per_complex(monkeypatch):
+    """However many Hom complexes, memo lookups and hull subcategories read
+    a complex's key, it is made once, and every read returns that object."""
+    made = []
+
+    class Counted(pretr._Content):
+        __slots__ = ()
+
+        def __init__(self, content):
+            made.append(content)
+            super().__init__(content)
+
+    monkeypatch.setattr(pretr, "_Content", Counted)
+    cat = kronecker_category()
+    e1, e2 = embed(cat, cat.obj("e1")), embed(cat, cat.obj("e2"))
+    c = cone(kronecker_ev_morphism(cat))
+    ends = (e1, e2, c, shift(c, 1))
+    keys = [pretr._canon(x) for x in ends]
+    for _ in range(2):
+        for x in ends:
+            for y in ends:
+                for n in (-1, 0, 1):
+                    ho_hom(x, y, n)
+        hull_subcategory(cat, [(f"o{t}", x) for t, x in enumerate(ends)])
+    assert len(made) == len(ends)
+    assert all(pretr._canon(x) is key for x, key in zip(ends, keys))
+
+
 def _hull_cone(cat, rng, depth):
     """Iterated cone into the last object, in the shape of the benchmark's
     cone jobs: C_1 = cone(x1 + x2 + x3 -> top), C_s = cone(z_s -> C_{s-1})."""
@@ -801,17 +867,12 @@ def _twist_branches(x, y, seen):
                         seen[f"right {'odd' if (q.degree * u + n + 1) % 2 else 'even'}"] += 1
 
 
-def test_homspace_build_matches_the_reference_build():
-    """Seeded, over Q and F_32003: `HomSpace` gives the layout and every
-    differential that the build with one `contract` per basis vector and
-    twist entry gave (`twisted_reference.ReferenceHomSpace`), exactly, on
-    gens complexes (base categories with d != 0 and Homs in nonzero
-    degrees among them), on the epsilon fixture in degrees 0, 1 and 2 and
-    on a quiver whose odd arrows compose, with twists on both ends and odd
-    shifts.  Every sign branch of the
-    internal, left and right parts runs with a nonzero product."""
+def _seeded_build_pairs():
+    """Seeded pairs of twisted complexes over Q and F_32003: gens
+    complexes over the epsilon fixture in degrees 0, 1 and 2, over gens
+    categories and over a quiver whose odd arrows compose, with twists on
+    both ends and odd shifts."""
     rng = random.Random(3133)
-    seen = Counter()
     for trial in range(48):
         field = (QQ, GF(32003))[trial % 2]
         if trial % 4 < 2:
@@ -822,19 +883,48 @@ def test_homspace_build_matches_the_reference_build():
             cat = from_quiver(field, ["p", "q", "r"], [Arrow("a", "p", "q", 1), Arrow("b", "q", "r", rng.choice((-1, 1)))])
         x = shift(random_twisted_complex(cat, rng, max_terms=4), rng.randrange(-1, 2))
         y = random_twisted_complex(cat, rng, max_terms=4)
-        pairs = [(x, y), (y, x), (x, x), (y, shift(y, 1))]
+        yield from ((x, y), (y, x), (x, x), (y, shift(y, 1)))
         if trial % 4 == 3:  # the left part of a from embed(p) into (r <-b- q)
             p, q, r = cat.objects
             arrow = cat.basis_morphism(q, r, cat.hom(q, r).complex.degrees()[0], 0)
             z = TwistedComplex(cat, [(r, 0), (q, 1 - arrow.degree)], {(0, 1): arrow})
-            pairs += [(shift(embed(cat, p), rng.randrange(-1, 2)), z), (x, z)]
-        for a, b in pairs:
-            hs, ref = HomSpace(a, b), twisted_reference.ReferenceHomSpace(a, b)
-            assert hs.layout.at == ref.layout.at
-            assert hs.complex.dims == ref.complex.dims
-            assert hs.complex.diff == ref.complex.diff
-            seen["twists on both ends"] += bool(a.q and b.q)
-            seen["odd shift"] += any(t.shift % 2 for t in (*a.terms, *b.terms))
-            _twist_branches(a, b, seen)
+            yield from ((shift(embed(cat, p), rng.randrange(-1, 2)), z), (x, z))
+
+
+def test_homspace_build_matches_the_reference_build():
+    """Seeded, over Q and F_32003: `HomSpace` gives the layout and every
+    differential that the build with one `contract` per basis vector and
+    twist entry gave (`twisted_reference.ReferenceHomSpace`), exactly, on
+    gens complexes (base categories with d != 0 and Homs in nonzero
+    degrees among them), on the epsilon fixture in degrees 0, 1 and 2 and
+    on a quiver whose odd arrows compose, with twists on both ends and odd
+    shifts.  Every sign branch of the
+    internal, left and right parts runs with a nonzero product."""
+    seen = Counter()
+    for a, b in _seeded_build_pairs():
+        hs, ref = HomSpace(a, b), twisted_reference.ReferenceHomSpace(a, b)
+        assert hs.layout.at == ref.layout.at
+        assert hs.complex.dims == ref.complex.dims
+        assert hs.complex.diff == ref.complex.diff
+        seen["twists on both ends"] += bool(a.q and b.q)
+        seen["odd shift"] += any(t.shift % 2 for t in (*a.terms, *b.terms))
+        _twist_branches(a, b, seen)
     branches = [f"{part} {parity}" for part in ("internal", "left", "right") for parity in ("odd", "even")]
     assert all(seen[k] for k in (*branches, "twists on both ends", "odd shift")), seen
+
+
+def test_adopted_differentials_equal_the_checked_construction(monkeypatch):
+    """Each differential that `HomSpace._build` hands to `Matrix._adopt`
+    unchecked, on the seeded pairs of the reference-build test (and in the
+    Hom complexes that making them reads), equals the matrix that the
+    checking constructor builds from a copy of its entries: every entry is
+    in bounds and nonzero.  Every differential of those pairs' complexes
+    was adopted."""
+    adopted, real = [], Matrix._adopt
+    monkeypatch.setattr(Matrix, "_adopt", classmethod(lambda cls, *args: adopted.append(real(*args)) or adopted[-1]))
+    complexes = [HomSpace(a, b).complex for a, b in _seeded_build_pairs()]
+    monkeypatch.undo()
+    assert len(adopted) > 100
+    for m in adopted:
+        assert m == Matrix(m.field, m.rows, m.cols, dict(m.entries))
+    assert {id(m) for m in adopted} >= {id(m) for c in complexes for m in c.diff.values()}

@@ -229,3 +229,89 @@ def helper(args):
     tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
     assert _unchecked_category_reads(tree, exempt=()) == ["cmd_ring"]
     assert _unchecked_category_reads(tree) == []
+
+
+MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
+
+
+def _matrix_entry_writes(tree):
+    """(kind, scope, line) for each call of `_adopt` ("adopt") and each
+    write of an `entries` attribute other than `self.entries` ("write"): an
+    assignment or `del` of it or of an item of it, a mutating method call
+    on it, or a `setattr` of "entries".  scope is the dotted name of the
+    enclosing classes and functions, "<module>" at top level."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def scope(node):
+        names = []
+        while node in parent:
+            node = parent[node]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.append(node.name)
+        return ".".join(reversed(names)) or "<module>"
+
+    def foreign_entries(node):
+        return isinstance(node, ast.Attribute) and node.attr == "entries" and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    found = []
+    for node in ast.walk(tree):
+        kind = None
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "_adopt":
+                kind = "adopt"
+            elif name in ("setattr", "__setattr__") and any(isinstance(a, ast.Constant) and a.value == "entries" for a in node.args):
+                kind = "write"
+            elif isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS and foreign_entries(node.func.value):
+                kind = "write"
+        elif isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+            if foreign_entries(node) or isinstance(node, ast.Subscript) and foreign_entries(node.value):
+                kind = "write"
+        if kind:
+            found.append((kind, scope(node), node.lineno))
+    return sorted(found, key=lambda f: f[2])
+
+
+def test_only_the_hom_build_adopts_unchecked_matrix_entries():
+    """`Matrix._adopt` takes an entries dict without the constructor's
+    bounds check and zero test, so the dict must be one its caller has
+    checked.  Outside `exactlin`, only `pretr.HomSpace._build`, which
+    checks each entry as it writes it, calls `_adopt`, and nothing writes
+    a `Matrix`'s `entries` (a class's own `self.entries`, as in
+    `TwistedMorphism`, is not one)."""
+    bad = """
+class HomSpace:
+    def _build(self):
+        return Matrix._adopt(fl, 1, 1, {})
+    def other(self, m):
+        m.entries = {}
+        m.entries[(0, 0)] = 1
+def helper(fl, m):
+    setattr(m, "entries", {})
+    m.entries.update({})
+    del m.entries[(0, 0)]
+    m.entries, n = {}, 1
+    return exactlin.Matrix._adopt(fl, 0, 0, {})
+class T:
+    def __init__(self):
+        self.entries = {}
+        self.entries[0] = 1
+        x = m.entries.get(0)
+"""
+    assert _matrix_entry_writes(ast.parse(bad)) == [
+        ("adopt", "HomSpace._build", 4),
+        ("write", "HomSpace.other", 6),
+        ("write", "HomSpace.other", 7),
+        ("write", "helper", 9),
+        ("write", "helper", 10),
+        ("write", "helper", 11),
+        ("write", "helper", 12),
+        ("adopt", "helper", 13),
+    ]
+    found = {
+        (kind, f"{path.stem}.{where}")
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "exactlin"
+        for kind, where, _ in _matrix_entry_writes(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert found == {("adopt", "pretr.HomSpace._build")}, found
