@@ -330,6 +330,9 @@ class Matrix:
                 axpy(f, out, cols[j], c)
         return out
 
+    def transpose(self):
+        return Matrix(self.field, self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+
     def columns(self):
         """Sparse columns: {col: {row: scalar}}, empty columns left out."""
         cols = {}

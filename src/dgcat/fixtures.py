@@ -52,32 +52,6 @@ def kronecker_ev_morphism(cat):
     return pretr.TwistedMorphism(src, dst, 0, {(0, 0): a, (0, 1): b})
 
 
-def serre_from_images(cat, obj_images, basis_images):
-    """SerreData from images of every Hom basis element.
-
-    basis_images[(a, b, n, i)] is the TwistedMorphism image of the i-th
-    degree-n basis morphism of Hom(a, b)."""
-    from .functors import serre_data
-
-    fl = cat.field
-    mor_images = {}
-    for (a, b), h in cat.homs.items():
-        hs = pretr.HomSpace(obj_images[a], obj_images[b])
-        per_deg = {}
-        for n in h.complex.degrees():
-            cols = {}
-            for i in range(h.dim(n)):
-                tm = basis_images.get((a, b, n, i))
-                if tm is None:
-                    continue
-                for r, v in hs.to_vector(tm).items():
-                    cols[(r, i)] = v
-            per_deg[n] = Matrix(fl, hs.complex.dim(n), h.dim(n), cols)
-        if per_deg:
-            mor_images[(a, b)] = per_deg
-    return serre_data(cat, obj_images, mor_images)
-
-
 def tensor_object_order(t):
     """Objects of a tensor category in lexicographic (exceptional) order."""
     return list(t.objects)
@@ -170,22 +144,21 @@ def motivic_ledger(field=QQ, degree_bound=4):
 
 def a2_serre_data(field=QQ):
     """The Nakayama/Serre bundle for A_2: S(u) = embed(v), S(v) = cone(a),
-    S(a) = the cone inclusion; trace pairings come with it."""
-    from .functors import base_to_tm, composition_trace_pairings
-    from .pretr import TwistedMorphism, identity_morphism
+    S(a) = the cone inclusion; trace pairings come with it.  Each Hom of
+    A_2 is one-dimensional in degree 0, so each map of S is one column."""
+    from .functors import base_to_tm, composition_trace_pairings, serre_data
 
     cat = a2_category(field)
     u, v = cat.obj("u"), cat.obj("v")
     a = cat.basis_morphism(u, v, 0, 0)
     z = cone(base_to_tm(cat, a))
     ev = embed(cat, v)
-    s_a = TwistedMorphism(ev, z, 0, {(0, 0): cat.identity(v)})
-    images = {
-        (u, u, 0, 0): identity_morphism(ev),
-        (v, v, 0, 0): identity_morphism(z),
-        (u, v, 0, 0): s_a,
-    }
-    data = serre_from_images(cat, {u: ev, v: z}, images)
+    s_basis = {(u, u): pretr.identity_morphism(ev), (u, v): pretr.TwistedMorphism(ev, z, 0, {(0, 0): cat.identity(v)}), (v, v): pretr.identity_morphism(z)}
+    mor_images = {}
+    for key, f in s_basis.items():
+        hs = pretr.HomSpace(f.src, f.dst)
+        mor_images[key] = {0: Matrix.from_columns(field, hs.complex.dim(0), [hs.to_vector(f)])}
+    data = serre_data(cat, {u: ev, v: z}, mor_images)
     traces = {u: {0: field.one()}, v: {0: field.one()}}
     pairings = composition_trace_pairings(data, traces)
     return data, pairings

@@ -279,11 +279,6 @@ def _class(data, cat, f):
     return coords
 
 
-def _classes_with_coords(data, cat, x, y, n):
-    """(cycle, class coordinates) of each representative of H^n Hom(x, y)."""
-    return [(z, _class(data, cat, z)) for z in _classes(cat, x, y, n)]
-
-
 def _pairing_dims(data, a, b):
     """({n: dim H^n Hom(a, b)}, {n: dim H^{-n} Hom(E b, S a)}) in H, over nonzero dims."""
     hs = data.functor.dst.hom(data.embedding.obj_map[b], data.functor.obj_map[a]).complex
@@ -298,6 +293,13 @@ def verify_serre(data, pairings):
     pairings[(a, b, n)] is a matrix P with P[r, c] = <x_c, y_r> over the
     deterministic cohomology bases.  The dimension symmetry
     dim H^n Hom(A,B) = dim H^{-n} Hom(E B, S A) is checked first.
+
+    Naturality is one matrix identity per basis class g of H^s Hom(B, B2)
+    and degree n, P(a, b2, n+s)·M = Nᵀ·P(a, b, n), M's columns the classes
+    of x_c·g and N's those of E(g)·y_r (in the first argument, of f·x_c and
+    y_r·S(f)): a basis representative's class is a unit vector
+    (`Cohomology.dual`), so entry (r, c) reads <x_c·g, y_r> = <x_c, E(g)·y_r>.
+    Each nonzero entry of the difference is one failure.
     """
     emb, fun = data.embedding, data.functor
     cat, hull = fun.src, fun.dst
@@ -328,16 +330,12 @@ def verify_serre(data, pairings):
     if failures:
         return Verdict(False, failures)
 
-    def pair_value(a, b, n, x_coords, y_coords):
-        p = pairings[(a, b, n)]
-        s = fl.zero()
-        for c, vx in x_coords.items():
-            for r, vy in y_coords.items():
-                s = fl.add(s, fl.mul(fl.mul(vx, vy), p.get(r, c)))
-        return s
+    def natural(failure, key2, key, moved_x, moved_y):
+        p2, p = pairings[key2], pairings[key]
+        m = Matrix.from_columns(fl, p2.cols, [_class(data, cat, z) for z in moved_x])
+        nt = Matrix.from_columns(fl, p.rows, [_class(data, hull, z) for z in moved_y]).transpose()
+        failures.extend([failure] * len(p2.matmul(m).sub(nt.matmul(p)).entries))
 
-    # the basis cycles of H^n Hom(a, b), with their classes, before the loops
-    xs = {(a, b, n): _classes_with_coords(data, cat, a, b, n) for (a, b), ns in dims.items() for n in ns}
     # naturality in the second argument: <mul(x,g), y> = <x, mul(E g, y)>
     for a in cat.objects:
         for b in cat.objects:
@@ -346,12 +344,10 @@ def verify_serre(data, pairings):
                     for g in _classes(cat, b, b2, s):
                         eg = emb.apply(g)
                         for n in dims[(a, b)]:
-                            for y, y_cls in _classes_with_coords(data, hull, emb.obj_map[b2], fun.obj_map[a], -n - s):
-                                gy_cls = _class(data, hull, hull.mul(eg, y))
-                                for x, x_cls in xs[(a, b, n)]:
-                                    lhs = pair_value(a, b2, n + s, _class(data, cat, cat.mul(x, g)), y_cls)
-                                    if lhs != pair_value(a, b, n, x_cls, gy_cls):
-                                        failures.append(("naturality_target", (a.label, b.label, b2.label, s, n)))
+                            if n + s in dims[(a, b2)]:
+                                xg = [cat.mul(x, g) for x in _classes(cat, a, b, n)]
+                                gy = [hull.mul(eg, y) for y in _classes(hull, emb.obj_map[b2], fun.obj_map[a], -n - s)]
+                                natural(("naturality_target", (a.label, b.label, b2.label, s, n)), (a, b2, n + s), (a, b, n), xg, gy)
     # naturality in the first argument: <mul(f,x), y> = <x, mul(y, S f)>
     for a2 in cat.objects:
         for a in cat.objects:
@@ -360,12 +356,10 @@ def verify_serre(data, pairings):
                     sf = fun.apply(f)
                     for b in cat.objects:
                         for n in dims[(a, b)]:
-                            for y, y_cls in _classes_with_coords(data, hull, emb.obj_map[b], fun.obj_map[a2], -n - p):
-                                ysf_cls = _class(data, hull, hull.mul(y, sf))
-                                for x, x_cls in xs[(a, b, n)]:
-                                    lhs = pair_value(a2, b, n + p, _class(data, cat, cat.mul(f, x)), y_cls)
-                                    if lhs != pair_value(a, b, n, x_cls, ysf_cls):
-                                        failures.append(("naturality_source", (a2.label, a.label, b.label, p, n)))
+                            if n + p in dims[(a2, b)]:
+                                fx = [cat.mul(f, x) for x in _classes(cat, a, b, n)]
+                                ysf = [hull.mul(y, sf) for y in _classes(hull, emb.obj_map[b], fun.obj_map[a2], -n - p)]
+                                natural(("naturality_source", (a2.label, a.label, b.label, p, n)), (a2, b, n + p), (a, b, n), fx, ysf)
     return Verdict(not failures, failures)
 
 

@@ -27,6 +27,7 @@ the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dgcore import Blocks, Morphism, ObjId
 from .exactlin import ChainComplex, Matrix, axpy
@@ -37,8 +38,9 @@ class Refusal(Exception):
     Not a ValueError, which `cli._parse` reads as a malformed document."""
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
+    """A term obj[shift] of a twisted complex; a tuple, like `ObjId`."""
+
     obj: ObjId
     shift: int
 
@@ -77,12 +79,8 @@ class TwistedComplex:
         return len(self.terms)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TwistedComplex)
-            and self.cat is other.cat
-            and self.terms == other.terms
-            and self.q == other.q
-        )
+        """Same category and same content (the `_canon` key)."""
+        return isinstance(other, TwistedComplex) and self.cat is other.cat and _canon(self) == _canon(other)
 
     def __repr__(self):
         inner = " + ".join(f"{t.obj.label}[{t.shift}]" for t in self.terms) or "0"
@@ -200,7 +198,12 @@ def direct_sum(x, y):
 
 
 def identity_morphism(x):
+    """1_x.  A category read from a document may list no identity for an
+    object (its unit axiom then fails): a term on one is a Refusal, so
+    replay fails the obligation that needs 1_x instead of raising KeyError."""
     cat = x.cat
+    if missing := [t.obj.label for t in x.terms if t.obj not in cat.ids]:
+        raise Refusal(f"no identity on {missing[0]}")
     return TwistedMorphism(x, x, 0, {(t, t): cat.identity(term.obj) for t, term in enumerate(x.terms)})
 
 
@@ -258,13 +261,14 @@ class _Content:
 
 
 def _canon(x):
-    """Content key of a twisted complex: terms and twist with sorted coords,
-    as plain tuples, in a `_Content` that keeps their hash.  Computed once
-    per complex, which is not changed after construction."""
+    """Content key of a twisted complex: its terms (a tuple of `Term`s)
+    and its twist with sorted coords, as tuples, in a `_Content` that keeps
+    their hash.  Computed once per complex, which is not changed after
+    construction; `TwistedComplex.__eq__` compares these keys."""
     key = x._key
     if key is None:
         key = x._key = _Content((
-            tuple([(t.obj, t.shift) for t in x.terms]),
+            x.terms,
             tuple(sorted((i, j, m.degree, tuple(sorted(m.coords.items()))) for (i, j), m in x.q.items())),
         ))
     return key
@@ -633,13 +637,5 @@ def karoubi_hom(a, b, n):
     if not b.verify():
         raise ValueError("target idempotent witness fails verification")
     hs = HomSpace(a.carrier, b.carrier)
-    h = hs.cohomology(n)
-    if h.dim == 0:
-        return 0
-    fl = a.carrier.cat.field
-    cols = {}
-    for t, z in enumerate(hs.cohomology_classes(n)):
-        image = compose(compose(a.e, z), b.e)
-        for r, v in hs.project(image).items():
-            cols[(r, t)] = v
-    return Matrix(fl, h.dim, h.dim, cols).rank()
+    images = [hs.project(compose(compose(a.e, z), b.e)) for z in hs.cohomology_classes(n)]
+    return Matrix.from_columns(a.carrier.cat.field, hs.cohomology(n).dim, images).rank()

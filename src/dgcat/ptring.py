@@ -30,10 +30,6 @@ class ProvenanceError(Exception):
     pass
 
 
-def monomial(*labels):
-    return tuple(sorted(labels))
-
-
 UNIT = ()
 
 # ClassExpr.parse splits on these and reads [pt] as the unit, so a generator

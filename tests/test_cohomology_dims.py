@@ -227,3 +227,45 @@ def test_graded_decisions_equal_the_degree_loop_reference(field, monkeypatch):
         assert seen[check, True] and seen[check, False], check
     kinds = {"hom_iso_dim", "hom_iso_rank", "essential_surjectivity"} | {"dimension_symmetry", "pairing_not_perfect", "naturality_target", "naturality_source"}
     assert kinds <= {kind for _, kind in seen}, kinds - {kind for _, kind in seen}
+
+
+PERTURBATIONS = 150
+
+
+def _trace_bundles(field):
+    """(data, trace pairings) of the A_2 Nakayama bundle and of the
+    identity bundle of the epsilon algebra End(*) = k[e]/e² with deg e = 0
+    and trace tr(e) = 1, a Frobenius form."""
+    yield a2_serre_data(field)
+    eps = epsilon_category(field, 0)
+    e = eps.objects[0]
+    data = functor_as_serre_data(identity_functor(eps))
+    yield data, composition_trace_pairings(data, {e: {list(eps.hom(e, e).names[0]).index("e"): field.one()}})
+
+
+def _perturbed(pairings, rng):
+    """pairings with one seeded entry of one matrix set to a seeded value."""
+    key = rng.choice(sorted(pairings))
+    m = pairings[key]
+    r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+    return {**pairings, key: Matrix(m.field, m.rows, m.cols, {**m.entries, (r, c): m.field.from_int(rng.randrange(-3, 4))})}
+
+
+@pytest.mark.parametrize("field", (QQ, GF(3), GF(32003)), ids=lambda f: f.name)
+def test_serre_failure_lists_equal_the_reference_on_perturbed_pairings(field):
+    """verify_serre gives the reference's failure list, order and repeats
+    included, on the trace pairings of the A_2 and epsilon bundles with one
+    seeded entry changed, 150 times each.  The epsilon End is
+    2-dimensional, so one naturality identity can fail at several entries:
+    both naturality kinds occur, and some failure list repeats an entry."""
+    rng = random.Random(3033)
+    seen = Counter()
+    for data, pairings in _trace_bundles(field):
+        assert verify_serre(data, pairings).ok, data.functor.name
+        for _ in range(PERTURBATIONS):
+            changed = _perturbed(pairings, rng)
+            got = verify_serre(data, changed)
+            assert got == sref.hull_verify_serre(data, changed), data.functor.name
+            seen.update({kind for kind, _ in got.failures})
+            seen["repeated entry"] += len(set(got.failures)) < len(got.failures)
+    assert seen["naturality_target"] and seen["naturality_source"] and seen["repeated entry"], seen

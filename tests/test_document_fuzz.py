@@ -469,3 +469,65 @@ def test_a_functor_on_a_category_without_an_identity_fails_its_check(tmp_path):
         assert code == 1, command
         assert set(_failed(json.loads(out))) == {"quasi-equivalence", "category_axioms@source"}, command
         assert "no identity on a or F(a)" in json.loads(out)["verdicts"][0]["detail"], command
+
+
+# The commands that replay each kind of certificate document, and the keys
+# of its categories with the `where` of their category_axioms entries.
+REPLAYS = {
+    "gen-certificate": (("validate",), {"category": "()"}),
+    "sod-claim": (("validate", "check-sod"), {"category": "()"}),
+    "equiv-certificate": (("validate", "check-qe"), {"src_category": "source", "dst_category": "target"}),
+}
+
+
+def _summand_certificate():
+    """A gen-certificate document for e1 of the Kronecker category as the
+    image of the idempotent of e1 ⊕ e1 that keeps the first summand."""
+    from dgcat import pretr, sodgen
+    from dgcat.fixtures import kronecker_category
+
+    k2 = kronecker_category()
+    e1 = k2.obj("e1")
+    x = pretr.direct_sum(pretr.embed(k2, e1), pretr.embed(k2, e1))
+    first = pretr.TwistedMorphism(x, x, 0, {(0, 0): k2.identity(e1)})
+    steps = (sodgen.Leaf(e1, 0), sodgen.Leaf(e1, 0), sodgen.Sum((0, 1)), sodgen.Summand(2, first, pretr.zero_morphism(x, x, -1)))
+    fin = pretr.TwistedMorphism(x, pretr.embed(k2, e1), 0, {(0, 0): k2.identity(e1)})
+    cert = sodgen.GenerationCertificate((e1,), steps, pretr.embed(k2, e1), fin)
+    return schema.document("gen-certificate", "Q", schema.gencert_to_json(k2, cert))
+
+
+def test_a_category_without_an_identity_fails_every_replay(tmp_path):
+    """With one object's identity dropped from a category of a shipped
+    certificate or claim document, of a Summand certificate, or of the
+    Kronecker claim with every cut witness (whose cone at a cut is checked
+    right-orthogonal), replay that needed 1_x ended validate and check-sod
+    in a KeyError.  Every command that replays such a document exits 1 with
+    the category's category_axioms entry failed, and check-sod keeps its
+    audit rows after that entry."""
+    from dgcat.fixtures import kronecker_category
+    from sod_reference import witnessed_exceptional_claim
+
+    docs = tmp_path / "docs"
+    write_fixture_documents(str(docs))
+    originals = {p.name: json.loads(p.read_text()) for p in sorted(docs.iterdir()) if p.name.split(".")[-2] in REPLAYS}
+    originals["summand.gen-certificate.json"] = _summand_certificate()
+    k2 = kronecker_category()
+    claim = witnessed_exceptional_claim(k2, k2.objects)
+    originals["witnessed.sod-claim.json"] = schema.document("sod-claim", "Q", schema.sod_claim_to_json(k2, claim))
+    assert len(originals) == 8
+    for name, doc in originals.items():
+        commands, wheres = REPLAYS[doc["kind"]]
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        assert [_run([command, str(path)])[0] for command in commands] == [1 if "broken" in name else 0] * len(commands), name
+        for key, where in wheres.items():
+            for label in doc["body"][key]["ids"]:
+                bad = json.loads(json.dumps(doc))
+                del bad["body"][key]["ids"][label]
+                path.write_text(json.dumps(bad))
+                for command in commands:
+                    code, out, _ = _run([command, str(path)])
+                    report = json.loads(out)
+                    assert code == 1 and f"category_axioms@{where}" in _failed(report), (name, key, label, command)
+                    if command == "check-sod":
+                        assert [row[0] for row in report["tables"]["audit"][1:3]] == ["category_axioms", "semiorthogonality"], (name, label)

@@ -928,3 +928,19 @@ def test_adopted_differentials_equal_the_checked_construction(monkeypatch):
     for m in adopted:
         assert m == Matrix(m.field, m.rows, m.cols, dict(m.entries))
     assert {id(m) for m in adopted} >= {id(m) for c in complexes for m in c.diff.values()}
+
+
+def test_twisted_complexes_are_equal_when_their_content_is():
+    """`TwistedComplex.__eq__` compares the `_canon` keys of two complexes
+    over one category: the cone of ev and the direct sum of its terms have
+    one list of terms but not one twist, two cones of ev built separately
+    are equal, and the cone of ev over another copy of the category is not
+    equal to them."""
+    cat = kronecker_category()
+    c, again = cone(kronecker_ev_morphism(cat)), cone(kronecker_ev_morphism(cat))
+    flat = TwistedComplex(cat, c.terms, {}, check=False)
+    assert c.terms == flat.terms and c.q and c != flat and not c == flat
+    assert c == again and again == c and c is not again
+    other = cone(kronecker_ev_morphism(kronecker_category()))
+    assert pretr._canon(other) == pretr._canon(c) and other != c
+    assert all(isinstance(t, pretr.Term) and t == (t.obj, t.shift) for t in c.terms)

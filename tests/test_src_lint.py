@@ -1,6 +1,7 @@
 """Source checks that need no import of the package."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dgcat"
@@ -315,3 +316,69 @@ class T:
         for kind, where, _ in _matrix_entry_writes(ast.parse(path.read_text(), filename=str(path)))
     }
     assert found == {("adopt", "pretr.HomSpace._build")}, found
+
+
+def _definitions(tree):
+    """(name, line) of each module-level function and class of tree and of
+    each method of its classes whose name is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield item.name, item.lineno
+
+
+def _references(tree):
+    """The names tree reads: each name, each attribute, and each part of a
+    string constant that is a name or a dotted or colon path (the tracer
+    names its targets so, as in "dgcat.exactlin:Matrix" and "rank").
+    Prose, such as a docstring, names nothing."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[A-Za-z_][\w.:]*", node.value):
+            names.update(re.split(r"[.:]", node.value))
+    return names
+
+
+def test_every_src_definition_is_referenced():
+    """A definition that nothing names is dead code (`ptring.monomial` had
+    no caller and no test from the first commit on): every module-level
+    function and class and every non-dunder method in src/dgcat is named
+    somewhere in src/, tests/ or dgbench/."""
+    bad_src = '''
+def used():
+    pass
+def unused():
+    pass
+class K:
+    def __init__(self):
+        pass
+    def method(self):
+        pass
+    def traced(self):
+        pass
+    def idle(self):
+        return unused
+'''
+    bad_refs = '''
+"""method, traced and idle in prose name nothing."""
+used(K().method)
+SPANS = (("k.traced", "mod:K", "traced", None),)
+'''
+    refs = _references(ast.parse(bad_src)) | _references(ast.parse(bad_refs))
+    assert [d for d in _definitions(ast.parse(bad_src)) if d[0] not in refs] == [("idle", 13)]
+    root = SRC.parent.parent
+    refs = set().union(*(_references(ast.parse(p.read_text(), filename=str(p))) for d in ("src", "tests", "dgbench") for p in sorted((root / d).rglob("*.py"))))
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        if name not in refs
+    ]
+    assert not found, found
