@@ -313,10 +313,13 @@ class HomSpace:
     matrix of multiplication by basis element e_s that `Tables.operator`
     keeps with the tables, and the sign is folded into each q_s.  q is
     strictly upper triangular, so the three parts land in pairwise
-    different blocks and every matrix entry is written once.  Each entry is
-    checked once, as it is written (a twist entry outside its block raises
-    `IndexError`), and each differential takes its entry dict through
-    `Matrix._adopt`, with no second check.
+    different blocks, and each twist term is added straight into the
+    entry dict of its degree.  Every operator term is checked before it is
+    written: one outside its block raises `IndexError`, even when its
+    product is zero or its sum with the other terms would cancel.  A zero
+    product (a constant stored as zero in a table) is skipped, and an entry
+    whose sum cancels is deleted, so each differential takes only nonzero,
+    in-range entries through `Matrix._adopt`, with no second check.
     """
 
     def __init__(self, x, y):
@@ -366,24 +369,29 @@ class HomSpace:
                 parts = [((i2, j, u + q.degree), comp.operator((tx.obj, ty.obj, y.terms[i2].obj), 1, u, q.degree), q, u * q.degree % 2) for i2, q in q_into.get(i, ())]
                 parts += [((i, j2, u + q.degree), comp.operator((x.terms[j2].obj, tx.obj, ty.obj), 0, q.degree, u), q, (q.degree * u + n + 1) % 2) for j2, q in q_from.get(j, ())]
                 for target, op, q, odd in parts:
-                    block = {}  # (k, t) -> sum over s of (±q_s)·R_s[k, t]
+                    # entry (row + k, off + t) is the sum over s of (±q_s)·R_s[k, t]
+                    _, row, rows = at.get(target, (None, 0, 0))
                     for s, c in q.coords.items():
                         if odd:
                             c = neg(c)
                         for t, k, v in op.get(s, ()):
-                            v = mul(c, v)
-                            w = block.get((k, t))
-                            block[(k, t)] = v if w is None else add(w, v)
-                    _, row, rows = at.get(target, (None, 0, 0))
-                    for (k, t), v in block.items():
-                        if v:
                             if not 0 <= k < rows:
                                 raise IndexError(f"product index {k} outside block {target}")
                             if not 0 <= t < size:
                                 raise IndexError(f"factor index {t} outside block {(i, j, u)}")
-                            out[(row + k, off + t)] = v
+                            v = mul(c, v)
+                            if v:
+                                key = (row + k, off + t)
+                                w = out.get(key)
+                                if w is None:
+                                    out[key] = v
+                                elif w := add(w, v):
+                                    out[key] = w
+                                else:
+                                    del out[key]
         # each entry is nonzero and in range: internal ones come from a base
-        # differential of checked shape, twist ones passed the checks above
+        # differential of checked shape, twist ones passed the checks above,
+        # a zero product is never written and a sum that cancels is deleted
         diff = {n: Matrix._adopt(fl, dims.get(n + 1, 0), dims[n], e) for n, e in ent.items() if e}
         self.complex = ChainComplex(fl, dims, diff)
 

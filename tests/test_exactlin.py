@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -443,8 +444,12 @@ def test_rank_matches_the_untransposed_echelon(field, monkeypatch):
     """Seeded: `Matrix.rank` eliminates the columns of a matrix with more
     rows than columns; its rank is the pivot count of `_echelon` on the
     matrix as given, on tall, wide, square, zero and rank-deficient
-    matrices (products through fewer columns than either side).  A tall
-    matrix's rank calls no `_echelon`, a wide or square one calls it once."""
+    matrices (products through fewer columns than either side), and on
+    block-row inputs shaped like twist differentials: sparse blocks,
+    columns of very different or tied nonzero counts, and rank-deficient
+    products, each also transposed.  A tall matrix's rank calls no
+    `_echelon`, a wide or square one calls it once, on the matrix with its
+    columns relabelled by nonzero count, fewest first, ties in index order."""
     rng = random.Random(3131)
     shapes = {"tall": 0, "wide": 0, "square": 0, "zero": 0, "deficient": 0}
     calls = []
@@ -477,6 +482,53 @@ def test_rank_matches_the_untransposed_echelon(field, monkeypatch):
             assert r <= inner
         shapes[kind] += r > 0 or kind == "zero"
     assert all(shapes.values()), shapes
+
+    # inputs shaped like twist differentials, [R_1 | R_2 | ...], and their
+    # transposes: the copy a wide rank eliminates is the matrix with its
+    # columns relabelled by nonzero count, fewest first, ties in index order
+    def nonzero():
+        while field.is_zero(v := _random_entry(field, rng)):
+            pass
+        return v
+
+    def sparse(rows, cols, density):
+        return Matrix(field, rows, cols, {(i, j): nonzero() for i in range(rows) for j in range(cols) if rng.random() < density})
+
+    kinds = {"blocks": 0, "skewed counts": 0, "tied counts": 0, "block product": 0}
+    relabelled = 0
+    for trial in range(160):
+        kind = list(kinds)[trial % len(kinds)]
+        rows = rng.randrange(2, 7)
+        if kind == "blocks":
+            m = hstack(*(sparse(rows, rng.randrange(1, 5), 0.3) for _ in range(rng.randrange(2, 5))))
+        elif kind == "skewed counts":  # each column full or with one entry
+            cols = rows + rng.randrange(0, 6)
+            full = {j for j in range(cols) if rng.random() < 0.4}
+            m = Matrix(field, rows, cols, {(i, j): nonzero() for j in range(cols) for i in (range(rows) if j in full else [rng.randrange(rows)])})
+        elif kind == "tied counts":  # every column with the same number of entries
+            cols, k = rows + rng.randrange(0, 6), rng.randrange(1, rows + 1)
+            m = Matrix(field, rows, cols, {(i, j): nonzero() for j in range(cols) for i in rng.sample(range(rows), k)})
+        else:  # a rank-deficient product through fewer columns than rows
+            inner = rng.randrange(1, rows)
+            m = sparse(rows, inner, 0.7).matmul(hstack(*(sparse(inner, rng.randrange(1, 4), 0.5) for _ in range(rng.randrange(2, 4)))))
+        transposed = trial // len(kinds) % 2
+        if transposed:
+            m = m.transpose()
+        calls.clear()
+        r = m.rank()
+        assert len(calls) == (0 if m.rows > m.cols else 1)
+        assert r == len(echelon(m)) == len(echelon(m.transpose()))
+        if kind == "block product":
+            assert r <= inner
+        if calls:
+            count = Counter(j for _, j in m.entries)
+            label = {j: n for n, j in enumerate(sorted(count, key=lambda j: (count[j], j)))}
+            assert calls[0].entries == {(i, label[j]): v for (i, j), v in m.entries.items()}
+            relabelled += calls[0].entries != m.entries
+            if kind == "tied counts" and not transposed:
+                assert calls[0].entries == m.entries
+        kinds[kind] += r > 0
+    assert all(kinds.values()) and relabelled > 20, (kinds, relabelled)
 
 
 def test_euler_characteristic_invariance():

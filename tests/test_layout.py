@@ -120,13 +120,21 @@ def test_a_product_outside_the_basis_raises_in_the_hom_differential():
     """A twist whose product with a Hom vector names an index outside the
     target block is an error, not a column of some other block; so is a
     table product whose other factor (P = 9, with P·e = e) lies outside
-    the source block."""
+    the source block.  Each twist term is checked before it is written, so
+    the product outside raises also when the table stores its constant as
+    0, and when the twist's coordinates cancel at it (f·g = f·u = P, twist
+    g - u)."""
     for field in FIELDS:
-        cat = product_outside_basis_category(field)
-        o = cat.objects[0]
-        for index, message in ((2, "product index 9 outside block"), (5, "factor index 9 outside block")):
-            g = TwistedMorphism(embed(cat, o), embed(cat, o), 0, {(0, 0): Morphism(o, o, 0, {index: field.one()})})
-            with pytest.raises(IndexError, match=message):
+        one = field.one()
+        base = product_outside_basis_category(field)
+        o = base.objects[0]
+        zero_constant = {(0, 1, 0, 2): {9: field.zero()}}
+        cancelling = {(0, 1, 0, 3): {9: one}}
+        cases = [({}, {2: one}, "product index 9"), ({}, {5: one}, "factor index 9"), (zero_constant, {2: one}, "product index 9"), (cancelling, {2: one, 3: field.neg(one)}, "product index 9")]
+        for extra, coords, index in cases:
+            cat = DGCategory(field, base.objects, base.homs, {(o, o, o): base.comp[(o, o, o)] | extra}, base.ids)
+            g = TwistedMorphism(embed(cat, o), embed(cat, o), 0, {(0, 0): Morphism(o, o, 0, coords)})
+            with pytest.raises(IndexError, match=f"{index} outside block"):
                 HomSpace(embed(cat, o), cone(g))
 
 

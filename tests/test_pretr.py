@@ -9,12 +9,12 @@ from collections import Counter
 
 import pytest
 
-from dgcat.dgcore import Arrow, Morphism, from_quiver, tensor
-from dgcat.exactlin import QQ, GF, Matrix
+from dgcat.dgcore import Arrow, DGCategory, Hom, Morphism, ObjId, from_quiver, tensor
+from dgcat.exactlin import QQ, GF, ChainComplex, Matrix
 from dgcat.dgcore import contract
 from dgcat.fixtures import beilinson3_category, epsilon_category, kronecker_category, kronecker_ev_morphism
 from dgcat.functors import hull_subcategory
-from dgcat import pretr
+from dgcat import exactlin, pretr
 from dgcat.pretr import (
     HomSpace,
     TwistedComplex,
@@ -627,6 +627,56 @@ def test_hull_cone_tables_build_each_hom_complex_once(monkeypatch):
         echelons.clear()
 
 
+def test_hull_cone_ranks_clear_fewer_entries_than_the_natural_order(monkeypatch):
+    """Timing-free guard: over every rank of the ho_hom tables of a seeded
+    cone over tensor(K2, B3), in both directions, `Matrix.rank` gives the
+    rank of a test-local elimination in the natural order of the same
+    matrix, with strictly fewer entry updates in the clear steps."""
+    fl = GF(32003)
+    cat = tensor(kronecker_category(fl), beilinson3_category(fl))
+    c = _hull_cone(cat, random.Random(77), depth=3)
+    updates, ranks = [0], []
+    real_clear_step, real_rank = exactlin._clear_step, Matrix.rank
+
+    def counting(field):
+        clear = real_clear_step(field)
+
+        def counted(rows, prow, col):
+            updates[0] += len(rows) * (len(prow) - 1)
+            return clear(rows, prow, col)
+
+        return counted
+
+    def rank(self):
+        before = updates[0]
+        r = real_rank(self)
+        ranks.append((self, r, updates[0] - before))
+        return r
+
+    def natural_rank(m):
+        """The rank eliminating the shorter side in the matrix's own order."""
+        lines = [{} for _ in range(min(m.rows, m.cols))]
+        for (i, j), v in m.entries.items():
+            if m.rows <= m.cols:
+                lines[i][j] = v
+            else:
+                lines[j][i] = v
+        before = updates[0]
+        r = len(exactlin._eliminate(lines, counting(m.field)))
+        return r, updates[0] - before
+
+    monkeypatch.setattr(exactlin, "_clear_step", counting)
+    monkeypatch.setattr(Matrix, "rank", rank)
+    shifts = sorted({t.shift for t in c.terms})
+    tables = [ho_hom(embed(cat, e), c, -s) for s in shifts for e in cat.objects]
+    tables += [ho_hom(c, embed(cat, e), s) for s in shifts for e in cat.objects]
+    natural = [natural_rank(m) for m, _, _ in ranks]
+    monkeypatch.undo()
+    assert any(tables) and any(m.rows <= m.cols for m, _, _ in ranks)
+    assert [r for _, r, _ in ranks] == [r for r, _ in natural]
+    assert sum(n for _, _, n in ranks) < sum(n for _, n in natural), (sum(n for _, _, n in ranks), sum(n for _, n in natural))
+
+
 def test_the_memo_holds_no_reference_cycle():
     cat = kronecker_category()
     e1, e2 = embed(cat, cat.obj("e1")), embed(cat, cat.obj("e2"))
@@ -871,7 +921,7 @@ def _seeded_build_pairs():
     """Seeded pairs of twisted complexes over Q and F_32003: gens
     complexes over the epsilon fixture in degrees 0, 1 and 2, over gens
     categories and over a quiver whose odd arrows compose, with twists on
-    both ends and odd shifts."""
+    both ends and odd shifts; then the zero-and-cancel pairs."""
     rng = random.Random(3133)
     for trial in range(48):
         field = (QQ, GF(32003))[trial % 2]
@@ -889,6 +939,30 @@ def _seeded_build_pairs():
             arrow = cat.basis_morphism(q, r, cat.hom(q, r).complex.degrees()[0], 0)
             z = TwistedComplex(cat, [(r, 0), (q, 1 - arrow.degree)], {(0, 1): arrow})
             yield from ((shift(embed(cat, p), rng.randrange(-1, 2)), z), (x, z))
+    for field in (QQ, GF(32003)):
+        yield from _zero_and_cancelling_twist_pairs(field)
+
+
+def _zero_and_cancelling_twist_pairs(field):
+    """Pairs whose twist blocks hold a zero product and a sum that cancels.
+    Objects a, b, c with every Hom in degree 0: f: a -> b, g1, g2, g3:
+    b -> c and h1, h2: a -> c, with f·g1 = f·g2 = h1, and the table stores
+    f·g3 as the constant 0 at h2.  On f, the twist g1 - g2 + g3 of
+    (c, b[1]) sums 1 - 1 at h1 (the left part), and the twist f of
+    (b, a[1]) meets g3 in a zero product (the right part)."""
+    one = field.one()
+    a, b, c = (ObjId(label, i) for i, label in enumerate("abc"))
+    names = {(a, b): ("f",), (b, c): ("g1", "g2", "g3"), (a, c): ("h1", "h2")} | {(o, o): ("1",) for o in (a, b, c)}
+    homs = {pair: Hom(ChainComplex(field, {0: len(n)}), {0: n}) for pair, n in names.items()}
+    comp = {}
+    for (s, t), n in names.items():  # the identities on either side
+        comp.setdefault((s, s, t), {}).update({(0, 0, 0, k): {k: one} for k in range(len(n))})
+        comp.setdefault((s, t, t), {}).update({(0, k, 0, 0): {k: one} for k in range(len(n))})
+    comp[(a, b, c)] = {(0, 0, 0, 0): {0: one}, (0, 0, 0, 1): {0: one}, (0, 0, 0, 2): {1: field.zero()}}
+    cat = DGCategory(field, (a, b, c), homs, comp, {o: Morphism(o, o, 0, {0: one}) for o in (a, b, c)}, name="zero and cancel")
+    z = TwistedComplex(cat, [(c, 0), (b, 1)], {(0, 1): Morphism(b, c, 0, {0: one, 1: field.neg(one), 2: one})})
+    w = TwistedComplex(cat, [(b, 0), (a, 1)], {(0, 1): Morphism(a, b, 0, {0: one})})
+    yield from ((embed(cat, a), z), (w, embed(cat, c)), (w, z), (z, z))
 
 
 def test_homspace_build_matches_the_reference_build():
@@ -918,8 +992,9 @@ def test_adopted_differentials_equal_the_checked_construction(monkeypatch):
     unchecked, on the seeded pairs of the reference-build test (and in the
     Hom complexes that making them reads), equals the matrix that the
     checking constructor builds from a copy of its entries: every entry is
-    in bounds and nonzero.  Every differential of those pairs' complexes
-    was adopted."""
+    in bounds and nonzero, also where a table stores a zero constant and
+    where a twist's coordinates cancel in one entry.  Every differential of
+    those pairs' complexes was adopted."""
     adopted, real = [], Matrix._adopt
     monkeypatch.setattr(Matrix, "_adopt", classmethod(lambda cls, *args: adopted.append(real(*args)) or adopted[-1]))
     complexes = [HomSpace(a, b).complex for a, b in _seeded_build_pairs()]

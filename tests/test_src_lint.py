@@ -382,3 +382,31 @@ SPANS = (("k.traced", "mod:K", "traced", None),)
         if name not in refs
     ]
     assert not found, found
+
+
+def test_only_the_hom_build_and_rank_adopt_matrix_entries():
+    """Across src/dgcat, `exactlin` included, `Matrix._adopt` is called
+    only from `pretr.HomSpace._build`, which checks each entry as it
+    writes it, and `exactlin.Matrix.rank`, which relabels the columns of a
+    matrix whose entries the constructor checked."""
+    bad = """
+class Matrix:
+    def rank(self):
+        return Matrix._adopt(self.field, 1, 1, {})
+    def solve(self, b):
+        return self._adopt(self.field, 1, 1, dict(self.entries))
+def _reduced(m):
+    return _adopt(m.field, 0, 0, {})
+"""
+    assert [(kind, where) for kind, where, _ in _matrix_entry_writes(ast.parse(bad)) if kind == "adopt"] == [
+        ("adopt", "Matrix.rank"),
+        ("adopt", "Matrix.solve"),
+        ("adopt", "_reduced"),
+    ]
+    found = {
+        f"{path.stem}.{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for kind, where, _ in _matrix_entry_writes(ast.parse(path.read_text(), filename=str(path)))
+        if kind == "adopt"
+    }
+    assert found == {"pretr.HomSpace._build", "exactlin.Matrix.rank"}, found
